@@ -40,7 +40,7 @@ from repro.core.environment import (
 from repro.core.policy import PolicyNetwork
 from repro.core.rewards import RewardComputer
 from repro.data.loader import SessionBatch
-from repro.kg.paths import SemanticPath
+from repro.kg.paths import PathTable
 from repro.models.base import SessionEncoder
 from repro.nn.module import Module
 
@@ -61,11 +61,19 @@ class StepStats:
 
 @dataclass
 class Recommendations:
-    """Inference output for one batch."""
+    """Inference output for one batch.
+
+    ``paths`` maps ``(row, item)`` to the most probable walked path
+    ending at that item, for every item the walk reached (not only the
+    ranked ones).  It is a read-only :class:`~repro.kg.paths.PathTable`
+    over the rollout's arrays: ``paths[(row, item)]``, ``.get``, ``in``
+    and iteration work as on a dict, and a ``SemanticPath`` object is
+    only built for the keys a caller looks up.
+    """
 
     scores: np.ndarray                       # (B, n_items + 1)
     ranked_items: np.ndarray                 # (B, K)
-    paths: Dict[Tuple[int, int], SemanticPath]  # (row, item) -> best path
+    paths: PathTable                         # (row, item) -> best path
 
 
 class REKSAgent(Module):
@@ -408,24 +416,10 @@ class REKSAgent(Module):
         out[:, 0] = 0.0
         return out
 
-    def _best_paths(self, rollout: Rollout
-                    ) -> Dict[Tuple[int, int], SemanticPath]:
+    def _best_paths(self, rollout: Rollout) -> PathTable:
         items = self.env.built.items_of_entities(rollout.terminals)
-        best: Dict[Tuple[int, int], int] = {}
-        for p in range(rollout.num_paths):
-            if items[p] == 0:
-                continue
-            key = (int(rollout.session_idx[p]), int(items[p]))
-            if key not in best or rollout.prob[p] > rollout.prob[best[key]]:
-                best[key] = p
-        out: Dict[Tuple[int, int], SemanticPath] = {}
-        for key, p in best.items():
-            out[key] = SemanticPath(
-                entities=[int(e) for e in rollout.entities[p]],
-                relations=[int(r) for r in rollout.relations[p]],
-                prob=float(rollout.prob[p]),
-            )
-        return out
+        return PathTable(rollout.session_idx, items, rollout.entities,
+                         rollout.relations, rollout.prob, self.n_items)
 
 
 def clone_agent(agent: REKSAgent) -> REKSAgent:

@@ -177,15 +177,18 @@ class RolloutWorkspace:
         """A ``(n, width)`` view of the named buffer, growing if needed."""
         buf = self._buffers.get(name)
         if buf is None or buf.shape[0] < n or buf.shape[1] < width:
-            # Rows grow geometrically; columns grow exact-fit to the
-            # running max width.  Over-allocating columns would make
-            # every handed-out view row-strided (non-contiguous),
-            # slowing all downstream ufuncs; width is bounded by
-            # action_cap and saturates after the first few frontiers,
-            # so exact-fit reallocations are finitely bounded while
-            # views stay contiguous whenever width == buffer width.
-            rows = n if buf is None else max(n, 2 * buf.shape[0])
-            cols = width if buf is None else max(width, buf.shape[1])
+            # Rows grow geometrically, and only when ``n`` outgrows
+            # them; columns grow exact-fit to the running max width.
+            # Over-allocating columns would make every handed-out view
+            # row-strided (non-contiguous), slowing all downstream
+            # ufuncs; width is bounded by action_cap and saturates
+            # after the first few frontiers, so exact-fit
+            # reallocations are finitely bounded while views stay
+            # contiguous whenever width == buffer width.
+            rows, cols = (n, width) if buf is None else buf.shape
+            if n > rows:
+                rows = max(n, 2 * rows)
+            cols = max(cols, width)
             buf = np.empty((max(rows, 1), max(cols, 1)), dtype=dtype)
             self._buffers[name] = buf
             self.allocations += 1

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.nn.dropout import Dropout
 from repro.nn.embedding import Embedding
 from repro.nn.linear import Linear, MLP
@@ -90,7 +90,47 @@ class PolicyNetwork(Module):
     def step(self, session_repr: Tensor, entities: np.ndarray,
              relations: Optional[np.ndarray], rels: np.ndarray,
              tails: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Full hop: context -> state -> masked action log-probs."""
+        """Full hop: context -> state -> masked action log-probs.
+
+        Under ``no_grad`` (with dropout inactive) the hop runs on plain
+        arrays and embeds/scores only the legal cells of the grid —
+        see :meth:`_step_ragged`.
+        """
+        if not is_grad_enabled() and not (self.drop.training
+                                          and self.drop.p > 0):
+            return self._step_ragged(session_repr.data, entities,
+                                     relations, rels, tails, mask)
         sp = self.path_context(entities, relations)
         st = self.state(session_repr, sp)
         return self.action_log_probs(st, rels, tails, mask)
+
+    def _step_ragged(self, session_repr: np.ndarray, entities: np.ndarray,
+                     relations: Optional[np.ndarray], rels: np.ndarray,
+                     tails: np.ndarray, mask: np.ndarray) -> Tensor:
+        """Inference-only :meth:`step` over the ``M`` legal actions.
+
+        A padded ``(N, A)`` grid is mostly padding once frontier rows of
+        different degree share it, so the tape forward's
+        ``(N, A, kg_dim)`` action embedding spends most of its gathers
+        and multiply-adds on cells the mask then discards.  Here only
+        the legal cells (row-major, as ``np.nonzero(mask)`` orders
+        them) are embedded and dotted against their row's projected
+        state; the logits are scattered into a ``NEG_INF`` grid and go
+        through the same log-softmax, so the result has the tape
+        forward's shape and padding values and its legal cells agree
+        to float32 summation order.
+        """
+        sp = self.entity_emb.gather(entities)
+        if relations is not None:
+            sp = sp + self.relation_emb.gather(relations)
+        fc0, fc1 = self.state_mlp.fc0, self.state_mlp.fc1
+        hidden = np.maximum(
+            fc0.infer(np.concatenate([session_repr, sp], axis=-1)), 0.0)
+        proj = self.w1.infer(fc1.infer(hidden))        # (N, kg_dim)
+        action_emb = self.relation_emb.gather(rels[mask])
+        action_emb += self.entity_emb.gather(tails[mask])  # (M, kg_dim)
+        legal_per_row = np.count_nonzero(mask, axis=1)
+        logits = np.full(mask.shape, NEG_INF, dtype=proj.dtype)
+        logits[mask] = np.einsum(
+            "md,md->m", action_emb, np.repeat(proj, legal_per_row, axis=0))
+        return F.log_softmax(Tensor(logits, dtype=logits.dtype), axis=-1)

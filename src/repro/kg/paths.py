@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +49,113 @@ class SemanticPath:
 
     def render(self, kg: KnowledgeGraph) -> str:
         return render_path(self, kg)
+
+
+class PathTable(Mapping):
+    """Best path per ``(row, item)``, held as arrays.
+
+    Given a batch's walked paths (source row, terminal item, entity and
+    relation history, probability per path), keeps the most probable
+    path of every ``(row, item)`` pair — the lowest path index on an
+    exact probability tie — and skips paths ending at a non-item
+    entity (``items == 0``).  The selection is one stable ``lexsort``;
+    a :class:`SemanticPath` is only built when a key is looked up, so
+    a caller pays for the explanations it reads, not for every path the
+    walk kept.
+
+    Keys iterate in ``(row, item)`` order.  As a ``Mapping`` it
+    compares equal to a dict with the same paths (an empty rollout
+    ``== {}``).
+    """
+
+    def __init__(self, rows: np.ndarray, items: np.ndarray,
+                 entities: np.ndarray, relations: np.ndarray,
+                 prob: np.ndarray, n_items: int) -> None:
+        self._stride = int(n_items) + 1
+        keep = np.flatnonzero(items)
+        keys = rows[keep].astype(np.int64) * self._stride + items[keep]
+        # Stable sort by (key, -prob): the first path of each key run
+        # is its most probable one, earliest index on ties.
+        order = np.lexsort((-prob[keep], keys))
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        best = keep[order[first]]
+        self._keys = keys[first]
+        self._entities = entities[best]
+        self._relations = relations[best]
+        self._prob = prob[best]
+        self._index: Optional[Dict[int, int]] = None
+
+    def _slot(self, row: int, item: int) -> Optional[int]:
+        index = self._index
+        if index is None:
+            # Built on first lookup; a concurrent first lookup builds
+            # an identical dict, so the race is benign.
+            index = self._index = {
+                key: slot for slot, key in enumerate(self._keys.tolist())}
+        if not 0 < item < self._stride:
+            return None
+        return index.get(row * self._stride + item)
+
+    def blob(self, row: int, item: int) -> Optional[tuple]:
+        """``(entities, relations, prob)`` as plain lists and a float
+        (the wire form process workers send), or None."""
+        slot = self._slot(int(row), int(item))
+        if slot is None:
+            return None
+        return (self._entities[slot].tolist(),
+                self._relations[slot].tolist(), float(self._prob[slot]))
+
+    def get(self, key: Tuple[int, int], default=None):
+        blob = self.blob(*key)
+        if blob is None:
+            return default
+        return SemanticPath(entities=blob[0], relations=blob[1],
+                            prob=blob[2])
+
+    def __getitem__(self, key: Tuple[int, int]) -> SemanticPath:
+        path = self.get(key)
+        if path is None:
+            raise KeyError(key)
+        return path
+
+    def __contains__(self, key) -> bool:
+        row, item = key
+        return self._slot(int(row), int(item)) is not None
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        for key in self._keys.tolist():
+            yield divmod(key, self._stride)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def row(self, row: int) -> "PathRow":
+        """The paths of one batch row, keyed by item."""
+        return PathRow(self, int(row))
+
+
+class PathRow:
+    """One row of a :class:`PathTable`: ``item -> best path``.
+
+    What the serving layer keeps per walked row (and stores in the
+    walk memo): ``get`` builds the :class:`SemanticPath` thread mode
+    returns, ``blob`` the plain tuple process workers put on the wire.
+    It holds the whole table alive, which a flush's rows share.
+    """
+
+    __slots__ = ("_table", "_row")
+
+    def __init__(self, table: PathTable, row: int) -> None:
+        self._table = table
+        self._row = row
+
+    def get(self, item: int) -> Optional[SemanticPath]:
+        return self._table.get((self._row, item))
+
+    def blob(self, item: int) -> Optional[tuple]:
+        return self._table.blob(self._row, item)
 
 
 def render_path(path: SemanticPath, kg: KnowledgeGraph) -> str:

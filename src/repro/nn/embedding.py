@@ -35,16 +35,24 @@ class Embedding(Module):
         if padding_idx is not None:
             self.weight.data[padding_idx] = 0.0
 
-    def forward(self, indices: np.ndarray) -> Tensor:
-        # Detach (copy) only when a backward closure will retain the
-        # indices; inference gathers read workspace views in place.
-        indices = coerce_indices(
-            indices, detach=self.weight.requires_grad and is_grad_enabled())
+    def _checked(self, indices: np.ndarray, detach: bool) -> np.ndarray:
+        indices = coerce_indices(indices, detach=detach)
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):
             raise IndexError(
                 f"embedding index out of range [0, {self.num_embeddings})"
             )
-        return self.weight[indices]
+        return indices
+
+    def forward(self, indices: np.ndarray) -> Tensor:
+        # Detach (copy) only when a backward closure will retain the
+        # indices; inference gathers read workspace views in place.
+        return self.weight[self._checked(
+            indices, detach=self.weight.requires_grad and is_grad_enabled())]
+
+    def gather(self, indices: np.ndarray) -> np.ndarray:
+        """Tape-free lookup: the rows as a plain array (inference only),
+        with the same range check as :meth:`forward`."""
+        return self.weight.data[self._checked(indices, detach=False)]
 
     def zero_padding(self) -> None:
         if self.padding_idx is not None:

@@ -284,31 +284,16 @@ def _walk_batch(agent: REKSAgent, examples: Sequence[tuple],
             workspace.spans = None
 
 
-def _row_paths(rec, rows: int) -> List[dict]:
-    """Group ``rec.paths`` (keyed ``(row, item)``) into one
-    ``{item: (entities, relations, prob)}`` blob dict per row.
-
-    ``_best_paths`` keeps one best path per *terminal item* regardless
-    of ``k``, so each dict covers any top-k selection from its row —
-    this is what makes memo entries k-agnostic.
-    """
-    grouped: List[dict] = [dict() for _ in range(rows)]
-    for (row, item), path in rec.paths.items():
-        grouped[row][int(item)] = (list(path.entities),
-                                   list(path.relations),
-                                   float(path.prob))
-    return grouped
-
-
-def _select_row(scores_row: np.ndarray, paths: dict, k: int) -> tuple:
+def _select_row(scores_row: np.ndarray, paths, k: int) -> tuple:
     """One ``(items, scores, path_blobs)`` row selected at ``k`` from a
     full dense score row — bit-identical to a fresh walk's own
     selection (``_top_k`` partitions each row independently; a prefix
-    slice of a larger-k ranking would not be tie-safe)."""
+    slice of a larger-k ranking would not be tie-safe).  ``paths`` is
+    the row's :class:`~repro.kg.paths.PathRow`."""
     ranked = _top_k(scores_row.reshape(1, -1), int(k))[0]
     items = [int(i) for i in ranked]
     return (items, [float(scores_row[i]) for i in items],
-            [paths.get(i) for i in items])
+            [paths.blob(i) for i in items])
 
 
 def _exec_rows(agent: REKSAgent, examples: Sequence[tuple],
@@ -340,14 +325,8 @@ def _exec_rows(agent: REKSAgent, examples: Sequence[tuple],
             ranked = _top_k(rec.scores[row:row + 1], int(k))[0]
         items = [int(i) for i in ranked]
         scores = [float(rec.scores[row, i]) for i in items]
-        paths = []
-        for item in items:
-            path = rec.paths.get((row, item))
-            paths.append(
-                None if path is None
-                else (list(path.entities), list(path.relations),
-                      float(path.prob)))
-        rows.append((items, scores, paths))
+        rows.append((items, scores,
+                     [rec.paths.blob(row, item) for item in items]))
     return rows
 
 
@@ -526,9 +505,8 @@ def _worker_main(conn, spec: AgentSpec,
                 frontier = workspace.row_frontier
                 workspace.row_frontier = None
             walk_dur = perf_counter() - t0
-            grouped = _row_paths(rec, len(miss))
             for idx, j in enumerate(miss):
-                entry = (rec.scores[idx].copy(), grouped[idx])
+                entry = (rec.scores[idx].copy(), rec.paths.row(idx))
                 u_data[j] = entry
                 if keys is not None:
                     memo.put(keys[j], entry)

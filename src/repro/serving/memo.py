@@ -15,11 +15,11 @@ Two layers close that gap:
   ``k`` over its duplicate group) and every original row re-selects its
   own top-k from the shared full score row;
 * :class:`WalkMemo` caches the **numeric** walk output across flushes:
-  the full dense score row plus the per-item path blobs for every
-  terminal item.  Entries are renders-deferred and k-agnostic — a
-  repeat suffix at *any* ``k`` is a memo hit + a deterministic
-  :func:`~repro.core.agent._top_k` re-selection on the stored row, no
-  walk, no policy forward.
+  the full dense score row plus the row's view of the walk's path
+  table, which covers every terminal item.  Entries are
+  renders-deferred and k-agnostic — a repeat suffix at *any* ``k`` is
+  a memo hit + a deterministic :func:`~repro.core.agent._top_k`
+  re-selection on the stored row, no walk, no policy forward.
 
 Exactness: ``_top_k`` partitions each score row independently, so
 re-selecting ``k`` items from the stored full row is bit-identical to
@@ -27,7 +27,7 @@ what a fresh walk's own selection would produce (a *prefix slice* of a
 larger-k ranking is NOT — its tie order can depend on the partition
 point — which is why entries store the full row, never a truncated
 ranking).  Paths come from ``_best_paths``, which keeps one best path
-per *terminal item* regardless of ``k``, so the stored path dict covers
+per *terminal item* regardless of ``k``, so the stored path row covers
 any selection.  Two batch-coupling effects would silently break row
 reuse at the float-bit level and are handled explicitly: the encoder
 runs over the *padded* batch layout, so memo keys carry the flush
@@ -95,12 +95,15 @@ def dedup_plan(keys: Sequence[Hashable]
 class WalkMemo:
     """Thread-safe LRU over numeric walk outputs, keyed by walk inputs.
 
-    Values are ``(scores_row, paths)`` pairs — the full dense float64
-    score row (so any ``k`` re-selects exactly) and a ``{item: path}``
-    dict covering every terminal item.  The memo never inspects the
-    path payload, so thread mode stores :class:`SemanticPath` objects
-    while process workers store raw ``(entities, relations, prob)``
-    blobs.
+    Values are ``(scores_row, path_row)`` pairs — the full dense
+    float64 score row (so any ``k`` re-selects exactly) and the row's
+    :class:`~repro.kg.paths.PathRow` view of the walk's
+    :class:`~repro.kg.paths.PathTable`, covering every terminal item.
+    Both worker modes store the same view: thread mode reads
+    ``SemanticPath`` objects out of it (``get``), process workers the
+    raw ``(entities, relations, prob)`` wire blobs (``blob``), each
+    built only for the items a request returns.  A view keeps its whole
+    table alive; the rows of one flush share it.
 
     ``capacity`` 0 disables the memo (every lookup is a miss and
     :meth:`put` is a no-op), keeping callers branch-free.

@@ -699,11 +699,18 @@ class RecommendationServer:
         ``k`` of their group, and thread mode consults the cross-flush
         :class:`WalkMemo` before walking at all — rankings and
         explanations exact by construction because every original row
-        re-runs the tie-safe row-local ``_top_k`` on a full score row;
-        score bits additionally match dedup-off whenever the walk-batch
-        composition is preserved, and sit within the documented
-        last-ulp batch-shape tolerance when collapsing shrinks a
-        multi-row flush (see ``repro.serving.memo``).  Sampled requests
+        takes the tie-safe row-local ``_top_k`` of a full score row
+        (a freshly walked row asked for the walk's own ``k`` reuses the
+        ranking ``recommend`` already made, which is that same
+        selection; memo hits and smaller-``k`` rows re-select).  Paths
+        stay in the walk's array-backed
+        :class:`~repro.kg.paths.PathTable`: each row keeps a
+        :class:`~repro.kg.paths.PathRow` view and a ``SemanticPath`` is
+        built only for the items it returns.  Score bits additionally
+        match dedup-off whenever the walk-batch composition is
+        preserved, and sit within the documented last-ulp batch-shape
+        tolerance when collapsing shrinks a multi-row flush (see
+        ``repro.serving.memo``).  Sampled requests
         get enqueue/flush/transport/render/respond spans recorded
         against their trace id, plus the worker-side collate/exec/walk/
         top-k spans echoed over the transport.
@@ -877,7 +884,8 @@ class RecommendationServer:
             # row, one walk over the misses, per-original-row top-k
             # re-selection from full score rows.  Memo entries store
             # the full dense row (any k re-selects exactly) plus the
-            # per-item path dict (k-independent by construction).
+            # row's view of the walk's path table (k-independent: it
+            # covers every item the walk reached).
             agent, version = self._live()
             store_token = agent.env.fingerprint()
             use_memo = self._memo.capacity > 0
@@ -897,9 +905,14 @@ class RecommendationServer:
             row_frontier = ([] if (sampled and self._trace_rows)
                             else None)
             miss_ks: List[int] = []
+            # (unique row, k) -> the ranking the walk already made: only
+            # freshly walked rows, only at the walk's own k (memo hits
+            # carry a score row, no ranking).
+            ranked_by_walk: dict = {}
             if miss:
                 miss_examples = [examples[uniq[j]] for j in miss]
                 miss_ks = [uniq_ks[j] for j in miss]
+                walk_k = max(miss_ks)
                 constraint = None
                 if cand_rows is not None:
                     from repro.cascade import build_constraint
@@ -915,30 +928,30 @@ class RecommendationServer:
                     workspace.spans = local_spans
                     workspace.row_frontier = row_frontier
                     try:
-                        rec = agent.recommend(collated, k=max(miss_ks),
+                        rec = agent.recommend(collated, k=walk_k,
                                               workspace=workspace,
                                               candidates=constraint)
                     finally:
                         workspace.spans = None
                         workspace.row_frontier = None
                 walk_dur = perf_counter() - w0
-                grouped: List[dict] = [{} for _ in miss]
-                for (r, item), path in rec.paths.items():
-                    grouped[r][int(item)] = path
                 for idx, j in enumerate(miss):
-                    entry = (rec.scores[idx].copy(), grouped[idx])
+                    entry = (rec.scores[idx].copy(), rec.paths.row(idx))
                     u_data[j] = entry
+                    ranked_by_walk[(j, walk_k)] = rec.ranked_items[idx]
                     if use_memo:
                         self._memo.put(memo_keys[j], entry)
                 self._memo.note_walk_cost(len(miss), walk_dur)
             raw = []
             for row in range(n):
-                scores_row, paths = u_data[row_map[row]]
-                ranked = _top_k(scores_row.reshape(1, -1),
-                                int(ks[row]))[0]
-                items = [int(it) for it in ranked]
-                raw.append((items,
-                            [float(scores_row[it]) for it in items],
+                j = row_map[row]
+                scores_row, paths = u_data[j]
+                ranked = ranked_by_walk.get((j, ks[row]))
+                if ranked is None:
+                    ranked = _top_k(scores_row.reshape(1, -1),
+                                    int(ks[row]))[0]
+                items = ranked.tolist()
+                raw.append((items, scores_row[ranked].tolist(),
                             tuple(paths.get(it) for it in items)))
             exec_dur = perf_counter() - t0
             if metrics is not None:

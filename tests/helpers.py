@@ -50,3 +50,25 @@ def make_tensor(rng: np.random.Generator, *shape: int,
     """Random float64 tensor (float64 keeps finite differences accurate)."""
     data = rng.standard_normal(shape) * scale
     return Tensor(data, requires_grad=requires_grad, dtype=np.float64)
+
+
+def reference_best_paths(built, rollout):
+    """The dict-building ``REKSAgent._best_paths`` as it was before
+    ``PathTable`` replaced it, kept frozen as the oracle the table is
+    tested against: one pass over the paths, a strictly greater
+    probability replaces the incumbent (so the lowest path index wins
+    an exact tie), non-item terminals are skipped."""
+    from repro.kg.paths import SemanticPath
+
+    items = built.items_of_entities(rollout.terminals)
+    best = {}
+    for p in range(rollout.num_paths):
+        if items[p] == 0:
+            continue
+        key = (int(rollout.session_idx[p]), int(items[p]))
+        if key not in best or rollout.prob[p] > rollout.prob[best[key]]:
+            best[key] = p
+    return {key: SemanticPath(
+        entities=[int(e) for e in rollout.entities[p]],
+        relations=[int(r) for r in rollout.relations[p]],
+        prob=float(rollout.prob[p])) for key, p in best.items()}

@@ -213,6 +213,50 @@ class TestSharedBitIdentity:
             assert len(memo) == 3      # one entry per distinct suffix
         assert got == expected
 
+    def test_fresh_rows_at_walk_k_reuse_the_walk_ranking(
+            self, trainer, sessions, monkeypatch):
+        """A freshly walked row asked for the walk's own k takes the
+        ranking ``recommend`` already made; memo hits and smaller-k
+        rows re-select from the score row.  Answers are the legacy
+        server's either way."""
+        import repro.serving.server as server_mod
+
+        calls = []
+        real_top_k = server_mod._top_k
+
+        def counting(scores, k):
+            calls.append(k)
+            return real_top_k(scores, k)
+
+        monkeypatch.setattr(server_mod, "_top_k", counting)
+        requests = [(s, 10) for s in sessions[:4]]
+        mixed = [(sessions[4], 10), (sessions[5], 3)]
+        # max_batch == the round size: a round flushes when full, and
+        # the two-request mixed round on a timer far longer than the
+        # gap between two submits.
+        with trainer.serve(worker_mode="thread", workers=1,
+                           cache_size=0, metrics=False, max_batch=4,
+                           max_wait_ms=250.0) as server:
+            futures = [server.submit(s, k=k) for s, k in requests]
+            fresh = [_payload(f.result()) for f in futures]
+            assert calls == []          # four walked rows, no re-select
+            futures = [server.submit(s, k=k) for s, k in requests]
+            hits = [_payload(f.result()) for f in futures]
+            assert calls == [10] * 4    # memo hits have no ranking
+            del calls[:]
+            futures = [server.submit(s, k=k) for s, k in mixed]
+            mixed_got = [_payload(f.result()) for f in futures]
+            assert calls == [3]         # only the smaller-k row
+        monkeypatch.undo()
+        assert hits == fresh
+        legacy = (self._baseline(trainer, requests)
+                  + self._baseline(trainer, mixed))
+        # items + explanations: score bits additionally need the two
+        # servers to have cut identical flushes, which the differential
+        # tests above arrange and this one does not.
+        assert ([(p[0], p[2]) for p in fresh + mixed_got]
+                == [(p[0], p[2]) for p in legacy])
+
     def test_process_mode_worker_memo_hits(self, trainer, sessions):
         """Process workers own their memos; repeats across flushes are
         hits counted in the fleet metrics, results bit-identical."""

@@ -762,7 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--final-beam", type=int, default=4)
         p.add_argument("--frontier-buckets", type=int, default=1,
                        help="degree-quantile buckets per hop frontier "
-                            "(1 = one padded rectangle per hop)")
+                            "of the training walk (1 = one padded "
+                            "rectangle per hop; inference pads nothing)")
         p.add_argument("--no-users", action="store_true",
                        help="build the KG without user entities")
         if extra:

@@ -30,14 +30,14 @@ from repro.telemetry.trace import span_kind_id
 
 _SPAN_WALK = span_kind_id("walk")
 _SPAN_TOPK = span_kind_id("topk")
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.core.config import REKSConfig
 from repro.core.environment import (
     KGEnvironment,
     Rollout,
     RolloutWorkspace,
 )
-from repro.core.policy import PolicyNetwork
+from repro.core.policy import PolicyNetwork, segments
 from repro.core.rewards import RewardComputer
 from repro.data.loader import SessionBatch
 from repro.kg.paths import PathTable
@@ -104,6 +104,19 @@ class REKSAgent(Module):
              candidates: Optional["WalkConstraint"] = None) -> Rollout:
         """Beam-walk the KG; gradient flows when grad mode is enabled.
 
+        Which walk runs is decided here, once, from what the caller can
+        observe: with grad mode on, or dropout active, every hop is the
+        **tape walk** (:meth:`_expand_tape` — padded action grids from
+        ``iter_frontier_buckets``, ``PolicyNetwork.step`` on the
+        autograd tape); under ``no_grad`` with dropout inactive it is
+        the **flat walk** (:meth:`_expand_flat` — the frontier's legal
+        actions as flat arrays, one ``PolicyNetwork.step_flat`` and one
+        segment top-k per hop).  Both keep the same actions up to
+        float32 summation order in the log-probs; the flat walk lists
+        its paths in frontier-row order, the tape walk bucket by
+        bucket.  ``config.frontier_buckets`` and the workspace's grid
+        buffers belong to the tape walk only.
+
         ``workspace`` overrides the agent's own scratch buffers for
         this walk — serving workers each pin their own workspace so
         concurrent walks over one shared agent never collide.
@@ -119,13 +132,21 @@ class REKSAgent(Module):
         cfg = self.config
         sizes = sizes or cfg.sample_sizes
         workspace = workspace if workspace is not None else self.workspace
+        flat = not is_grad_enabled() and not (self.policy.drop.training
+                                              and self.policy.drop.p > 0)
+        if flat:
+            expand, session_repr = self._expand_flat, session_repr.data
+        else:
+            expand = self._expand_tape
         batch_size = batch.batch_size
         sess_idx = np.arange(batch_size, dtype=np.int64)
         entities = self.env.start_entities(batch, cfg.start_from)
         ent_hist = entities[:, None]
         rel_hist = np.zeros((batch_size, 0), dtype=np.int64)
         prev_rel: Optional[np.ndarray] = None
-        log_prob: Optional[Tensor] = None
+        # Summed per-hop log-probs: a Tensor on the tape walk, a plain
+        # array (wrapped on return) on the flat walk.
+        log_prob = None
 
         # Per-hop wall time lands in the owner's metric block (if any);
         # the guard keeps the no-telemetry walk free of clock reads.
@@ -140,52 +161,9 @@ class REKSAgent(Module):
             hop_t0 = perf_counter() if metrics is not None else 0.0
             hop_allowed = (None if candidates is None
                            else candidates.hop_mask(hop, len(sizes)))
-            sel_rows, sel_rels, sel_tails, logp_parts = [], [], [], []
-            # Buckets are consumed one at a time so the workspace's
-            # scratch buffers can be recycled between them.
-            for bucket in self.env.iter_frontier_buckets(
-                    ent_hist[:, -1], visited=ent_hist,
-                    num_buckets=cfg.frontier_buckets,
-                    workspace=workspace):
-                rows_g = bucket.rows
-                rels, tails, mask = bucket.rels, bucket.tails, bucket.mask
-                allowed = None
-                if hop_allowed is not None:
-                    allowed = hop_allowed[sess_idx[rows_g][:, None], tails]
-                    if metrics is not None:
-                        pruned = np.count_nonzero(
-                            (mask & ~allowed).any(axis=1))
-                        if pruned:
-                            metrics.count(
-                                "cascade_pruned_frontier_rows_total",
-                                pruned)
-                    # Rows with no candidate-reachable action dead-end
-                    # in _select anyway; dropping them *before* the
-                    # policy forward skips their whole log-prob
-                    # computation.  Exact: the softmax is per-row, so
-                    # surviving rows score identically either way.
-                    live = (mask & allowed).any(axis=1)
-                    if not live.all():
-                        if not live.any():
-                            continue
-                        rows_g = rows_g[live]
-                        rels, tails, mask = (rels[live], tails[live],
-                                             mask[live])
-                        allowed = allowed[live]
-                se_paths = session_repr[sess_idx[rows_g]]
-                prev = None if prev_rel is None else prev_rel[rows_g]
-                log_probs = self.policy.step(
-                    se_paths, ent_hist[rows_g, -1], prev,
-                    rels, tails, mask)
-                rows, cols = self._select(log_probs.data, mask, k,
-                                          stochastic, allowed=allowed)
-                if len(rows) == 0:
-                    continue
-                logp_parts.append(log_probs[rows, cols])
-                sel_rows.append(rows_g[rows])
-                sel_rels.append(rels[rows, cols])
-                sel_tails.append(tails[rows, cols])
-            if not sel_rows:
+            picked = expand(session_repr, sess_idx, ent_hist, prev_rel, k,
+                            stochastic, hop_allowed, workspace)
+            if picked is None:
                 # Every surviving path dead-ended: return a rollout
                 # that is empty but shape-consistent.
                 sess_idx = sess_idx[:0]
@@ -199,16 +177,14 @@ class REKSAgent(Module):
                     metrics.observe(walk_hop_hist(hop),
                                     perf_counter() - hop_t0)
                 break
-            rows = np.concatenate(sel_rows)
-            step_logp = (logp_parts[0] if len(logp_parts) == 1
-                         else F.concat(logp_parts, axis=0))
+            rows, sel_rels, sel_tails, step_logp = picked
             log_prob = (step_logp if log_prob is None
                         else log_prob[rows] + step_logp)
             sess_idx = sess_idx[rows]
             ent_hist = np.concatenate(
-                [ent_hist[rows], np.concatenate(sel_tails)[:, None]], axis=1)
+                [ent_hist[rows], sel_tails[:, None]], axis=1)
             rel_hist = np.concatenate(
-                [rel_hist[rows], np.concatenate(sel_rels)[:, None]], axis=1)
+                [rel_hist[rows], sel_rels[:, None]], axis=1)
             prev_rel = rel_hist[:, -1]
             if row_frontier is not None:
                 row_frontier.append(
@@ -217,10 +193,131 @@ class REKSAgent(Module):
                 metrics.observe(walk_hop_hist(hop),
                                 perf_counter() - hop_t0)
 
+        if flat and log_prob is not None:
+            log_prob = Tensor(log_prob)
         prob = (np.exp(log_prob.data.astype(np.float64))
                 if log_prob is not None else np.zeros(len(sess_idx)))
         return Rollout(session_idx=sess_idx, entities=ent_hist,
                        relations=rel_hist, prob=prob, log_prob=log_prob)
+
+    def _expand_tape(self, session_repr: Tensor, sess_idx: np.ndarray,
+                     ent_hist: np.ndarray, prev_rel: Optional[np.ndarray],
+                     k: int, stochastic: bool,
+                     hop_allowed: Optional[np.ndarray],
+                     workspace: Optional[RolloutWorkspace]):
+        """One hop of the tape walk: padded grids, bucket by bucket.
+
+        Returns ``(rows, rels, tails, log_probs)`` of the kept actions
+        — ``rows`` indexes the frontier, ``log_probs`` is a Tensor on
+        the tape — or None when nothing could be kept.
+        """
+        metrics = None if workspace is None else workspace.metrics
+        sel_rows, sel_rels, sel_tails, logp_parts = [], [], [], []
+        # Buckets are consumed one at a time so the workspace's
+        # scratch buffers can be recycled between them.
+        for bucket in self.env.iter_frontier_buckets(
+                ent_hist[:, -1], visited=ent_hist,
+                num_buckets=self.config.frontier_buckets,
+                workspace=workspace):
+            rows_g = bucket.rows
+            rels, tails, mask = bucket.rels, bucket.tails, bucket.mask
+            allowed = None
+            if hop_allowed is not None:
+                allowed = hop_allowed[sess_idx[rows_g][:, None], tails]
+                if metrics is not None:
+                    pruned = np.count_nonzero(
+                        (mask & ~allowed).any(axis=1))
+                    if pruned:
+                        metrics.count(
+                            "cascade_pruned_frontier_rows_total",
+                            pruned)
+                # Rows with no candidate-reachable action dead-end
+                # in _select anyway; dropping them *before* the
+                # policy forward skips their whole log-prob
+                # computation.  Exact: the softmax is per-row, so
+                # surviving rows score identically either way.
+                live = (mask & allowed).any(axis=1)
+                if not live.all():
+                    if not live.any():
+                        continue
+                    rows_g = rows_g[live]
+                    rels, tails, mask = (rels[live], tails[live],
+                                         mask[live])
+                    allowed = allowed[live]
+            se_paths = session_repr[sess_idx[rows_g]]
+            prev = None if prev_rel is None else prev_rel[rows_g]
+            log_probs = self.policy.step(
+                se_paths, ent_hist[rows_g, -1], prev,
+                rels, tails, mask)
+            rows, cols = self._select(log_probs.data, mask, k,
+                                      stochastic, allowed=allowed)
+            if len(rows) == 0:
+                continue
+            logp_parts.append(log_probs[rows, cols])
+            sel_rows.append(rows_g[rows])
+            sel_rels.append(rels[rows, cols])
+            sel_tails.append(tails[rows, cols])
+        if not sel_rows:
+            return None
+        step_logp = (logp_parts[0] if len(logp_parts) == 1
+                     else F.concat(logp_parts, axis=0))
+        return (np.concatenate(sel_rows), np.concatenate(sel_rels),
+                np.concatenate(sel_tails), step_logp)
+
+    def _expand_flat(self, session_repr: np.ndarray, sess_idx: np.ndarray,
+                     ent_hist: np.ndarray, prev_rel: Optional[np.ndarray],
+                     k: int, stochastic: bool,
+                     hop_allowed: Optional[np.ndarray],
+                     workspace: Optional[RolloutWorkspace]):
+        """One hop of the flat walk: no grid, no buckets, no tape.
+
+        The whole frontier's legal actions arrive as flat
+        ``(row_of, rels, tails)`` cells, one policy pass scores them
+        and one segment top-k keeps each row's best ``k``.  Same
+        return as :meth:`_expand_tape` with ``log_probs`` a plain
+        array; kept actions are listed in frontier-row order, by
+        action column within a row.
+        """
+        metrics = None if workspace is None else workspace.metrics
+        row_of, rels, tails = self.env.flat_actions(
+            ent_hist[:, -1], ent_hist, metrics=metrics)
+        rows_g = np.arange(len(ent_hist))  # frontier rows the policy sees
+        selectable = None                  # cells the cascade lets it keep
+        if hop_allowed is not None:
+            selectable = hop_allowed[sess_idx[row_of], tails]
+            if metrics is not None:
+                pruned = len(np.unique(row_of[~selectable]))
+                if pruned:
+                    metrics.count("cascade_pruned_frontier_rows_total",
+                                  pruned)
+            # As on the tape walk: rows with nothing selectable are
+            # dropped before the policy pass (exact — the softmax is
+            # per row), the others still normalize over every legal
+            # action.
+            live = np.zeros(len(ent_hist), dtype=bool)
+            live[row_of[selectable]] = True
+            if not live.all():
+                cells = live[row_of]
+                rows_g = np.flatnonzero(live)
+                row_of = (np.cumsum(live) - 1)[row_of[cells]]
+                rels, tails = rels[cells], tails[cells]
+                selectable = selectable[cells]
+        if len(row_of) == 0:
+            return None
+        logp = self.policy.step_flat(
+            session_repr[sess_idx[rows_g]], ent_hist[rows_g, -1],
+            None if prev_rel is None else prev_rel[rows_g],
+            row_of, rels, tails)
+        scores = logp
+        if stochastic:
+            scores = logp - np.log(-np.log(
+                self._rng.random(len(logp)) + 1e-12) + 1e-12)
+        if selectable is None:
+            kept = segment_top_k(scores, row_of, k)
+        else:
+            cells = np.flatnonzero(selectable)
+            kept = cells[segment_top_k(scores[cells], row_of[cells], k)]
+        return rows_g[row_of[kept]], rels[kept], tails[kept], logp[kept]
 
     def _select(self, logp: np.ndarray, mask: np.ndarray, k: int,
                 stochastic: bool,
@@ -454,7 +551,35 @@ def clone_agent(agent: REKSAgent) -> REKSAgent:
     return clone
 
 
+def segment_top_k(scores: np.ndarray, row_of: np.ndarray,
+                  k: int) -> np.ndarray:
+    """Cells of each row's ``k`` highest scores, as ascending indices.
+
+    ``row_of`` (non-decreasing) assigns every cell to a row; a row
+    with at most ``k`` cells keeps them all, and an exact tie at the
+    cut keeps the lower index.
+    """
+    starts, counts = segments(row_of)
+    if not len(scores) or k >= counts.max():
+        return np.arange(len(scores))
+    if k == 1:
+        # The paper's last-hop size: a per-row arg-max needs no sort —
+        # the first cell of each row that equals the row's maximum.
+        best = np.flatnonzero(
+            scores == np.repeat(np.maximum.reduceat(scores, starts), counts))
+        return best[segments(row_of[best])[0]]
+    # Stable sort by (row, -score): rows stay where they were, so rank
+    # within a row is position minus the row's (unchanged) start.
+    order = np.lexsort((-scores, row_of))
+    rank = np.arange(len(scores)) - np.repeat(starts, counts)
+    return np.sort(order[rank < k])
+
+
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    if k < 1:
+        # argpartition(kth=k-1)[:, :k] would slice from the end and
+        # return almost the whole catalogue.
+        raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, scores.shape[1] - 1)
     part = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k]
     row_scores = np.take_along_axis(scores, part, axis=1)

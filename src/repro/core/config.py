@@ -35,7 +35,9 @@ class REKSConfig:
     # Degree-bucketed frontier padding: split each hop's frontier into
     # this many degree-quantile buckets so a single hub entity doesn't
     # inflate the pad width for the whole batch.  1 = one rectangle
-    # per hop (the paper's layout and the default).
+    # per hop (the paper's layout and the default).  Applies to the
+    # tape walk (training, grad mode) only: the inference walk expands
+    # a flat frontier with no padding to tame (see REKSAgent.walk).
     frontier_buckets: int = 1
     # Graph-store shards: the capped adjacency is partitioned into this
     # many contiguous, edge-mass-balanced entity-range shards so online

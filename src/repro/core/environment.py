@@ -21,7 +21,20 @@ shard*, with no Python loop over the frontier:
   mask in one shot; padded cells read each shard's sentinel slot and
   are zeroed.
 
-Three scale features sit on top of the CSR core:
+A frontier's action space comes in two layouts, one per walk (see
+:meth:`REKSAgent.walk` for which runs when):
+
+* the **padded grid** of ``batched_actions`` — what the tape walk
+  (training, and any walk with grad mode or dropout on) feeds the
+  autograd forward;
+* the **flat frontier** of :meth:`KGEnvironment.flat_actions` — the
+  same legal actions as ``(row_of, rels, tails)`` cells in row-major
+  order, sized by the number of legal actions instead of rows times
+  the widest row; what the inference walk (``no_grad``, dropout
+  inactive) expands, one call per hop.
+
+Three scale features sit on top of the CSR core; the first two serve
+the padded grid and so the tape walk only:
 
 * **degree-bucketed frontiers** (:meth:`KGEnvironment.iter_frontier_buckets`)
   group frontier rows by degree quantile so one mega-hub entity does
@@ -33,8 +46,9 @@ Three scale features sit on top of the CSR core:
 * a **staged edge overlay** (:meth:`KGEnvironment.stage_edges` /
   :meth:`KGEnvironment.compact`) lets the online subsystem append new
   triples to a live environment: staged edges are visible to
-  ``batched_actions`` immediately (a per-row widen restricted to the
-  staged entities), and a periodic compaction folds them into fresh
+  ``batched_actions`` (a per-row widen restricted to the staged
+  entities) and ``flat_actions`` (inserted after their rows' base
+  cells) immediately, and a periodic compaction folds them into fresh
   per-shard bundles — **only the shards holding staged edges rebuild**
   (delta-proportional, see :mod:`repro.graphstore.merge`), published
   with a single facade swap so concurrent walks see either the old
@@ -106,10 +120,14 @@ class RolloutWorkspace:
     """Grow-only scratch buffers recycled across frontier constructions.
 
     ``batched_actions`` materializes each frontier as rectangular
-    ``(N, A)`` arrays; at serving scale those allocations dominate the
+    ``(N, A)`` arrays; on wide frontiers those allocations dominate the
     per-hop cost.  A workspace keeps one buffer per role — rows grow
     geometrically, columns track the max width seen (bounded by
-    ``action_cap``) — and hands out ``(N, A)`` views.
+    ``action_cap``) — and hands out ``(N, A)`` views.  Only the tape
+    walk builds grids: the inference walk's flat frontier
+    (:meth:`KGEnvironment.flat_actions`) allocates its few
+    action-count-sized arrays afresh and uses a workspace just as the
+    carrier of the telemetry attachments below.
 
     Aliasing contract: arrays returned by a workspace-backed
     ``batched_actions`` call are views into these buffers and are
@@ -787,6 +805,58 @@ class KGEnvironment:
                 out_tails[row, base + offset] = tail
                 out_mask[row, base + offset] = True
         return out_rels, out_tails, out_mask
+
+    def flat_actions(self, entities: np.ndarray, visited: np.ndarray,
+                     metrics=None
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A frontier's legal actions as flat arrays — no padded grid.
+
+        Same action space as :meth:`batched_actions` (same arguments),
+        laid out as its legal cells in row-major order: returns
+        ``(row_of, rels, tails)`` where cell ``j`` is the action
+        ``(rels[j], tails[j])`` of frontier row ``row_of[j]``.
+        ``row_of`` is non-decreasing; within a row the capped CSR edges
+        come first, then any staged-overlay edges, with visited tails
+        removed; a row with no legal action has no cell.  This is what
+        the inference walk expands (:meth:`REKSAgent.walk` under
+        ``no_grad``): its size is the number of legal actions, not
+        rows times the widest row.
+
+        ``metrics`` (a ``repro.telemetry`` MetricBlock or None) picks
+        up the store's gather counters.
+        """
+        entities = np.asarray(entities, dtype=np.int64)
+        row_of, rels, tails = self._csr.gather_flat(entities, metrics)
+        if self._staged_count:
+            row_of, rels, tails = self._append_overlay(
+                entities, row_of, rels, tails)
+        visited = np.asarray(visited)
+        keep = np.ones(len(tails), dtype=bool)
+        for col in range(visited.shape[1]):  # path length, not frontier
+            keep &= tails != np.take(visited[:, col], row_of)
+        return row_of[keep], rels[keep], tails[keep]
+
+    def _append_overlay(self, entities: np.ndarray, row_of: np.ndarray,
+                        rels: np.ndarray, tails: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Insert staged-overlay edges after their rows' base cells
+        (the flat counterpart of :meth:`_widen_with_overlay`)."""
+        hot_rows = np.flatnonzero(np.take(self._staged_len, entities) > 0)
+        # Copy each bucket: a concurrent stage_edges may append to the
+        # live lists while this frontier is being assembled.
+        extras = [(row, rel, tail) for row in hot_rows.tolist()
+                  for rel, tail in list(self._staged.get(
+                      int(entities[row]), ()))]
+        if not extras:
+            return row_of, rels, tails
+        rows, extra_rels, extra_tails = (
+            np.array(col, dtype=np.int64) for col in zip(*extras))
+        # Equal insert positions keep their given order, so a row's
+        # staged edges land after its base block, in staging order.
+        at = np.searchsorted(row_of, rows, side="right")
+        return (np.insert(row_of, at, rows),
+                np.insert(rels, at, extra_rels),
+                np.insert(tails, at, extra_tails))
 
     def iter_frontier_buckets(self, entities: np.ndarray,
                               visited: np.ndarray, num_buckets: int = 1,

@@ -4,6 +4,10 @@
 wrapped SR model with the current path context ``Sp = x_et + x_rt``;
 actions ``(r, e)`` are embedded as ``x_r + x_e`` and scored by
 ``(x_r + x_e)ᵀ (W1 s_t)``, masked to the legal action set, softmaxed.
+Two forwards compute that hop: :meth:`PolicyNetwork.step` over a padded
+action grid on the autograd tape (training), and
+:meth:`PolicyNetwork.step_flat` over the legal actions alone on plain
+arrays (inference) — :meth:`REKSAgent.walk` picks, from grad mode.
 
 KG entity/relation embeddings default to the frozen TransE tables
 (PGPR convention); ``finetune=True`` makes them trainable parameters.
@@ -11,12 +15,12 @@ KG entity/relation embeddings default to the frozen TransE tables
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.autograd import functional as F
-from repro.autograd.tensor import Tensor, is_grad_enabled
+from repro.autograd.tensor import Tensor
 from repro.nn.dropout import Dropout
 from repro.nn.embedding import Embedding
 from repro.nn.linear import Linear, MLP
@@ -90,35 +94,29 @@ class PolicyNetwork(Module):
     def step(self, session_repr: Tensor, entities: np.ndarray,
              relations: Optional[np.ndarray], rels: np.ndarray,
              tails: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Full hop: context -> state -> masked action log-probs.
-
-        Under ``no_grad`` (with dropout inactive) the hop runs on plain
-        arrays and embeds/scores only the legal cells of the grid —
-        see :meth:`_step_ragged`.
-        """
-        if not is_grad_enabled() and not (self.drop.training
-                                          and self.drop.p > 0):
-            return self._step_ragged(session_repr.data, entities,
-                                     relations, rels, tails, mask)
+        """Full hop on a padded grid: context -> state -> masked action
+        log-probs.  This is the tape forward the training walk
+        differentiates through; the inference walk scores the same
+        actions without the grid via :meth:`step_flat`."""
         sp = self.path_context(entities, relations)
         st = self.state(session_repr, sp)
         return self.action_log_probs(st, rels, tails, mask)
 
-    def _step_ragged(self, session_repr: np.ndarray, entities: np.ndarray,
-                     relations: Optional[np.ndarray], rels: np.ndarray,
-                     tails: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Inference-only :meth:`step` over the ``M`` legal actions.
+    def step_flat(self, session_repr: np.ndarray, entities: np.ndarray,
+                  relations: Optional[np.ndarray], row_of: np.ndarray,
+                  rels: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """Inference-only hop over a flat frontier: ``(M,)`` log-probs.
 
-        A padded ``(N, A)`` grid is mostly padding once frontier rows of
-        different degree share it, so the tape forward's
-        ``(N, A, kg_dim)`` action embedding spends most of its gathers
-        and multiply-adds on cells the mask then discards.  Here only
-        the legal cells (row-major, as ``np.nonzero(mask)`` orders
-        them) are embedded and dotted against their row's projected
-        state; the logits are scattered into a ``NEG_INF`` grid and go
-        through the same log-softmax, so the result has the tape
-        forward's shape and padding values and its legal cells agree
-        to float32 summation order.
+        ``session_repr`` / ``entities`` / ``relations`` describe the
+        ``N`` frontier rows as in :meth:`step`; the actions are the
+        ``M`` legal cells ``(rels[j], tails[j])`` of row ``row_of[j]``
+        (``row_of`` non-decreasing —
+        :meth:`KGEnvironment.flat_actions` order).  Plain arrays
+        throughout, no tape and no dropout: the caller checks both are
+        off.  The state MLP runs once over all rows, each cell is
+        dotted against its row's projected state, and the softmax is
+        taken per row segment, so a cell's log-prob is the tape
+        forward's for the same action to float32 summation order.
         """
         sp = self.entity_emb.gather(entities)
         if relations is not None:
@@ -127,10 +125,30 @@ class PolicyNetwork(Module):
         hidden = np.maximum(
             fc0.infer(np.concatenate([session_repr, sp], axis=-1)), 0.0)
         proj = self.w1.infer(fc1.infer(hidden))        # (N, kg_dim)
-        action_emb = self.relation_emb.gather(rels[mask])
-        action_emb += self.entity_emb.gather(tails[mask])  # (M, kg_dim)
-        legal_per_row = np.count_nonzero(mask, axis=1)
-        logits = np.full(mask.shape, NEG_INF, dtype=proj.dtype)
-        logits[mask] = np.einsum(
-            "md,md->m", action_emb, np.repeat(proj, legal_per_row, axis=0))
-        return F.log_softmax(Tensor(logits, dtype=logits.dtype), axis=-1)
+        action_emb = self.relation_emb.gather(rels)
+        action_emb += self.entity_emb.gather(tails)    # (M, kg_dim)
+        logits = np.einsum("md,md->m", action_emb, proj[row_of])
+        return segment_log_softmax(logits, *segments(row_of))
+
+
+def segments(row_of: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, counts)`` of the runs of equal values in a
+    non-decreasing, non-negative ``row_of`` (one run per row that has
+    a cell)."""
+    counts = np.bincount(row_of)
+    counts = counts[counts > 0]
+    return np.cumsum(counts) - counts, counts
+
+
+def segment_log_softmax(logits: np.ndarray, starts: np.ndarray,
+                        counts: np.ndarray) -> np.ndarray:
+    """Numerically stable log-softmax within each ``segments`` run."""
+    if not len(logits):
+        return logits
+    shifted = logits - np.repeat(np.maximum.reduceat(logits, starts), counts)
+    # float64 accumulation: reduceat adds left to right, and a float32
+    # running sum over a few hundred cells would lose the last digits
+    # the tape's pairwise row sum keeps.
+    log_sum = np.log(np.add.reduceat(np.exp(shifted), starts,
+                                     dtype=np.float64)).astype(logits.dtype)
+    return shifted - np.repeat(log_sum, counts)

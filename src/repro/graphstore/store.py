@@ -17,7 +17,9 @@ generation afterwards.  This module splits the entity-id space into
   (concatenated lazily, so compaction never pays for it), the
   zero-sentinel :meth:`gather_into` grid fill (shard-major grouped:
   contiguous sub-gathers per touched shard run, one scatter back to row
-  order — never a Python loop per frontier row), and per-entity
+  order — never a Python loop per frontier row), its ragged
+  counterpart :meth:`gather_flat` (the same routing, edges as flat
+  ``(row_of, rels, tails)`` cells with no padding), and per-entity
   :meth:`slice` lookups;
 * compaction becomes **delta-proportional**: only shards holding staged
   edges rebuild (see :func:`repro.graphstore.merge.merge_capped`), and
@@ -410,6 +412,92 @@ class ShardedCSR:
             metrics.count("gather_calls_total")
             metrics.count("gather_multi_total")
             metrics.count("gather_rows_total", n)
+
+    def gather_flat(self, entities: np.ndarray, metrics=None
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A frontier's edges as flat ``(row_of, rels, tails)`` arrays.
+
+        The ragged counterpart of :meth:`gather_into`: row ``i``'s
+        capped edge block is copied, in CSR order, into the cells whose
+        ``row_of`` is ``i`` — rows ascending, no padding, zero-degree
+        rows simply absent.  ``M = degrees[entities].sum()`` cells in
+        all, against the ``N * max(degree)`` of the padded grid.
+
+        Same routing and counters as :meth:`gather_into`: one gather
+        when the frontier's id range fits a single shard, otherwise one
+        contiguous sub-gather per touched shard over the shard-major
+        sorted rows and a single permutation back to row order.
+        """
+        n = len(entities)
+        degs = np.take(self.degrees, entities).astype(np.int64)
+        offsets = np.cumsum(degs) - degs        # row starts in the output
+        total = int(offsets[-1] + degs[-1]) if n else 0
+        row_of = np.repeat(np.arange(n, dtype=np.int64), degs)
+        if total == 0:
+            empty = np.zeros(0, dtype=np.int32)
+            return row_of, empty, empty.copy()
+        cells = np.arange(total, dtype=np.int64)
+        boundaries = self.boundaries
+        sid = 0
+        if self.num_shards > 1:
+            lo, hi = entities.min(), entities.max()
+            sid = int(np.searchsorted(boundaries, lo, side="right")) - 1
+            if hi >= boundaries[sid + 1]:
+                return (row_of,) + self._gather_flat_multi(
+                    entities, degs, offsets, cells, metrics)
+        tables = self.shards[sid].tables
+        local = entities - boundaries[sid] if sid else entities
+        # Cell j of row i reads slot indptr[i] + j: shift every cell by
+        # its row's (block start - output start).
+        idx = cells + np.repeat(np.take(tables.indptr, local) - offsets,
+                                degs)
+        if metrics is not None:
+            metrics.count("gather_calls_total")
+            metrics.count("gather_rows_total", n)
+            metrics.count(gather_shard_counter(sid), n)
+        return row_of, np.take(tables.rels, idx), np.take(tables.tails, idx)
+
+    def _gather_flat_multi(self, entities: np.ndarray, degs: np.ndarray,
+                           offsets: np.ndarray, cells: np.ndarray,
+                           metrics=None) -> Tuple[np.ndarray, np.ndarray]:
+        """Cross-shard :meth:`gather_flat`: shard-major grouped gather.
+
+        Rows are stably sorted by shard so each touched shard serves
+        one contiguous run of cells; row ``i``'s cells then sit at
+        ``offsets_s[rank of i]`` in that shard-major layout, and one
+        take per output brings them back to row order.
+        """
+        sid = self.shard_of(entities)
+        order = np.argsort(sid, kind="stable")
+        sorted_sid = sid[order]
+        ents_s, degs_s = entities[order], degs[order]
+        offsets_s = np.cumsum(degs_s) - degs_s
+        rels_s = np.empty(len(cells), dtype=np.int32)
+        tails_s = np.empty(len(cells), dtype=np.int32)
+        shard_ids, starts = np.unique(sorted_sid, return_index=True)
+        stops = np.append(starts[1:], sorted_sid.size)
+        for shard_id, start, stop in zip(shard_ids.tolist(),
+                                         starts.tolist(), stops.tolist()):
+            shard = self.shards[shard_id]
+            tables = shard.tables
+            lo = int(offsets_s[start])
+            hi = int(offsets_s[stop - 1] + degs_s[stop - 1])
+            block = slice(start, stop)
+            idx = cells[lo:hi] + np.repeat(
+                np.take(tables.indptr, ents_s[block] - shard.start)
+                - offsets_s[block], degs_s[block])
+            np.take(tables.rels, idx, out=rels_s[lo:hi])
+            np.take(tables.tails, idx, out=tails_s[lo:hi])
+            if metrics is not None:
+                metrics.count(gather_shard_counter(shard_id), stop - start)
+        source = np.empty_like(offsets)
+        source[order] = offsets_s
+        back = cells + np.repeat(source - offsets, degs)
+        if metrics is not None:
+            metrics.count("gather_calls_total")
+            metrics.count("gather_multi_total")
+            metrics.count("gather_rows_total", len(entities))
+        return np.take(rels_s, back), np.take(tails_s, back)
 
     # ------------------------------------------------------------------
     # Flat compatibility view

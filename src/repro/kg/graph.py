@@ -9,6 +9,7 @@ numpy slices without any Python-level iteration.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,6 +21,9 @@ class KnowledgeGraph:
     def __init__(self) -> None:
         self.entity_type_names: List[str] = []
         self._type_ranges: Dict[str, Tuple[int, int]] = {}  # name -> (start, count)
+        # Range starts in registration (= ascending id) order, parallel
+        # to entity_type_names: local_id bisects them.
+        self._type_starts: List[int] = []
         self.relation_names: List[str] = []
         self._relation_ids: Dict[str, int] = {}
         self.num_entities = 0
@@ -44,6 +48,7 @@ class KnowledgeGraph:
         start = self.num_entities
         self._type_ranges[name] = (start, count)
         self.entity_type_names.append(name)
+        self._type_starts.append(start)
         self.num_entities += count
         return start, count
 
@@ -74,10 +79,14 @@ class KnowledgeGraph:
 
     def local_id(self, entity: int) -> Tuple[str, int]:
         """Inverse of :meth:`entity_id`."""
-        for name, (start, count) in self._type_ranges.items():
-            if start <= entity < start + count:
-                return name, entity - start
-        raise IndexError(f"entity {entity} out of range")
+        if not 0 <= entity < self.num_entities:
+            raise IndexError(f"entity {entity} out of range")
+        # The last type starting at or before the entity: ranges are
+        # contiguous, so that is its owner (an empty type shares its
+        # start with the next one and is never the last such).
+        index = bisect_right(self._type_starts, entity) - 1
+        return (self.entity_type_names[index],
+                entity - self._type_starts[index])
 
     def entity_type(self, entity: int) -> str:
         return self.local_id(entity)[0]
@@ -95,8 +104,9 @@ class KnowledgeGraph:
         return self._type_ranges[type_name][1]
 
     def entity_name(self, entity: int) -> str:
-        if entity in self.entity_names:
-            return self.entity_names[entity]
+        name = self.entity_names.get(entity)
+        if name is not None:
+            return name
         type_name, local = self.local_id(entity)
         return f"{type_name}:{local}"
 

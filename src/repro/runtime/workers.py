@@ -291,9 +291,8 @@ def _select_row(scores_row: np.ndarray, paths, k: int) -> tuple:
     slice of a larger-k ranking would not be tie-safe).  ``paths`` is
     the row's :class:`~repro.kg.paths.PathRow`."""
     ranked = _top_k(scores_row.reshape(1, -1), int(k))[0]
-    items = [int(i) for i in ranked]
-    return (items, [float(scores_row[i]) for i in items],
-            [paths.blob(i) for i in items])
+    items = ranked.tolist()
+    return items, scores_row[ranked].tolist(), paths.take(items)
 
 
 def _exec_rows(agent: REKSAgent, examples: Sequence[tuple],
@@ -323,10 +322,9 @@ def _exec_rows(agent: REKSAgent, examples: Sequence[tuple],
             ranked = rec.ranked_items[row]
         else:
             ranked = _top_k(rec.scores[row:row + 1], int(k))[0]
-        items = [int(i) for i in ranked]
-        scores = [float(rec.scores[row, i]) for i in items]
-        rows.append((items, scores,
-                     [rec.paths.blob(row, item) for item in items]))
+        items = ranked.tolist()
+        rows.append((items, rec.scores[row, ranked].tolist(),
+                     rec.paths.take(row, items)))
     return rows
 
 

@@ -320,11 +320,13 @@ class RecommendationServer:
         """Non-blocking submission; the future yields a ServedResult.
 
         Cache hits resolve the future immediately without touching the
-        scheduler.
+        scheduler.  ``k`` must be at least 1 (``ValueError``).
         """
         if self._shut_down:
             raise ServerClosed("server has been shut down")
         k = self.default_k if k is None else int(k)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         started = perf_counter()
         base = self._base_key(session, k)
         version = self._model_version
@@ -818,13 +820,7 @@ class RecommendationServer:
                 row_sink=worker_rows if self._trace_rows else None,
                 candidates=exec_cands,
                 dedup=dedup_arg)
-            raw = [(row[0], row[1],
-                    tuple(None if blob is None
-                          else SemanticPath(entities=blob[0],
-                                            relations=blob[1],
-                                            prob=blob[2])
-                          for blob in row[2]))
-                   for row in rows]
+            raw = [(row[0], row[1], _paths_of(row[2])) for row in rows]
             if sampled and worker_spans:
                 tracer.record_batch_spans(sampled, "worker", worker_spans)
             if worker_rows:
@@ -952,7 +948,7 @@ class RecommendationServer:
                                     int(ks[row]))[0]
                 items = ranked.tolist()
                 raw.append((items, scores_row[ranked].tolist(),
-                            tuple(paths.get(it) for it in items)))
+                            _paths_of(paths.take(items))))
             exec_dur = perf_counter() - t0
             if metrics is not None:
                 metrics.count("exec_batches_total")
@@ -1040,11 +1036,19 @@ class RecommendationServer:
             ranked = rec.ranked_items[row]
         else:
             ranked = _top_k(rec.scores[row:row + 1], k)[0]
-        items = [int(i) for i in ranked]
-        scores = [float(rec.scores[row, i]) for i in items]
-        paths: List[Optional[SemanticPath]] = [
-            rec.paths.get((row, item)) for item in items]
-        return items, scores, tuple(paths)
+        items = ranked.tolist()
+        return (items, rec.scores[row, ranked].tolist(),
+                _paths_of(rec.paths.take(row, items)))
+
+
+def _paths_of(blobs) -> Tuple[Optional[SemanticPath], ...]:
+    """``SemanticPath`` values of a row's ``(entities, relations,
+    prob)`` blobs (``PathRow.take`` / the worker wire form); None
+    stays None."""
+    return tuple(None if blob is None
+                 else SemanticPath(entities=blob[0], relations=blob[1],
+                                   prob=blob[2])
+                 for blob in blobs)
 
 
 def naive_recommend_loop(trainer, sessions: Sequence[Session],

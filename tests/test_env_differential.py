@@ -70,15 +70,25 @@ def legal_action_sets(rels, tails, mask):
             for r, t, m in zip(rels, tails, mask)]
 
 
+def grid_cells(rels, tails, mask):
+    """A padded grid's legal cells as flat ``(row_of, rels, tails)``
+    arrays, row-major — the layout ``flat_actions`` returns."""
+    return np.nonzero(mask)[0], rels[mask], tails[mask]
+
+
 def assert_envs_agree(csr_env, ref_env, entities, visited,
                       workspace=None, exact=True):
     got = csr_env.batched_actions(entities, visited, workspace=workspace)
     want = ref_env.batched_actions(entities, visited)
     assert got[0].shape == want[0].shape
     assert legal_action_sets(*got) == legal_action_sets(*want)
+    flat = csr_env.flat_actions(entities, visited)
     if exact:  # same seed => same subsample order => identical arrays
         for g, w in zip(got, want):
             np.testing.assert_array_equal(np.asarray(g), w)
+        # The flat frontier is the reference grid's legal cells.
+        for f, w in zip(flat, grid_cells(*want)):
+            np.testing.assert_array_equal(f, w)
 
 
 # ----------------------------------------------------------------------

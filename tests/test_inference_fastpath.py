@@ -1,22 +1,27 @@
 """Differential tests for the array-native inference walk.
 
-Under ``no_grad`` two parts of :meth:`REKSAgent.recommend` leave the
-autograd wrappers: ``PolicyNetwork.step`` embeds and scores only the
-legal cells of a frontier's action grid, and ``_best_paths`` returns an
-array-backed :class:`PathTable` instead of a dict of ``SemanticPath``
-objects.  Each is pinned here against what it replaced — the tape
-forward (the same ``step`` in grad mode) and the dict builder kept
-frozen in ``helpers.reference_best_paths`` — on Hypothesis-generated
-KGs, frontiers and rollouts.
+Under ``no_grad`` :meth:`REKSAgent.recommend` leaves the autograd
+wrappers twice.  The walk is **flat**: each hop takes the frontier's
+legal actions as ``(row_of, rels, tails)`` cells from
+``KGEnvironment.flat_actions``, scores them in one
+``PolicyNetwork.step_flat`` and keeps each row's best with
+``segment_top_k`` — no padded grid, no degree buckets.  And
+``_best_paths`` returns an array-backed :class:`PathTable` instead of a
+dict of ``SemanticPath`` objects.  Each piece is pinned here against
+what it replaced — ``batched_actions``' grid, the tape forward
+(``PolicyNetwork.step``), ``REKSAgent._select``, the tape walk (the
+same ``walk`` in grad mode) and the dict builder kept frozen in
+``helpers.reference_best_paths`` — on Hypothesis-generated KGs,
+frontiers and rollouts.
 
-Selections, rollouts and rankings must agree exactly.  Log-probs and
-scores agree to the repo's one documented float tolerance, rtol 1e-6
-(the legal cells' dot products are summed in a different order); for
-log-probs the same figure is also the absolute floor, since a relative
-bound means nothing for a log-prob near zero.  The generated tables
-are scaled like trained TransE embeddings (logits of order one).
-Examples are derandomized so a tolerance or near-tie failure is a
-reproducible one.
+Action sets, selections, path sets and rankings must agree exactly.
+Log-probs and scores agree to the repo's one documented float
+tolerance, rtol 1e-6 (the legal cells' dot products are summed in a
+different order); for log-probs the same figure is also the absolute
+floor, since a relative bound means nothing for a log-prob near zero.
+The generated tables are scaled like trained TransE embeddings (logits
+of order one).  Examples are derandomized so a tolerance or near-tie
+failure is a reproducible one.
 """
 
 import numpy as np
@@ -29,25 +34,26 @@ from repro import REKSConfig, REKSTrainer
 from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
 from repro.cascade.planner import build_constraint
-from repro.core.agent import REKSAgent, _top_k
+from repro.core.agent import REKSAgent, _top_k, segment_top_k
 from repro.core.environment import KGEnvironment, Rollout
 from repro.core.policy import PolicyNetwork
 from repro.data.loader import SessionBatcher
 from repro.data.schema import Session
 from repro.kg.paths import PathTable, SemanticPath
 
-from test_env_differential import random_built_kg, random_frontier
+from test_env_differential import (grid_cells, random_built_kg,
+                                   random_frontier)
 
 TABLE_SCALE = 0.2
 
 
-def random_world(rng, action_cap, staged):
+def random_world(rng, action_cap, staged, shards=None):
     built = random_built_kg(rng, n_items=int(rng.integers(3, 12)),
                             n_other=int(rng.integers(1, 6)),
                             n_relations=int(rng.integers(1, 4)),
                             n_edges=int(rng.integers(5, 120)),
                             dead_ends=int(rng.integers(0, 3)))
-    env = KGEnvironment(built, action_cap=action_cap, seed=0)
+    env = KGEnvironment(built, action_cap=action_cap, seed=0, shards=shards)
     if staged:  # overlay-widened rows
         n_ent, n_rel = built.kg.num_entities, built.kg.num_relations
         env.stage_edges(rng.integers(0, n_ent, size=6),
@@ -64,35 +70,105 @@ def random_policy(rng, built, dim):
         relation_table=(TABLE_SCALE * rng.standard_normal(
             (built.kg.num_relations, dim))).astype(np.float32),
         rng=rng)
+    # Zero-initialised biases let a ReLU-dead row project to exactly
+    # zero: every action of the row then ties, and which one the grid's
+    # argpartition keeps is arbitrary.  Random biases rule that out.
+    for layer in (policy.state_mlp.fc0, policy.state_mlp.fc1):
+        layer.bias.data[:] = 0.1 * rng.standard_normal(layer.bias.shape)
     policy.eval()
     return policy
 
 
-def both_steps(policy, *args):
-    """(ragged, tape) log-prob grids of one hop."""
-    with no_grad():
-        fast = policy.step(*args)
-    tape = policy.step(*args)  # grad mode: the tape forward
-    return fast.data, tape.data
+def both_steps(policy, session_repr, entities, prev, rels, tails, mask):
+    """(flat, tape) log-probs of one hop's legal cells, row-major."""
+    rows, flat_rels, flat_tails = grid_cells(rels, tails, mask)
+    flat = policy.step_flat(session_repr.data, entities, prev, rows,
+                            flat_rels, flat_tails)
+    tape = policy.step(session_repr, entities, prev, rels, tails, mask)
+    return flat, tape.data[mask]
 
 
-def assert_grids_agree(fast, tape, mask):
-    assert fast.shape == tape.shape and fast.dtype == tape.dtype
-    # Padded cells (and the uniform rows of an all-False mask) never
-    # see a dot product, so they are equal to the bit.
-    np.testing.assert_array_equal(fast[~mask], tape[~mask])
-    np.testing.assert_allclose(fast, tape, rtol=1e-6, atol=1e-6)
+def assert_log_probs_agree(flat, tape):
+    assert flat.shape == tape.shape and flat.dtype == tape.dtype
+    np.testing.assert_allclose(flat, tape, rtol=1e-6, atol=1e-6)
+
+
+def picked(expanded):
+    """One hop's kept actions as sorted (row, rel, tail) triples plus
+    their log-probs in that order (the two walks list them in
+    different orders)."""
+    if expanded is None:
+        return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
+    rows, rels, tails, logp = expanded
+    logp = np.asarray(getattr(logp, "data", logp))
+    keys = np.column_stack([rows, rels, tails]).astype(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    return keys[order], logp[order]
 
 
 # ----------------------------------------------------------------------
-# Ragged policy step vs the tape forward
+# Flat frontier vs the padded grid
+# ----------------------------------------------------------------------
+class CountingMetrics:
+    def __init__(self):
+        self.counters = {}
+
+    def count(self, name, n=1):
+        self.counters[name] = self.counters.get(name, 0) + n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), action_cap=st.integers(1, 30),
+       staged=st.booleans(), shards=st.sampled_from([1, 2, 3]),
+       visited_width=st.integers(1, 3))
+def test_flat_actions_are_the_grids_legal_cells(seed, action_cap, staged,
+                                                shards, visited_width):
+    """Same cells, same per-row order: base edges, then staged ones,
+    visited tails gone, dead-end rows absent — on 1-3 shard stores."""
+    rng = np.random.default_rng(seed)
+    built, env = random_world(rng, action_cap, staged, shards=shards)
+    n = int(rng.integers(1, 40))
+    entities, visited = random_frontier(rng, built, n, visited_width)
+    metrics = CountingMetrics()
+    row_of, rels, tails = env.flat_actions(entities, visited,
+                                           metrics=metrics)
+    want = grid_cells(*env.batched_actions(entities, visited))
+    np.testing.assert_array_equal(row_of, want[0])
+    np.testing.assert_array_equal(rels, want[1])
+    np.testing.assert_array_equal(tails, want[2])
+    # One gather call over all n rows, split across the touched shards.
+    assert metrics.counters["gather_calls_total"] == 1
+    assert metrics.counters["gather_rows_total"] == n
+    per_shard = {name: count for name, count in metrics.counters.items()
+                 if name.startswith("gather_rows_total{")}
+    assert sum(per_shard.values()) == n
+    assert (len(per_shard) > 1) == ("gather_multi_total"
+                                    in metrics.counters)
+
+
+def test_flat_actions_of_an_empty_or_dead_end_frontier():
+    rng = np.random.default_rng(2)
+    built, env = random_world(rng, action_cap=5, staged=False)
+    none = np.zeros(0, dtype=np.int64)
+    for entities in (none, np.array([built.kg.num_entities - 1])):
+        if len(entities):  # make the row a dead end whatever its edges
+            visited = np.concatenate(
+                [entities, env.actions_of(int(entities[0]))[1]])[None, :]
+        else:
+            visited = np.zeros((0, 1), dtype=np.int64)
+        row_of, rels, tails = env.flat_actions(entities, visited)
+        assert len(row_of) == len(rels) == len(tails) == 0
+
+
+# ----------------------------------------------------------------------
+# Flat policy step vs the tape forward
 # ----------------------------------------------------------------------
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), dim=st.sampled_from([4, 8, 16]),
        action_cap=st.integers(1, 30), with_prev=st.booleans(),
        staged=st.booleans())
-def test_ragged_step_matches_tape_forward(seed, dim, action_cap,
-                                          with_prev, staged):
+def test_flat_step_matches_tape_forward(seed, dim, action_cap,
+                                        with_prev, staged):
     rng = np.random.default_rng(seed)
     built, env = random_world(rng, action_cap, staged)
     policy = random_policy(rng, built, dim)
@@ -102,21 +178,30 @@ def test_ragged_step_matches_tape_forward(seed, dim, action_cap,
     session_repr = Tensor(rng.standard_normal((n, dim)).astype(np.float32))
     prev = (rng.integers(0, built.kg.num_relations, size=n)
             if with_prev else None)
-    fast, tape = both_steps(policy, session_repr, entities, prev,
+    flat, tape = both_steps(policy, session_repr, entities, prev,
                             rels, tails, mask)
-    assert_grids_agree(fast, tape, mask)
+    assert_log_probs_agree(flat, tape)
 
-    # What the walk keeps is decided by _select: same cells either way,
-    # with and without a cascade `allowed` mask.
+    # One whole hop either way keeps the same actions with the same
+    # log-probs, with and without a cascade mask — including rows whose
+    # only legal actions the cascade disallows (dropped before the
+    # policy pass; every other row still normalizes over all of its
+    # legal actions).
     agent = REKSAgent(encoder=None, policy=policy, env=env, rewards=None,
                       config=REKSConfig(dim=dim, state_dim=dim))
-    allowed = rng.random(mask.shape) < 0.6
+    allowed = rng.random((n, built.kg.num_entities)) < 0.6
+    allowed[rng.random(n) < 0.3] = False
+    sess_idx = np.arange(n)
     for k in (1, 3, mask.shape[1] + 1):
-        for restrict in (None, allowed):
-            got = agent._select(fast, mask, k, False, allowed=restrict)
-            want = agent._select(tape, mask, k, False, allowed=restrict)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
+        for hop_allowed in (None, allowed):
+            args = (sess_idx, visited, prev, k, False, hop_allowed, None)
+            got, got_logp = picked(
+                agent._expand_flat(session_repr.data, *args))
+            want, want_logp = picked(
+                agent._expand_tape(session_repr, *args))
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_allclose(got_logp, want_logp,
+                                       rtol=1e-6, atol=1e-6)
 
 
 @pytest.mark.parametrize("mask", [
@@ -124,55 +209,99 @@ def test_ragged_step_matches_tape_forward(seed, dim, action_cap,
     np.array([[True], [False], [True]]),          # width-1 grid
     np.array([[False, True, False, True]]),       # one row, holes
 ])
-def test_ragged_step_degenerate_grids(mask):
+def test_flat_step_degenerate_frontiers(mask):
     rng = np.random.default_rng(3)
     built, _ = random_world(rng, action_cap=5, staged=False)
     policy = random_policy(rng, built, 8)
-    n, width = mask.shape
+    n = mask.shape[0]
     n_ent, n_rel = built.kg.num_entities, built.kg.num_relations
     rels = np.where(mask, rng.integers(0, n_rel, size=mask.shape), 0)
     tails = np.where(mask, rng.integers(0, n_ent, size=mask.shape), 0)
     session_repr = Tensor(rng.standard_normal((n, 8)).astype(np.float32))
-    fast, tape = both_steps(policy, session_repr,
+    flat, tape = both_steps(policy, session_repr,
                             rng.integers(0, n_ent, size=n), None,
                             rels.astype(np.int32), tails.astype(np.int32),
                             mask)
-    assert_grids_agree(fast, tape, mask)
-    empty = ~mask.any(axis=1)
-    np.testing.assert_allclose(fast[empty], -np.log(width), rtol=1e-6)
+    assert len(flat) == mask.sum()
+    assert_log_probs_agree(flat, tape)
+    # A row's log-probs normalize over its own cells only.
+    rows = np.nonzero(mask)[0]
+    np.testing.assert_allclose(
+        np.bincount(rows, weights=np.exp(flat), minlength=n)[mask.any(1)],
+        1.0, rtol=1e-6)
 
 
-def test_ragged_step_keeps_the_index_range_check():
+def test_flat_step_keeps_the_index_range_check():
     rng = np.random.default_rng(5)
     built, _ = random_world(rng, action_cap=5, staged=False)
     policy = random_policy(rng, built, 8)
     n_ent, n_rel = built.kg.num_entities, built.kg.num_relations
-    session_repr = Tensor(np.zeros((2, 8), dtype=np.float32))
+    session_repr = np.zeros((2, 8), dtype=np.float32)
     good = dict(entities=np.array([0, 1]), relations=np.array([0, 0]),
-                rels=np.zeros((2, 2), dtype=np.int32),
-                tails=np.ones((2, 2), dtype=np.int32),
-                mask=np.ones((2, 2), dtype=bool))
-    with no_grad():
-        policy.step(session_repr, **good)  # the baseline is accepted
-        for field, value in (("entities", n_ent), ("entities", -1),
-                             ("relations", n_rel), ("relations", -1)):
-            broken = dict(good)
-            broken[field] = np.array([0, value])
-            with pytest.raises(IndexError):
-                policy.step(session_repr, **broken)
-        for field, value in (("tails", n_ent), ("tails", -1),
-                             ("rels", n_rel), ("rels", -1)):
-            broken = dict(good)
-            grid = good[field].copy()
-            grid[1, 1] = value
-            broken[field] = grid
-            with pytest.raises(IndexError):
-                policy.step(session_repr, **broken)
+                row_of=np.array([0, 0, 1, 1]),
+                rels=np.zeros(4, dtype=np.int32),
+                tails=np.ones(4, dtype=np.int32))
+    policy.step_flat(session_repr, **good)  # the baseline is accepted
+    for field, value in (("entities", n_ent), ("entities", -1),
+                         ("relations", n_rel), ("relations", -1),
+                         ("tails", n_ent), ("tails", -1),
+                         ("rels", n_rel), ("rels", -1)):
+        broken = dict(good)
+        broken[field] = good[field].copy()
+        broken[field][-1] = value
+        with pytest.raises(IndexError):
+            policy.step_flat(session_repr, **broken)
+
+
+# ----------------------------------------------------------------------
+# Segment top-k vs the grid's _select
+# ----------------------------------------------------------------------
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 12),
+       width=st.integers(1, 9), restricted=st.booleans())
+def test_segment_top_k_matches_select(seed, n, width, restricted):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, width)) < 0.7
+    # A permutation: tie-free, so _select's argpartition has one answer.
+    logp = rng.permutation(n * width).reshape(n, width).astype(np.float32)
+    allowed = rng.random((n, width)) < 0.6 if restricted else None
+    _, env = random_world(rng, action_cap=5, staged=False)
+    agent = REKSAgent(encoder=None, policy=None, env=env, rewards=None,
+                      config=REKSConfig())
+    selectable = mask if allowed is None else mask & allowed
+    rows, cols = np.nonzero(selectable)
+    for k in (1, 2, width, width + 3):
+        kept = segment_top_k(logp[rows, cols], rows, k)
+        assert (np.diff(kept) > 0).all()  # ascending cell indices
+        want_rows, want_cols = agent._select(logp, mask, k, False,
+                                             allowed=allowed)
+        assert (sorted(zip(rows[kept].tolist(), cols[kept].tolist()))
+                == sorted(zip(want_rows.tolist(), want_cols.tolist())))
+
+
+def test_segment_top_k_takes_the_lowest_index_on_exact_ties():
+    row_of = np.array([0, 0, 0, 0, 2, 2, 2, 5])
+    scores = np.array([1.0, 3.0, 3.0, 3.0, 2.0, 2.0, 2.0, 7.0])
+    assert segment_top_k(scores, row_of, 1).tolist() == [1, 4, 7]
+    assert segment_top_k(scores, row_of, 2).tolist() == [1, 2, 4, 5, 7]
+    assert segment_top_k(scores, row_of, 3).tolist() == [1, 2, 3, 4, 5, 6, 7]
+    assert segment_top_k(scores, row_of, 4).tolist() == list(range(8))
+    none = np.zeros(0)
+    assert segment_top_k(none, none.astype(np.int64), 2).tolist() == []
 
 
 # ----------------------------------------------------------------------
 # The whole inference walk vs the walk on the tape forward
 # ----------------------------------------------------------------------
+def path_rows(rollout):
+    """The rollout's paths sorted by (row, entities, relations), and
+    the order that sorts them."""
+    keys = np.column_stack([rollout.session_idx, rollout.entities,
+                            rollout.relations]).astype(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    return keys[order], order
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), path_length=st.integers(1, 3),
        frontier_buckets=st.integers(1, 3), action_cap=st.integers(2, 30),
@@ -209,16 +338,56 @@ def test_inference_walk_matches_tape_walk(seed, path_length,
         fast = agent.walk(session_repr, batch, candidates=constraint)
     tape = agent.walk(session_repr, batch, candidates=constraint)
 
-    np.testing.assert_array_equal(fast.session_idx, tape.session_idx)
-    np.testing.assert_array_equal(fast.entities, tape.entities)
-    np.testing.assert_array_equal(fast.relations, tape.relations)
-    np.testing.assert_allclose(fast.prob, tape.prob, rtol=1e-6)
+    # Same path set; the flat walk lists it in frontier-row order, the
+    # tape walk bucket by bucket.
+    fast_paths, fast_order = path_rows(fast)
+    tape_paths, tape_order = path_rows(tape)
+    np.testing.assert_array_equal(fast_paths, tape_paths)
+    np.testing.assert_allclose(fast.prob[fast_order], tape.prob[tape_order],
+                               rtol=1e-6)
+    np.testing.assert_array_equal(fast.prob,
+                                  np.exp(fast.log_prob.data.astype(float)))
     fast_scores = agent.aggregate_scores_numpy(fast, rows)
     tape_scores = agent.aggregate_scores_numpy(tape, rows)
     np.testing.assert_allclose(fast_scores, tape_scores, rtol=1e-6)
     for k in (1, 3, n_items):
         np.testing.assert_array_equal(_top_k(fast_scores, k),
                                       _top_k(tape_scores, k))
+
+
+def test_walk_is_flat_only_without_grad_and_dropout(monkeypatch):
+    """The one place the two walks split: grad mode / active dropout."""
+    rng = np.random.default_rng(9)
+    built, env = random_world(rng, action_cap=8, staged=False)
+    policy = random_policy(rng, built, 8)
+    agent = REKSAgent(encoder=None, policy=policy, env=env, rewards=None,
+                      config=REKSConfig(dim=8, state_dim=8,
+                                        sample_sizes=(3, 1)))
+    batch = next(iter(SessionBatcher([Session([1, 2], 0, 0)], batch_size=8,
+                                     shuffle=False)))
+    session_repr = Tensor(rng.standard_normal((1, 8)).astype(np.float32))
+    used = []
+    for name in ("_expand_flat", "_expand_tape"):
+        inner = getattr(agent, name)
+        monkeypatch.setattr(
+            agent, name,
+            lambda *args, _name=name, _inner=inner:
+                used.append(_name) or _inner(*args))
+
+    def walked():
+        used.clear()
+        agent.walk(session_repr, batch)
+        return set(used)
+
+    assert walked() == {"_expand_tape"}           # grad mode
+    with no_grad():
+        assert walked() == {"_expand_flat"}
+        policy.drop.p = 0.5                       # eval mode: inactive
+        assert walked() == {"_expand_flat"}
+        policy.train()
+        assert walked() == {"_expand_tape"}       # dropout is live
+        policy.drop.p = 0.0
+        assert walked() == {"_expand_flat"}
 
 
 # ----------------------------------------------------------------------

@@ -120,3 +120,33 @@ class TestNames:
         assert kg.entity_name(3) == "brand:0"
         kg.entity_names[3] = "Dove"
         assert kg.entity_name(3) == "Dove"
+
+    def test_local_id_matches_a_range_scan_for_every_entity(self):
+        """Owner type by bisection over the range starts, including
+        empty types in front of, between and behind the others."""
+        kg = KnowledgeGraph()
+        counts = [("ghost", 0), ("product", 3), ("void", 0), ("empty", 0),
+                  ("brand", 2), ("category", 1), ("tail", 0)]
+        for name, count in counts:
+            kg.add_entity_type(name, count)
+        kg.entity_names[4] = "Dove"
+        expected = [(name, local) for name, count in counts
+                    for local in range(count)]
+        assert kg.num_entities == len(expected) == 6
+        for entity, (name, local) in enumerate(expected):
+            assert kg.local_id(entity) == (name, local)
+            assert kg.local_id(np.int64(entity)) == (name, local)
+            assert kg.entity_type(entity) == name
+            assert kg.entity_id(name, local) == entity
+            assert kg.entity_name(entity) == (
+                "Dove" if entity == 4 else f"{name}:{local}")
+        assert kg.entity_name(np.int64(4)) == "Dove"
+        for bad in (-1, 6, 7, np.int64(-1), np.int64(6)):
+            with pytest.raises(IndexError, match="out of range"):
+                kg.local_id(bad)
+            with pytest.raises(IndexError, match="out of range"):
+                kg.entity_name(bad)
+
+    def test_no_entity_types_means_every_id_is_out_of_range(self):
+        with pytest.raises(IndexError):
+            KnowledgeGraph().entity_name(0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kg.paths import (
+    PathTable,
     SemanticPath,
     mean_path_embedding,
     path_diversity,
@@ -74,3 +75,37 @@ class TestEmbeddingsAndDiversity:
         b = SemanticPath(entities=[1, 3, 0], relations=[0, 0])
         assert path_diversity([a, b], named_kg) == pytest.approx(0.5)
         assert path_diversity([], named_kg) == 0.0
+
+
+class TestPathTableTake:
+    def test_take_matches_per_item_lookups(self):
+        """``take`` is the per-item ``blob`` / ``get`` of each item in
+        order: same tuples, same ``SemanticPath`` values, None for
+        unreached and out-of-range items, repeats allowed."""
+        rng = np.random.default_rng(4)
+        n_items, rows, paths, hops = 9, 4, 60, 2
+        table = PathTable(
+            rng.integers(0, rows, size=paths),
+            rng.integers(0, n_items + 1, size=paths),   # 0 = no item
+            rng.integers(0, 30, size=(paths, hops + 1)),
+            rng.integers(0, 3, size=(paths, hops)),
+            rng.choice([0.125, 0.25, 0.5], size=paths), n_items)
+        reached = 0
+        for row in range(rows + 1):                     # one empty row
+            items = rng.permutation(np.arange(-1, n_items + 3)).tolist()
+            items += items[:3]
+            want = [table.blob(row, item) for item in items]
+            assert table.take(row, items) == want
+            assert table.row(row).take(items) == want
+            assert table.take(row, np.array(items)) == want
+            for blob, item in zip(want, items):
+                path = table.row(row).get(item)
+                if blob is None:
+                    assert path is None
+                else:
+                    reached += 1
+                    assert path == SemanticPath(*blob)
+                    assert type(blob[2]) is float
+                    assert all(type(e) is int for e in blob[0] + blob[1])
+            assert table.take(row, []) == []
+        assert reached > 0

@@ -4,9 +4,12 @@ Hypothesis generates small random KGs, session batches, and beam
 shapes; every path :meth:`REKSAgent.walk` returns must (a) start at
 the session's last item, (b) follow real KG edges hop by hop, (c)
 never revisit an entity, and (d) appear in the exhaustive
-:func:`enumerate_paths` oracle for its start entity.  Runs with both
-flat and degree-bucketed frontiers.
+:func:`enumerate_paths` oracle for its start entity.  Runs both walks: the flat inference
+walk (``no_grad``) and the tape walk (grad mode), the latter with
+single and degree-bucketed frontiers.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -57,10 +60,11 @@ def oracle_path_set(built, start, length):
     frontier_buckets=st.integers(1, 3),
     action_cap=st.integers(2, 30),
     stochastic=st.booleans(),
+    flat=st.booleans(),
 )
 def test_walk_paths_are_simple_kg_walks(kg_seed, path_length,
                                         frontier_buckets, action_cap,
-                                        stochastic):
+                                        stochastic, flat):
     rng = np.random.default_rng(kg_seed)
     n_items = int(rng.integers(3, 9))
     built = random_built_kg(rng, n_items=n_items,
@@ -81,7 +85,7 @@ def test_walk_paths_are_simple_kg_walks(kg_seed, path_length,
                                      shuffle=False)))
     session_repr = Tensor(rng.standard_normal(
         (batch.batch_size, DIM)).astype(np.float32))
-    with no_grad():
+    with no_grad() if flat else nullcontext():
         rollout = agent.walk(session_repr, batch, stochastic=stochastic)
 
     starts = built.entities_of_items(batch.last_items)
@@ -112,9 +116,11 @@ def test_walk_paths_are_simple_kg_walks(kg_seed, path_length,
     frontier_buckets=st.integers(1, 5),
     action_cap=st.integers(1, 60),
     stochastic=st.booleans(),
+    flat=st.booleans(),
 )
 def test_walk_paths_are_simple_kg_walks_sweep(kg_seed, path_length,
                                               frontier_buckets,
-                                              action_cap, stochastic):
+                                              action_cap, stochastic, flat):
     test_walk_paths_are_simple_kg_walks.hypothesis.inner_test(
-        kg_seed, path_length, frontier_buckets, action_cap, stochastic)
+        kg_seed, path_length, frontier_buckets, action_cap, stochastic,
+        flat)

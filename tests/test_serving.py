@@ -378,6 +378,37 @@ class TestRecommendationServer:
             with pytest.raises(ValueError, match=">= 2 items"):
                 server.recommend_one(stub, k=5)
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_non_positive_k_rejected(self, trainer, sessions, mode, k):
+        """``k=-3`` used to come back with almost the whole catalogue
+        (``argpartition(kth=k-1)[:, :k]`` slices from the end)."""
+        with trainer.serve(workers=1, worker_mode=mode) as server:
+            for call in (server.submit, server.recommend_one):
+                with pytest.raises(ValueError, match="k must be >= 1"):
+                    call(sessions[0], k)
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                server.recommend_many(sessions[:2], k=k)
+            # Rejected before the cache lookup, and the server still
+            # answers.
+            assert server.stats().cache_hits == 0
+            assert server.stats().cache_misses == 0
+            assert len(server.recommend_one(sessions[0], k=3).items) == 3
+
+    def test_non_positive_k_rejected_below_the_server(self, trainer,
+                                                      sessions):
+        from repro.core.agent import _top_k
+        from repro.data.loader import SessionBatcher
+
+        batch = next(iter(SessionBatcher(sessions[:4], batch_size=4,
+                                         shuffle=False)))
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                trainer.agent.recommend(batch, k=k)
+            # _top_k is also reached by memo-hit / mixed-k re-selection.
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                _top_k(np.zeros((1, 5)), k)
+
     def test_from_trainer_uses_config_knobs(self, trainer):
         server = trainer.serve(workers=1)
         try:

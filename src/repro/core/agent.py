@@ -581,7 +581,7 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
         # return almost the whole catalogue.
         raise ValueError(f"k must be >= 1, got {k}")
     k = min(k, scores.shape[1] - 1)
+    rows = np.arange(len(scores))[:, None]
     part = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k]
-    row_scores = np.take_along_axis(scores, part, axis=1)
-    order = np.argsort(-row_scores, axis=1, kind="stable")
-    return np.take_along_axis(part, order, axis=1)
+    order = np.argsort(-scores[rows, part], axis=1, kind="stable")
+    return part[rows, order]

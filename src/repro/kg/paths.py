@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +66,12 @@ class PathTable(Mapping):
     Keys iterate in ``(row, item)`` order.  As a ``Mapping`` it
     compares equal to a dict with the same paths (an empty rollout
     ``== {}``).
+
+    Two ways out besides the mapping protocol: :meth:`blob` /
+    :meth:`take` give plain-list ``(entities, relations, prob)`` tuples
+    for one item or one row's items; :meth:`take_block` answers a whole
+    flush of ``(row, item)`` cells as arrays — what serving uses, via
+    :func:`take_paths`.
     """
 
     def __init__(self, rows: np.ndarray, items: np.ndarray,
@@ -82,8 +88,12 @@ class PathTable(Mapping):
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         best = keep[order[first]]
         self._keys = keys[first]
-        self._entities = entities[best]
-        self._relations = relations[best]
+        # Each kept path as one row, entities then relations: the form
+        # it has in a response payload.
+        self._hops = relations.shape[1]
+        self._nodes = np.concatenate(
+            [entities[best], relations[best]], axis=1, dtype=np.int32,
+            casting="unsafe")
         self._prob = prob[best]
         self._index: Optional[Dict[int, int]] = None
 
@@ -107,8 +117,9 @@ class PathTable(Mapping):
         slot = self._slot(int(row), int(item))
         if slot is None:
             return None
-        return (self._entities[slot].tolist(),
-                self._relations[slot].tolist(), float(self._prob[slot]))
+        nodes = self._nodes[slot].tolist()
+        return (nodes[:self._hops + 1], nodes[self._hops + 1:],
+                float(self._prob[slot]))
 
     def take(self, row: int, items) -> List[Optional[tuple]]:
         """:meth:`blob` of ``(row, item)`` for each of ``items``, in
@@ -121,10 +132,34 @@ class PathTable(Mapping):
                  for item in items]
         found = np.array([slot for slot in slots if slot is not None],
                          dtype=np.intp)
-        blobs = zip(self._entities[found].tolist(),
-                    self._relations[found].tolist(),
-                    self._prob[found].tolist())
+        cut = self._hops + 1
+        blobs = ((nodes[:cut], nodes[cut:], prob) for nodes, prob
+                 in zip(self._nodes[found].tolist(),
+                        self._prob[found].tolist()))
         return [None if slot is None else next(blobs) for slot in slots]
+
+    def take_block(self, rows: np.ndarray, items: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`blob` of every ``(rows[c], items[c])`` cell at once.
+
+        Returns ``(found, nodes, probs)``: ``found`` marks the cells
+        that have a path; ``nodes[f]`` is the f-th found cell's
+        ``entities`` followed by its ``relations`` (one ``2h + 1``-wide
+        int32 row per path of ``h`` hops) and ``probs[f]`` its
+        probability.  One ``searchsorted`` over the table's sorted
+        keys — no per-item probe, no lists.
+        """
+        if not len(self._keys):
+            return (np.zeros(len(items), dtype=bool), self._nodes,
+                    self._prob)
+        items = np.asarray(items, dtype=np.int64)
+        keys = np.asarray(rows, dtype=np.int64) * self._stride + items
+        slots = np.searchsorted(self._keys, keys)
+        np.minimum(slots, len(self._keys) - 1, out=slots)
+        found = ((self._keys[slots] == keys) & (items > 0)
+                 & (items < self._stride))
+        slots = slots[found]
+        return found, self._nodes[slots], self._prob[slots]
 
     def get(self, key: Tuple[int, int], default=None):
         blob = self.blob(*key)
@@ -159,11 +194,11 @@ class PathRow:
     """One row of a :class:`PathTable`: ``item -> best path``.
 
     What the serving layer keeps per walked row (and stores in the
-    walk memo): ``take`` lists the plain ``(entities, relations,
-    prob)`` tuples of a ranking's items — what process workers put on
-    the wire and the server builds its :class:`SemanticPath` values
-    from; ``get`` / ``blob`` answer for one item.  It holds the whole
-    table alive, which a flush's rows share.
+    walk memo).  A flush's answers are cut from its rows' views in one
+    go by :func:`take_paths`; ``take`` lists the plain ``(entities,
+    relations, prob)`` tuples of one ranking's items and ``get`` /
+    ``blob`` answer for one item.  It holds the whole table alive,
+    which a flush's rows share.
     """
 
     __slots__ = ("_table", "_row")
@@ -180,6 +215,55 @@ class PathRow:
 
     def take(self, items) -> List[Optional[tuple]]:
         return self._table.take(self._row, items)
+
+
+def take_paths(path_rows: Sequence[PathRow], counts: np.ndarray,
+               items: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best paths of a flush's ranked items, as flat arrays.
+
+    ``items`` holds ``counts[r]`` consecutive cells for each of
+    ``path_rows`` (rows may view different tables: memo hits keep the
+    table of the flush that walked them).  Returns ``(path_len,
+    path_nodes, probs)``: per cell the path's relation count (-1 for
+    no path), every present path's entities then relations
+    concatenated in cell order, and one probability per present path —
+    one :meth:`PathTable.take_block` per distinct table.
+    """
+    table_rows = np.repeat(np.array([view._row for view in path_rows],
+                                    dtype=np.int64), counts)
+    tables = {id(view._table): view._table for view in path_rows}
+    if len(tables) == 1:
+        # The common flush (every row walked together): the table's
+        # answer is already in cell order.
+        (table,) = tables.values()
+        found, nodes, probs = table.take_block(table_rows, items)
+        path_len = np.where(found, nodes.shape[1] // 2,
+                            -1).astype(np.int32)
+        return path_len, nodes.ravel(), probs
+    table_of = np.repeat(np.array([id(view._table) for view in path_rows],
+                                  dtype=np.int64), counts)
+    path_len = np.full(len(items), -1, dtype=np.int32)
+    pieces = []
+    for key, table in tables.items():
+        cells = np.flatnonzero(table_of == key)
+        found, nodes, probs = table.take_block(table_rows[cells],
+                                               items[cells])
+        cells = cells[found]
+        path_len[cells] = nodes.shape[1] // 2
+        pieces.append((cells, nodes, probs))
+    # Scatter each table's paths to where cell order puts them.
+    present = path_len >= 0
+    stops = np.cumsum(np.where(present, 2 * path_len + 1, 0))
+    slot = np.cumsum(present) - 1
+    path_nodes = np.empty(int(stops[-1]), dtype=np.int32)
+    out_probs = np.empty(int(slot[-1]) + 1, dtype=np.float64)
+    for cells, nodes, probs in pieces:
+        width = nodes.shape[1]
+        path_nodes[(stops[cells] - width)[:, None]
+                   + np.arange(width)] = nodes
+        out_probs[slot[cells]] = probs
+    return path_len, path_nodes, out_probs
 
 
 def render_path(path: SemanticPath, kg: KnowledgeGraph) -> str:

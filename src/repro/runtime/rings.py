@@ -46,6 +46,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.runtime.rowblock import RowBlock
+
 _I32 = np.dtype("<i4")
 _I64 = np.dtype("<i8")
 _F64 = np.dtype("<f8")
@@ -69,6 +71,10 @@ class RingFull(RuntimeError):
 class RingUnsuitable(RuntimeError):
     """This payload cannot ride the ring (oversize or un-encodable);
     the caller should use the pipe for it."""
+
+
+class CorruptPayload(RuntimeError):
+    """A response payload is truncated or internally inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -427,7 +433,7 @@ def dedup_pairs(row_map: Sequence[int], orig_ks: Sequence[int]
 
 
 # ----------------------------------------------------------------------
-# Response codec: per-row (items, scores, path blobs) <-> flat arrays
+# Response codec: a RowBlock's arrays <-> one payload
 # ----------------------------------------------------------------------
 _STATUS_OK = 0
 _STATUS_ERROR = 1
@@ -440,13 +446,20 @@ def encode_error(traceback_text: str, capacity: int) -> bytes:
     return head + body[:max(0, capacity - len(head))]
 
 
-def encode_response(version: int, rows: Sequence[tuple],
-                    spans: Sequence[tuple] = (),
+def _pad8(parts: List[bytes]) -> None:
+    """Zero-pad ``parts`` so the next section starts 8-aligned."""
+    size = sum(len(part) for part in parts)
+    parts.append(b"\x00" * (_align(size, 8) - size))
+
+
+def encode_response(version: int, rows, spans: Sequence[tuple] = (),
                     traces: Sequence[int] = (),
                     rowrecs: Sequence[tuple] = ()) -> bytes:
-    """Marshal executed rows: ``(items, scores, path_blobs)`` per row.
+    """Marshal executed rows: a :class:`~repro.runtime.rowblock.RowBlock`
+    (what workers post — its arrays are written as they are), or the
+    list form ``(items, scores, path_blobs)`` per row, ``path_blobs[i]``
+    being ``None`` or ``(entities, relations, prob)``.
 
-    ``path_blobs[i]`` is ``None`` or ``(entities, relations, prob)``.
     Layout (all little-endian, float64 sections 8-aligned):
 
     ``[status i64][version i64][n i32][ks i32*n][items i32*K]
@@ -476,45 +489,22 @@ def encode_response(version: int, rows: Sequence[tuple],
     pre-telemetry format (and the rowrecs-off payload byte-identical
     to the span-only trailer).
     """
-    n = len(rows)
-    ks = [len(row[0]) for row in rows]
-    items: List[int] = []
-    scores: List[float] = []
-    path_len: List[int] = []
-    path_nodes: List[int] = []
-    probs: List[float] = []
-    for row_items, row_scores, row_paths in rows:
-        items += [int(i) for i in row_items]
-        scores += [float(s) for s in row_scores]
-        for blob in row_paths:
-            if blob is None:
-                path_len.append(-1)
-                continue
-            entities, relations, prob = blob
-            path_len.append(len(relations))
-            path_nodes += [int(e) for e in entities]
-            path_nodes += [int(r) for r in relations]
-            probs.append(float(prob))
+    block = rows if isinstance(rows, RowBlock) else RowBlock.from_rows(rows)
     parts = [np.array([_STATUS_OK, int(version)], dtype=_I64).tobytes(),
-             np.asarray([n] + ks + items, dtype=_I32).tobytes()]
-    size = sum(len(p) for p in parts)
-    parts.append(b"\x00" * (_align(size, 8) - size))
-    parts.append(np.asarray(scores, dtype=_F64).tobytes())
-    parts.append(np.asarray(path_len + path_nodes, dtype=_I32).tobytes())
-    size = sum(len(p) for p in parts)
-    parts.append(b"\x00" * (_align(size, 8) - size))
-    parts.append(np.asarray(probs, dtype=_F64).tobytes())
+             np.array([len(block)], dtype=_I32).tobytes(),
+             block.ks.tobytes(), block.items.tobytes()]
+    _pad8(parts)
+    parts += [block.scores.tobytes(), block.path_len.tobytes(),
+              block.path_nodes.tobytes()]
+    _pad8(parts)
+    parts.append(block.probs.tobytes())
     if spans or traces or rowrecs:
         parts.append(np.asarray([len(spans), len(traces)]
                                 + [_check_i32(t, "trace id")
                                    for t in traces],
                                 dtype=_I32).tobytes())
-        size = sum(len(p) for p in parts)
-        parts.append(b"\x00" * (_align(size, 8) - size))
-        flat_spans: List[float] = []
-        for kind_id, t0, dur in spans:
-            flat_spans += [float(kind_id), float(t0), float(dur)]
-        parts.append(np.asarray(flat_spans, dtype=_F64).tobytes())
+        _pad8(parts)
+        parts.append(np.asarray(spans, dtype=_F64).tobytes())
     if rowrecs:
         hops = len(rowrecs[0][1])
         ints: List[int] = [len(rowrecs), hops]
@@ -528,107 +518,112 @@ def encode_response(version: int, rows: Sequence[tuple],
             ints += [_check_i32(w, "frontier width") for w in widths]
             durs += [float(walk_s), float(topk_s)]
         parts.append(np.asarray(ints, dtype=_I32).tobytes())
-        size = sum(len(p) for p in parts)
-        parts.append(b"\x00" * (_align(size, 8) - size))
+        _pad8(parts)
         parts.append(np.asarray(durs, dtype=_F64).tobytes())
     return b"".join(parts)
+
+
+class _Reader:
+    """Bounds-checked cursor over a response payload."""
+
+    def __init__(self, payload: bytes) -> None:
+        self.payload = payload
+        self.offset = 0
+
+    @property
+    def left(self) -> int:
+        return len(self.payload) - self.offset
+
+    def take(self, dtype: np.dtype, count: int, what: str) -> np.ndarray:
+        """The next ``count`` values (a view), or :class:`CorruptPayload`
+        when the count is negative or the section overruns the end."""
+        if count < 0 or count * dtype.itemsize > self.left:
+            raise CorruptPayload(
+                f"{what}: {count} x {dtype.name} at byte {self.offset} "
+                f"of a {len(self.payload)}-byte payload")
+        values = np.frombuffer(self.payload, dtype=dtype, count=count,
+                               offset=self.offset)
+        self.offset += count * dtype.itemsize
+        return values
+
+    def align(self) -> None:
+        self.offset = _align(self.offset, 8)
+
+
+def decode_block(payload: bytes
+                 ) -> Tuple[int, RowBlock, List[tuple], List[int],
+                            List[tuple]]:
+    """Inverse of :func:`encode_response`; returns ``(version, block,
+    spans, traces, rowrecs)`` (telemetry sections empty when the
+    payload has no trailer).  The block's arrays are read-only views
+    of ``payload``.
+
+    Every count's sign and every section's extent is checked against
+    the payload before it is read: a truncated or corrupted payload
+    raises :class:`CorruptPayload`, never a bare NumPy error and never
+    a plausible block.  Raises :class:`WorkerExecError` when the slot
+    carries a worker traceback (status=1).
+    """
+    reader = _Reader(payload)
+    status, version = reader.take(_I64, 2, "header").tolist()
+    if status == _STATUS_ERROR:
+        raise WorkerExecError(payload[16:].decode("utf-8",
+                                                  errors="replace"))
+    if status != _STATUS_OK:
+        raise CorruptPayload(f"unknown response status {status}")
+    n = int(reader.take(_I32, 1, "row count")[0])
+    ks = reader.take(_I32, n, "ks")
+    if n and int(ks.min()) < 0:
+        raise CorruptPayload("negative k")
+    total = int(ks.sum(dtype=np.int64))
+    items = reader.take(_I32, total, "items")
+    reader.align()
+    scores = reader.take(_F64, total, "scores")
+    path_len = reader.take(_I32, total, "path_len")
+    if total and int(path_len.min()) < -1:
+        raise CorruptPayload("path_len below -1")
+    present = path_len >= 0
+    n_paths = int(np.count_nonzero(present))
+    path_nodes = reader.take(
+        _I32, 2 * int(path_len[present].sum(dtype=np.int64)) + n_paths,
+        "path_nodes")
+    reader.align()
+    probs = reader.take(_F64, n_paths, "probs")
+    spans: List[tuple] = []
+    traces: List[int] = []
+    rowrecs: List[tuple] = []
+    if reader.left:
+        n_spans, n_traces = reader.take(_I32, 2, "span trailer").tolist()
+        traces = reader.take(_I32, n_traces, "trace echo").tolist()
+        reader.align()
+        spans = [(int(kind), t0, dur) for kind, t0, dur
+                 in reader.take(_F64, 3 * n_spans, "spans")
+                 .reshape(n_spans, 3).tolist()]
+    if reader.left:
+        n_rowrecs, hops = reader.take(_I32, 2, "row records").tolist()
+        if n_rowrecs < 0 or hops < 0:
+            raise CorruptPayload("negative row-record shape")
+        ints = reader.take(_I32, n_rowrecs * (1 + hops),
+                           "row-record widths").reshape(n_rowrecs, 1 + hops)
+        reader.align()
+        durs = reader.take(_F64, 2 * n_rowrecs, "row-record durations")
+        rowrecs = [(rec[0], tuple(rec[1:]), walk_s, topk_s)
+                   for rec, (walk_s, topk_s)
+                   in zip(ints.tolist(), durs.reshape(-1, 2).tolist())]
+    if reader.left:
+        raise CorruptPayload(f"{reader.left} trailing bytes")
+    return (version, RowBlock(ks, items, scores, path_len, path_nodes,
+                              probs), spans, traces, rowrecs)
 
 
 def decode_response(payload: bytes
                     ) -> Tuple[int, List[tuple], List[tuple],
                                List[int], List[tuple]]:
-    """Inverse of :func:`encode_response`; returns
-    ``(version, rows, spans, traces, rowrecs)`` (telemetry sections
-    empty when the payload has no trailer).
-
-    Raises :class:`WorkerExecError` when the slot carries a worker
-    traceback (status=1).
-    """
-    head = np.frombuffer(payload, dtype=_I64, count=2)
-    if int(head[0]) == _STATUS_ERROR:
-        raise WorkerExecError(payload[16:].decode("utf-8",
-                                                  errors="replace"))
-    version = int(head[1])
-    offset = 16
-    n = int(np.frombuffer(payload, dtype=_I32, count=1,
-                          offset=offset)[0])
-    offset += 4
-    ks = np.frombuffer(payload, dtype=_I32, count=n, offset=offset)
-    offset += 4 * n
-    total = int(ks.sum())
-    items = np.frombuffer(payload, dtype=_I32, count=total, offset=offset)
-    offset = _align(offset + 4 * total, 8)
-    scores = np.frombuffer(payload, dtype=_F64, count=total,
-                           offset=offset)
-    offset += 8 * total
-    path_len = np.frombuffer(payload, dtype=_I32, count=total,
-                             offset=offset)
-    offset += 4 * total
-    node_count = int(path_len[path_len >= 0].sum() * 2
-                     + np.count_nonzero(path_len >= 0))
-    nodes = np.frombuffer(payload, dtype=_I32, count=node_count,
-                          offset=offset)
-    offset = _align(offset + 4 * node_count, 8)
-    n_paths = int(np.count_nonzero(path_len >= 0))
-    probs = np.frombuffer(payload, dtype=_F64, count=n_paths,
-                          offset=offset)
-    offset += 8 * n_paths
-    spans: List[tuple] = []
-    traces: List[int] = []
-    rowrecs: List[tuple] = []
-    if offset + 8 <= len(payload):
-        trailer = np.frombuffer(payload, dtype=_I32, count=2,
-                                offset=offset)
-        n_spans, n_traces = int(trailer[0]), int(trailer[1])
-        offset += 8
-        traces = np.frombuffer(payload, dtype=_I32, count=n_traces,
-                               offset=offset).tolist()
-        offset = _align(offset + 4 * n_traces, 8)
-        flat_spans = np.frombuffer(payload, dtype=_F64,
-                                   count=3 * n_spans, offset=offset)
-        spans = [(int(flat_spans[3 * i]), float(flat_spans[3 * i + 1]),
-                  float(flat_spans[3 * i + 2]))
-                 for i in range(n_spans)]
-        offset += 24 * n_spans
-    if offset + 8 <= len(payload):
-        rowhead = np.frombuffer(payload, dtype=_I32, count=2,
-                                offset=offset)
-        n_rowrecs, hops = int(rowhead[0]), int(rowhead[1])
-        offset += 8
-        stride = 1 + hops
-        ints = np.frombuffer(payload, dtype=_I32,
-                             count=n_rowrecs * stride, offset=offset)
-        offset = _align(offset + 4 * n_rowrecs * stride, 8)
-        durs = np.frombuffer(payload, dtype=_F64, count=2 * n_rowrecs,
-                             offset=offset)
-        for i in range(n_rowrecs):
-            rec = ints[i * stride:(i + 1) * stride]
-            rowrecs.append((int(rec[0]), tuple(rec[1:].tolist()),
-                            float(durs[2 * i]), float(durs[2 * i + 1])))
-    rows: List[tuple] = []
-    cell = 0
-    cursor = 0
-    path_idx = 0
-    for row in range(n):
-        k = int(ks[row])
-        row_items = items[cell:cell + k].tolist()
-        row_scores = scores[cell:cell + k].tolist()
-        row_paths: List[Optional[tuple]] = []
-        for offset_in_row in range(k):
-            length = int(path_len[cell + offset_in_row])
-            if length < 0:
-                row_paths.append(None)
-                continue
-            entities = nodes[cursor:cursor + length + 1].tolist()
-            cursor += length + 1
-            relations = nodes[cursor:cursor + length].tolist()
-            cursor += length
-            row_paths.append((entities, relations,
-                              float(probs[path_idx])))
-            path_idx += 1
-        cell += k
-        rows.append((row_items, row_scores, row_paths))
-    return version, rows, spans, traces, rowrecs
+    """:func:`decode_block` with the block as ``(items, scores,
+    path_blobs)`` list rows — the inverse of :func:`encode_response`
+    on its list form."""
+    version, block, spans, traces, rowrecs = decode_block(payload)
+    return version, block.to_rows(), spans, traces, rowrecs
 
 
 class WorkerExecError(RuntimeError):

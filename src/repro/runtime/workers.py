@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.agent import REKSAgent, _top_k
+from repro.core.agent import REKSAgent
 from repro.core.config import REKSConfig
 from repro.core.environment import KGEnvironment, RolloutWorkspace
 from repro.core.policy import PolicyNetwork
@@ -64,7 +64,6 @@ from repro.core.rewards import RewardComputer, RewardWeights
 from repro.data.loader import collate_examples
 from repro.graphstore import CSRShard, ShardTables, ShardedCSR
 from repro.kg.builder import BuiltKG
-from repro.kg.paths import SemanticPath, render_path
 from repro.runtime.plane import (
     PlaneArena,
     PlaneManifest,
@@ -72,18 +71,20 @@ from repro.runtime.plane import (
     layout_size,
 )
 from repro.runtime.rings import (
+    CorruptPayload,
     RingFull,
     RingManifest,
     RingPair,
     RingUnsuitable,
     WorkerExecError,
+    decode_block,
     decode_request,
-    decode_response,
     dedup_pairs,
     encode_error,
     encode_request,
     encode_response,
 )
+from repro.runtime.rowblock import RowBlock, select_rows, walked_sources
 from repro.telemetry.block import BlockManifest, MetricBlock, fleet_schema
 from repro.telemetry.trace import attribute_rows, span_kind_id
 
@@ -248,9 +249,9 @@ def _walk_batch(agent: REKSAgent, examples: Sequence[tuple],
     """Collate + (optionally constrained) superset walk at ``max(ks)``.
 
     The walk and the score matrix are k-independent, so one
-    ``recommend`` at the batch's max k serves every row; callers select
-    each row's own k afterwards with the deterministic row-local
-    :func:`_top_k`.
+    ``recommend`` at the batch's max k serves every row; callers cut
+    each row at its own k afterwards
+    (:func:`~repro.runtime.rowblock.select_rows`).
 
     ``candidates`` (one item-id list per row) turns the walk into its
     candidate-constrained cascade form: the reachability masks are
@@ -284,66 +285,20 @@ def _walk_batch(agent: REKSAgent, examples: Sequence[tuple],
             workspace.spans = None
 
 
-def _select_row(scores_row: np.ndarray, paths, k: int) -> tuple:
-    """One ``(items, scores, path_blobs)`` row selected at ``k`` from a
-    full dense score row — bit-identical to a fresh walk's own
-    selection (``_top_k`` partitions each row independently; a prefix
-    slice of a larger-k ranking would not be tie-safe).  ``paths`` is
-    the row's :class:`~repro.kg.paths.PathRow`."""
-    ranked = _top_k(scores_row.reshape(1, -1), int(k))[0]
-    items = ranked.tolist()
-    return items, scores_row[ranked].tolist(), paths.take(items)
-
-
 def _exec_rows(agent: REKSAgent, examples: Sequence[tuple],
                ks: Sequence[int], workspace, max_len: int,
                span_sink: Optional[list] = None,
                candidates: Optional[Sequence[Sequence[int]]] = None
-               ) -> List[tuple]:
-    """Execute one (possibly mixed-k) micro-batch as a superset walk.
-
-    One ``recommend`` at ``max(ks)`` serves every row; rows whose k is
-    smaller re-run the deterministic row-local :func:`_top_k` selection
-    on their own score row — **bit-identical** to a separate per-k
-    execution (``_top_k`` partitions each row independently), unlike a
-    naive prefix slice of the max-k ranking, whose tie ordering can
-    depend on ``kth``.
-
-    Each returned row is ``(items, scores, path_blobs)`` with paths as
-    raw ``(entities, relations, prob)`` tuples — no repro classes, so
-    rows marshal through either transport unchanged.
-    """
+               ) -> RowBlock:
+    """Execute one (possibly mixed-k) micro-batch as a superset walk:
+    one ``recommend`` at ``max(ks)``, then every row cut at its own k
+    by :func:`~repro.runtime.rowblock.select_rows` — bit-identical to a
+    separate per-k execution."""
     rec = _walk_batch(agent, examples, ks, workspace, max_len,
                       span_sink=span_sink, candidates=candidates)
-    kmax = max(ks)
-    rows = []
-    for row, k in enumerate(ks):
-        if k == kmax:
-            ranked = rec.ranked_items[row]
-        else:
-            ranked = _top_k(rec.scores[row:row + 1], int(k))[0]
-        items = ranked.tolist()
-        rows.append((items, rec.scores[row, ranked].tolist(),
-                     rec.paths.take(row, items)))
-    return rows
-
-
-def _finish_rows(rows: Sequence[tuple], kg) -> List[tuple]:
-    """Append rendered explanations: ``(items, scores, paths)`` rows
-    become the ``(items, scores, paths, rendered)`` wire rows the
-    server unmarshals.  ``render_path`` is deterministic in the path
-    values and the KG, so rendering parent-side (ring transport) and
-    worker-side (pipe transport) produce identical strings."""
-    finished = []
-    for items, scores, paths in rows:
-        rendered = [
-            "" if blob is None
-            else render_path(SemanticPath(entities=blob[0],
-                                          relations=blob[1],
-                                          prob=blob[2]), kg)
-            for blob in paths]
-        finished.append((items, scores, paths, rendered))
-    return finished
+    return select_rows(walked_sources(rec),
+                       [(row, int(k)) for row, k in enumerate(ks)],
+                       rec.ranked_items, max(ks))
 
 
 def _worker_main(conn, spec: AgentSpec,
@@ -403,17 +358,16 @@ def _worker_main(conn, spec: AgentSpec,
                     or 0.0)
 
     def run_exec(examples, ks, traces, candidates=None, dedup=None
-                 ) -> Tuple[list, list, list, list]:
-        """Execute + instrument one batch; returns (rows, spans,
+                 ) -> Tuple[RowBlock, list, list, list]:
+        """Execute + instrument one batch; returns (row block, spans,
         sampled trace-id echo, per-row records).
 
         With ``dedup`` (the parent's in-flush collapse) and/or a live
         memo, the batch takes the shared-computation path: memo-hit
         rows skip the walk entirely, the remaining rows walk as one
-        superset batch, and every response row is a tie-safe
-        :func:`_top_k` re-selection from a full score row — bit-
-        identical to the legacy per-row path, which still runs verbatim
-        when both features are off.
+        superset batch, and every response row is cut from a full
+        score row by the same ``select_rows`` — bit-identical to the
+        legacy path, which still runs when both features are off.
         """
         nonlocal memo_evictions_seen
         sampled = [t for t in traces if t] if traces else []
@@ -427,10 +381,10 @@ def _worker_main(conn, spec: AgentSpec,
                 workspace.row_frontier = []
             t0 = perf_counter()
             try:
-                rows = _exec_rows(agent, examples, ks, workspace,
-                                  max_len,
-                                  span_sink=spans if sampled else None,
-                                  candidates=candidates)
+                block = _exec_rows(agent, examples, ks, workspace,
+                                   max_len,
+                                   span_sink=spans if sampled else None,
+                                   candidates=candidates)
             finally:
                 frontier = workspace.row_frontier
                 workspace.row_frontier = None
@@ -444,7 +398,7 @@ def _worker_main(conn, spec: AgentSpec,
                 metrics.observe("exec_seconds", dur)
                 if sampled:
                     metrics.count("worker_traces_total", len(sampled))
-            return rows, spans, sampled, rowrecs
+            return block, spans, sampled, rowrecs
         # Shared-computation path.
         n = len(examples)
         if dedup is not None:
@@ -476,6 +430,10 @@ def _worker_main(conn, spec: AgentSpec,
                     u_data[j] = entry
         spans = []
         rowrecs = []
+        # The walk's own ranking of each freshly walked row, made at
+        # ``walk_k`` (memo hits carry a score row, no ranking).
+        ranked: List[Optional[np.ndarray]] = [None] * n
+        walk_k = 0
         t0 = perf_counter()
         if miss:
             walk_traces = None
@@ -503,9 +461,11 @@ def _worker_main(conn, spec: AgentSpec,
                 frontier = workspace.row_frontier
                 workspace.row_frontier = None
             walk_dur = perf_counter() - t0
+            walk_k = max(miss_ks)
             for idx, j in enumerate(miss):
                 entry = (rec.scores[idx].copy(), rec.paths.row(idx))
                 u_data[j] = entry
+                ranked[j] = rec.ranked_items[idx]
                 if keys is not None:
                     memo.put(keys[j], entry)
             memo.note_walk_cost(len(miss), walk_dur)
@@ -517,8 +477,7 @@ def _worker_main(conn, spec: AgentSpec,
             out_plan, _row_pair = dedup_pairs(row_map, orig_ks)
         else:
             out_plan = [(j, int(ks[j])) for j in range(n)]
-        rows = [_select_row(u_data[u][0], u_data[u][1], k)
-                for u, k in out_plan]
+        block = select_rows(u_data, out_plan, ranked, walk_k)
         dur = perf_counter() - t0
         if metrics is not None:
             metrics.count("exec_batches_total")
@@ -538,7 +497,7 @@ def _worker_main(conn, spec: AgentSpec,
                     memo_evictions_seen = memo.evictions
                 metrics.gauge("walk_seconds_saved_total",
                               memo.seconds_saved)
-        return rows, spans, sampled, rowrecs
+        return block, spans, sampled, rowrecs
 
     def serve_ring_payload(payload) -> None:
         nonlocal saw_candidates
@@ -547,9 +506,9 @@ def _worker_main(conn, spec: AgentSpec,
                 decode_request(payload))
             if candidates is not None:
                 saw_candidates = True
-            rows, spans, sampled, rowrecs = run_exec(
+            block, spans, sampled, rowrecs = run_exec(
                 examples, ks, traces, candidates, dedup)
-            ring.post_response(encode_response(version, rows,
+            ring.post_response(encode_response(version, block,
                                                spans=spans,
                                                traces=sampled,
                                                rowrecs=rowrecs))
@@ -619,12 +578,12 @@ def _worker_main(conn, spec: AgentSpec,
                         saw_candidates = True
                     if isinstance(ks, int):
                         ks = [ks] * len(examples)
-                    rows, spans, sampled, rowrecs = run_exec(
+                    block, spans, sampled, rowrecs = run_exec(
                         examples, ks, traces, candidates, dedup)
-                    # Rows cross unrendered on both transports; the
-                    # parent renders lazily behind the cache (see
-                    # serving.server.ServedResult).
-                    conn.send(("ok", version, rows, spans, sampled,
+                    # The same unrendered block crosses on both
+                    # transports; the parent renders at cache
+                    # admission (see serving.server).
+                    conn.send(("ok", version, block, spans, sampled,
                                rowrecs))
                 elif op == "swap":
                     _, new_version, state = message
@@ -755,14 +714,15 @@ class _Worker:
                    candidates: Optional[Sequence[Sequence[int]]] = None,
                    dedup: Optional[Tuple[Sequence[int],
                                          Sequence[int]]] = None
-                   ) -> Tuple[str, int, list, list, list, list]:
+                   ) -> Tuple[str, int, RowBlock, list, list, list]:
         """Run one micro-batch over the best transport available.
 
-        Returns ``(used, version, rows, spans, trace_echo, rowrecs)``
+        Returns ``(used, version, block, spans, trace_echo, rowrecs)``
         where ``used`` is ``"ring"``, ``"pipe"`` (this worker has no
         ring), or ``"fallback"`` (it has one, but this batch could not
         ride it — oversize payload, un-encodable values, or a full
-        ring).  Rows are unrendered 3-tuples on every transport;
+        ring).  The answer is the same unrendered
+        :class:`~repro.runtime.rowblock.RowBlock` on every transport;
         ``spans`` are the worker's ``(kind_id, t0, dur)`` batch spans,
         ``trace_echo`` the sampled ids it attributed them to, and
         ``rowrecs`` the per-row ``(trace, widths, walk_s, topk_s)``
@@ -771,8 +731,8 @@ class _Worker:
         ``dedup`` is the in-flush ``(row_map, orig_ks)`` collapse map:
         ``examples``/``ks``/``candidates`` then carry the unique rows
         only, ``traces`` stays per original row, and the worker answers
-        one row per canonical ``(unique, k)`` pair (the caller fans
-        them back out — see :func:`repro.runtime.rings.dedup_pairs`).
+        one row per canonical ``(unique, k)`` pair (see
+        :func:`repro.runtime.rings.dedup_pairs`).
         """
         used = "pipe"
         if self.ring is not None:
@@ -798,11 +758,11 @@ class _Worker:
                         self._db_req.send_bytes(b"\x01")
                         raw = self._await_ring_response()
                         try:
-                            version, rows, spans, echo, rowrecs = (
-                                decode_response(raw))
+                            version, block, spans, echo, rowrecs = (
+                                decode_block(raw))
                         except WorkerExecError as exc:
                             raise WorkerError(str(exc)) from None
-                        return ("ring", version, rows, spans, echo,
+                        return ("ring", version, block, spans, echo,
                                 rowrecs)
         message = ("exec", list(examples), list(ks))
         traces_slot = (list(traces) if traces is not None and any(traces)
@@ -820,8 +780,8 @@ class _Worker:
             message += (traces_slot, [list(row) for row in candidates])
         elif traces_slot:
             message += (traces_slot,)
-        version, rows, spans, echo, rowrecs = self.request(message)
-        return used, version, rows, spans, echo, rowrecs
+        version, block, spans, echo, rowrecs = self.request(message)
+        return used, version, block, spans, echo, rowrecs
 
     def _await_ring_response(self) -> bytes:
         """Spin briefly (``serve_ring_spin_us``), then block on the
@@ -1150,35 +1110,51 @@ class ProcessWorkerPool:
                 traces: Optional[Sequence[int]] = None,
                 span_sink: Optional[list] = None,
                 row_sink: Optional[list] = None,
-                candidates: Optional[Sequence[Sequence[int]]] = None,
-                dedup: Optional[Tuple[Sequence[int],
-                                      Sequence[int]]] = None
+                candidates: Optional[Sequence[Sequence[int]]] = None
                 ) -> Tuple[int, List[tuple]]:
+        """:meth:`execute_block` without the dedup protocol, answering
+        ``(model_version, rows)`` with the block as unrendered
+        ``(items, scores, path_blobs)`` list rows."""
+        version, block, _ = self.execute_block(
+            examples, k, traces=traces, span_sink=span_sink,
+            row_sink=row_sink, candidates=candidates)
+        return version, block.to_rows()
+
+    def execute_block(self, examples: Sequence[tuple],
+                      k: Union[int, Sequence[int]],
+                      traces: Optional[Sequence[int]] = None,
+                      span_sink: Optional[list] = None,
+                      row_sink: Optional[list] = None,
+                      candidates: Optional[Sequence[Sequence[int]]] = None,
+                      dedup: Optional[Tuple[Sequence[int],
+                                            Sequence[int]]] = None
+                      ) -> Tuple[int, RowBlock, Optional[List[int]]]:
         """Run one micro-batch on an idle worker.
 
         ``k`` is a single top-k for the whole batch or one per example
         (a mixed-k flush executes as one superset walk worker-side,
         each row selected at its own k — bit-identical to per-k
-        execution).  Returns ``(model_version, rows)`` where the
+        execution).  Returns ``(model_version, block, fan_out)``: the
         version is the one the worker actually executed with (a swap
         broadcast can land between submission and execution, never
-        mid-batch).  Rows are **unrendered** ``(items, scores, paths)``
-        3-tuples on every transport — rendering happens lazily in the
-        serving layer (:func:`_finish_rows` is the eager helper).
+        mid-batch), ``block`` the unrendered
+        :class:`~repro.runtime.rowblock.RowBlock` exactly as it crossed
+        the transport — rendering happens in the serving layer — and
+        ``fan_out[i]`` the block row answering example ``i`` (None: row
+        ``i``, no dedup).
 
         ``traces`` carries one sampled trace id per example (0 = not
         sampled) and rides either transport; the worker's batch spans
         come back through ``span_sink`` and its per-row attribution
-        records through ``row_sink`` (both appended in place) so the
-        return shape stays ``(version, rows)`` for every caller.
+        records through ``row_sink`` (both appended in place).
 
         ``dedup`` is the in-flush ``(row_map, orig_ks)`` collapse:
         ``examples``/``k``/``candidates`` then carry the **unique**
         rows only (each at the max k over its duplicate group) while
         ``traces`` stays per original row; the worker executes the
-        uniques once, answers per canonical ``(unique, k)`` pair, and
-        this parent fans the pair rows back out so callers always see
-        one row per original request.
+        uniques once and answers one block row per canonical
+        ``(unique, k)`` pair, and ``fan_out`` maps every original
+        request to its pair's row.
 
         Worker death is invisible here: a corpse popped from the idle
         queue is swapped for its respawned slot occupant before
@@ -1224,14 +1200,14 @@ class ProcessWorkerPool:
                 # occupant instead of failing the batch.
                 worker = self._respawn(worker)
             try:
-                used, version, rows, spans, echo, rowrecs = (
+                used, version, block, spans, echo, rowrecs = (
                     worker.exec_batch(examples, ks, self._max_len,
                                       resp_bound, traces, candidates,
                                       dedup))
             except WorkerDied:
                 worker = self._respawn(worker)
                 try:
-                    used, version, rows, spans, echo, rowrecs = (
+                    used, version, block, spans, echo, rowrecs = (
                         worker.exec_batch(examples, ks, self._max_len,
                                           resp_bound, traces,
                                           candidates, dedup))
@@ -1240,10 +1216,10 @@ class ProcessWorkerPool:
                     raise
         finally:
             self._idle.put(worker)
-        if row_pair is not None:
-            # Fan the canonical (unique, k) pair rows back out: one row
-            # per original request, duplicates sharing the pair's row.
-            rows = [rows[p] for p in row_pair]
+        if len(block) != len(resp_ks):
+            raise CorruptPayload(
+                f"asked for {len(resp_ks)} rows, the worker answered "
+                f"{len(block)}")
         with self._counter_lock:
             if used == "ring":
                 self.ring_batches += 1
@@ -1261,7 +1237,7 @@ class ProcessWorkerPool:
             span_sink.extend(spans)
         if row_sink is not None and rowrecs:
             row_sink.extend(rowrecs)
-        return int(version), rows
+        return int(version), block, row_pair
 
     # ------------------------------------------------------------------
     # Broadcasts

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 
 class ExplanationCache:
@@ -74,15 +74,22 @@ class ExplanationCache:
             return value
 
     def put(self, key: Hashable, value) -> None:
+        self.put_many((key,), (value,))
+
+    def put_many(self, keys: Iterable[Hashable], values: Iterable) -> None:
+        """Admit a flush's results under one lock acquisition — the
+        same recency order and evictions as one :meth:`put` each."""
         if self.capacity == 0:
             return
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            entries = self._entries
+            for key, value in zip(keys, values):
+                if key in entries:
+                    entries.move_to_end(key)
+                entries[key] = value
+                while len(entries) > self.capacity:
+                    entries.popitem(last=False)
+                    self.evictions += 1
 
     # ------------------------------------------------------------------
     def entries_by_version(self) -> Dict[int, int]:

@@ -99,11 +99,10 @@ class WalkMemo:
     float64 score row (so any ``k`` re-selects exactly) and the row's
     :class:`~repro.kg.paths.PathRow` view of the walk's
     :class:`~repro.kg.paths.PathTable`, covering every terminal item.
-    Both worker modes store the same view: thread mode reads
-    ``SemanticPath`` objects out of it (``get``), process workers the
-    raw ``(entities, relations, prob)`` wire blobs (``blob``), each
-    built only for the items a request returns.  A view keeps its whole
-    table alive; the rows of one flush share it.
+    Both worker modes store the same view and read it the same way:
+    :func:`~repro.runtime.rowblock.select_rows` gathers the paths of
+    the items a flush's rows return, as arrays.  A view keeps its
+    whole table alive; the rows of one flush share it.
 
     ``capacity`` 0 disables the memo (every lookup is a miss and
     :meth:`put` is a no-op), keeping callers branch-free.

@@ -49,17 +49,19 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.agent import REKSAgent, _top_k, clone_agent
+from repro.core.agent import REKSAgent, clone_agent
 from repro.data.loader import collate_examples
 from repro.data.schema import Session
 from repro.kg.paths import SemanticPath, render_path
 from repro.runtime import ProcessWorkerPool
+from repro.runtime.rings import dedup_pairs
+from repro.runtime.rowblock import RowBlock, select_rows, walked_sources
 from repro.serving.cache import ExplanationCache
 from repro.serving.memo import WalkMemo, dedup_plan
 from repro.serving.pool import WorkspacePool
@@ -99,11 +101,13 @@ class ServedResult:
 class _Request:
     """Scheduler payload for one session.
 
-    ``base_key`` is the version-less cache identity — the executing
-    worker appends the model version it actually ran with, which may be
-    newer than the one the submitter looked up (a swap landed between
-    submit and execution; the result is then cached under the version
-    that computed it).
+    ``base_key`` is the version-less cache identity, already
+    normalised (:meth:`RecommendationServer._base_key`) — ``submit``
+    and the respond step append ``(cascade, version)`` to it.  The
+    executing worker supplies the model version it actually ran with,
+    which may be newer than the one the submitter looked up (a swap
+    landed between submit and execution; the result is then cached
+    under the version that computed it).
     """
 
     session: Session
@@ -330,8 +334,7 @@ class RecommendationServer:
         started = perf_counter()
         base = self._base_key(session, k)
         version = self._model_version
-        hit = self._cache.get(ExplanationCache.key(
-            *base, cascade=self._cascade_id, version=version))
+        hit = self._cache.get(base + (self._cascade_id, version))
         self._stats.record_cache(hit is not None, version)
         if hit is not None:
             if self._metrics is not None:
@@ -342,8 +345,9 @@ class RecommendationServer:
             latency = perf_counter() - started
             self._stats.record_request(latency)
             future: Future = Future()
-            future.set_result(replace(hit, cached=True,
-                                      latency_ms=latency * 1e3))
+            future.set_result(ServedResult(
+                hit.items, hit.scores, hit.paths, hit.explanations,
+                cached=True, latency_ms=latency * 1e3))
             return future
         trace = self._tracer.maybe_start()
         if trace and self._metrics is not None:
@@ -639,17 +643,17 @@ class RecommendationServer:
     # Internals
     # ------------------------------------------------------------------
     def _base_key(self, session: Session, k: int) -> tuple:
-        """Version-less cache identity — the ``(prefix_items, k,
-        user_id)`` arguments of :meth:`ExplanationCache.key`; the
-        executing worker supplies the version."""
-        items = list(session.items)
+        """Version-less cache identity: the first three fields of
+        :meth:`ExplanationCache.key`, normalised here once, so that
+        ``base + (cascade, version)`` *is* the cache key."""
+        items = session.items
         if len(items) < 2:
             raise ValueError(
                 "serving requires sessions with >= 2 items (prefix + "
                 f"next-item slot); got {len(items)}")
         prefix = items[:-1][-self._max_session_length:]
         user = session.user_id if self._start_from == "user" else None
-        return (tuple(prefix), k, user)
+        return (tuple(int(i) for i in prefix), k, user)
 
     def _worker(self) -> None:
         try:
@@ -682,33 +686,34 @@ class RecommendationServer:
         A mixed-k flush used to execute one sub-batch per distinct k,
         so minority-k callers queued behind every other group's full
         walk.  The walk and score matrix are k-independent, so one
-        ``recommend`` at ``max(ks)`` serves every row; rows wanting a
-        smaller k re-run the deterministic row-local :func:`_top_k`
-        selection on their own score row — bit-identical to a separate
-        per-k execution (pinned by the serving tests), unlike a naive
-        prefix slice of the max-k ranking whose tie order can depend on
-        the partition point.
+        ``recommend`` at ``max(ks)`` serves every row; every row is
+        then cut at its own k by the one
+        :func:`~repro.runtime.rowblock.select_rows` — bit-identical to
+        a separate per-k execution (pinned by the serving tests),
+        unlike a naive prefix slice of the max-k ranking whose tie
+        order can depend on the partition point.
 
-        Rows come back **unrendered** from both worker modes;
-        explanations are rendered here, exactly once, at the moment the
-        result is admitted to the cache (``render_path`` is
-        deterministic in the path values and the KG, so this is
-        bit-identical to the old render-in-worker wire format while
-        keeping strings out of the ring payloads).
+        Both worker modes answer with one **unrendered**
+        :class:`~repro.runtime.rowblock.RowBlock` plus, when rows
+        collapsed, the fan-out index from requests to block rows;
+        :meth:`_respond` turns it into results — explanations are
+        rendered there, exactly once, at the moment the result is
+        admitted to the cache (rendering is deterministic in the path
+        values and the KG, so strings never ride the ring payloads).
 
         Shared computation (when ``dedup``/``walk_memo_size`` are on):
         duplicate rows within the flush collapse to one walk at the max
         ``k`` of their group, and thread mode consults the cross-flush
         :class:`WalkMemo` before walking at all — rankings and
-        explanations exact by construction because every original row
-        takes the tie-safe row-local ``_top_k`` of a full score row
-        (a freshly walked row asked for the walk's own ``k`` reuses the
-        ranking ``recommend`` already made, which is that same
-        selection; memo hits and smaller-``k`` rows re-select).  Paths
-        stay in the walk's array-backed
-        :class:`~repro.kg.paths.PathTable`: each row keeps a
-        :class:`~repro.kg.paths.PathRow` view and a ``SemanticPath`` is
-        built only for the items it returns.  Score bits additionally
+        explanations exact by construction because every answer row
+        is the tie-safe row-local top-k of a full score row (a freshly
+        walked row asked for the walk's own ``k`` reuses the ranking
+        ``recommend`` already made, which is that same selection; memo
+        hits and smaller-``k`` rows re-select).  Paths stay in the
+        walk's array-backed :class:`~repro.kg.paths.PathTable`: each
+        row keeps a :class:`~repro.kg.paths.PathRow` view and a
+        ``SemanticPath`` is built only for the items a distinct
+        answer row returns.  Score bits additionally
         match dedup-off whenever the walk-batch composition is
         preserved, and sit within the documented last-ulp batch-shape
         tolerance when collapsing shrinks a multi-row flush (see
@@ -796,7 +801,7 @@ class RecommendationServer:
             # and the worker's batch spans come back on the response.
             # When the flush collapsed rows, only the unique rows
             # travel; the dedup trailer tells the worker how to map
-            # them back and the pool fans results out per original row.
+            # them back and the pool returns the fan-out index.
             worker_spans: List[tuple] = []
             worker_rows: List[tuple] = []
             if len(uniq) < n:
@@ -812,7 +817,7 @@ class RecommendationServer:
                               else [[int(c) for c in row]
                                     for row in cand_rows])
                 dedup_arg = None
-            version, rows = self._procpool.execute(
+            version, block, fan_out = self._procpool.execute_block(
                 exec_examples, exec_ks,
                 traces=[int(r.payload.trace) for r in group]
                 if sampled else None,
@@ -820,7 +825,6 @@ class RecommendationServer:
                 row_sink=worker_rows if self._trace_rows else None,
                 candidates=exec_cands,
                 dedup=dedup_arg)
-            raw = [(row[0], row[1], _paths_of(row[2])) for row in rows]
             if sampled and worker_spans:
                 tracer.record_batch_spans(sampled, "worker", worker_spans)
             if worker_rows:
@@ -856,8 +860,9 @@ class RecommendationServer:
                 finally:
                     workspace.spans = None
                     workspace.row_frontier = None
-            raw = [self._pack_row(rec, row, ks[row], kmax)
-                   for row in range(len(group))]
+            block = select_rows(walked_sources(rec), list(enumerate(ks)),
+                                rec.ranked_items, kmax)
+            fan_out = None
             exec_dur = perf_counter() - t0
             if metrics is not None:
                 metrics.count("exec_batches_total")
@@ -901,10 +906,11 @@ class RecommendationServer:
             row_frontier = ([] if (sampled and self._trace_rows)
                             else None)
             miss_ks: List[int] = []
-            # (unique row, k) -> the ranking the walk already made: only
-            # freshly walked rows, only at the walk's own k (memo hits
-            # carry a score row, no ranking).
-            ranked_by_walk: dict = {}
+            # The ranking the walk already made, per unique row: only
+            # freshly walked rows, at the walk's own k (memo hits carry
+            # a score row, no ranking).
+            ranked: List[Optional[np.ndarray]] = [None] * len(uniq)
+            walk_k = 0
             if miss:
                 miss_examples = [examples[uniq[j]] for j in miss]
                 miss_ks = [uniq_ks[j] for j in miss]
@@ -934,21 +940,14 @@ class RecommendationServer:
                 for idx, j in enumerate(miss):
                     entry = (rec.scores[idx].copy(), rec.paths.row(idx))
                     u_data[j] = entry
-                    ranked_by_walk[(j, walk_k)] = rec.ranked_items[idx]
+                    ranked[j] = rec.ranked_items[idx]
                     if use_memo:
                         self._memo.put(memo_keys[j], entry)
                 self._memo.note_walk_cost(len(miss), walk_dur)
-            raw = []
-            for row in range(n):
-                j = row_map[row]
-                scores_row, paths = u_data[j]
-                ranked = ranked_by_walk.get((j, ks[row]))
-                if ranked is None:
-                    ranked = _top_k(scores_row.reshape(1, -1),
-                                    int(ks[row]))[0]
-                items = ranked.tolist()
-                raw.append((items, scores_row[ranked].tolist(),
-                            _paths_of(paths.take(items))))
+            # One block row per distinct (unique row, k): duplicate
+            # requests share it through the fan-out index.
+            pairs, fan_out = dedup_pairs(row_map, ks)
+            block = select_rows(u_data, pairs, ranked, walk_k)
             exec_dur = perf_counter() - t0
             if metrics is not None:
                 metrics.count("exec_batches_total")
@@ -990,65 +989,71 @@ class RecommendationServer:
                     "server", t0)
             for trace in sampled:
                 tracer.record(trace, "exec", "server", t0, exec_dur)
+        self._respond(group, block, fan_out, version, sampled, t0)
+
+    def _respond(self, group: List[PendingRequest], block: RowBlock,
+                 fan_out: Optional[Sequence[int]], version: int,
+                 sampled: Sequence[int], t0: float) -> None:
+        """Turn a flush's block into its requests' results.
+
+        Each distinct block row becomes tuples once — Python lists and
+        its ``SemanticPath`` values (still the transport step that
+        began at ``t0``: this is the unmarshalling), then every
+        explanation rendered — and requests that share a row
+        (``fan_out``) share those tuples.  Then, in this order: every
+        ``ServedResult`` is constructed with its latency; the results
+        are admitted to the cache; the stats and the request histogram
+        take the whole flush; and only then do the futures resolve —
+        a caller that reads ``stats()`` or resubmits right after
+        ``result()`` finds its request counted and cached.
+        """
+        metrics, tracer, kg = self._metrics, self._tracer, self._kg
+        rows = block.to_rows()
+        paths = [None if blob is None
+                 else SemanticPath(entities=blob[0], relations=blob[1],
+                                   prob=blob[2])
+                 for _, _, blobs in rows for blob in blobs]
         transport_dur = perf_counter() - t0
         if metrics is not None:
             metrics.observe("transport_seconds", transport_dur)
         for trace in sampled:
             tracer.record(trace, "transport", "server", t0, transport_dur)
         r0 = perf_counter()
-        results = []
-        n_rendered = 0
-        for items, scores, paths in raw:
-            rendered = tuple(render_path(path, self._kg)
-                             if path is not None else ""
-                             for path in paths)
-            n_rendered += len(rendered)
-            results.append(ServedResult(items=tuple(items),
-                                        scores=tuple(scores),
-                                        paths=tuple(paths),
-                                        explanations=rendered))
+        answers = []
+        stop = 0
+        for items, scores, _ in rows:
+            start, stop = stop, stop + len(items)
+            row_paths = tuple(paths[start:stop])
+            answers.append((tuple(items), tuple(scores), row_paths,
+                            tuple("" if path is None
+                                  else render_path(path, kg)
+                                  for path in row_paths)))
         render_dur = perf_counter() - r0
+        if fan_out is None:
+            fan_out = range(len(group))
         if metrics is not None:
             metrics.observe("render_seconds", render_dur)
+            n_rendered = sum(len(answers[p][0]) for p in fan_out)
             if n_rendered:
                 metrics.count("render_rows_total", n_rendered)
         for trace in sampled:
             tracer.record(trace, "render", "server", r0, render_dur)
-        for result, request in zip(results, group):
-            t_resp = perf_counter()
+        t_resp = perf_counter()
+        key_tail = (self._cascade_id, version)
+        keys, results, latencies = [], [], []
+        for request, p in zip(group, fan_out):
             latency = t_resp - request.enqueued_at
-            result = replace(result, latency_ms=latency * 1e3)
-            self._cache.put(
-                ExplanationCache.key(*request.payload.base_key,
-                                     cascade=self._cascade_id,
-                                     version=version), result)
-            self._stats.record_request(latency)
+            keys.append(request.payload.base_key + key_tail)
+            results.append(ServedResult(*answers[p], cached=False,
+                                        latency_ms=latency * 1e3))
+            latencies.append(latency)
+        self._cache.put_many(keys, results)
+        self._stats.record_requests(latencies)
+        for request, result in zip(group, results):
             request.future.set_result(result)
-            if request.payload.trace:
-                tracer.record(request.payload.trace, "respond", "server",
-                              t_resp, perf_counter() - t_resp)
-
-    def _pack_row(self, rec, row: int, k: int, kmax: int) -> tuple:
-        """One unrendered ``(items, scores, paths)`` row (thread mode),
-        shape-identical to a process worker's unmarshalled wire row so
-        both modes share the render-at-admission path."""
-        if k == kmax:
-            ranked = rec.ranked_items[row]
-        else:
-            ranked = _top_k(rec.scores[row:row + 1], k)[0]
-        items = ranked.tolist()
-        return (items, rec.scores[row, ranked].tolist(),
-                _paths_of(rec.paths.take(row, items)))
-
-
-def _paths_of(blobs) -> Tuple[Optional[SemanticPath], ...]:
-    """``SemanticPath`` values of a row's ``(entities, relations,
-    prob)`` blobs (``PathRow.take`` / the worker wire form); None
-    stays None."""
-    return tuple(None if blob is None
-                 else SemanticPath(entities=blob[0], relations=blob[1],
-                                   prob=blob[2])
-                 for blob in blobs)
+        respond_dur = perf_counter() - t_resp
+        for trace in sampled:
+            tracer.record(trace, "respond", "server", t_resp, respond_dur)
 
 
 def naive_recommend_loop(trainer, sessions: Sequence[Session],

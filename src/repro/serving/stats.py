@@ -28,7 +28,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,6 +182,29 @@ class ServerStats:
         if self.metrics is not None:
             self.metrics.count("requests_total")
             self.metrics.observe("request_latency_seconds", latency_s)
+
+    def record_requests(self, latencies_s: Sequence[float]) -> None:
+        """A flush's completed requests, in order, under one lock (and
+        one seqlock publish of the mirror block) — the counters end up
+        exactly where one :meth:`record_request` each leaves them.
+        (The scalar method stays separate: it is the cache-hit path,
+        where folding one value through the batch form costs more than
+        the hit itself.)"""
+        if not latencies_s:
+            return
+        now = perf_counter()
+        with self._lock:
+            if self._started_at is None:
+                self._started_at = now - latencies_s[0]
+            self._last_event_at = now
+            self._requests += len(latencies_s)
+            self._lat_hist.observe_many(latencies_s)
+            for latency in latencies_s:
+                self._lat_sample.add(latency)
+        if self.metrics is not None:
+            self.metrics.count("requests_total", len(latencies_s))
+            self.metrics.observe_many("request_latency_seconds",
+                                      latencies_s)
 
     def record_batch(self, size: int) -> None:
         """One executed micro-batch of ``size`` coalesced requests."""

@@ -41,7 +41,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +71,21 @@ def bucket_index(value: float) -> int:
     if idx >= HIST_BUCKETS:
         return HIST_BUCKETS - 1
     return idx
+
+
+def _fold(values: Sequence[float], total: float, lo: float, hi: float
+          ) -> Tuple[Dict[int, int], float, float, float]:
+    """What observing ``values`` one by one, in order, does to a
+    histogram whose running ``sum`` / ``min`` / ``max`` are ``total``
+    / ``lo`` / ``hi``: ``({bucket: increment}, sum, min, max)``.  The
+    sum is accumulated left to right so its float64 bits match the
+    scalar path's."""
+    counts: Dict[int, int] = {}
+    for value in values:
+        bucket = bucket_index(value)
+        counts[bucket] = counts.get(bucket, 0) + 1
+        total += value
+    return counts, total, min(lo, min(values)), max(hi, max(values))
 
 
 def bucket_upper_edges() -> np.ndarray:
@@ -369,6 +384,26 @@ class MetricBlock:
                 self._hmax[i] = value
             hdr[_SEQ] += 1
 
+    def observe_many(self, name: str, values: Sequence[float]) -> None:
+        """:meth:`observe` of each value, in order, as one seqlock
+        publish: a reader sees none of the batch or all of it."""
+        i = self._hi.get(name)
+        if i is None or not len(values):
+            return
+        hdr = self._hdr
+        with self._wlock:
+            counts, total, lo, hi = _fold(
+                values, float(self._hsum[i]), float(self._hmin[i]),
+                float(self._hmax[i]))
+            hdr[_SEQ] += 1
+            for bucket, count in counts.items():
+                self._hbuckets[i, bucket] += count
+            self._hcount[i] += len(values)
+            self._hsum[i] = total
+            self._hmin[i] = lo
+            self._hmax[i] = hi
+            hdr[_SEQ] += 1
+
     # ------------------------------------------------------------------
     # Reader API
     # ------------------------------------------------------------------
@@ -465,6 +500,14 @@ class LocalHistogram:
             self.min = value
         if value > self.max:
             self.max = value
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` of each value, in order."""
+        counts, self.sum, self.min, self.max = _fold(
+            values, self.sum, self.min, self.max)
+        for bucket, count in counts.items():
+            self.buckets[bucket] += count
+        self.count += len(values)
 
     def reset(self) -> None:
         self.buckets[:] = 0

@@ -109,3 +109,80 @@ class TestPathTableTake:
                     assert all(type(e) is int for e in blob[0] + blob[1])
             assert table.take(row, []) == []
         assert reached > 0
+
+
+class TestPathTableTakeBlock:
+    def _table(self, rng, n_items=9, rows=4, paths=60, hops=2):
+        return PathTable(
+            rng.integers(0, rows, size=paths),
+            rng.integers(0, n_items + 1, size=paths),   # 0 = no item
+            rng.integers(0, 30, size=(paths, hops + 1)),
+            rng.integers(0, 3, size=(paths, hops)),
+            rng.choice([0.125, 0.25, 0.5], size=paths), n_items)
+
+    def test_take_block_matches_per_item_blob(self):
+        """``take_block`` is ``blob`` of every cell at once: unreached
+        items, ``item <= 0``, ``item >= stride`` (whose key would alias
+        the next row's) and a row with no paths all come back absent."""
+        rng = np.random.default_rng(4)
+        n_items, rows = 9, 4
+        table = self._table(rng, n_items, rows)
+        cell_rows, cell_items = [], []
+        for row in range(rows + 1):                     # one empty row
+            items = rng.permutation(np.arange(-2, n_items + 4)).tolist()
+            cell_rows += [row] * (len(items) + 3)
+            cell_items += items + items[:3]             # repeats allowed
+        found, nodes, probs = table.take_block(np.array(cell_rows),
+                                               np.array(cell_items))
+        want = [table.blob(row, item)
+                for row, item in zip(cell_rows, cell_items)]
+        assert found.tolist() == [blob is not None for blob in want]
+        assert found.any() and not found.all()
+        assert nodes.dtype == np.int32 and nodes.shape[1] == 5
+        got = [(n[:3], n[3:], p)
+               for n, p in zip(nodes.tolist(), probs.tolist())]
+        assert got == [blob for blob in want if blob is not None]
+        assert table.take_block([1, 1], [3, -1])[0].shape == (2,)
+
+    def test_take_block_on_an_empty_table(self):
+        table = PathTable(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                          np.zeros((0, 3), np.int64),
+                          np.zeros((0, 2), np.int64), np.zeros(0), 9)
+        found, nodes, probs = table.take_block(np.array([0, 1]),
+                                               np.array([3, 4]))
+        assert found.tolist() == [False, False]
+        assert nodes.shape == (0, 5) and probs.shape == (0,)
+
+    def test_take_paths_across_tables_keeps_cell_order(self):
+        """Rows viewing different tables — with different hop counts —
+        interleave; the flat sections follow cell order regardless."""
+        from repro.kg.paths import take_paths
+
+        rng = np.random.default_rng(9)
+        short = self._table(rng, hops=1)
+        long = self._table(rng, hops=2)
+        views = [long.row(0), short.row(1), long.row(2), short.row(0),
+                 long.row(4)]                            # last: no paths
+        counts = np.array([4, 3, 0, 5, 2])
+        items = rng.integers(0, 11, size=int(counts.sum()))
+        path_len, path_nodes, probs = take_paths(views, counts, items)
+        want_len, want_nodes, want_probs = [], [], []
+        cell = 0
+        for view, count in zip(views, counts):
+            for item in items[cell:cell + count].tolist():
+                blob = view.blob(item)
+                want_len.append(-1 if blob is None else len(blob[1]))
+                if blob is not None:
+                    want_nodes += blob[0] + blob[1]
+                    want_probs.append(blob[2])
+            cell += count
+        assert path_len.tolist() == want_len
+        assert {1, 2, -1} <= set(want_len)
+        assert path_nodes.tolist() == want_nodes
+        assert probs.tolist() == want_probs
+        # one table: same answer through the no-scatter path
+        single = take_paths([long.row(0), long.row(2)], np.array([4, 3]),
+                            items[:7])
+        assert single[0].tolist() == [
+            -1 if long.blob(r, i) is None else 2
+            for r, i in zip([0] * 4 + [2] * 3, items[:7].tolist())]

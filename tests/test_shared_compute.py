@@ -217,18 +217,18 @@ class TestSharedBitIdentity:
             self, trainer, sessions, monkeypatch):
         """A freshly walked row asked for the walk's own k takes the
         ranking ``recommend`` already made; memo hits and smaller-k
-        rows re-select from the score row.  Answers are the legacy
-        server's either way."""
-        import repro.serving.server as server_mod
+        rows re-select from their score rows, stacked, one ``_top_k``
+        per distinct k.  Answers are the legacy server's either way."""
+        import repro.runtime.rowblock as rowblock_mod
 
         calls = []
-        real_top_k = server_mod._top_k
+        real_top_k = rowblock_mod._top_k
 
         def counting(scores, k):
-            calls.append(k)
+            calls.append((k, len(scores)))
             return real_top_k(scores, k)
 
-        monkeypatch.setattr(server_mod, "_top_k", counting)
+        monkeypatch.setattr(rowblock_mod, "_top_k", counting)
         requests = [(s, 10) for s in sessions[:4]]
         mixed = [(sessions[4], 10), (sessions[5], 3)]
         # max_batch == the round size: a round flushes when full, and
@@ -242,11 +242,11 @@ class TestSharedBitIdentity:
             assert calls == []          # four walked rows, no re-select
             futures = [server.submit(s, k=k) for s, k in requests]
             hits = [_payload(f.result()) for f in futures]
-            assert calls == [10] * 4    # memo hits have no ranking
+            assert calls == [(10, 4)]   # memo hits have no ranking
             del calls[:]
             futures = [server.submit(s, k=k) for s, k in mixed]
             mixed_got = [_payload(f.result()) for f in futures]
-            assert calls == [3]         # only the smaller-k row
+            assert calls == [(3, 1)]    # only the smaller-k row
         monkeypatch.undo()
         assert hits == fresh
         legacy = (self._baseline(trainer, requests)

@@ -796,11 +796,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--top-k", type=int, default=10)
     p_srv.add_argument("--max-batch", type=int, default=32)
     p_srv.add_argument("--max-wait-ms", type=float, default=2.0)
-    p_srv.add_argument("--workers", type=int, default=2)
+    p_srv.add_argument("--workers", type=int, default=2,
+                       help="worker processes with --worker-mode "
+                            "process; thread mode runs one executor "
+                            "whatever this says")
     p_srv.add_argument("--worker-mode", choices=("thread", "process"),
                        default="thread",
-                       help="execute micro-batches on worker threads or "
-                            "on plane-attached worker processes")
+                       help="execute micro-batches on one executor "
+                            "thread or on plane-attached worker "
+                            "processes")
     p_srv.add_argument("--transport", choices=("pipe", "ring"),
                        default="ring",
                        help="process-mode exec dataplane: shared-memory "
@@ -871,7 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_onl.add_argument("--concurrency", type=int, default=16,
                        help="closed-loop client threads")
     p_onl.add_argument("--top-k", type=int, default=10)
-    p_onl.add_argument("--workers", type=int, default=2)
+    p_onl.add_argument("--workers", type=int, default=2,
+                       help="worker processes (process worker mode "
+                            "only)")
     p_onl.add_argument("--checkpoints", default=None,
                        help="registry directory (default: temp dir)")
     p_onl.add_argument("--updater-mode", choices=("thread", "subprocess"),
@@ -897,7 +903,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bounded session sets + short TransE "
                             "pre-training")
     p_run.add_argument("--workers", type=int, default=4,
-                       help="serving workers per mode")
+                       help="worker processes (the thread-mode "
+                            "side runs one executor)")
     p_run.add_argument("--concurrency", type=int, default=8,
                        help="closed-loop client threads")
     p_run.add_argument("--top-k", type=int, default=10)

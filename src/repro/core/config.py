@@ -85,7 +85,7 @@ class REKSConfig:
     # they have no effect on training.
     serve_max_batch: int = 32      # flush a micro-batch at this size...
     serve_max_wait_ms: float = 2.0  # ...or when the oldest request ages out
-    serve_workers: int = 2         # batch-executing workers (one workspace each)
+    serve_workers: int = 2         # worker processes (thread mode runs one executor)
     serve_cache_size: int = 2048   # LRU explanation-cache entries (0 = off)
     serve_default_k: int = 20      # top-K when a request doesn't specify one
     # Execution plane (repro.runtime): thread workers share the GIL;

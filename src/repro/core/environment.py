@@ -146,9 +146,8 @@ class RolloutWorkspace:
     A workspace is **single-owner** scratch: two concurrent walks
     sharing one would silently corrupt each other's frontiers.  The
     :meth:`checkout` / :meth:`release` hooks make ownership explicit —
-    ``repro.serving.WorkspacePool`` checks a workspace out to exactly
-    one worker at a time, and a double checkout raises instead of
-    corrupting.
+    the serving executor checks its workspace out around every walk,
+    and a double checkout raises instead of corrupting.
     """
 
     def __init__(self) -> None:
@@ -182,7 +181,7 @@ class RolloutWorkspace:
             raise RuntimeError(
                 "RolloutWorkspace is already checked out; scratch "
                 "buffers are single-owner — use one workspace per "
-                "concurrent walk (see repro.serving.WorkspacePool)")
+                "concurrent walk")
         self._checked_out = True
         self.checkouts += 1
         return self

@@ -4,7 +4,8 @@ Three measured stories, one payload (``BENCH_runtime.json``):
 
 1. **Thread vs process serving** — the same cold-cache closed-loop
    request stream driven against ``worker_mode="thread"`` and
-   ``worker_mode="process"`` servers (same worker count), the process
+   ``worker_mode="process"`` servers (one thread executor against
+   ``workers`` processes), the process
    mode measured over **both exec transports** (shared-memory rings,
    the default, and the legacy pickle pipe) with per-micro-batch
    overhead ratios against thread mode, plus bit-identity checks

@@ -1015,6 +1015,7 @@ class ProcessWorkerPool:
         self._idle: "queue.LifoQueue[_Worker]" = queue.LifoQueue()
         for worker in self._workers:
             self._idle.put(worker)
+        self._publish_alive()
         self._health_stop = threading.Event()
         self._health_thread: Optional[threading.Thread] = None
         if health_interval_s:
@@ -1078,7 +1079,15 @@ class ProcessWorkerPool:
             self.respawns += 1
             if self._metrics is not None:
                 self._metrics.count("worker_respawns_total")
+            self._publish_alive()
             return fresh
+
+    def _publish_alive(self) -> None:
+        """``workers_alive`` gauge: worker processes running now."""
+        if self._metrics is not None:
+            self._metrics.gauge("workers_alive", float(sum(
+                worker.process.exitcode is None
+                for worker in self._workers)))
 
     def _health_loop(self, interval: float) -> None:
         """Background sweep: respawn dead workers between batches.
@@ -1101,6 +1110,7 @@ class ProcessWorkerPool:
                         # fork errors) must stay observable: count it
                         # rather than silently retrying forever.
                         self.health_failures += 1
+            self._publish_alive()
 
     # ------------------------------------------------------------------
     # Micro-batch execution

@@ -4,9 +4,9 @@ The batch-oriented core (:class:`~repro.core.agent.REKSAgent`) answers
 one ``SessionBatch`` at a time on one thread; this package turns it
 into an interactive service: concurrent single-session requests are
 coalesced into micro-batches (flushed on size or deadline, whichever
-first), executed by a pool of workers each pinning its own
-:class:`~repro.core.environment.RolloutWorkspace`, and answered with
-per-request rankings plus rendered explanation paths.  See
+first), executed by one thread (or a fleet of worker processes)
+owning its :class:`~repro.core.environment.RolloutWorkspace`, and
+answered with per-request rankings plus rendered explanation paths.  See
 ``README.md`` in this directory for the architecture note.
 
 Quickstart::
@@ -19,7 +19,6 @@ Quickstart::
 
 from repro.serving.cache import ExplanationCache
 from repro.serving.memo import WalkMemo, dedup_plan
-from repro.serving.pool import WorkspacePool
 from repro.serving.scheduler import (
     BatchScheduler,
     PendingRequest,
@@ -40,7 +39,6 @@ __all__ = [
     "ExplanationCache",
     "WalkMemo",
     "dedup_plan",
-    "WorkspacePool",
     "RecommendationServer",
     "ServedResult",
     "ServerClosed",

@@ -199,8 +199,8 @@ def run_serving_bench(trainer, sessions: Sequence[Session], *,
         occupancy = cold.batch_occupancy
         scheduler_max_batch = server._scheduler.max_batch
         scheduler_wait_ms = server._scheduler.max_wait_s * 1e3
-        n_workers = len(server._threads)
-        pool_bytes = server.pool.nbytes
+        n_workers = server.executors
+        pool_bytes = server.workspace.nbytes
         worker_mode = server.worker_mode
         plane_bytes = (server.process_pool.plane_nbytes
                        if server.process_pool is not None else 0)

@@ -9,9 +9,10 @@ A :class:`RecommendationServer` wraps one fitted
   :class:`~repro.serving.scheduler.BatchScheduler`;
 * :meth:`recommend_many` — bulk traffic (splits oversize lists across
   micro-batches and reuses cached entries);
-* a :class:`~repro.serving.pool.WorkspacePool` pins one
-  :class:`~repro.core.environment.RolloutWorkspace` per in-flight
-  batch so concurrent workers never share scratch buffers;
+* one executor thread owns the server's one
+  :class:`~repro.core.environment.RolloutWorkspace` (``workers`` sizes
+  the process fleet only: threads share a GIL, so a second executor
+  would just split the flushes and fight the first for it);
 * an :class:`~repro.serving.cache.ExplanationCache` LRU short-circuits
   repeat (session-suffix, k) requests;
 * a :class:`~repro.serving.stats.ServerStats` recorder tracks latency
@@ -25,8 +26,10 @@ and per-row rankings are batch-composition invariant, so the served
 sessions and ``k`` regardless of how requests were interleaved.
 
 Worker modes (``worker_mode``): ``"thread"`` executes micro-batches on
-this interpreter's worker threads (coalescing wins only — the GIL
-serializes the compute); ``"process"`` hands each micro-batch to a
+this interpreter's single executor thread (coalescing wins only — the
+GIL serializes the compute, so misses that arrive during a flush leave
+as one larger flush when it ends); ``"process"`` hands each micro-batch
+to one of ``workers`` dispatcher threads and its
 :class:`~repro.runtime.ProcessWorkerPool` worker that attaches the
 shared-memory table plane (CSR adjacency + frozen embedding tables,
 zero-copy) and executes with true parallelism.  The determinism and
@@ -56,6 +59,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.agent import REKSAgent, clone_agent
+from repro.core.environment import RolloutWorkspace
 from repro.data.loader import collate_examples
 from repro.data.schema import Session
 from repro.kg.paths import SemanticPath, render_path
@@ -64,7 +68,6 @@ from repro.runtime.rings import dedup_pairs
 from repro.runtime.rowblock import RowBlock, select_rows, walked_sources
 from repro.serving.cache import ExplanationCache
 from repro.serving.memo import WalkMemo, dedup_plan
-from repro.serving.pool import WorkspacePool
 from repro.serving.scheduler import (
     BatchScheduler,
     PendingRequest,
@@ -149,6 +152,8 @@ class RecommendationServer:
         if transport not in ("pipe", "ring"):
             raise ValueError(
                 f"transport must be 'pipe' or 'ring', got {transport!r}")
+        if workers < 1:
+            raise ValueError(f"need >= 1 worker, got {workers}")
         # Cascade serving: ``cascade`` is a CandidateProvider (wrapped
         # in a planner with an LRU candidate cache) or an already-built
         # CascadePlanner; None serves the full unconstrained walk,
@@ -198,7 +203,9 @@ class RecommendationServer:
                 "server", schema)
             self._metrics.gauge("model_version", float(model_version))
             self._metrics.gauge("trace_sample", float(trace_sample))
-            self._metrics.gauge("workers_alive", float(workers))
+            # Thread mode runs one executor; in process mode the pool
+            # overwrites this with its live worker count.
+            self._metrics.gauge("workers_alive", 1.0)
             self._tracer.attach_metrics(self._metrics)
         if trace_path and trace_sample > 0.0:
             # Streaming export: spans flow to a rotating JSONL file
@@ -208,8 +215,7 @@ class RecommendationServer:
             self._tracer.attach_sink(self._sink)
         # In process mode the dispatcher threads below only marshal
         # batches to/from the worker processes, which own their
-        # workspaces; the thread-side WorkspacePool stays for thread
-        # mode.
+        # workspaces; the server's workspace serves thread mode.
         self._procpool: Optional[ProcessWorkerPool] = None
         if worker_mode == "process":
             self._procpool = ProcessWorkerPool(
@@ -225,7 +231,8 @@ class RecommendationServer:
             # usable POSIX shared memory; report what actually runs.
             transport = self._procpool.transport
         self.transport = transport
-        self._pool = WorkspacePool(workers, metrics=self._metrics)
+        self._workspace = RolloutWorkspace()
+        self._workspace.metrics = self._metrics
         self._cache = ExplanationCache(cache_size)
         # Shared-computation layer (see repro.serving.memo): in-flush
         # row dedup plus the cross-flush walk memo.  In process mode
@@ -235,7 +242,6 @@ class RecommendationServer:
         self._dedup = bool(dedup)
         self._memo = WalkMemo(int(walk_memo_size)
                               if worker_mode == "thread" else 0)
-        self._memo_metrics_lock = threading.Lock()
         self._memo_evictions_seen = 0
         self._stats = ServerStats(metrics=self._metrics)
         self._stats.attach_caches(cache=self._cache, memo=self._memo)
@@ -275,10 +281,13 @@ class RecommendationServer:
                 extra_fn=self.serving_state)
         self._shutdown_lock = threading.Lock()
         self._shut_down = False
+        # One executor per interpreter (module docstring): only a
+        # process dispatcher, blocked on its worker's doorbell with the
+        # GIL released, runs beside another.
         self._threads = [
             threading.Thread(target=self._worker, daemon=True,
                              name=f"reks-serve-{i}")
-            for i in range(workers)]
+            for i in range(workers if worker_mode == "process" else 1)]
         for thread in self._threads:
             thread.start()
 
@@ -335,20 +344,17 @@ class RecommendationServer:
         base = self._base_key(session, k)
         version = self._model_version
         hit = self._cache.get(base + (self._cascade_id, version))
-        self._stats.record_cache(hit is not None, version)
         if hit is not None:
-            if self._metrics is not None:
-                # Rendering happened once, at cache admission; a hit
-                # serves the stored strings without re-rendering.
-                self._metrics.count("render_deferred_total",
-                                    len(hit.explanations))
             latency = perf_counter() - started
-            self._stats.record_request(latency)
+            # Rendering happened once, at cache admission; a hit
+            # serves the stored strings without re-rendering.
+            self._stats.record_hit(latency, version, len(hit.explanations))
             future: Future = Future()
             future.set_result(ServedResult(
                 hit.items, hit.scores, hit.paths, hit.explanations,
                 cached=True, latency_ms=latency * 1e3))
             return future
+        self._stats.record_cache(False, version)
         trace = self._tracer.maybe_start()
         if trace and self._metrics is not None:
             self._metrics.count("traces_sampled_total")
@@ -569,8 +575,16 @@ class RecommendationServer:
         return self._memo
 
     @property
-    def pool(self) -> WorkspacePool:
-        return self._pool
+    def workspace(self) -> RolloutWorkspace:
+        """The thread-mode executor's scratch workspace (idle in
+        process mode, where each worker process owns its own)."""
+        return self._workspace
+
+    @property
+    def executors(self) -> int:
+        """Threads cutting flushes: 1 in thread mode, ``workers``
+        dispatchers in process mode."""
+        return len(self._threads)
 
     @property
     def process_pool(self) -> Optional[ProcessWorkerPool]:
@@ -596,10 +610,8 @@ class RecommendationServer:
             if self._shut_down:
                 return
             self._shut_down = True
-        abandoned = self._scheduler.close(drain=drain)
-        for request in abandoned:
-            request.future.set_exception(
-                ServerClosed("server shut down before execution"))
+        _fail_queued(self._scheduler.close(drain=drain),
+                     ServerClosed("server shut down before execution"))
         for thread in self._threads:
             thread.join()
         if self._prewarmer is not None:
@@ -661,15 +673,21 @@ class RecommendationServer:
                 batch = self._scheduler.next_batch()
                 if batch is None:
                     return
-                self._process(batch)
-        except BaseException as exc:  # pragma: no cover - last resort
+                # Claim the flush's futures at the cut: one the caller
+                # cancelled while it was queued is dropped here, alone
+                # and unwalked, and a claimed one can no longer be
+                # cancelled — so resolving it cannot raise and fail
+                # its flush-mates' computed answers.
+                batch = [request for request in batch
+                         if request.future.set_running_or_notify_cancel()]
+                if batch:
+                    self._process(batch)
+        except BaseException as exc:
             # The worker loop itself died (next_batch raised, or
             # _process's own failure handler failed).  Fail everything
             # still queued instead of letting callers hang on futures
             # no surviving worker will ever cut.
-            for request in self._scheduler.close(drain=False):
-                if not request.future.done():
-                    request.future.set_exception(exc)
+            _fail_queued(self._scheduler.close(drain=False), exc)
             raise
 
     def _process(self, batch: List[PendingRequest]) -> None:
@@ -850,16 +868,8 @@ class RecommendationServer:
             local_spans: Optional[List[tuple]] = [] if sampled else None
             row_frontier: Optional[List] = (
                 [] if (sampled and self._trace_rows) else None)
-            with self._pool.checkout() as workspace:
-                workspace.spans = local_spans
-                workspace.row_frontier = row_frontier
-                try:
-                    rec = agent.recommend(collated, k=kmax,
-                                          workspace=workspace,
-                                          candidates=constraint)
-                finally:
-                    workspace.spans = None
-                    workspace.row_frontier = None
+            rec = self._walk(agent, collated, kmax, constraint,
+                             local_spans, row_frontier)
             block = select_rows(walked_sources(rec), list(enumerate(ks)),
                                 rec.ranked_items, kmax)
             fan_out = None
@@ -926,16 +936,8 @@ class RecommendationServer:
                                             self._max_session_length,
                                             width=flush_width)
                 w0 = perf_counter()
-                with self._pool.checkout() as workspace:
-                    workspace.spans = local_spans
-                    workspace.row_frontier = row_frontier
-                    try:
-                        rec = agent.recommend(collated, k=walk_k,
-                                              workspace=workspace,
-                                              candidates=constraint)
-                    finally:
-                        workspace.spans = None
-                        workspace.row_frontier = None
+                rec = self._walk(agent, collated, walk_k, constraint,
+                                 local_spans, row_frontier)
                 walk_dur = perf_counter() - w0
                 for idx, j in enumerate(miss):
                     entry = (rec.scores[idx].copy(), rec.paths.row(idx))
@@ -960,10 +962,9 @@ class RecommendationServer:
                     metrics.count("walk_memo_hits_total",
                                   len(uniq) - len(miss))
                     metrics.count("walk_memo_misses_total", len(miss))
-                    with self._memo_metrics_lock:
-                        evictions = self._memo.evictions
-                        delta = evictions - self._memo_evictions_seen
-                        self._memo_evictions_seen = evictions
+                    evictions = self._memo.evictions
+                    delta = evictions - self._memo_evictions_seen
+                    self._memo_evictions_seen = evictions
                     if delta > 0:
                         metrics.count("walk_memo_evictions_total", delta)
                     metrics.gauge("walk_seconds_saved_total",
@@ -990,6 +991,23 @@ class RecommendationServer:
             for trace in sampled:
                 tracer.record(trace, "exec", "server", t0, exec_dur)
         self._respond(group, block, fan_out, version, sampled, t0)
+
+    def _walk(self, agent: REKSAgent, collated, k: int, constraint,
+              spans: Optional[list], row_frontier: Optional[list]):
+        """One ``recommend`` on the executor's workspace.  The
+        checkout raises rather than corrupting if a second walk ever
+        ran beside it, and the workspace is released on the error path
+        too, so a failed walk does not wedge the next flush."""
+        workspace = self._workspace.checkout()
+        workspace.spans = spans
+        workspace.row_frontier = row_frontier
+        try:
+            return agent.recommend(collated, k=k, workspace=workspace,
+                                   candidates=constraint)
+        finally:
+            workspace.spans = None
+            workspace.row_frontier = None
+            workspace.release()
 
     def _respond(self, group: List[PendingRequest], block: RowBlock,
                  fan_out: Optional[Sequence[int]], version: int,
@@ -1054,6 +1072,15 @@ class RecommendationServer:
         respond_dur = perf_counter() - t_resp
         for trace in sampled:
             tracer.record(trace, "respond", "server", t_resp, respond_dur)
+
+
+def _fail_queued(requests: Sequence[PendingRequest],
+                 exc: BaseException) -> None:
+    """Fail requests that never reached a flush (skipping any their
+    caller already cancelled, which ``set_exception`` would reject)."""
+    for request in requests:
+        if request.future.set_running_or_notify_cancel():
+            request.future.set_exception(exc)
 
 
 def naive_recommend_loop(trainer, sessions: Sequence[Session],

@@ -186,10 +186,7 @@ class ServerStats:
     def record_requests(self, latencies_s: Sequence[float]) -> None:
         """A flush's completed requests, in order, under one lock (and
         one seqlock publish of the mirror block) — the counters end up
-        exactly where one :meth:`record_request` each leaves them.
-        (The scalar method stays separate: it is the cache-hit path,
-        where folding one value through the batch form costs more than
-        the hit itself.)"""
+        exactly where one :meth:`record_request` each leaves them."""
         if not latencies_s:
             return
         now = perf_counter()
@@ -227,6 +224,33 @@ class ServerStats:
         if self.metrics is not None:
             self.metrics.count("cache_hits_total" if hit
                                else "cache_misses_total")
+
+    def record_hit(self, latency_s: float, version: int,
+                   rendered: int) -> None:
+        """One request served from the explanation cache, its
+        ``rendered`` stored explanations re-served without rendering:
+        ``record_cache(True, version)``, a ``render_deferred_total``
+        count and ``record_request(latency_s)`` under one lock and one
+        seqlock publish of the mirror block — every counter ends
+        exactly where those three calls leave it."""
+        now = perf_counter()
+        with self._lock:
+            split = self._cache_by_version.setdefault(
+                int(version), {"hits": 0, "misses": 0})
+            self._cache_hits += 1
+            split["hits"] += 1
+            if self._started_at is None:
+                self._started_at = now - latency_s
+            self._last_event_at = now
+            self._requests += 1
+            self._lat_hist.observe(latency_s)
+            self._lat_sample.add(latency_s)
+        if self.metrics is not None:
+            self.metrics.count_observe(
+                (("cache_hits_total", 1),
+                 ("render_deferred_total", rendered),
+                 ("requests_total", 1)),
+                "request_latency_seconds", latency_s)
 
     def record_dedup(self, collapsed: int) -> None:
         """``collapsed`` duplicate rows folded away by in-flush dedup

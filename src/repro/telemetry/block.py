@@ -368,20 +368,31 @@ class MetricBlock:
             hdr[_SEQ] += 1
 
     def observe(self, name: str, value: float) -> None:
-        i = self._hi.get(name)
-        if i is None:
-            return
+        if name in self._hi:
+            self.count_observe((), name, value)
+
+    def count_observe(self, counts: Sequence[Tuple[str, int]],
+                      hist: str, value: float) -> None:
+        """Every :meth:`count` in ``counts`` and one :meth:`observe`
+        as one seqlock publish: a reader sees none of them or all."""
+        ci = self._ci
+        i = self._hi.get(hist)
         b = bucket_index(value)
         hdr = self._hdr
         with self._wlock:
             hdr[_SEQ] += 1
-            self._hbuckets[i, b] += 1
-            self._hcount[i] += 1
-            self._hsum[i] += value
-            if value < self._hmin[i]:
-                self._hmin[i] = value
-            if value > self._hmax[i]:
-                self._hmax[i] = value
+            for name, n in counts:
+                c = ci.get(name)
+                if c is not None:
+                    self._counters[c] += n
+            if i is not None:
+                self._hbuckets[i, b] += 1
+                self._hcount[i] += 1
+                self._hsum[i] += value
+                if value < self._hmin[i]:
+                    self._hmin[i] = value
+                if value > self._hmax[i]:
+                    self._hmax[i] = value
             hdr[_SEQ] += 1
 
     def observe_many(self, name: str, values: Sequence[float]) -> None:

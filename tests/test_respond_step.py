@@ -110,6 +110,47 @@ class TestBatchedAccounting:
             for block in blocks:
                 block.unlink()
 
+    def test_record_hit_is_its_three_scalar_calls(self):
+        """The hit path's single call ends where ``record_cache`` +
+        the ``render_deferred_total`` count + ``record_request`` end:
+        same ``stats()`` and same mirror block, per-version split and
+        reservoir draws included."""
+        rng = np.random.default_rng(5)
+        values = rng.uniform(1e-6, 1e-3, RESERVOIR_SIZE + 500).tolist()
+        blocks = [MetricBlock.create(fleet_schema(), role=f"h{i}")
+                  for i in range(2)]
+        try:
+            three, one = (ServerStats(metrics=block) for block in blocks)
+            for stats in (three, one):
+                stats.record_cache(False, 1)
+            for n, value in enumerate(values):
+                version, rendered = 1 + n % 3, n % 21
+                three.record_cache(True, version)
+                blocks[0].count("render_deferred_total", rendered)
+                three.record_request(value)
+                one.record_hit(value, version, rendered)
+            a, b = three.snapshot().to_dict(), one.snapshot().to_dict()
+            for timing in ("duration_s", "throughput_rps"):
+                a.pop(timing), b.pop(timing)
+            assert a == b
+            assert a["requests"] == a["cache_hits"] == len(values)
+            assert np.array_equal(three._lat_sample.values(),
+                                  one._lat_sample.values())
+            snaps = [block.snapshot() for block in blocks]
+            assert snaps[0].counters == snaps[1].counters
+            assert snaps[0].counters["render_deferred_total"] == sum(
+                n % 21 for n in range(len(values)))
+            assert (_hist_state(snaps[0].hists["request_latency_seconds"])
+                    == _hist_state(
+                        snaps[1].hists["request_latency_seconds"]))
+            # Without a mirror block the call still counts.
+            bare = ServerStats()
+            bare.record_hit(0.001, 0, 3)
+            assert bare.snapshot().cache_hits == 1
+        finally:
+            for block in blocks:
+                block.unlink()
+
     def test_reader_never_sees_half_a_batch(self):
         """Every batch is 32 observations of one constant: an untorn
         snapshot's count is a multiple of 32 and its bucket mass and

@@ -1,4 +1,4 @@
-"""Serving subsystem: scheduler, pool, cache, server, determinism.
+"""Serving subsystem: scheduler, executor, cache, server, determinism.
 
 Everything here is tier-1 (fast): the REKS stack under test is an
 untrained agent over the shared tiny fixtures — serving behavior does
@@ -9,6 +9,7 @@ reproducing ``recommend_sessions`` bit-for-bit on rankings.
 from __future__ import annotations
 
 import threading
+import time
 from time import perf_counter
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.serving import (
     ExplanationCache,
     SchedulerClosed,
     ServerClosed,
-    WorkspacePool,
 )
 from repro.serving.bench import check_determinism
 
@@ -102,9 +102,9 @@ class TestBatchScheduler:
 
 
 # ----------------------------------------------------------------------
-# WorkspacePool / RolloutWorkspace hooks
+# RolloutWorkspace ownership hooks
 # ----------------------------------------------------------------------
-class TestWorkspacePool:
+class TestWorkspaceOwnership:
     def test_double_checkout_raises(self):
         workspace = RolloutWorkspace()
         workspace.checkout()
@@ -113,45 +113,6 @@ class TestWorkspacePool:
         workspace.release()
         workspace.checkout()  # usable again
         assert workspace.checkouts == 2
-
-    def test_pool_recycles_and_counts(self):
-        pool = WorkspacePool(2)
-        with pool.checkout() as first:
-            with pool.checkout() as second:
-                assert first is not second
-                assert pool.idle == 0
-        assert pool.idle == 2
-        with pool.checkout():
-            pass
-        assert pool.checkouts == 3
-
-    def test_pool_size_validation(self):
-        with pytest.raises(ValueError):
-            WorkspacePool(0)
-
-    def test_corrupted_checkout_does_not_shrink_pool(self):
-        """A workspace whose checkout flag is stuck must be replaced,
-        not silently dropped — losing the slot would eventually
-        deadlock every checkout behind it."""
-        pool = WorkspacePool(1)
-        stuck = pool._workspaces[0]
-        stuck.checkout()  # simulate a worker that died mid-flush
-        with pytest.raises(RuntimeError, match="checked out"):
-            with pool.checkout():
-                pass
-        assert pool.idle == 1  # fresh replacement queued
-        with pool.checkout() as replacement:
-            assert replacement is not stuck
-        assert pool.idle == 1
-
-    def test_body_failure_releases_workspace(self):
-        pool = WorkspacePool(1)
-        with pytest.raises(RuntimeError, match="boom"):
-            with pool.checkout():
-                raise RuntimeError("boom")
-        assert pool.idle == 1
-        with pool.checkout():
-            pass  # still usable
 
 
 # ----------------------------------------------------------------------
@@ -424,6 +385,25 @@ class TestRecommendationServer:
         assert check_determinism(trainer, sessions[:10], k=5)
 
 
+def _park_first_walk(monkeypatch):
+    """Make the first ``REKSAgent.recommend`` call wait inside the
+    flush: returns ``(entered, gate)`` — set when the executor is
+    parked, and what lets it go."""
+    from repro.core.agent import REKSAgent
+
+    real = REKSAgent.recommend
+    gate, entered = threading.Event(), threading.Event()
+
+    def parked(self, *args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            assert gate.wait(timeout=30)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(REKSAgent, "recommend", parked)
+    return entered, gate
+
+
 # ----------------------------------------------------------------------
 # Failure containment: a worker raising mid-flush must fail the
 # affected futures, release its pinned workspace, and keep serving.
@@ -454,11 +434,15 @@ class TestWorkerFailureContainment:
                     assert "injected walk failure" in str(exc)
                     failed += 1
             assert failed == 3  # coalesced batch: all fail, none hang
-            # The pinned workspace was released on the error path...
-            assert server.pool.idle == 1
-            # ...and the worker thread survived to serve new traffic.
+            # The workspace was released on the error path (a second
+            # checkout would raise otherwise)...
+            assert server.workspace.checkouts == 1
+            server.workspace.checkout()
+            server.workspace.release()
+            # ...and the executor survived to serve new traffic.
             result = server.recommend_one(sessions[0], k=5)
             assert len(result.items) == 5
+            assert server.workspace.checkouts == 3
 
     def test_failure_leaves_later_queue_intact(self, trainer, sessions,
                                                monkeypatch):
@@ -486,6 +470,240 @@ class TestWorkerFailureContainment:
                     outcomes.append("failed")
             assert outcomes.count("failed") == 1
             assert outcomes.count(5) == 3
+
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_shutdown_resolves_every_queued_future(self, trainer,
+                                                   sessions, monkeypatch,
+                                                   drain):
+        """More queued than one flush holds, behind a parked flush:
+        the one executor finishes them all (drain) or the server fails
+        them all (no drain) — nothing hangs."""
+        entered, gate = _park_first_walk(monkeypatch)
+        server = trainer.serve(max_batch=2, max_wait_ms=0.0, workers=4,
+                               cache_size=0)
+        try:
+            first = server.submit(sessions[0], k=5)
+            assert entered.wait(timeout=10)
+            queued = [server.submit(s, k=5) for s in sessions[1:6]]
+            closer = threading.Thread(target=server.shutdown,
+                                      kwargs={"drain": drain})
+            closer.start()
+            time.sleep(0.05)
+        finally:
+            gate.set()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        assert len(first.result(timeout=0).items) == 5
+        for future in queued:
+            if drain:
+                assert len(future.result(timeout=0).items) == 5
+            else:
+                with pytest.raises(ServerClosed):
+                    future.result(timeout=0)
+
+    def test_dead_worker_loop_fails_queued_futures(self, trainer,
+                                                   sessions, monkeypatch):
+        """Last resort: if the executor's loop itself dies, everything
+        still queued fails with that error instead of hanging on the
+        only thread that could have cut it."""
+        from repro.serving import RecommendationServer
+
+        gate = threading.Event()
+
+        def broken(self, batch):
+            assert gate.wait(timeout=30)
+            raise MemoryError("executor died")
+
+        died = []
+        monkeypatch.setattr(RecommendationServer, "_process", broken)
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        server = trainer.serve(max_batch=1, max_wait_ms=0.0,
+                               cache_size=0)
+        try:
+            futures = [server.submit(s, k=5) for s in sessions[:4]]
+            cancelled = futures[2].cancel()
+            gate.set()
+            for future in futures[1:2] + futures[3:]:
+                with pytest.raises(MemoryError, match="executor died"):
+                    future.result(timeout=10)
+            assert cancelled and futures[2].cancelled()
+            with pytest.raises(ServerClosed):
+                server.submit(sessions[0], k=5)
+        finally:
+            server.shutdown()
+        assert len(died) == 1 and died[0].exc_type is MemoryError
+
+
+# ----------------------------------------------------------------------
+# The scheduling contract: one executor per interpreter in thread mode
+# (threads share a GIL, so a second one only splits flushes), and
+# ``workers`` concurrent dispatchers in process mode.
+# ----------------------------------------------------------------------
+def _serve_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("reks-serve-")]
+
+
+class TestExecutorContract:
+    def test_thread_mode_runs_one_executor(self, trainer, sessions,
+                                           monkeypatch):
+        from repro.core.agent import REKSAgent
+
+        real = REKSAgent.recommend
+        lock = threading.Lock()
+        seen = {"inside": 0, "peak": 0, "calls": 0}
+
+        def watched(self, *args, **kwargs):
+            with lock:
+                seen["calls"] += 1
+                seen["inside"] += 1
+                seen["peak"] = max(seen["peak"], seen["inside"])
+            try:
+                time.sleep(0.002)  # room for a second executor to enter
+                return real(self, *args, **kwargs)
+            finally:
+                with lock:
+                    seen["inside"] -= 1
+
+        monkeypatch.setattr(REKSAgent, "recommend", watched)
+        before = len(_serve_threads())
+        with trainer.serve(max_batch=2, max_wait_ms=0.0, workers=4,
+                           worker_mode="thread",
+                           cache_size=0) as server:
+            assert len(_serve_threads()) - before == 1
+            assert server.executors == 1
+            clients = [threading.Thread(target=server.recommend_many,
+                                        args=(sessions[i::4], 5))
+                       for i in range(4)]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=60)
+                assert not client.is_alive()
+            assert server.stats().requests == len(sessions)
+        assert len(_serve_threads()) == before
+        assert seen["calls"] > 1
+        assert seen["peak"] == 1
+
+    @pytest.mark.parametrize("extra, flushes", [
+        (3, {1: 1, 3: 1}),        # fewer than max_batch: one flush
+        (7, {1: 1, 4: 1, 3: 1}),  # max_batch + 3: a full one, then 3
+    ])
+    def test_misses_behind_a_flush_leave_together(self, trainer, sessions,
+                                                  monkeypatch, extra,
+                                                  flushes):
+        """Misses that arrive while a flush executes accumulate —
+        well past ``max_wait_ms`` — and leave as one flush (cut at
+        ``max_batch``) the moment the executor is free, instead of
+        being timer-cut into small flushes by a second thread."""
+        entered, gate = _park_first_walk(monkeypatch)
+        with trainer.serve(max_batch=4, max_wait_ms=5.0, workers=2,
+                           cache_size=0) as server:
+            try:
+                first = server.submit(sessions[0], k=5)
+                assert entered.wait(timeout=10)
+                queued = []
+                for session in sessions[1:1 + extra]:
+                    queued.append(server.submit(session, k=5))
+                    time.sleep(0.004)
+                time.sleep(0.02)  # every queued miss is past its deadline
+                assert server.pending == extra
+                assert server.stats().batches == 1
+            finally:
+                gate.set()
+            for future in [first] + queued:
+                assert len(future.result(timeout=30).items) == 5
+            assert server.stats().batch_occupancy == flushes
+
+    def test_process_mode_keeps_workers_flushes_in_flight(
+            self, trainer, sessions, monkeypatch):
+        """Process dispatchers wait on a doorbell with the GIL
+        released, so ``workers=2`` still means two flushes walking at
+        once: both (forked) workers park inside ``recommend`` before
+        either is let go."""
+        import multiprocessing as mp
+
+        from repro.core.agent import REKSAgent
+
+        context = mp.get_context("fork")
+        gate, parked = context.Event(), context.Semaphore(0)
+        real = REKSAgent.recommend
+
+        def held(self, *args, **kwargs):
+            parked.release()
+            gate.wait(timeout=30)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(REKSAgent, "recommend", held)
+        with trainer.serve(worker_mode="process", mp_context="fork",
+                           workers=2, max_batch=1, max_wait_ms=0.0,
+                           cache_size=0) as server:
+            assert server.executors == 2
+            try:
+                futures = [server.submit(s, k=5) for s in sessions[:2]]
+                assert parked.acquire(timeout=20)
+                assert parked.acquire(timeout=20)
+                assert not any(future.done() for future in futures)
+            finally:
+                gate.set()
+            for future in futures:
+                assert len(future.result(timeout=30).items) == 5
+
+    def test_workers_must_be_positive(self, trainer):
+        with pytest.raises(ValueError, match=">= 1 worker"):
+            trainer.serve(workers=0)
+
+
+# ----------------------------------------------------------------------
+# Cancellation: a caller's ``future.cancel()`` on a queued request drops
+# that request alone.
+# ----------------------------------------------------------------------
+class TestCancelledRequests:
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_cancelled_request_does_not_poison_its_flush(
+            self, trainer, sessions, mode):
+        """``set_result`` on a cancelled future raised
+        ``InvalidStateError`` out of the respond step, and the failure
+        handler then failed every later request of the flush although
+        its answer was computed, cached and counted."""
+        subset = sessions[:4]
+        with trainer.serve(max_batch=4, max_wait_ms=10_000.0, workers=1,
+                           worker_mode=mode, cache_size=0) as server:
+            expected = [r.items
+                        for r in server.recommend_many(subset, k=5)]
+        server = trainer.serve(max_batch=4, max_wait_ms=10_000.0,
+                               workers=1, worker_mode=mode)
+        try:
+            futures = [server.submit(s, k=5) for s in subset[:3]]
+            assert futures[1].cancel()
+            futures.append(server.submit(subset[3], k=5))  # size flush
+            for index in (0, 2, 3):
+                assert futures[index].result(timeout=30).items \
+                    == expected[index]
+            assert futures[1].cancelled()
+            stats = server.stats()
+            # Cancelled before the cut: not walked, not counted, not
+            # cached — and its flush-mates are all three.
+            assert stats.requests == 3
+            assert stats.batch_occupancy == {3: 1}
+            assert len(server.cache) == 3
+            # A claimed (running) request can no longer be cancelled.
+            assert not futures[0].cancel()
+        finally:
+            server.shutdown()
+
+    def test_cancelled_request_survives_no_drain_shutdown(self, trainer,
+                                                          sessions):
+        server = trainer.serve(max_batch=64, max_wait_ms=10_000.0,
+                               cache_size=0)
+        futures = [server.submit(s, k=5) for s in sessions[:3]]
+        assert futures[0].cancel()
+        server.shutdown(drain=False)  # used to raise InvalidStateError
+        assert futures[0].cancelled()
+        for future in futures[1:]:
+            with pytest.raises(ServerClosed):
+                future.result(timeout=1)
 
 
 # ----------------------------------------------------------------------

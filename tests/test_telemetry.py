@@ -607,6 +607,16 @@ class TestServerTelemetry:
                     "render", "respond"} <= names
             assert "walk" in names and "topk" in names
 
+    def test_workers_alive_is_the_one_thread_executor(self, trainer):
+        """``workers`` sizes the process fleet; a thread server runs
+        one executor whatever it says, and the gauge (and ``cli top``'s
+        fleet line) says so."""
+        with trainer.serve(workers=3) as server:
+            snap = server.fleet_snapshot()
+            assert server.executors == 1
+        assert snap.gauges["workers_alive"]["server"] == 1.0
+        assert "workers alive 1" in render_top(snap.to_dict())
+
     def test_metrics_disabled_raises(self, trainer, sessions):
         with trainer.serve(metrics=False) as server:
             server.recommend_many(sessions[:4], k=5)
@@ -765,6 +775,40 @@ class TestProcessFleetTelemetry:
         assert {"worker0", "worker1"} <= set(after.roles)
         # Stable across repeated snapshots (no re-folding).
         assert after.counter("exec_rows_total") == 2 * len(subset)
+
+
+    def test_workers_alive_tracks_the_live_fleet(self, trainer,
+                                                 monkeypatch):
+        """The gauge is the pool's live process count, revised by the
+        health sweep: a dead worker that cannot be respawned shows as
+        one fewer, and the respawn brings it back."""
+        def alive(server):
+            return server.fleet_snapshot().gauges["workers_alive"]["server"]
+
+        def wait_for(predicate):
+            deadline = time.time() + 10.0
+            while not predicate() and time.time() < deadline:
+                time.sleep(0.02)
+            assert predicate()
+
+        with trainer.serve(worker_mode="process", workers=2,
+                           health_interval_ms=20.0) as server:
+            pool = server.process_pool
+            assert alive(server) == 2.0
+            assert "workers alive 2" in render_top(
+                server.fleet_snapshot().to_dict())
+            spawn = pool._spawn
+
+            def no_spawn(index):
+                raise OSError("injected: cannot spawn")
+
+            monkeypatch.setattr(pool, "_spawn", no_spawn)
+            pool._workers[0].process.kill()
+            wait_for(lambda: alive(server) == 1.0)
+            assert pool.health_failures >= 1
+            monkeypatch.setattr(pool, "_spawn", spawn)
+            wait_for(lambda: alive(server) == 2.0)
+            assert pool.respawns == 1
 
 
 # ----------------------------------------------------------------------

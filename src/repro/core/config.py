@@ -141,15 +141,8 @@ class REKSConfig:
     # and memoize numeric walk outputs across flushes in a
     # version/digest-tagged LRU (k-agnostic: a repeat suffix at any k
     # is a memo hit + re-selection, no walk).  Both exact by
-    # construction; disable for A/B benching only.
-    serve_dedup: bool = True
+    # construction.
     serve_walk_memo_size: int = 512     # WalkMemo entries (0 = off)
-    # Adaptive spin-then-block doorbell wait (ring transport): both
-    # ring peers busy-poll the sequence word for up to this many
-    # microseconds before blocking in select().  0 keeps the pure
-    # select-blocking PR 6 behavior — the right call on a single-core
-    # host, where spinning starves the very peer being waited on.
-    serve_ring_spin_us: float = 0.0
 
     # Continual learning (repro.online): checkpoint publishing, delta
     # ingestion, and background fine-tuning.  ``OnlineUpdater`` and
@@ -264,10 +257,6 @@ class REKSConfig:
             raise ValueError(
                 f"serve_walk_memo_size must be >= 0, "
                 f"got {self.serve_walk_memo_size}")
-        if self.serve_ring_spin_us < 0:
-            raise ValueError(
-                f"serve_ring_spin_us must be >= 0 (0 = block), "
-                f"got {self.serve_ring_spin_us}")
         if self.online_updater_mode not in ("thread", "subprocess"):
             raise ValueError(
                 f"online_updater_mode must be 'thread' or 'subprocess', "

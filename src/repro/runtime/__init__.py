@@ -14,6 +14,10 @@ read-only state per process:
   inference agents in child processes executing serving micro-batches
   with true parallelism, bit-identical to thread mode, with model-swap
   and adjacency broadcasts plus dead-worker respawn;
+* :class:`~repro.runtime.flush.FlushPlan` /
+  :func:`~repro.runtime.flush.execute_flush` — what one serving flush
+  executes, and the one function that executes it for thread and
+  process workers alike;
 * :class:`~repro.runtime.rings.RingPair` — the zero-copy exec
   dataplane: fixed-slot shared-memory request/response rings
   (sequence-number publish, flat int/float codecs, no pickling on the

@@ -223,61 +223,6 @@ def run_gather_bench(trainer, *, num_shards: int = 32, rows: int = 512,
     }
 
 
-def run_spin_bench(trainer, sessions: Sequence[Session], *,
-                   spin_us: float = 50.0, rows: int = 16,
-                   batches: int = 32, repeats: int = 2,
-                   k: int = 10) -> dict:
-    """Adaptive spin-then-block doorbell wait vs pure select-blocking.
-
-    Drives ``batches`` sequential exec round-trips through a 1-worker
-    :class:`~repro.runtime.ProcessWorkerPool` twice: once with the
-    default blocking doorbell (``serve_ring_spin_us=0``) and once with
-    both peers spinning ``spin_us`` µs on the ring sequence word before
-    falling back to the blocking wait.  Sequential round-trips are the
-    regime the knob targets — the doorbell syscall pair is the fixed
-    cost per batch (the PR 6 carried-forward bottleneck).  The numbers
-    are recorded as measured: on a host without spare cores (see
-    ``cpu_count`` in the payload) spinning buys nothing and can lose,
-    which is exactly why the knob defaults to 0.
-    """
-    from repro.runtime import ProcessWorkerPool
-
-    sessions = [s for s in sessions if len(s.items) >= 2][:rows]
-    if not sessions:
-        raise ValueError("need >= 1 usable session")
-    examples = [(list(s.items[:-1]), s.items[-1], s.user_id)
-                for s in sessions]
-    ks = [k] * len(examples)
-    section: dict = {"spin_us": spin_us, "rows": len(examples),
-                     "batches": batches}
-    for label, spin in (("block", 0.0), ("spin", spin_us)):
-        pool = ProcessWorkerPool(trainer.agent, workers=1,
-                                 ring_spin_us=spin)
-        try:
-            if pool.transport != "ring":
-                section[label] = {"transport": pool.transport,
-                                  "skipped": "no usable ring transport"}
-                continue
-            pool.execute(examples, ks)  # warm-up: plane attach + JIT-ish
-            best = float("inf")
-            for _ in range(repeats):
-                started = perf_counter()
-                for _ in range(batches):
-                    pool.execute(examples, ks)
-                best = min(best, perf_counter() - started)
-            section[label] = {"transport": pool.transport,
-                              "seconds": best,
-                              "per_batch_ms": best / batches * 1e3}
-        finally:
-            pool.close()
-    if "per_batch_ms" in section.get("block", {}) \
-            and "per_batch_ms" in section.get("spin", {}):
-        section["spin_vs_block"] = (section["spin"]["per_batch_ms"]
-                                    / max(section["block"]["per_batch_ms"],
-                                          1e-12))
-    return section
-
-
 def run_runtime_bench(trainer, sessions: Sequence[Session],
                       delta: Sequence[Session], *, checkpoint_dir,
                       workers: int = 4, concurrency: int = 8,
@@ -413,11 +358,6 @@ def run_runtime_bench(trainer, sessions: Sequence[Session],
     payload["gather"] = run_gather_bench(trainer)
 
     # ------------------------------------------------------------------
-    # Phase 1c: doorbell spin-then-block vs pure select-blocking.
-    # ------------------------------------------------------------------
-    payload["doorbell"] = run_spin_bench(trainer, sessions, k=k)
-
-    # ------------------------------------------------------------------
     # Phase 2: serving p95 while a fine-tune round runs concurrently.
     # ------------------------------------------------------------------
     registry = CheckpointRegistry(checkpoint_dir,
@@ -542,13 +482,6 @@ def format_report(payload: dict) -> str:
             f"{gather['grouped_ms']:.2f}ms "
             f"({gather['speedup']:.2f}x, identical="
             f"{gather['identical']})")
-    bell = payload.get("doorbell")
-    if bell and "spin_vs_block" in bell:
-        lines.append(
-            f"  doorbell spin  : {bell['spin']['per_batch_ms']:.2f}ms "
-            f"vs block {bell['block']['per_batch_ms']:.2f}ms per batch "
-            f"({bell['spin_vs_block']:.2f}x @ spin_us="
-            f"{bell['spin_us']:.0f})")
     lines += [
         f"  idle p95       : {online['idle']['latency_ms']['p95']:.1f}ms",
         f"  + inline round : p95 "

@@ -11,9 +11,9 @@ segment** holding a request ring and a response ring of fixed-size
 slots.  Sessions and rankings are small int32 rows, so a micro-batch
 encodes as flat numeric arrays — no pickling on the hot path:
 
-* a request slot carries ``(n, ks[n], lengths[n], targets[n],
-  users[n], items[sum lengths])`` as one int32 vector (``ks`` is
-  per-row: a mixed-k flush executes as one superset walk);
+* a request slot carries one :class:`~repro.runtime.flush.FlushPlan`
+  as one int32 vector: a counting header, then every section in a
+  fixed order (:func:`encode_plan`), all of it checked on decode;
 * a response slot carries ``(status, version, ks, topk_items,
   topk_scores, path_len / path_entities / path_rels, path_probs)``
   — ``topk_scores`` and ``path_probs`` stay float64 so ring results
@@ -42,10 +42,12 @@ pipe-vs-ring decision table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.runtime.flush import FlushPlan
 from repro.runtime.rowblock import RowBlock
 
 _I32 = np.dtype("<i4")
@@ -74,7 +76,7 @@ class RingUnsuitable(RuntimeError):
 
 
 class CorruptPayload(RuntimeError):
-    """A response payload is truncated or internally inconsistent."""
+    """A payload is truncated or internally inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -260,17 +262,15 @@ class RingPair:
 
 
 # ----------------------------------------------------------------------
-# Request codec: (examples, ks) <-> one flat int32 vector
+# Request codec: a FlushPlan <-> one flat int32 vector
 # ----------------------------------------------------------------------
 _I32_MIN = -(1 << 31)
 _I32_MAX = (1 << 31) - 1
 # users slot for "no user id" (sessions always carry one today; the
 # sentinel keeps the codec total).
 _NO_USER = _I32_MIN
-# First word of the request tail when an in-flush dedup map is present.
-# Legacy tails always start with a trace id (>= 0) or a candidate
-# section forced behind traces, so a negative marker is unambiguous.
-_DEDUP_MARKER = -2
+_PLAN_MAGIC = 0x52454B53  # "REKS"
+_PLAN_HEADER = 5
 
 
 def _check_i32(value: int, what: str) -> int:
@@ -280,156 +280,104 @@ def _check_i32(value: int, what: str) -> int:
     return value
 
 
-def encode_request(examples: Sequence[tuple], ks: Sequence[int],
-                   max_length: int,
-                   traces: Optional[Sequence[int]] = None,
-                   candidates: Optional[Sequence[Sequence[int]]] = None,
-                   dedup: Optional[Tuple[Sequence[int],
-                                         Sequence[int]]] = None
-                   ) -> bytes:
-    """Flatten ``(prefix_items, target, user)`` examples + per-row k.
+def encode_plan(plan: FlushPlan, max_length: int) -> bytes:
+    """Flatten a :class:`~repro.runtime.flush.FlushPlan` to int32 words.
+
+    A five-word header ``[magic, unique rows U, requests R, prefix
+    items P, candidate items C | -1]`` and then every section, always,
+    in one order: ``ks[U] lengths[U] targets[U] users[U] items[P]
+    row_map[R] row_ks[R] traces[R]`` and, when the cascade is on
+    (``C >= 0``), ``candidate lengths[U] candidate items[C]``.
 
     Prefixes are pre-truncated to ``max_length`` — bit-identical to
     shipping them whole, because ``collate_examples`` applies the same
-    ``[-max_length:]`` truncation worker-side.
-
-    ``traces`` (optional) carries one 31-bit trace id per row (0 = not
-    sampled); a section of ``n`` int32 is appended only when at least
-    one row is sampled, so the tracing-off payload is unchanged.
-
-    ``candidates`` (optional) carries per-row cascade candidate item
-    ids: a lengths section of ``n`` int32 followed by the concatenated
-    ids.  Because the decoder tells the trailing sections apart by
-    size (``n`` trailing words = traces only; ``> n`` = traces then
-    candidates), a candidate section **forces** the traces section —
-    all zeros when nothing is sampled.  With ``candidates=None`` the
-    payload is byte-identical to the prior codec.
-
-    ``dedup`` (optional) is ``(row_map, orig_ks)``: the in-flush dedup
-    map from original rows to the unique rows actually shipped.  When
-    present, the main body carries the **unique** rows (walked at the
-    max k over their duplicate group) and the tail *starts* with a
-    dedup section ``[_DEDUP_MARKER][n_orig][row_map i32*n_orig]
-    [orig_ks i32*n_orig]`` — unambiguous because legacy tails always
-    begin with a non-negative trace id.  After it, ``traces`` is sized
-    per **original** row while ``candidates`` stays per unique row.
-    With ``dedup=None`` the payload is byte-identical to the prior
-    codec.
+    ``[-max_length:]`` truncation worker-side.  A value that does not
+    fit int32 raises :class:`RingUnsuitable` (the flush rides the pipe).
     """
-    n = len(examples)
-    if n == 0 or len(ks) != n:
-        raise RingUnsuitable(f"bad batch shape ({n} examples, "
-                             f"{len(ks)} ks)")
-    n_rows = n
-    if dedup is not None:
-        row_map, orig_ks = dedup
-        n_rows = len(row_map)
-        if n_rows < n or len(orig_ks) != n_rows:
-            raise RingUnsuitable(
-                f"bad dedup shape ({n} uniques, {len(row_map)} rows, "
-                f"{len(orig_ks)} orig ks)")
-    if traces is not None and len(traces) != n_rows:
-        raise RingUnsuitable(f"bad trace shape ({n_rows} rows, "
-                             f"{len(traces)} traces)")
-    if candidates is not None and len(candidates) != n:
-        raise RingUnsuitable(f"bad candidate shape ({n} examples, "
-                             f"{len(candidates)} rows)")
-    flat: List[int] = [n]
-    items: List[int] = []
-    lengths: List[int] = []
-    targets: List[int] = []
-    users: List[int] = []
-    for prefix, target, user in examples:
-        prefix = list(prefix)[-max_length:]
-        lengths.append(len(prefix))
-        targets.append(_check_i32(target, "target item"))
-        users.append(_NO_USER if user is None
-                     else _check_i32(user, "user id"))
-        for item in prefix:
-            items.append(_check_i32(item, "session item"))
-    flat += [_check_i32(k, "k") for k in ks]
-    flat += lengths + targets + users + items
-    if dedup is not None:
-        flat += [_DEDUP_MARKER, n_rows]
-        flat += [_check_i32(u, "dedup row index") for u in row_map]
-        flat += [_check_i32(k, "dedup k") for k in orig_ks]
-    if candidates is not None:
-        flat += ([_check_i32(t, "trace id") for t in traces]
-                 if traces is not None else [0] * n_rows)
-        flat += [_check_i32(len(row), "candidate count")
-                 for row in candidates]
-        for row in candidates:
-            flat += [_check_i32(item, "candidate item") for item in row]
-    elif traces is not None and any(traces):
-        flat += [_check_i32(t, "trace id") for t in traces]
-    return np.asarray(flat, dtype=_I32).tobytes()
+    rows, cands = plan.rows, plan.candidates
+    prefixes = [row[0][-max_length:] for row in rows]
+    items = [item for prefix in prefixes for item in prefix]
+    cand_items = (None if cands is None
+                  else [item for row in cands for item in row])
+    flat = [_PLAN_MAGIC, len(rows), len(plan.row_map), len(items),
+            -1 if cands is None else len(cand_items)]
+    flat += plan.ks
+    flat += map(len, prefixes)
+    flat += [row[1] for row in rows]
+    flat += [_NO_USER if row[2] is None else row[2] for row in rows]
+    flat += items
+    flat += plan.row_map
+    flat += plan.row_ks
+    flat += plan.traces
+    if cands is not None:
+        flat += map(len, cands)
+        flat += cand_items
+    try:
+        return np.array(flat, dtype=_I32).tobytes()
+    except OverflowError as exc:
+        raise RingUnsuitable(f"request value does not fit int32: {exc}"
+                             ) from None
 
 
-def decode_request(payload: bytes
-                   ) -> Tuple[List[tuple], List[int], List[int],
-                              Optional[List[List[int]]],
-                              Optional[Tuple[List[int], List[int]]]]:
-    flat = np.frombuffer(payload, dtype=_I32)
-    n = int(flat[0])
-    ks = flat[1:1 + n].tolist()
-    lengths = flat[1 + n:1 + 2 * n]
-    targets = flat[1 + 2 * n:1 + 3 * n].tolist()
-    users = flat[1 + 3 * n:1 + 4 * n].tolist()
-    total_items = int(lengths.sum())
-    items = flat[1 + 4 * n:1 + 4 * n + total_items]
-    tail = flat[1 + 4 * n + total_items:]
-    dedup: Optional[Tuple[List[int], List[int]]] = None
-    n_rows = n
-    if tail.size >= 2 and int(tail[0]) == _DEDUP_MARKER:
-        n_rows = int(tail[1])
-        row_map = tail[2:2 + n_rows].tolist()
-        orig_ks = tail[2 + n_rows:2 + 2 * n_rows].tolist()
-        dedup = (row_map, orig_ks)
-        tail = tail[2 + 2 * n_rows:]
-    candidates: Optional[List[List[int]]] = None
-    if tail.size > n_rows:
-        # traces (n_rows) + candidate lengths (n) + concatenated ids
-        cand_lengths = tail[n_rows:n_rows + n]
-        cand_items = tail[n_rows + n:]
-        stops_c = np.cumsum(cand_lengths)
-        starts_c = stops_c - cand_lengths
-        candidates = [
-            cand_items[int(starts_c[i]):int(stops_c[i])].tolist()
-            for i in range(n)]
-    traces = tail[:n_rows].tolist() if tail.size >= n_rows else [0] * n_rows
-    stops = np.cumsum(lengths)
-    starts = stops - lengths
-    examples = [
-        (items[int(starts[i]):int(stops[i])].tolist(), targets[i],
-         None if users[i] == _NO_USER else users[i])
-        for i in range(n)]
-    return examples, ks, traces, candidates, dedup
+def decode_plan(payload: bytes) -> FlushPlan:
+    """Inverse of :func:`encode_plan` (prefixes and candidate rows come
+    back as lists).
 
-
-def dedup_pairs(row_map: Sequence[int], orig_ks: Sequence[int]
-                ) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Canonical response plan for a dedup'd batch.
-
-    The worker answers one response row per distinct ``(unique_idx,
-    k)`` pair, in first-occurrence order over the original rows; the
-    parent fans each pair's row out to every original row that maps to
-    it.  Both sides derive this plan independently from the wire's
-    ``(row_map, orig_ks)``, so it is part of the protocol: returns
-    ``(pairs, row_pair)`` where ``pairs[p] = (unique_idx, k)`` and
-    ``row_pair[i]`` is original row i's pair index.
+    The payload must be exactly the size its header implies, with
+    ``lengths >= 1`` summing to ``P``, ``ks, row_ks >= 1``, ``0 <=
+    row_map < U``, ``traces >= 0`` and candidate lengths ``>= 0``
+    summing to ``C``; anything else raises :class:`CorruptPayload` —
+    never a plausible different batch.  There is no section table:
+    both ends of a ring are always the same commit, so a fixed order
+    plus the header counts is fully checkable with less code.
     """
-    index: Dict[Tuple[int, int], int] = {}
-    pairs: List[Tuple[int, int]] = []
-    row_pair: List[int] = []
-    for u, k in zip(row_map, orig_ks):
-        key = (int(u), int(k))
-        p = index.get(key)
-        if p is None:
-            p = len(pairs)
-            index[key] = p
-            pairs.append(key)
-        row_pair.append(p)
-    return pairs, row_pair
+    if len(payload) % 4 or len(payload) < 4 * _PLAN_HEADER:
+        raise CorruptPayload(f"request payload of {len(payload)} bytes")
+    flat = np.frombuffer(payload, dtype=_I32).tolist()
+    magic, n, n_req, n_items, n_cands = flat[:_PLAN_HEADER]
+    if (magic != _PLAN_MAGIC or n < 1 or n_req < n or n_items < n
+            or n_cands < -1):
+        raise CorruptPayload(f"request header {flat[:_PLAN_HEADER]}")
+    size = _PLAN_HEADER + 4 * n + n_items + 3 * n_req
+    if n_cands >= 0:
+        size += n + n_cands
+    if len(flat) != size:
+        raise CorruptPayload(
+            f"request header {flat[:_PLAN_HEADER]} implies {size} words, "
+            f"payload has {len(flat)}")
+    cuts = [_PLAN_HEADER]
+    for count in (n, n, n, n, n_items, n_req, n_req, n_req):
+        cuts.append(cuts[-1] + count)
+    ks, lengths, targets, users, items, row_map, row_ks, traces = (
+        flat[start:stop] for start, stop in zip(cuts, cuts[1:]))
+    stops = list(accumulate(lengths, initial=0))
+    if (min(ks) < 1 or min(lengths) < 1 or stops[-1] != n_items
+            or min(row_ks) < 1 or min(row_map) < 0 or max(row_map) >= n
+            or min(traces) < 0):
+        raise CorruptPayload("request section out of range")
+    rows = [(items[start:stop], target, None if user == _NO_USER else user)
+            for start, stop, target, user
+            in zip(stops, stops[1:], targets, users)]
+    candidates = None
+    if n_cands >= 0:
+        first = cuts[-1] + n
+        cand_lengths = flat[cuts[-1]:first]
+        stops = list(accumulate(cand_lengths, initial=first))
+        if min(cand_lengths) < 0 or stops[-1] != len(flat):
+            raise CorruptPayload("candidate lengths out of range")
+        candidates = [flat[start:stop]
+                      for start, stop in zip(stops, stops[1:])]
+    return FlushPlan(rows, ks, candidates, row_map, row_ks, traces)
+
+
+def encode_request(examples: Sequence[tuple], ks: Sequence[int],
+                   max_length: int) -> bytes:
+    """A plain batch — nothing collapsed, cascade and tracing off — as
+    its identity plan's payload."""
+    return encode_plan(FlushPlan.build(examples, ks), max_length)
+
+
+decode_request = decode_plan
 
 
 # ----------------------------------------------------------------------

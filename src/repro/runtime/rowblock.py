@@ -11,8 +11,8 @@ respond step.  Python lists appear once, in :meth:`RowBlock.to_rows`,
 where the server needs tuples for its ``ServedResult`` values.
 
 :func:`select_rows` is the only place a row's top-k is cut from its
-score row; thread workers, process workers and both of their
-shared-computation paths call it.
+score row, and :func:`repro.runtime.flush.execute_flush` its only
+serving caller.
 """
 
 from __future__ import annotations
@@ -116,14 +116,6 @@ class RowBlock:
                          blobs[start:stop]))
             start = stop
         return rows
-
-
-def walked_sources(rec) -> List[tuple]:
-    """Each row of a fresh ``Recommendations`` as a
-    :func:`select_rows` source: ``(scores_row, path_row)`` views of
-    ``rec`` (a walk-memo entry copies its score row instead)."""
-    return [(rec.scores[row], rec.paths.row(row))
-            for row in range(len(rec.scores))]
 
 
 def select_rows(sources: Sequence[tuple], plan: Sequence[Tuple[int, int]],

@@ -51,7 +51,6 @@ import queue
 import threading
 from dataclasses import dataclass, field, replace as dc_replace
 from multiprocessing.connection import wait as _mp_wait
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -61,9 +60,9 @@ from repro.core.config import REKSConfig
 from repro.core.environment import KGEnvironment, RolloutWorkspace
 from repro.core.policy import PolicyNetwork
 from repro.core.rewards import RewardComputer, RewardWeights
-from repro.data.loader import collate_examples
 from repro.graphstore import CSRShard, ShardTables, ShardedCSR
 from repro.kg.builder import BuiltKG
+from repro.runtime.flush import FlushPlan, execute_flush
 from repro.runtime.plane import (
     PlaneArena,
     PlaneManifest,
@@ -78,21 +77,16 @@ from repro.runtime.rings import (
     RingUnsuitable,
     WorkerExecError,
     decode_block,
-    decode_request,
-    dedup_pairs,
+    decode_plan,
     encode_error,
-    encode_request,
+    encode_plan,
     encode_response,
 )
-from repro.runtime.rowblock import RowBlock, select_rows, walked_sources
+from repro.runtime.rowblock import RowBlock
 from repro.telemetry.block import BlockManifest, MetricBlock, fleet_schema
-from repro.telemetry.trace import attribute_rows, span_kind_id
 
-_SPAN_EXEC = span_kind_id("exec")
-_SPAN_COLLATE = span_kind_id("collate")
-_SPAN_CASCADE = span_kind_id("cascade")
 # Worst-case telemetry trailer per sampled batch: header + trace echo
-# + pad + (collate/walk/topk/exec) span triples.
+# + pad + (collate/cascade/walk/topk/exec) span triples.
 _MAX_RESP_SPANS = 8
 
 # Per-shard plane array names (stable across generations).
@@ -241,66 +235,6 @@ def build_worker_agent(spec: AgentSpec,
 # ----------------------------------------------------------------------
 # Child process loop
 # ----------------------------------------------------------------------
-def _walk_batch(agent: REKSAgent, examples: Sequence[tuple],
-                ks: Sequence[int], workspace, max_len: int,
-                span_sink: Optional[list] = None,
-                candidates: Optional[Sequence[Sequence[int]]] = None,
-                width: Optional[int] = None):
-    """Collate + (optionally constrained) superset walk at ``max(ks)``.
-
-    The walk and the score matrix are k-independent, so one
-    ``recommend`` at the batch's max k serves every row; callers cut
-    each row at its own k afterwards
-    (:func:`~repro.runtime.rowblock.select_rows`).
-
-    ``candidates`` (one item-id list per row) turns the walk into its
-    candidate-constrained cascade form: the reachability masks are
-    resolved here, next to the agent, against this process's own
-    attached store (the index is digest-cached per process).
-
-    ``width`` pins the padded batch width (shared-computation callers
-    pass the flush width so a miss-subset walk reproduces the full
-    flush's layout bit-for-bit); ``None`` keeps the batch-max layout.
-    """
-    t0 = perf_counter()
-    batch = collate_examples(examples, max_len, width=width)
-    if span_sink is not None:
-        span_sink.append((_SPAN_COLLATE, t0, perf_counter() - t0))
-        workspace.spans = span_sink  # recommend appends walk/topk
-    constraint = None
-    if candidates is not None:
-        from repro.cascade.planner import build_constraint
-
-        casc_t0 = perf_counter()
-        constraint = build_constraint(agent, candidates,
-                                      agent.config.path_length)
-        if span_sink is not None:
-            span_sink.append((_SPAN_CASCADE, casc_t0,
-                              perf_counter() - casc_t0))
-    try:
-        return agent.recommend(batch, k=max(ks), workspace=workspace,
-                               candidates=constraint)
-    finally:
-        if span_sink is not None:
-            workspace.spans = None
-
-
-def _exec_rows(agent: REKSAgent, examples: Sequence[tuple],
-               ks: Sequence[int], workspace, max_len: int,
-               span_sink: Optional[list] = None,
-               candidates: Optional[Sequence[Sequence[int]]] = None
-               ) -> RowBlock:
-    """Execute one (possibly mixed-k) micro-batch as a superset walk:
-    one ``recommend`` at ``max(ks)``, then every row cut at its own k
-    by :func:`~repro.runtime.rowblock.select_rows` — bit-identical to a
-    separate per-k execution."""
-    rec = _walk_batch(agent, examples, ks, workspace, max_len,
-                      span_sink=span_sink, candidates=candidates)
-    return select_rows(walked_sources(rec),
-                       [(row, int(k)) for row, k in enumerate(ks)],
-                       rec.ranked_items, max(ks))
-
-
 def _worker_main(conn, spec: AgentSpec,
                  shard_manifests: Dict[int, PlaneManifest],
                  boundaries: np.ndarray, emb_manifest: PlaneManifest,
@@ -339,184 +273,28 @@ def _worker_main(conn, spec: AgentSpec,
     # environment / graph store record gather + per-hop timings without
     # any global sink (single-owner scratch contract extends to it).
     workspace.metrics = metrics
-    max_len = agent.config.max_session_length
     # Walk memo: worker-resident (the full score rows it stores are far
     # too large for the response slots — memoizing here keeps the
     # numeric outputs next to the matrices that produced them).  Keyed
     # by version + environment fingerprint, both maintained below.
     from repro.serving.memo import WalkMemo
 
-    memo = WalkMemo(int(getattr(spec.config, "serve_walk_memo_size",
-                                0) or 0))
-    memo_evictions_seen = 0
+    memo = WalkMemo(int(spec.config.serve_walk_memo_size))
     store_token = agent.env.fingerprint()
     # Whether this worker has ever built a cascade constraint — the
     # trigger for pre-warming the reachability index after a "tables"
     # re-attach (a config-independent signal, unlike the provider knob).
     saw_candidates = False
-    spin_us = float(getattr(spec.config, "serve_ring_spin_us", 0.0)
-                    or 0.0)
 
-    def run_exec(examples, ks, traces, candidates=None, dedup=None
-                 ) -> Tuple[RowBlock, list, list, list]:
-        """Execute + instrument one batch; returns (row block, spans,
-        sampled trace-id echo, per-row records).
-
-        With ``dedup`` (the parent's in-flush collapse) and/or a live
-        memo, the batch takes the shared-computation path: memo-hit
-        rows skip the walk entirely, the remaining rows walk as one
-        superset batch, and every response row is cut from a full
-        score row by the same ``select_rows`` — bit-identical to the
-        legacy path, which still runs when both features are off.
-        """
-        nonlocal memo_evictions_seen
-        sampled = [t for t in traces if t] if traces else []
-        if dedup is None and memo.capacity == 0:
-            # Legacy path (byte-for-byte the PR 9 behavior).
-            spans: List[tuple] = []
-            rowrecs: List[tuple] = []
-            if sampled:
-                # The walk appends one per-row surviving-path census
-                # per hop; attribute_rows splits the cost across rows.
-                workspace.row_frontier = []
-            t0 = perf_counter()
-            try:
-                block = _exec_rows(agent, examples, ks, workspace,
-                                   max_len,
-                                   span_sink=spans if sampled else None,
-                                   candidates=candidates)
-            finally:
-                frontier = workspace.row_frontier
-                workspace.row_frontier = None
-            dur = perf_counter() - t0
-            if sampled:
-                spans.append((_SPAN_EXEC, t0, dur))
-                rowrecs = attribute_rows(traces, ks, frontier, spans)
-            if metrics is not None:
-                metrics.count("exec_batches_total")
-                metrics.count("exec_rows_total", len(examples))
-                metrics.observe("exec_seconds", dur)
-                if sampled:
-                    metrics.count("worker_traces_total", len(sampled))
-            return block, spans, sampled, rowrecs
-        # Shared-computation path.
-        n = len(examples)
-        if dedup is not None:
-            row_map, orig_ks = dedup
-        else:
-            row_map, orig_ks = list(range(n)), [int(k) for k in ks]
-        u_data: List[Optional[tuple]] = [None] * n
-        # Per-row numeric outputs are width-sensitive: pin every memo
-        # key and miss walk to the flush's padded width so subset walks
-        # and memo replays reproduce the full flush bit-for-bit.
-        flush_width = max(len(list(ex[0])[-max_len:]) for ex in examples)
-        keys: Optional[list] = None
-        miss = list(range(n))
-        if memo.capacity:
-            keys = []
-            miss = []
-            for j in range(n):
-                prefix, _target, user = examples[j]
-                cand = (tuple(int(c) for c in candidates[j])
-                        if candidates is not None else None)
-                mkey = WalkMemo.key(list(prefix)[-max_len:], user,
-                                    cand, version, store_token,
-                                    width=flush_width)
-                keys.append(mkey)
-                entry = memo.get(mkey)
-                if entry is None:
-                    miss.append(j)
-                else:
-                    u_data[j] = entry
-        spans = []
-        rowrecs = []
-        # The walk's own ranking of each freshly walked row, made at
-        # ``walk_k`` (memo hits carry a score row, no ranking).
-        ranked: List[Optional[np.ndarray]] = [None] * n
-        walk_k = 0
-        t0 = perf_counter()
-        if miss:
-            walk_traces = None
-            if sampled:
-                # One representative trace per walked row: the first
-                # sampled original row in its duplicate group (memo-hit
-                # rows did no walk, so they honestly get no row span).
-                rep = [0] * n
-                for i, u in enumerate(row_map):
-                    if traces[i] and not rep[u]:
-                        rep[u] = int(traces[i])
-                walk_traces = [rep[j] for j in miss]
-                workspace.row_frontier = []
-            miss_examples = [examples[j] for j in miss]
-            miss_ks = [int(ks[j]) for j in miss]
-            miss_cands = ([candidates[j] for j in miss]
-                          if candidates is not None else None)
-            try:
-                rec = _walk_batch(agent, miss_examples, miss_ks,
-                                  workspace, max_len,
-                                  span_sink=spans if sampled else None,
-                                  candidates=miss_cands,
-                                  width=flush_width)
-            finally:
-                frontier = workspace.row_frontier
-                workspace.row_frontier = None
-            walk_dur = perf_counter() - t0
-            walk_k = max(miss_ks)
-            for idx, j in enumerate(miss):
-                entry = (rec.scores[idx].copy(), rec.paths.row(idx))
-                u_data[j] = entry
-                ranked[j] = rec.ranked_items[idx]
-                if keys is not None:
-                    memo.put(keys[j], entry)
-            memo.note_walk_cost(len(miss), walk_dur)
-            if sampled:
-                spans.append((_SPAN_EXEC, t0, walk_dur))
-                rowrecs = attribute_rows(walk_traces, miss_ks,
-                                         frontier, spans)
-        if dedup is not None:
-            out_plan, _row_pair = dedup_pairs(row_map, orig_ks)
-        else:
-            out_plan = [(j, int(ks[j])) for j in range(n)]
-        block = select_rows(u_data, out_plan, ranked, walk_k)
-        dur = perf_counter() - t0
-        if metrics is not None:
-            metrics.count("exec_batches_total")
-            metrics.count("exec_rows_total", len(miss))
-            metrics.observe("exec_seconds", dur)
-            if sampled:
-                metrics.count("worker_traces_total", len(sampled))
-            if memo.capacity:
-                if len(miss) < n:
-                    metrics.count("walk_memo_hits_total", n - len(miss))
-                if miss:
-                    metrics.count("walk_memo_misses_total", len(miss))
-                fresh_evictions = memo.evictions - memo_evictions_seen
-                if fresh_evictions:
-                    metrics.count("walk_memo_evictions_total",
-                                  fresh_evictions)
-                    memo_evictions_seen = memo.evictions
-                metrics.gauge("walk_seconds_saved_total",
-                              memo.seconds_saved)
-        return block, spans, sampled, rowrecs
-
-    def serve_ring_payload(payload) -> None:
+    def run_exec(plan: FlushPlan) -> Tuple[RowBlock, list, list]:
+        """Execute one plan: ``(block, spans, rowrecs)``."""
         nonlocal saw_candidates
-        try:
-            examples, ks, traces, candidates, dedup = (
-                decode_request(payload))
-            if candidates is not None:
-                saw_candidates = True
-            block, spans, sampled, rowrecs = run_exec(
-                examples, ks, traces, candidates, dedup)
-            ring.post_response(encode_response(version, block,
-                                               spans=spans,
-                                               traces=sampled,
-                                               rowrecs=rowrecs))
-        except Exception:
-            ring.post_response(encode_error(
-                traceback.format_exc(),
-                ring.manifest.resp_slot_bytes))
-        db_resp.send_bytes(b"\x01")
+        saw_candidates = saw_candidates or plan.candidates is not None
+        if metrics is not None and any(plan.traces):
+            metrics.count("worker_traces_total",
+                          sum(1 for trace in plan.traces if trace))
+        return execute_flush(agent, workspace, memo, version, store_token,
+                             plan, metrics)
 
     def serve_ring_request() -> None:
         # The doorbell byte is consumed by the caller; the request is
@@ -525,7 +303,18 @@ def _worker_main(conn, spec: AgentSpec,
         payload = ring.poll_request(spin=4096)
         if payload is None:  # pragma: no cover - protocol violation
             raise RuntimeError("ring doorbell without a published slot")
-        serve_ring_payload(payload)
+        try:
+            plan = decode_plan(payload)
+            block, spans, rowrecs = run_exec(plan)
+            ring.post_response(encode_response(
+                version, block, spans=spans,
+                traces=[trace for trace in plan.traces if trace],
+                rowrecs=rowrecs))
+        except Exception:
+            ring.post_response(encode_error(
+                traceback.format_exc(),
+                ring.manifest.resp_slot_bytes))
+        db_resp.send_bytes(b"\x01")
 
     def prewarm_reachability() -> None:
         """Rebuild the cascade reachability index for the just-attached
@@ -543,22 +332,6 @@ def _worker_main(conn, spec: AgentSpec,
     try:
         while True:
             if ring is not None:
-                if spin_us > 0:
-                    # Adaptive spin-then-block: briefly poll the ring's
-                    # sequence word before paying the select() wakeup.
-                    # A spin hit must still drain its doorbell byte —
-                    # the parent sends it right after publishing, so
-                    # the strict one-byte-per-message lockstep holds.
-                    payload = None
-                    deadline = perf_counter() + spin_us * 1e-6
-                    while payload is None and perf_counter() < deadline:
-                        payload = ring.poll_request(spin=64)
-                        if payload is None and conn.poll(0):
-                            break
-                    if payload is not None:
-                        db_req.recv_bytes()
-                        serve_ring_payload(payload)
-                        continue
                 ready = _mp_wait([conn, db_req])
                 if db_req in ready:
                     db_req.recv_bytes()
@@ -569,22 +342,11 @@ def _worker_main(conn, spec: AgentSpec,
             op = message[0]
             try:
                 if op == "exec":
-                    examples, ks = message[1], message[2]
-                    traces = message[3] if len(message) > 3 else None
-                    candidates = (message[4] if len(message) > 4
-                                  else None)
-                    dedup = message[5] if len(message) > 5 else None
-                    if candidates is not None:
-                        saw_candidates = True
-                    if isinstance(ks, int):
-                        ks = [ks] * len(examples)
-                    block, spans, sampled, rowrecs = run_exec(
-                        examples, ks, traces, candidates, dedup)
+                    block, spans, rowrecs = run_exec(message[1])
                     # The same unrendered block crosses on both
                     # transports; the parent renders at cache
                     # admission (see serving.server).
-                    conn.send(("ok", version, block, spans, sampled,
-                               rowrecs))
+                    conn.send(("ok", version, block, spans, rowrecs))
                 elif op == "swap":
                     _, new_version, state = message
                     # Partial: frozen plane-backed tables are not
@@ -666,8 +428,6 @@ class _Worker:
                  metrics_manifest: Optional[BlockManifest] = None
                  ) -> None:
         self.index = index
-        self._spin_us = float(getattr(spec.config, "serve_ring_spin_us",
-                                      0.0) or 0.0)
         self._lock = threading.Lock()
         self.conn, child_conn = context.Pipe(duplex=True)
         self.ring: Optional[RingPair] = None
@@ -708,107 +468,55 @@ class _Worker:
             raise WorkerError(reply[1])
         return reply[1:]
 
-    def exec_batch(self, examples: Sequence[tuple], ks: Sequence[int],
-                   max_len: int, resp_bound: int,
-                   traces: Optional[Sequence[int]] = None,
-                   candidates: Optional[Sequence[Sequence[int]]] = None,
-                   dedup: Optional[Tuple[Sequence[int],
-                                         Sequence[int]]] = None
-                   ) -> Tuple[str, int, RowBlock, list, list, list]:
-        """Run one micro-batch over the best transport available.
+    def exec_batch(self, plan: FlushPlan, max_len: int, resp_bound: int
+                   ) -> Tuple[str, int, RowBlock, list, list]:
+        """Run one flush plan over the best transport available.
 
-        Returns ``(used, version, block, spans, trace_echo, rowrecs)``
-        where ``used`` is ``"ring"``, ``"pipe"`` (this worker has no
-        ring), or ``"fallback"`` (it has one, but this batch could not
-        ride it — oversize payload, un-encodable values, or a full
-        ring).  The answer is the same unrendered
+        Returns ``(used, version, block, spans, rowrecs)`` where
+        ``used`` is ``"ring"``, ``"pipe"`` (this worker has no ring),
+        or ``"fallback"`` (it has one, but this plan could not ride it
+        — oversize payload, un-encodable values, or a full ring).  The
+        answer is the same unrendered
         :class:`~repro.runtime.rowblock.RowBlock` on every transport;
-        ``spans`` are the worker's ``(kind_id, t0, dur)`` batch spans,
-        ``trace_echo`` the sampled ids it attributed them to, and
-        ``rowrecs`` the per-row ``(trace, widths, walk_s, topk_s)``
-        attribution records (all empty when no row was sampled).
-
-        ``dedup`` is the in-flush ``(row_map, orig_ks)`` collapse map:
-        ``examples``/``ks``/``candidates`` then carry the unique rows
-        only, ``traces`` stays per original row, and the worker answers
-        one row per canonical ``(unique, k)`` pair (see
-        :func:`repro.runtime.rings.dedup_pairs`).
+        ``spans`` and ``rowrecs`` are
+        :func:`~repro.runtime.flush.execute_flush`'s (empty when no
+        request was sampled).
         """
         used = "pipe"
         if self.ring is not None:
-            payload = None
+            used = "fallback"
+            manifest = self.ring.manifest
             try:
-                payload = encode_request(examples, ks, max_len,
-                                         traces=traces,
-                                         candidates=candidates,
-                                         dedup=dedup)
-                if (len(payload) > self.ring.manifest.req_slot_bytes
-                        or resp_bound
-                        > self.ring.manifest.resp_slot_bytes):
-                    raise RingUnsuitable("payload exceeds slot capacity")
+                payload = encode_plan(plan, max_len)
             except RingUnsuitable:
-                used = "fallback"
-            if payload is not None and used != "fallback":
+                payload = None
+            if (payload is not None
+                    and len(payload) <= manifest.req_slot_bytes
+                    and resp_bound <= manifest.resp_slot_bytes):
                 with self._lock:
                     try:
                         self.ring.post_request(payload)
                     except RingFull:
-                        used = "fallback"
+                        pass
                     else:
                         self._db_req.send_bytes(b"\x01")
                         raw = self._await_ring_response()
                         try:
-                            version, block, spans, echo, rowrecs = (
+                            version, block, spans, _, rowrecs = (
                                 decode_block(raw))
                         except WorkerExecError as exc:
                             raise WorkerError(str(exc)) from None
-                        return ("ring", version, block, spans, echo,
-                                rowrecs)
-        message = ("exec", list(examples), list(ks))
-        traces_slot = (list(traces) if traces is not None and any(traces)
-                       else None)
-        if dedup is not None:
-            # Positional slots 3..5; dedup forces its predecessors.
-            message += (traces_slot,
-                        None if candidates is None
-                        else [list(row) for row in candidates],
-                        ([int(u) for u in dedup[0]],
-                         [int(k) for k in dedup[1]]))
-        elif candidates is not None:
-            # The candidates slot is positional (message[4]), so the
-            # traces slot must be present — None when nothing sampled.
-            message += (traces_slot, [list(row) for row in candidates])
-        elif traces_slot:
-            message += (traces_slot,)
-        version, block, spans, echo, rowrecs = self.request(message)
-        return used, version, block, spans, echo, rowrecs
+                        return "ring", version, block, spans, rowrecs
+        return (used,) + self.request(("exec", plan))
 
     def _await_ring_response(self) -> bytes:
-        """Spin briefly (``serve_ring_spin_us``), then block on the
-        response doorbell (or the child's death).
+        """Block on the response doorbell (or the child's death).
 
         Strict accounting — exactly one doorbell byte per response —
         keeps the ring tickets and the doorbell pipe in lockstep, so a
         wake always finds its slot published (the worker posts the
-        payload before ringing).  A spin hit still drains its doorbell
-        byte: the worker sends it right after publishing, so the
-        ``recv_bytes`` below is at worst a momentary wait — and an
-        EOF there means the child died between publishing and ringing.
+        payload before ringing).
         """
-        if self._spin_us > 0:
-            deadline = perf_counter() + self._spin_us * 1e-6
-            while perf_counter() < deadline:
-                payload = self.ring.poll_response(spin=64)
-                if payload is None:
-                    continue
-                try:
-                    self._db_resp.recv_bytes()
-                except (EOFError, OSError) as exc:
-                    raise WorkerDied(
-                        f"worker {self.process.name} (pid "
-                        f"{self.process.pid}) died mid-batch") from exc
-                self.ring.note_response_consumed()
-                return payload
         while True:
             try:
                 ready = _mp_wait([self._db_resp, self.process.sentinel])
@@ -906,8 +614,7 @@ class ProcessWorkerPool:
                  transport: str = "ring",
                  metrics_registry=None,
                  metrics_block=None,
-                 walk_memo_size: Optional[int] = None,
-                 ring_spin_us: Optional[float] = None) -> None:
+                 walk_memo_size: Optional[int] = None) -> None:
         if workers < 1:
             raise ValueError(f"need >= 1 worker, got {workers}")
         if transport not in ("pipe", "ring"):
@@ -915,15 +622,11 @@ class ProcessWorkerPool:
                 f"transport must be 'pipe' or 'ring', got {transport!r}")
         self._context = resolve_context(mp_context)
         self._spec = AgentSpec.from_agent(agent, model_version=model_version)
-        # Worker-resident knobs ride the spec's config (no wire change);
-        # explicit overrides beat whatever the agent config carries.
-        overrides = {}
+        # The worker-resident memo's size rides the spec's config; an
+        # explicit override beats whatever the agent config carries.
         if walk_memo_size is not None:
-            overrides["serve_walk_memo_size"] = int(walk_memo_size)
-        if ring_spin_us is not None:
-            overrides["serve_ring_spin_us"] = float(ring_spin_us)
-        if overrides:
-            self._spec.config = dc_replace(self._spec.config, **overrides)
+            self._spec.config = dc_replace(
+                self._spec.config, serve_walk_memo_size=int(walk_memo_size))
         self._backend = plane_backend
         if transport == "ring":
             # Probe once: a host without usable POSIX shared memory
@@ -1116,55 +819,31 @@ class ProcessWorkerPool:
     # Micro-batch execution
     # ------------------------------------------------------------------
     def execute(self, examples: Sequence[tuple],
-                k: Union[int, Sequence[int]],
-                traces: Optional[Sequence[int]] = None,
-                span_sink: Optional[list] = None,
-                row_sink: Optional[list] = None,
-                candidates: Optional[Sequence[Sequence[int]]] = None
-                ) -> Tuple[int, List[tuple]]:
-        """:meth:`execute_block` without the dedup protocol, answering
-        ``(model_version, rows)`` with the block as unrendered
-        ``(items, scores, path_blobs)`` list rows."""
-        version, block, _ = self.execute_block(
-            examples, k, traces=traces, span_sink=span_sink,
-            row_sink=row_sink, candidates=candidates)
+                k: Union[int, Sequence[int]]) -> Tuple[int, List[tuple]]:
+        """:meth:`execute_block` on a plain batch (``k`` one top-k for
+        every example or one each), answering ``(model_version, rows)``
+        with the block as unrendered ``(items, scores, path_blobs)``
+        list rows."""
+        ks = ([int(k)] * len(examples) if isinstance(k, (int, np.integer))
+              else [int(v) for v in k])
+        version, block, _, _ = self.execute_block(
+            FlushPlan.build(list(examples), ks))
         return version, block.to_rows()
 
-    def execute_block(self, examples: Sequence[tuple],
-                      k: Union[int, Sequence[int]],
-                      traces: Optional[Sequence[int]] = None,
-                      span_sink: Optional[list] = None,
-                      row_sink: Optional[list] = None,
-                      candidates: Optional[Sequence[Sequence[int]]] = None,
-                      dedup: Optional[Tuple[Sequence[int],
-                                            Sequence[int]]] = None
-                      ) -> Tuple[int, RowBlock, Optional[List[int]]]:
-        """Run one micro-batch on an idle worker.
+    def execute_block(self, plan: FlushPlan
+                      ) -> Tuple[int, RowBlock, List[tuple], List[tuple]]:
+        """Run one flush plan on an idle worker.
 
-        ``k`` is a single top-k for the whole batch or one per example
-        (a mixed-k flush executes as one superset walk worker-side,
-        each row selected at its own k — bit-identical to per-k
-        execution).  Returns ``(model_version, block, fan_out)``: the
-        version is the one the worker actually executed with (a swap
-        broadcast can land between submission and execution, never
-        mid-batch), ``block`` the unrendered
+        Returns ``(model_version, block, spans, rowrecs)``: the version
+        is the one the worker actually executed with (a swap broadcast
+        can land between submission and execution, never mid-batch),
+        ``block`` the unrendered
         :class:`~repro.runtime.rowblock.RowBlock` exactly as it crossed
-        the transport — rendering happens in the serving layer — and
-        ``fan_out[i]`` the block row answering example ``i`` (None: row
-        ``i``, no dedup).
-
-        ``traces`` carries one sampled trace id per example (0 = not
-        sampled) and rides either transport; the worker's batch spans
-        come back through ``span_sink`` and its per-row attribution
-        records through ``row_sink`` (both appended in place).
-
-        ``dedup`` is the in-flush ``(row_map, orig_ks)`` collapse:
-        ``examples``/``k``/``candidates`` then carry the **unique**
-        rows only (each at the max k over its duplicate group) while
-        ``traces`` stays per original row; the worker executes the
-        uniques once and answers one block row per canonical
-        ``(unique, k)`` pair, and ``fan_out`` maps every original
-        request to its pair's row.
+        the transport, one row per ``plan.pairs`` entry — rendering and
+        the ``plan.fan_out`` back to requests happen in the serving
+        layer — and ``spans`` / ``rowrecs`` the worker's batch spans
+        and per-row attribution records (empty unless the plan carries
+        a sampled trace id).
 
         Worker death is invisible here: a corpse popped from the idle
         queue is swapped for its respawned slot occupant before
@@ -1175,23 +854,8 @@ class ProcessWorkerPool:
         """
         if self._closed:
             raise RuntimeError("pool is closed")
-        examples = list(examples)
-        if isinstance(k, (int, np.integer)):
-            ks = [int(k)] * len(examples)
-        else:
-            ks = [int(v) for v in k]
-            if len(ks) != len(examples):
-                raise ValueError(
-                    f"{len(examples)} examples but {len(ks)} ks")
-        row_pair = None
-        if dedup is not None:
-            dedup = ([int(u) for u in dedup[0]],
-                     [int(v) for v in dedup[1]])
-            pairs, row_pair = dedup_pairs(*dedup)
-            resp_ks = [k for _unique, k in pairs]
-        else:
-            resp_ks = ks
-        n_sampled = sum(1 for t in traces if t) if traces else 0
+        resp_ks = [k for _, k in plan.pairs]
+        n_sampled = sum(1 for trace in plan.traces if trace)
         resp_bound = (64 + 4 * len(resp_ks)
                       + sum(resp_ks) * self._resp_cell_bytes)
         if n_sampled:
@@ -1210,17 +874,13 @@ class ProcessWorkerPool:
                 # occupant instead of failing the batch.
                 worker = self._respawn(worker)
             try:
-                used, version, block, spans, echo, rowrecs = (
-                    worker.exec_batch(examples, ks, self._max_len,
-                                      resp_bound, traces, candidates,
-                                      dedup))
+                used, version, block, spans, rowrecs = worker.exec_batch(
+                    plan, self._max_len, resp_bound)
             except WorkerDied:
                 worker = self._respawn(worker)
                 try:
-                    used, version, block, spans, echo, rowrecs = (
-                        worker.exec_batch(examples, ks, self._max_len,
-                                          resp_bound, traces,
-                                          candidates, dedup))
+                    used, version, block, spans, rowrecs = (
+                        worker.exec_batch(plan, self._max_len, resp_bound))
                 except WorkerDied:
                     worker = self._respawn(worker)
                     raise
@@ -1243,11 +903,7 @@ class ProcessWorkerPool:
                                 else "pipe_batches_total")
             if used == "fallback":
                 self._metrics.count("ring_fallbacks_total")
-        if span_sink is not None and spans:
-            span_sink.extend(spans)
-        if row_sink is not None and rowrecs:
-            row_sink.extend(rowrecs)
-        return int(version), block, row_pair
+        return int(version), block, spans, rowrecs
 
     # ------------------------------------------------------------------
     # Broadcasts

@@ -401,7 +401,7 @@ def run_hot_replay(trainer, sessions: Sequence[Session], *,
     #
     # The replay always runs in thread mode regardless of the outer
     # bench's pinned worker mode: the shared-computation layer is
-    # transport-agnostic (the dedup trailer / per-worker memo
+    # transport-agnostic (the plan's dedup sections / per-worker memo
     # differentials are pinned bitwise by tests/test_shared_compute.py),
     # and in process mode the fixed per-flush ring marshal + render
     # cost — already measured by the bench's main phases — dilutes the

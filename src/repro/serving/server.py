@@ -60,12 +60,11 @@ import numpy as np
 
 from repro.core.agent import REKSAgent, clone_agent
 from repro.core.environment import RolloutWorkspace
-from repro.data.loader import collate_examples
 from repro.data.schema import Session
 from repro.kg.paths import SemanticPath, render_path
 from repro.runtime import ProcessWorkerPool
-from repro.runtime.rings import dedup_pairs
-from repro.runtime.rowblock import RowBlock, select_rows, walked_sources
+from repro.runtime.flush import FlushPlan, execute_flush
+from repro.runtime.rowblock import RowBlock
 from repro.serving.cache import ExplanationCache
 from repro.serving.memo import WalkMemo, dedup_plan
 from repro.serving.scheduler import (
@@ -78,7 +77,7 @@ from repro.telemetry.block import fleet_schema
 from repro.telemetry.httpd import MetricsEndpoint
 from repro.telemetry.registry import FleetSnapshot, MetricsRegistry
 from repro.telemetry.sink import TraceSink
-from repro.telemetry.trace import Tracer, attribute_rows
+from repro.telemetry.trace import Tracer
 from repro.telemetry.window import (RollingWindow, WindowSampler,
                                     WindowSnapshot)
 
@@ -242,7 +241,6 @@ class RecommendationServer:
         self._dedup = bool(dedup)
         self._memo = WalkMemo(int(walk_memo_size)
                               if worker_mode == "thread" else 0)
-        self._memo_evictions_seen = 0
         self._stats = ServerStats(metrics=self._metrics)
         self._stats.attach_caches(cache=self._cache, memo=self._memo)
         # Reachability prewarm (thread mode with the cascade on): a
@@ -313,7 +311,6 @@ class RecommendationServer:
                       metrics_port=(cfg.serve_metrics_port
                                     if cfg.serve_metrics_port >= 0
                                     else None),
-                      dedup=cfg.serve_dedup,
                       walk_memo_size=cfg.serve_walk_memo_size)
         if cfg.serve_cascade_provider:
             from repro.cascade import provider_from_trainer
@@ -699,315 +696,111 @@ class RecommendationServer:
                     request.future.set_exception(exc)
 
     def _execute(self, group: List[PendingRequest]) -> None:
-        """Serve one coalesced micro-batch as a single superset walk.
+        """Serve one coalesced micro-batch: instrument, plan, execute,
+        respond.
 
-        A mixed-k flush used to execute one sub-batch per distinct k,
-        so minority-k callers queued behind every other group's full
-        walk.  The walk and score matrix are k-independent, so one
-        ``recommend`` at ``max(ks)`` serves every row; every row is
-        then cut at its own k by the one
-        :func:`~repro.runtime.rowblock.select_rows` — bit-identical to
-        a separate per-k execution (pinned by the serving tests),
-        unlike a naive prefix slice of the max-k ranking whose tie
-        order can depend on the partition point.
+        The flush is cut into one
+        :class:`~repro.runtime.flush.FlushPlan` — with ``dedup`` on,
+        duplicate walk inputs ``(truncated suffix, user anchor, exact
+        candidate set)`` collapse to one unique row walked at the max
+        ``k`` of its group; off, the plan is the identity — and
+        :func:`~repro.runtime.flush.execute_flush` answers it: here, on
+        the live ``(agent, version)`` read once per flush, or in a
+        process worker, which reports the version it executed with (a
+        swap broadcast lands between batches, never mid-batch).  The
+        results are cached under that version.
 
-        Both worker modes answer with one **unrendered**
-        :class:`~repro.runtime.rowblock.RowBlock` plus, when rows
-        collapsed, the fan-out index from requests to block rows;
-        :meth:`_respond` turns it into results — explanations are
-        rendered there, exactly once, at the moment the result is
-        admitted to the cache (rendering is deterministic in the path
-        values and the KG, so strings never ride the ring payloads).
-
-        Shared computation (when ``dedup``/``walk_memo_size`` are on):
-        duplicate rows within the flush collapse to one walk at the max
-        ``k`` of their group, and thread mode consults the cross-flush
-        :class:`WalkMemo` before walking at all — rankings and
-        explanations exact by construction because every answer row
-        is the tie-safe row-local top-k of a full score row (a freshly
-        walked row asked for the walk's own ``k`` reuses the ranking
-        ``recommend`` already made, which is that same selection; memo
-        hits and smaller-``k`` rows re-select).  Paths stay in the
-        walk's array-backed :class:`~repro.kg.paths.PathTable`: each
-        row keeps a :class:`~repro.kg.paths.PathRow` view and a
-        ``SemanticPath`` is built only for the items a distinct
-        answer row returns.  Score bits additionally
-        match dedup-off whenever the walk-batch composition is
-        preserved, and sit within the documented last-ulp batch-shape
-        tolerance when collapsing shrinks a multi-row flush (see
-        ``repro.serving.memo``).  Sampled requests
-        get enqueue/flush/transport/render/respond spans recorded
-        against their trace id, plus the worker-side collate/exec/walk/
-        top-k spans echoed over the transport.
+        The walk and the score matrix are k-independent, so one
+        ``recommend`` at the max ``k`` serves every row and each answer
+        row is the tie-safe row-local top-k of a full score row
+        (:func:`~repro.runtime.rowblock.select_rows`) — rankings and
+        explanations exact by construction; score bits additionally
+        match whenever the walk-batch composition is preserved, and sit
+        within the documented last-ulp batch-shape tolerance when
+        collapsing shrinks a multi-row flush (see
+        ``repro.serving.memo``).  Both worker modes answer with one
+        **unrendered** :class:`~repro.runtime.rowblock.RowBlock`;
+        :meth:`_respond` fans it out and renders, exactly once, at
+        cache admission.  Sampled requests get enqueue / flush /
+        cascade / transport / render / respond spans here plus the
+        executor's collate / cascade / walk / topk / exec / row spans
+        under the role that ran them.
         """
         pickup = perf_counter()
         self._stats.record_batch(len(group))
         metrics, tracer = self._metrics, self._tracer
-        sampled = [int(r.payload.trace) for r in group if r.payload.trace]
-        for request in group:
+        payloads = [request.payload for request in group]
+        traces = [payload.trace for payload in payloads]
+        sampled = [trace for trace in traces if trace]
+        for request, trace in zip(group, traces):
             wait = pickup - request.enqueued_at
             if metrics is not None:
                 metrics.observe("enqueue_wait_seconds", wait)
-            if request.payload.trace:
-                tracer.record(request.payload.trace, "enqueue", "server",
+            if trace:
+                tracer.record(trace, "enqueue", "server",
                               request.enqueued_at, wait)
-        ks = [int(request.payload.k) for request in group]
-        examples = [(list(request.payload.session.items[:-1]),
-                     request.payload.session.items[-1],
-                     request.payload.session.user_id)
-                    for request in group]
+        ks = [payload.k for payload in payloads]
+        examples = [(payload.base_key[0], payload.session.items[-1],
+                     payload.session.user_id) for payload in payloads]
         flush_dur = perf_counter() - pickup
         if metrics is not None:
             metrics.observe("batch_flush_seconds", flush_dur)
         for trace in sampled:
             tracer.record(trace, "flush", "server", pickup, flush_dur)
-        cand_rows = None
+        cands = None
         if self._cascade is not None:
             # First stage: per-row candidate sets from the (memoized)
             # provider, keyed by the same truncated prefix + user the
             # cache key uses.  Strictly per row — never unioned — so a
             # session's ranking can't depend on its batch-mates.
             c0 = perf_counter()
-            cand_rows = [
-                self._cascade.plan(request.payload.base_key[0],
-                                   request.payload.base_key[2])
-                for request in group]
+            cands = [tuple(self._cascade.plan(payload.base_key[0],
+                                              payload.base_key[2]).tolist())
+                     for payload in payloads]
             cascade_dur = perf_counter() - c0
             if metrics is not None:
                 metrics.count("cascade_candidates_total",
-                              sum(len(c) for c in cand_rows))
+                              sum(len(c) for c in cands))
             for trace in sampled:
                 tracer.record(trace, "cascade", "server", c0, cascade_dur)
-        n = len(group)
-        # Shared-computation plan (repro.serving.memo): collapse
-        # duplicate rows before any transport or walk.  The within-
-        # flush identity is the walk input — (truncated suffix, user
-        # anchor, exact per-row candidate set); model version, store
-        # generation, and cascade identity are batch-constant, so they
-        # ride the memo key, not the plan.
-        keys = None
-        uniq: List[int] = list(range(n))
-        row_map: List[int] = list(range(n))
-        if self._dedup or self._memo.capacity > 0:
-            keys = [(request.payload.base_key[0],
-                     request.payload.base_key[2],
-                     None if cand_rows is None
-                     else tuple(int(c) for c in cand_rows[row]))
-                    for row, request in enumerate(group)]
-        if self._dedup and keys is not None:
-            uniq, row_map = dedup_plan(keys)
-            if len(uniq) < n:
-                self._stats.record_dedup(n - len(uniq))
+        dedup = None
+        if self._dedup:
+            # Model version, store generation and cascade identity are
+            # batch-constant: they ride the memo key, not the plan.
+            dedup = dedup_plan([
+                (payload.base_key[0], payload.base_key[2],
+                 None if cands is None else cands[row])
+                for row, payload in enumerate(payloads)])
+            collapsed = len(group) - len(dedup[0])
+            if collapsed:
+                self._stats.record_dedup(collapsed)
                 if metrics is not None:
-                    metrics.count("dedup_rows_total", n - len(uniq))
-        # Each unique row walks once at the max k over its duplicate
-        # group; every original row re-selects its own top-k from the
-        # shared full score row (tie-safe: _top_k partitions each row
-        # independently, so single-row re-selection is bit-identical
-        # to what a dedicated walk would have picked).
-        uniq_ks = [0] * len(uniq)
-        for row, j in enumerate(row_map):
-            uniq_ks[j] = max(uniq_ks[j], ks[row])
+                    metrics.count("dedup_rows_total", collapsed)
+        plan = FlushPlan.build(examples, ks, cands, traces, dedup)
         t0 = perf_counter()
         if self._procpool is not None:
-            # Process mode: the worker process collates, walks, and
-            # selects each row's own k; this dispatcher thread only
-            # marshals.  The worker reports the model version it
-            # actually executed with (a swap broadcast lands between
-            # batches, never mid-batch), which is what the results are
-            # cached under.  Sampled trace ids ride the request payload
-            # and the worker's batch spans come back on the response.
-            # When the flush collapsed rows, only the unique rows
-            # travel; the dedup trailer tells the worker how to map
-            # them back and the pool returns the fan-out index.
-            worker_spans: List[tuple] = []
-            worker_rows: List[tuple] = []
-            if len(uniq) < n:
-                exec_examples = [examples[i] for i in uniq]
-                exec_ks = uniq_ks
-                exec_cands = (None if cand_rows is None
-                              else [[int(c) for c in cand_rows[i]]
-                                    for i in uniq])
-                dedup_arg: Optional[tuple] = (row_map, ks)
-            else:
-                exec_examples, exec_ks = examples, ks
-                exec_cands = (None if cand_rows is None
-                              else [[int(c) for c in row]
-                                    for row in cand_rows])
-                dedup_arg = None
-            version, block, fan_out = self._procpool.execute_block(
-                exec_examples, exec_ks,
-                traces=[int(r.payload.trace) for r in group]
-                if sampled else None,
-                span_sink=worker_spans,
-                row_sink=worker_rows if self._trace_rows else None,
-                candidates=exec_cands,
-                dedup=dedup_arg)
-            if sampled and worker_spans:
-                tracer.record_batch_spans(sampled, "worker", worker_spans)
-            if worker_rows:
-                # Per-request attribution records computed worker-side
-                # (frontier mass / k share) — one "row" span each.
-                tracer.record_rows(worker_rows, "worker", t0)
-        elif not self._dedup and self._memo.capacity == 0:
-            # Legacy thread path, byte-for-byte the pre-shared-compute
-            # behavior (the differential tests diff against this).
-            collated = collate_examples(examples, self._max_session_length)
-            # One atomic read per batch: every row of this micro-batch
-            # is answered by the same model generation, and the results
-            # are cached under that generation's version tag (which may
-            # be newer than the version the submitter looked up).
-            agent, version = self._live()
-            kmax = max(ks)
-            constraint = None
-            if cand_rows is not None:
-                from repro.cascade import build_constraint
-
-                constraint = build_constraint(
-                    agent, cand_rows, agent.config.path_length)
-            local_spans: Optional[List[tuple]] = [] if sampled else None
-            row_frontier: Optional[List] = (
-                [] if (sampled and self._trace_rows) else None)
-            rec = self._walk(agent, collated, kmax, constraint,
-                             local_spans, row_frontier)
-            block = select_rows(walked_sources(rec), list(enumerate(ks)),
-                                rec.ranked_items, kmax)
-            fan_out = None
-            exec_dur = perf_counter() - t0
-            if metrics is not None:
-                metrics.count("exec_batches_total")
-                metrics.count("exec_rows_total", len(group))
-                metrics.observe("exec_seconds", exec_dur)
-            if local_spans:
-                tracer.record_batch_spans(sampled, "server", local_spans)
-            if row_frontier is not None and local_spans:
-                # Same attribution math the process workers run: walk
-                # time by frontier-mass share, top-k time by k share.
-                tracer.record_rows(
-                    attribute_rows(
-                        [int(r.payload.trace) for r in group], ks,
-                        row_frontier, local_spans),
-                    "server", t0)
-            for trace in sampled:
-                tracer.record(trace, "exec", "server", t0, exec_dur)
+            role = "worker"
+            version, block, spans, rowrecs = (
+                self._procpool.execute_block(plan))
         else:
-            # Shared-computation thread path: memo lookup per unique
-            # row, one walk over the misses, per-original-row top-k
-            # re-selection from full score rows.  Memo entries store
-            # the full dense row (any k re-selects exactly) plus the
-            # row's view of the walk's path table (k-independent: it
-            # covers every item the walk reached).
+            role = "server"
             agent, version = self._live()
-            store_token = agent.env.fingerprint()
-            use_memo = self._memo.capacity > 0
-            # The flush width (max truncated prefix length over ALL
-            # rows) is what legacy collation would pad to; keying and
-            # collating by it keeps row reuse bit-exact (see
-            # repro.serving.memo).
-            flush_width = max(len(key[0]) for key in keys)
-            memo_keys = [WalkMemo.key(keys[i][0], keys[i][1], keys[i][2],
-                                      version, store_token,
-                                      width=flush_width)
-                         for i in uniq]
-            u_data = [self._memo.get(mk) if use_memo else None
-                      for mk in memo_keys]
-            miss = [j for j, data in enumerate(u_data) if data is None]
-            local_spans = [] if sampled else None
-            row_frontier = ([] if (sampled and self._trace_rows)
-                            else None)
-            miss_ks: List[int] = []
-            # The ranking the walk already made, per unique row: only
-            # freshly walked rows, at the walk's own k (memo hits carry
-            # a score row, no ranking).
-            ranked: List[Optional[np.ndarray]] = [None] * len(uniq)
-            walk_k = 0
-            if miss:
-                miss_examples = [examples[uniq[j]] for j in miss]
-                miss_ks = [uniq_ks[j] for j in miss]
-                walk_k = max(miss_ks)
-                constraint = None
-                if cand_rows is not None:
-                    from repro.cascade import build_constraint
-
-                    constraint = build_constraint(
-                        agent, [cand_rows[uniq[j]] for j in miss],
-                        agent.config.path_length)
-                collated = collate_examples(miss_examples,
-                                            self._max_session_length,
-                                            width=flush_width)
-                w0 = perf_counter()
-                rec = self._walk(agent, collated, walk_k, constraint,
-                                 local_spans, row_frontier)
-                walk_dur = perf_counter() - w0
-                for idx, j in enumerate(miss):
-                    entry = (rec.scores[idx].copy(), rec.paths.row(idx))
-                    u_data[j] = entry
-                    ranked[j] = rec.ranked_items[idx]
-                    if use_memo:
-                        self._memo.put(memo_keys[j], entry)
-                self._memo.note_walk_cost(len(miss), walk_dur)
-            # One block row per distinct (unique row, k): duplicate
-            # requests share it through the fan-out index.
-            pairs, fan_out = dedup_pairs(row_map, ks)
-            block = select_rows(u_data, pairs, ranked, walk_k)
-            exec_dur = perf_counter() - t0
-            if metrics is not None:
-                metrics.count("exec_batches_total")
-                # exec_rows_total counts rows actually walked; the
-                # hit/dedup'd remainder shows up in the memo/dedup
-                # counters instead.
-                metrics.count("exec_rows_total", len(miss))
-                metrics.observe("exec_seconds", exec_dur)
-                if use_memo:
-                    metrics.count("walk_memo_hits_total",
-                                  len(uniq) - len(miss))
-                    metrics.count("walk_memo_misses_total", len(miss))
-                    evictions = self._memo.evictions
-                    delta = evictions - self._memo_evictions_seen
-                    self._memo_evictions_seen = evictions
-                    if delta > 0:
-                        metrics.count("walk_memo_evictions_total", delta)
-                    metrics.gauge("walk_seconds_saved_total",
-                                  self._memo.seconds_saved)
-            if local_spans:
-                tracer.record_batch_spans(sampled, "server", local_spans)
-            if row_frontier is not None and local_spans and miss:
-                # Row attribution only covers walked rows; each walked
-                # unique is represented by the first sampled original
-                # row that mapped to it (memo-hit rows did no walk, so
-                # they honestly get no row span).
-                rep = []
-                for j in miss:
-                    trace = 0
-                    for row in range(n):
-                        if row_map[row] == j and group[row].payload.trace:
-                            trace = int(group[row].payload.trace)
-                            break
-                    rep.append(trace)
-                tracer.record_rows(
-                    attribute_rows(rep, miss_ks, row_frontier,
-                                   local_spans),
-                    "server", t0)
-            for trace in sampled:
-                tracer.record(trace, "exec", "server", t0, exec_dur)
-        self._respond(group, block, fan_out, version, sampled, t0)
-
-    def _walk(self, agent: REKSAgent, collated, k: int, constraint,
-              spans: Optional[list], row_frontier: Optional[list]):
-        """One ``recommend`` on the executor's workspace.  The
-        checkout raises rather than corrupting if a second walk ever
-        ran beside it, and the workspace is released on the error path
-        too, so a failed walk does not wedge the next flush."""
-        workspace = self._workspace.checkout()
-        workspace.spans = spans
-        workspace.row_frontier = row_frontier
-        try:
-            return agent.recommend(collated, k=k, workspace=workspace,
-                                   candidates=constraint)
-        finally:
-            workspace.spans = None
-            workspace.row_frontier = None
-            workspace.release()
+            # The checkout raises rather than corrupting if a second
+            # walk ever ran beside this one, and the release on the
+            # error path keeps a failed walk from wedging the next
+            # flush.
+            workspace = self._workspace.checkout()
+            try:
+                block, spans, rowrecs = execute_flush(
+                    agent, workspace, self._memo, version,
+                    agent.env.fingerprint(), plan, metrics)
+            finally:
+                workspace.release()
+        tracer.record_batch_spans(sampled, role, spans)
+        if self._trace_rows:
+            # Walk time by frontier-mass share, top-k time by k share.
+            tracer.record_rows(rowrecs, role, t0)
+        self._respond(group, block, plan.fan_out, version, sampled, t0)
 
     def _respond(self, group: List[PendingRequest], block: RowBlock,
                  fan_out: Optional[Sequence[int]], version: int,

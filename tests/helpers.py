@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking, and the
+direct form of a walk's rows for ``select_rows`` references."""
 
 from __future__ import annotations
 
@@ -72,3 +73,12 @@ def reference_best_paths(built, rollout):
         entities=[int(e) for e in rollout.entities[p]],
         relations=[int(r) for r in rollout.relations[p]],
         prob=float(rollout.prob[p])) for key, p in best.items()}
+
+
+def walked_sources(rec):
+    """Each row of a fresh ``Recommendations`` as a
+    :func:`repro.runtime.rowblock.select_rows` source: ``(scores_row,
+    path_row)`` views of ``rec`` — what the direct, plan-less walk the
+    serving tests compare against hands to the row selection."""
+    return [(rec.scores[row], rec.paths.row(row))
+            for row in range(len(rec.scores))]

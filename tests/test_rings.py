@@ -26,13 +26,15 @@ import pytest
 from repro import REKSConfig, REKSTrainer
 from repro.online import CheckpointRegistry
 from repro.runtime import ProcessWorkerPool, RingFull, RingPair
+from repro.runtime.flush import FlushPlan
 from repro.runtime.rings import (
     RingUnsuitable,
     WorkerExecError,
+    decode_plan,
     decode_request,
     decode_response,
-    dedup_pairs,
     encode_error,
+    encode_plan,
     encode_request,
     encode_response,
 )
@@ -133,170 +135,93 @@ class TestRingPair:
 
 
 class TestCodecs:
+    # Request side: hand-picked plans; tests/test_flush.py round-trips
+    # generated ones and mutates the payload.
     def test_request_round_trip_mixed_k(self):
         examples = [([3, 1, 4, 1, 5], 9, 2), ([2, 7], 1, None)]
-        payload = encode_request(examples, [5, 10], max_length=10)
-        got_examples, got_ks, got_traces, got_cands, got_dedup = (
-            decode_request(payload))
-        assert got_examples == examples
-        assert got_ks == [5, 10]
-        assert got_traces == [0, 0]
-        assert got_cands is None
-        assert got_dedup is None
+        plan = decode_request(encode_request(examples, [5, 10],
+                                             max_length=10))
+        assert plan == FlushPlan.build(examples, [5, 10])
+        assert plan.rows == examples
+        assert plan.ks == plan.row_ks == [5, 10]
+        assert plan.row_map == [0, 1] and plan.traces == [0, 0]
+        assert plan.candidates is None
 
     def test_request_truncates_prefix_like_collate(self):
         long_prefix = list(range(1, 30))
-        payload = encode_request([(long_prefix, 5, None)], [3],
-                                 max_length=10)
-        examples, _, _, _, _ = decode_request(payload)
-        prefix, target, user = examples[0]
-        assert prefix == long_prefix[-10:]
-        assert target == 5 and user is None
+        plan = decode_request(encode_request([(long_prefix, 5, None)], [3],
+                                             max_length=10))
+        assert plan.rows == [(long_prefix[-10:], 5, None)]
 
     def test_request_rejects_oversize_ids(self):
         with pytest.raises(RingUnsuitable):
             encode_request([([2 ** 40], 1, None)], [5], max_length=10)
+        with pytest.raises(RingUnsuitable):
+            encode_request([([1], 1, -2 ** 31 - 1)], [5], max_length=10)
 
     def test_request_candidate_round_trip(self):
         examples = [([3, 1, 4], 9, 2), ([2, 7], 1, None)]
-        cands = [[5, 9, 12], [4]]
-        payload = encode_request(examples, [5, 10], max_length=10,
-                                 candidates=cands)
-        got_examples, got_ks, got_traces, got_cands, got_dedup = (
-            decode_request(payload))
-        assert got_examples == examples
-        assert got_ks == [5, 10]
-        assert got_traces == [0, 0]
-        assert got_cands == cands
-        assert got_dedup is None
+        plan = FlushPlan.build(examples, [5, 10],
+                               candidates=[[5, 9, 12], []])
+        got = decode_plan(encode_plan(plan, 10))
+        assert got == plan and got.candidates == [[5, 9, 12], []]
+        assert got.traces == [0, 0]
 
     def test_request_candidates_with_traces_round_trip(self):
         examples = [([3, 1], 9, 2), ([2, 7], 1, None)]
-        cands = [[5, 9], [4, 6, 8]]
-        payload = encode_request(examples, [5, 10], max_length=10,
-                                 traces=[101, 0], candidates=cands)
-        _, _, got_traces, got_cands, _ = decode_request(payload)
-        assert got_traces == [101, 0]
-        assert got_cands == cands
+        plan = FlushPlan.build(examples, [5, 10],
+                               candidates=[[5, 9], [4, 6, 8]],
+                               traces=[101, 0])
+        got = decode_plan(encode_plan(plan, 10))
+        assert got == plan and got.traces == [101, 0]
 
     def test_request_candidates_reject_mismatched_rows(self):
-        with pytest.raises(RingUnsuitable):
-            encode_request([([1], 2, None)], [5], max_length=10,
-                           candidates=[[3], [4]])
+        with pytest.raises(ValueError):
+            FlushPlan.build([([1], 2, None)], [5], candidates=[[3], [4]])
 
     def test_request_dedup_round_trip(self):
-        # 4 original rows collapsed onto 2 unique examples; traces are
-        # per ORIGINAL row, candidates per UNIQUE row.
+        # 4 requests collapsed onto 2 unique rows: ks are per unique
+        # row, row_map / row_ks / traces per request.
         uniques = [([3, 1, 4], 9, 2), ([2, 7], 1, None)]
-        row_map = [0, 1, 0, 0]
-        orig_ks = [5, 10, 3, 5]
-        payload = encode_request(uniques, [5, 10], max_length=10,
-                                 traces=[7, 0, 0, 9],
-                                 dedup=(row_map, orig_ks))
-        examples, ks, traces, cands, dedup = decode_request(payload)
-        assert examples == uniques
-        assert ks == [5, 10]
-        assert traces == [7, 0, 0, 9]
-        assert cands is None
-        assert dedup == (row_map, orig_ks)
+        row_map, row_ks = [0, 1, 0, 0], [5, 10, 3, 5]
+        plan = FlushPlan.build([uniques[u] for u in row_map], row_ks,
+                               traces=[7, 0, 0, 9],
+                               dedup=([0, 1], row_map))
+        got = decode_plan(encode_plan(plan, 10))
+        assert got == plan
+        assert got.rows == uniques and got.ks == [5, 10]
+        assert (got.row_map, got.row_ks) == (row_map, row_ks)
+        assert got.traces == [7, 0, 0, 9] and got.candidates is None
 
     def test_request_dedup_with_candidates_round_trip(self):
-        uniques = [([3, 1], 9, 2), ([2, 7], 1, None)]
-        cands = [[5, 9], [4, 6, 8]]
-        payload = encode_request(uniques, [5, 10], max_length=10,
-                                 candidates=cands,
-                                 dedup=([1, 0, 1], [10, 5, 7]))
-        examples, ks, traces, got_cands, dedup = decode_request(payload)
-        assert examples == uniques
-        assert ks == [5, 10]
-        assert traces == [0, 0, 0]  # forced, per original row
-        assert got_cands == cands
-        assert dedup == ([1, 0, 1], [10, 5, 7])
+        uniques = [([2, 7], 1, None), ([3, 1], 9, 2)]
+        cands = [[4, 6, 8], [5, 9]]
+        row_map = [0, 1, 0]
+        plan = FlushPlan.build([uniques[u] for u in row_map], [10, 5, 7],
+                               candidates=[cands[u] for u in row_map],
+                               dedup=([0, 1], row_map))
+        got = decode_plan(encode_plan(plan, 10))
+        assert got == plan
+        assert got.rows == uniques and got.candidates == cands
+        assert got.ks == [10, 5] and got.traces == [0, 0, 0]
 
     def test_request_dedup_rejects_bad_shapes(self):
-        with pytest.raises(RingUnsuitable):
-            encode_request([([1], 2, None), ([3], 4, None)], [5, 5],
-                           max_length=10, dedup=([0], [5]))
-        with pytest.raises(RingUnsuitable):
-            encode_request([([1], 2, None)], [5], max_length=10,
-                           dedup=([0, 0], [5]))
+        two = [([1], 2, None), ([3], 4, None)]
+        with pytest.raises(ValueError):
+            FlushPlan.build(two, [5, 5], dedup=([0], [0]))
+        with pytest.raises(ValueError):
+            FlushPlan.build(two, [5])
+        with pytest.raises(ValueError):
+            FlushPlan.build([], [])
 
     def test_dedup_pairs_first_occurrence_order(self):
-        pairs, row_pair = dedup_pairs([0, 1, 0, 0, 1],
-                                      [5, 10, 3, 5, 10])
-        assert pairs == [(0, 5), (1, 10), (0, 3)]
-        assert row_pair == [0, 1, 2, 0, 1]
-
-    def test_absent_dedup_byte_identical_to_prior_request_codec(self):
-        """With ``dedup=None`` the payload must be byte-identical to
-        the PR 9 request layout (frozen here as a reference), across
-        all trace/candidate combinations."""
-
-        def reference_request(examples, ks, max_length, traces=None,
-                              candidates=None):
-            # Frozen PR 9 request layout (candidates, no dedup).
-            no_user = -(1 << 31)
-            n = len(examples)
-            flat = [n]
-            items, lengths, targets, users = [], [], [], []
-            for prefix, target, user in examples:
-                prefix = list(prefix)[-max_length:]
-                lengths.append(len(prefix))
-                targets.append(int(target))
-                users.append(no_user if user is None else int(user))
-                items += [int(i) for i in prefix]
-            flat += [int(k) for k in ks]
-            flat += lengths + targets + users + items
-            if candidates is not None:
-                flat += ([int(t) for t in traces]
-                         if traces is not None else [0] * n)
-                flat += [len(row) for row in candidates]
-                for row in candidates:
-                    flat += [int(i) for i in row]
-            elif traces is not None and any(traces):
-                flat += [int(t) for t in traces]
-            return np.asarray(flat, dtype=np.int32).tobytes()
-
-        examples = [([3, 1, 4, 1, 5], 9, 2), ([2, 7], 1, None)]
-        cands = [[5, 9, 12], [4]]
-        for kwargs in ({}, {"traces": [7, 0]}, {"candidates": cands},
-                       {"traces": [7, 0], "candidates": cands}):
-            assert (encode_request(examples, [5, 10], max_length=10,
-                                   **kwargs)
-                    == reference_request(examples, [5, 10], 10,
-                                         **kwargs))
-
-    def test_absent_candidates_byte_identical_to_prior_request_codec(self):
-        """The candidate section must be invisible when absent: with
-        ``candidates=None`` the payload is byte-identical to the
-        pre-cascade request layout (frozen here as a reference), both
-        with and without a trace section."""
-
-        def reference_request(examples, ks, max_length, traces=None):
-            # Frozen pre-cascade request layout (PR 8).
-            no_user = -(1 << 31)
-            n = len(examples)
-            flat = [n]
-            items, lengths, targets, users = [], [], [], []
-            for prefix, target, user in examples:
-                prefix = list(prefix)[-max_length:]
-                lengths.append(len(prefix))
-                targets.append(int(target))
-                users.append(no_user if user is None else int(user))
-                items += [int(i) for i in prefix]
-            flat += [int(k) for k in ks]
-            flat += lengths + targets + users + items
-            if traces is not None and any(traces):
-                flat += [int(t) for t in traces]
-            return np.asarray(flat, dtype=np.int32).tobytes()
-
-        examples = [([3, 1, 4, 1, 5], 9, 2), ([2, 7], 1, None)]
-        assert (encode_request(examples, [5, 10], max_length=10)
-                == reference_request(examples, [5, 10], 10))
-        assert (encode_request(examples, [5, 10], max_length=10,
-                               traces=[7, 0])
-                == reference_request(examples, [5, 10], 10,
-                                     traces=[7, 0]))
+        """One answer row per distinct (unique row, k), in first-request
+        order; ``fan_out`` maps every request to its pair's row."""
+        row_map = [0, 1, 0, 0, 1]
+        plan = FlushPlan.build([([1 + u], 2, None) for u in row_map],
+                               [5, 10, 3, 5, 10], dedup=([0, 1], row_map))
+        assert plan.pairs == [(0, 5), (1, 10), (0, 3)]
+        assert plan.fan_out == [0, 1, 2, 0, 1]
 
     def test_response_round_trip_with_and_without_paths(self):
         rows = [([4, 2], [1.5, 0.25], [([9, 4], [1], 0.5), None]),

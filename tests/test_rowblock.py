@@ -20,14 +20,16 @@ from repro.core.agent import _top_k
 from repro.data.loader import collate_examples
 from repro.kg.paths import PathTable
 from repro.runtime import ProcessWorkerPool
+from repro.runtime.flush import FlushPlan
 from repro.runtime.rings import (
     CorruptPayload,
     decode_block,
     decode_response,
-    dedup_pairs,
     encode_response,
 )
-from repro.runtime.rowblock import RowBlock, select_rows, walked_sources
+from repro.runtime.rowblock import RowBlock, select_rows
+
+from helpers import walked_sources
 
 # ----------------------------------------------------------------------
 # Round trips over generated rows
@@ -254,8 +256,10 @@ class TestSelectRows:
         (unique row, k); the fan-out index restores request order."""
         rec = _walk(trainer, examples[:3], 10)
         row_map, ks = [0, 1, 0, 2, 1, 0], [10, 5, 10, 3, 10, 5]
-        pairs, fan_out = dedup_pairs(row_map, ks)
-        assert len(pairs) == 5
+        plan = FlushPlan.build([examples[u] for u in row_map], ks,
+                               dedup=([0, 1, 3], row_map))
+        pairs, fan_out = plan.pairs, plan.fan_out
+        assert len(pairs) == 5 and plan.ks == [10, 10, 3]
         block = self._check(walked_sources(rec), pairs,
                             rec.ranked_items, 10)
         rows = block.to_rows()
@@ -305,16 +309,19 @@ class TestPoolBlocks:
         for transport in ("ring", "pipe"):
             with ProcessWorkerPool(trainer.agent, workers=1,
                                    transport=transport) as pool:
-                version, block, fan_out = pool.execute_block(
-                    examples[:6], ks)
-                assert fan_out is None and block == want
+                plan = FlushPlan.build(examples[:6], ks)
+                version, block, spans, rowrecs = pool.execute_block(plan)
+                assert plan.fan_out == list(range(6)) and block == want
+                assert spans == [] and rowrecs == []
                 assert pool.execute(examples[:6], ks) == (
                     version, want.to_rows())
                 # dedup: rows 0 and 2 are one request asked twice
                 uniq = [examples[0], examples[1]]
-                _, block, fan_out = pool.execute_block(
-                    uniq, [7, 3], dedup=([0, 1, 0], [7, 3, 7]))
-                assert fan_out == [0, 1, 0]
+                plan = FlushPlan.build(
+                    [examples[0], examples[1], examples[0]], [7, 3, 7],
+                    dedup=([0, 1], [0, 1, 0]))
+                _, block, _, _ = pool.execute_block(plan)
+                assert plan.rows == uniq and plan.fan_out == [0, 1, 0]
                 pair = _walk(trainer, uniq, 7)
                 assert block == select_rows(walked_sources(pair),
                                             [(0, 7), (1, 3)],
@@ -327,13 +334,12 @@ class TestPoolBlocks:
             worker = pool._workers[0]
             real = worker.exec_batch
 
-            def short(batch, ks, *args):
-                used, version, block, *rest = real(batch[:1], ks[:1],
-                                                   *args)
-                return (used, version, block, *rest)
+            def short(plan, *args):
+                return real(FlushPlan.build(plan.rows[:1], plan.ks[:1]),
+                            *args)
 
             monkeypatch.setattr(worker, "exec_batch", short)
             with pytest.raises(CorruptPayload, match="asked for 2"):
-                pool.execute_block(examples[:2], 5)
+                pool.execute_block(FlushPlan.build(examples[:2], [5, 5]))
             monkeypatch.undo()
             assert len(pool.execute(examples[:2], 5)[1]) == 2

@@ -155,8 +155,7 @@ class RolloutWorkspace:
         self._checked_out = False
         self.checkouts = 0
         # Buffer (re)allocations — steady state is zero once every
-        # buffer has saturated; the gather bench and telemetry assert
-        # on it.
+        # buffer has saturated; tests and telemetry assert on it.
         self.allocations = 0
         # Optional telemetry attachments, threaded through the walk by
         # whoever owns the workspace: ``metrics`` is a

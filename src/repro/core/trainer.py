@@ -211,18 +211,18 @@ class REKSTrainer:
                                  augment=False, shuffle=False)
         return [self.agent.recommend(batch, k=k) for batch in batcher]
 
-    def serve(self, **overrides):
+    def serve(self, **options):
         """A request-coalescing :class:`RecommendationServer` over this
         trainer's agent.
 
-        Server knobs default to the ``serve_*`` fields of the config;
-        keyword ``overrides`` (``max_batch``, ``max_wait_ms``,
-        ``workers``, ``cache_size``, ``default_k``) win.  The caller
-        owns shutdown — use it as a context manager.
+        ``options`` are :class:`RecommendationServer`'s keywords, passed
+        through unchanged (its signature is the one list of them and
+        their defaults).  The caller owns shutdown — use it as a
+        context manager.
         """
         from repro.serving import RecommendationServer
 
-        return RecommendationServer.from_trainer(self, **overrides)
+        return RecommendationServer(self.agent, **options)
 
     def evaluate_prefixes(self, sessions: Sequence[Session],
                           ks=(5, 10, 20)) -> Dict[str, float]:

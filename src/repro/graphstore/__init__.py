@@ -13,7 +13,7 @@ what they touch:
 * :mod:`~repro.graphstore.merge` — the shared base-first capped merge
   kernel, per-shard (:func:`~repro.graphstore.merge.compact_store`)
   and monolithic (:func:`~repro.graphstore.merge.full_merge`, kept as
-  oracle + bench baseline).
+  the differential oracle).
 
 Consumers: ``repro.core.environment`` (owns a store per environment),
 ``repro.runtime`` (exports each shard as its own shared-memory plane

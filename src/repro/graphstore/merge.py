@@ -4,7 +4,7 @@
 The sharded store calls it once per *dirty* shard with entity-local
 ids (delta-proportional cost); :func:`full_merge` runs it over a whole
 store's flattened arrays — the pre-shard monolithic path, kept as the
-differential oracle and the benchmark baseline.
+differential oracle.
 
 Semantics (pinned by the online staging tests): edges are grouped by
 head with **base edges first** within each head — the established
@@ -102,8 +102,7 @@ def full_merge(store: ShardedCSR, heads: np.ndarray, rels: np.ndarray,
 
     The pre-shard compaction algorithm, byte-for-byte: the differential
     suite pins that per-shard compaction and this full rebuild agree on
-    the final capped adjacency, and the benchmark reports its latency
-    as the baseline the sharded path is measured against.
+    the final capped adjacency.
     """
     flat = store.to_flat()
     return merge_capped(store.num_entities, flat.degrees, flat.rels[1:],

@@ -152,8 +152,8 @@ def auto_shard_count(num_entities: int, num_edges: int) -> int:
     """Default shard count when the caller doesn't pin one.
 
     Floor 1: graphs below ~250k edges keep the monolithic single-gather
-    hot path — sharding them wins nothing (the bench shows fixed
-    per-shard overheads eat the compaction gain at that size) while a
+    hot path — sharding them wins nothing (PR 5 measured fixed
+    per-shard overheads eating the compaction gain at that size) while a
     cross-shard frontier gather costs several sub-gathers per hop.
     Beyond that, one shard per ~250k edges keeps a dirty-shard rebuild
     small relative to E, capped at 64 so per-shard bookkeeping (plane

@@ -51,6 +51,14 @@ from repro.online.registry import CheckpointRegistry
 from repro.telemetry.block import BlockManifest, MetricBlock
 
 
+# Niceness of the subprocess fine-tune child.  With spare cores it is
+# irrelevant (the child runs on its own core); on a saturated host it
+# keeps the scheduler from granting the trainer long quanta at
+# serving's expense: training is the batch workload, serving the
+# latency workload.
+CHILD_NICENESS = 10
+
+
 def _run_round(trainer, ingestor: DeltaIngestor,
                registry: CheckpointRegistry, sessions,
                max_steps: int, metrics: Optional[MetricBlock] = None
@@ -94,7 +102,6 @@ def _run_round(trainer, ingestor: DeltaIngestor,
 
 def _updater_child_main(conn, trainer, registry_root, keep_last: int,
                         compact_every: int, max_steps: int,
-                        niceness: int = 0,
                         metrics_manifest: Optional[BlockManifest] = None
                         ) -> None:
     """Child loop of the subprocess updater.
@@ -103,18 +110,14 @@ def _updater_child_main(conn, trainer, registry_root, keep_last: int,
     own registry handle and ingestor; sessions arrive over the pipe
     and their KG edges are re-derived locally, mirroring what the
     parent's ingestor staged into the serving environment.  The child
-    deprioritizes itself by ``niceness``: training is the batch
-    workload, serving the latency workload, and on a saturated host
-    equal priority would hand the trainer scheduler quanta that show
-    up directly in serving's tail latency.
+    deprioritizes itself by :data:`CHILD_NICENESS`.
     """
     import traceback
 
-    if niceness > 0:
-        try:
-            os.nice(niceness)
-        except OSError:  # pragma: no cover - restricted environments
-            pass
+    try:
+        os.nice(CHILD_NICENESS)
+    except OSError:  # pragma: no cover - restricted environments
+        pass
 
     # Fork hygiene: the parent is multi-threaded, so the inherited
     # overlay lock may be captured held and the staged dict captured
@@ -176,10 +179,12 @@ class OnlineUpdater:
     registry:
         Destination for published checkpoints.
     min_sessions / max_steps / interval_s:
-        Default to the trainer config's ``online_*`` knobs: a round is
-        skipped while fewer than ``min_sessions`` sessions are buffered;
-        each round runs at most ``max_steps`` fine-tune batches; the
-        background loop polls every ``interval_s`` seconds.
+        A round is skipped while fewer than ``min_sessions`` sessions
+        are buffered; each round runs at most ``max_steps`` fine-tune
+        batches; the background loop polls every ``interval_s`` seconds.
+    mode:
+        ``"thread"`` fine-tunes in this interpreter, ``"subprocess"`` in
+        a forked child (see the module docstring).
     on_publish:
         Optional callback invoked with each new version id after a
         successful publish (exceptions are captured per round, not
@@ -188,26 +193,28 @@ class OnlineUpdater:
 
     def __init__(self, trainer, ingestor: DeltaIngestor,
                  registry: CheckpointRegistry, *,
-                 min_sessions: Optional[int] = None,
-                 max_steps: Optional[int] = None,
-                 interval_s: Optional[float] = None,
+                 min_sessions: int = 64, max_steps: int = 8,
+                 interval_s: float = 5.0,
                  on_publish: Optional[Callable[[int], None]] = None,
-                 mode: Optional[str] = None,
+                 mode: str = "thread",
                  metrics_registry=None) -> None:
-        cfg = trainer.config
+        if min_sessions < 1:
+            raise ValueError(
+                f"min_sessions must be >= 1, got {min_sessions}")
+        if max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+        if interval_s <= 0:
+            raise ValueError(f"interval_s must be > 0, got {interval_s}")
+        if mode not in ("thread", "subprocess"):
+            raise ValueError(
+                f"mode must be 'thread' or 'subprocess', got {mode!r}")
         self.trainer = trainer
         self.ingestor = ingestor
         self.registry = registry
-        self.min_sessions = (cfg.online_min_sessions if min_sessions is None
-                             else min_sessions)
-        self.max_steps = (cfg.online_max_steps if max_steps is None
-                          else max_steps)
-        self.interval_s = (cfg.online_interval_s if interval_s is None
-                           else interval_s)
-        self.mode = cfg.online_updater_mode if mode is None else mode
-        if self.mode not in ("thread", "subprocess"):
-            raise ValueError(
-                f"mode must be 'thread' or 'subprocess', got {self.mode!r}")
+        self.min_sessions = min_sessions
+        self.max_steps = max_steps
+        self.interval_s = interval_s
+        self.mode = mode
         self.on_publish = on_publish
         # Fleet telemetry: one "updater" role block in the caller's
         # MetricsRegistry (usually the serving server's).  The parent
@@ -223,7 +230,7 @@ class OnlineUpdater:
             store = trainer.env.csr_tables()
             self._metrics = metrics_registry.create_block(
                 "updater", fleet_schema(num_shards=len(store.shards),
-                                        hops=cfg.path_length))
+                                        hops=trainer.config.path_length))
         self.rounds = 0
         self.published: List[int] = []
         self.last_error: Optional[BaseException] = None
@@ -288,7 +295,6 @@ class OnlineUpdater:
             args=(child_end, self.trainer, self.registry.root,
                   self.registry.keep_last, self.ingestor.compact_every,
                   self.max_steps,
-                  self.trainer.config.online_subprocess_nice,
                   self._metrics.manifest
                   if self._metrics is not None else None),
             name="reks-online-updater-proc", daemon=True)

@@ -30,7 +30,7 @@ read-only state per process:
   lease (stale-holder takeover) guarding shared on-disk resources such
   as the checkpoint registry.
 
-Consumers: ``repro.serving`` (``serve_worker_mode="process"``),
+Consumers: ``repro.serving`` (``worker_mode="process"``),
 ``repro.online`` (subprocess updater, file-locked registry).  See
 ``README.md`` in this directory for lifecycle and spawn-vs-fork
 caveats.

@@ -28,7 +28,7 @@ sequence word; the consumer knows which ticket it expects next and
 polls that slot's sequence until it matches.  A short spin is enough
 when the peer is already running; the transport layer in
 ``repro.runtime.workers`` pairs each ring with a **doorbell pipe** so
-an idle peer blocks in ``select`` instead of burning a core (the bench
+an idle peer blocks in ``select`` instead of burning a core (the
 host may have a single CPU — busy-polling there would starve the very
 worker being waited on).
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _mp_wait
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -119,12 +119,13 @@ class AgentSpec:
     config: REKSConfig
     encoder: object
     policy_state: Dict[str, np.ndarray]
+    walk_memo_size: int  # worker-resident WalkMemo entries (0 = off)
     model_version: int = 0
     staged: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         default_factory=lambda: (np.zeros(0, dtype=np.int64),) * 3)
 
     @classmethod
-    def from_agent(cls, agent: REKSAgent,
+    def from_agent(cls, agent: REKSAgent, walk_memo_size: int,
                    model_version: int = 0) -> "AgentSpec":
         policy_state = {
             name: value
@@ -132,6 +133,7 @@ class AgentSpec:
             if name not in TABLE_PARAMS}
         return cls(built=agent.env.built, config=agent.config,
                    encoder=agent.encoder, policy_state=policy_state,
+                   walk_memo_size=walk_memo_size,
                    model_version=model_version,
                    staged=agent.env.staged_snapshot())
 
@@ -279,7 +281,7 @@ def _worker_main(conn, spec: AgentSpec,
     # by version + environment fingerprint, both maintained below.
     from repro.serving.memo import WalkMemo
 
-    memo = WalkMemo(int(spec.config.serve_walk_memo_size))
+    memo = WalkMemo(spec.walk_memo_size)
     store_token = agent.env.fingerprint()
     # Whether this worker has ever built a cascade constraint — the
     # trigger for pre-warming the reachability index after a "tables"
@@ -614,19 +616,20 @@ class ProcessWorkerPool:
                  transport: str = "ring",
                  metrics_registry=None,
                  metrics_block=None,
-                 walk_memo_size: Optional[int] = None) -> None:
+                 walk_memo_size: int = 512) -> None:
         if workers < 1:
             raise ValueError(f"need >= 1 worker, got {workers}")
         if transport not in ("pipe", "ring"):
             raise ValueError(
                 f"transport must be 'pipe' or 'ring', got {transport!r}")
+        if health_interval_s is not None and health_interval_s < 0:
+            # Event.wait(negative) returns at once: the sweep would spin.
+            raise ValueError(
+                f"health_interval_s must be None (off) or >= 0, "
+                f"got {health_interval_s}")
         self._context = resolve_context(mp_context)
-        self._spec = AgentSpec.from_agent(agent, model_version=model_version)
-        # The worker-resident memo's size rides the spec's config; an
-        # explicit override beats whatever the agent config carries.
-        if walk_memo_size is not None:
-            self._spec.config = dc_replace(
-                self._spec.config, serve_walk_memo_size=int(walk_memo_size))
+        self._spec = AgentSpec.from_agent(agent, int(walk_memo_size),
+                                          model_version=model_version)
         self._backend = plane_backend
         if transport == "ring":
             # Probe once: a host without usable POSIX shared memory
@@ -643,7 +646,7 @@ class ProcessWorkerPool:
         # + a full-length path (2L+1 int32 nodes) + its prob.
         self._resp_cell_bytes = (
             4 + 8 + 4 + (2 * self._spec.config.path_length + 1) * 4 + 8)
-        # Transport accounting (tests and the bench assert on these).
+        # Transport accounting (tests assert on these).
         self.ring_batches = 0
         self.pipe_batches = 0
         self.ring_fallbacks = 0
@@ -691,8 +694,8 @@ class ProcessWorkerPool:
         # signal that recovery itself is broken, e.g. fd exhaustion).
         self.health_failures = 0
         # What the last delta publish actually shipped (manifest-level
-        # accounting: dirty shard ids + exported bytes) — benches and
-        # tests assert delta cost against it.
+        # accounting: dirty shard ids + exported bytes) — tests assert
+        # delta cost against it.
         self.last_publish: Optional[dict] = None
         # One re-entrant lock serializes everything that touches the
         # state ledger: broadcasts (which mutate it first, then

@@ -28,7 +28,6 @@ from repro.serving.server import (
     RecommendationServer,
     ServedResult,
     ServerClosed,
-    naive_recommend_loop,
 )
 from repro.serving.stats import ServerStats, StatsSnapshot
 
@@ -42,7 +41,6 @@ __all__ = [
     "RecommendationServer",
     "ServedResult",
     "ServerClosed",
-    "naive_recommend_loop",
     "ServerStats",
     "StatsSnapshot",
 ]

@@ -42,9 +42,9 @@ therefore replay bit-exactly whenever composition is preserved
 multi-row flush can move other rows' scores by the last ulp — the
 same tolerance the coalescing layer has always documented for
 batch-shape changes.  Rankings and rendered paths are invariant
-either way; the serving differential tests pin the exact cases
-bitwise and the hot-replay bench gates the coalesced case on
-rankings/explanations equality plus rtol 1e-6 scores.
+either way; ``tests/test_shared_compute.py`` pins the exact cases
+bitwise and holds the coalesced case to rankings/explanations
+equality plus rtol 1e-6 scores.
 
 Invalidation: keys carry the model ``version`` and a ``store_token``
 (the environment fingerprint, which changes on both staged-edge

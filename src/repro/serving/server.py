@@ -56,8 +56,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.agent import REKSAgent, clone_agent
 from repro.core.environment import RolloutWorkspace
 from repro.data.schema import Session
@@ -153,6 +151,23 @@ class RecommendationServer:
                 f"transport must be 'pipe' or 'ring', got {transport!r}")
         if workers < 1:
             raise ValueError(f"need >= 1 worker, got {workers}")
+        if default_k < 1:
+            raise ValueError(f"default_k must be >= 1, got {default_k}")
+        if not 0.0 <= trace_sample <= 1.0:
+            raise ValueError(
+                f"trace_sample must be in [0, 1], got {trace_sample}")
+        if health_interval_ms < 0:
+            raise ValueError(
+                f"health_interval_ms must be >= 0 (0 = off), "
+                f"got {health_interval_ms}")
+        if window_interval_ms < 0:
+            raise ValueError(
+                f"window_interval_ms must be >= 0 (0 = off), "
+                f"got {window_interval_ms}")
+        if metrics_port is not None and metrics_port < 0:
+            raise ValueError(
+                f"metrics_port must be None (off) or >= 0 (0 = "
+                f"ephemeral), got {metrics_port}")
         # Cascade serving: ``cascade`` is a CandidateProvider (wrapped
         # in a planner with an LRU candidate cache) or an already-built
         # CascadePlanner; None serves the full unconstrained walk,
@@ -266,7 +281,7 @@ class RecommendationServer:
         if self._metrics_registry is not None:
             self._window = RollingWindow()
             self._window.record(self._metrics_registry.snapshot())
-            if window_interval_ms and window_interval_ms > 0:
+            if window_interval_ms:
                 self._window_sampler = WindowSampler(
                     self._metrics_registry.snapshot, self._window,
                     interval_s=window_interval_ms / 1e3)
@@ -288,40 +303,6 @@ class RecommendationServer:
             for i in range(workers if worker_mode == "process" else 1)]
         for thread in self._threads:
             thread.start()
-
-    @classmethod
-    def from_trainer(cls, trainer, **overrides) -> "RecommendationServer":
-        """Build a server from a trainer's ``serve_*`` config knobs."""
-        cfg = trainer.config
-        kwargs = dict(max_batch=cfg.serve_max_batch,
-                      max_wait_ms=cfg.serve_max_wait_ms,
-                      workers=cfg.serve_workers,
-                      cache_size=cfg.serve_cache_size,
-                      default_k=cfg.serve_default_k,
-                      worker_mode=cfg.serve_worker_mode,
-                      mp_context=cfg.serve_mp_context,
-                      plane_backend=cfg.runtime_plane_backend,
-                      transport=cfg.serve_transport,
-                      health_interval_ms=cfg.serve_health_interval_ms,
-                      trace_sample=cfg.serve_trace_sample,
-                      trace_rows=cfg.serve_trace_rows,
-                      trace_path=(cfg.serve_trace_path or None),
-                      window_interval_ms=cfg.serve_window_interval_ms,
-                      metrics=cfg.serve_metrics,
-                      metrics_port=(cfg.serve_metrics_port
-                                    if cfg.serve_metrics_port >= 0
-                                    else None),
-                      walk_memo_size=cfg.serve_walk_memo_size)
-        if cfg.serve_cascade_provider:
-            from repro.cascade import provider_from_trainer
-
-            kwargs.update(
-                cascade=provider_from_trainer(trainer,
-                                              cfg.serve_cascade_provider),
-                cascade_m=cfg.serve_cascade_m,
-                cascade_cache_size=cfg.serve_cascade_cache_size)
-        kwargs.update(overrides)
-        return cls(trainer.agent, **kwargs)
 
     # ------------------------------------------------------------------
     # Request API
@@ -874,16 +855,3 @@ def _fail_queued(requests: Sequence[PendingRequest],
     for request in requests:
         if request.future.set_running_or_notify_cancel():
             request.future.set_exception(exc)
-
-
-def naive_recommend_loop(trainer, sessions: Sequence[Session],
-                         k: int = 20) -> List[np.ndarray]:
-    """The uncoalesced baseline: one ``recommend_sessions`` call per
-    session, sequentially — what serving replaces.  Returns each
-    session's ranked-item row (used by the benchmark and the
-    determinism tests)."""
-    ranked = []
-    for session in sessions:
-        rec = trainer.recommend_sessions([session], k=k)[0]
-        ranked.append(rec.ranked_items[0])
-    return ranked

@@ -9,7 +9,7 @@ real Prometheus labels.
 SLOs are declarative: each :class:`SLO` names a metric, a statistic
 (quantile/max/mean/count/value/ratio), and bounds.  ``evaluate_slos``
 runs them against a :class:`~repro.telemetry.registry.FleetSnapshot`
-so the same objects gate benches, CI smoke, and ``cli metrics``.
+(or a rolling window of them), so one table gates either.
 """
 
 from __future__ import annotations

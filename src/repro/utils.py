@@ -1,33 +1,14 @@
-"""Small shared utilities: seeding, progress logging, repo paths."""
+"""Small shared utilities: seeding, progress logging."""
 
 from __future__ import annotations
 
 import logging
 import time
-from pathlib import Path
 from typing import Iterator, Optional
 
 import numpy as np
 
 logger = logging.getLogger("repro")
-
-
-def repo_root() -> Path:
-    """The repository root for a source checkout, else the cwd.
-
-    Benchmark payloads (``BENCH_*.json``) land here so the perf
-    trajectory lives next to the code and CI can pick the files up as
-    artifacts regardless of the working directory a bench ran from.
-    """
-    candidate = Path(__file__).resolve().parents[2]
-    if (candidate / "src").is_dir() and (candidate / "ROADMAP.md").exists():
-        return candidate
-    return Path.cwd()
-
-
-def default_bench_path(name: str) -> str:
-    """Default output path for a ``BENCH_<name>.json`` payload."""
-    return str(repo_root() / name)
 
 
 def make_rng(seed: Optional[int]) -> np.random.Generator:

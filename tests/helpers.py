@@ -1,5 +1,6 @@
-"""Shared test utilities: finite-difference gradient checking, and the
-direct form of a walk's rows for ``select_rows`` references."""
+"""Shared test utilities: finite-difference gradient checking, the
+direct form of a walk's rows for ``select_rows`` references, and the
+coalesced-vs-batch serving determinism check."""
 
 from __future__ import annotations
 
@@ -82,3 +83,17 @@ def walked_sources(rec):
     serving tests compare against hands to the row selection."""
     return [(rec.scores[row], rec.paths.row(row))
             for row in range(len(rec.scores))]
+
+
+def check_determinism(trainer, sessions, k: int = 20) -> bool:
+    """Coalesced serving rankings equal the synchronous
+    ``recommend_sessions`` rankings for the same sessions and ``k``."""
+    sessions = [s for s in sessions if len(s.items) >= 2]
+    expected = []
+    for rec in trainer.recommend_sessions(sessions, k=k):
+        expected.extend(rec.ranked_items)
+    with trainer.serve(cache_size=0) as server:
+        results = server.recommend_many(sessions, k=k)
+    got = [np.asarray(r.items, dtype=np.int64) for r in results]
+    return len(got) == len(expected) and all(
+        np.array_equal(g, e) for g, e in zip(got, expected))

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -70,23 +72,32 @@ class TestCommands:
         assert "published" in out
         assert (tmp_path / "registry" / "manifest.json").exists()
 
-    def test_online_bench_parser_defaults(self):
-        args = build_parser().parse_args(["online-bench", "--quick"])
-        assert args.quick
-        assert args.out.endswith("BENCH_online.json")
-        assert args.concurrency == 16
-        assert args.updater_mode == "thread"
-        assert args.func.__name__ == "cmd_online_bench"
+    def test_metrics_fleet_snapshot(self, capsys, tmp_path):
+        """The whole fleet — two ring workers, the subprocess updater —
+        lands in one merged snapshot."""
+        out = tmp_path / "fleet.json"
+        trace = tmp_path / "fleet.trace.jsonl"
+        code = main(["metrics", "--scale", "tiny", "--dim", "16",
+                     "--epochs", "1", "--workers", "2",
+                     "--graph-shards", "4", "--trace-sample", "1.0",
+                     "--requests", "32", "--out", str(out),
+                     "--prom-out", str(tmp_path / "fleet.prom"),
+                     "--trace-out", str(trace)])
+        assert code == 0
+        roles = set(json.loads(out.read_text())["roles"])
+        assert roles >= {"server", "updater", "worker0", "worker1"}
+        assert "per-shard gather counters: 4" in capsys.readouterr().out
+        assert "# TYPE" in (tmp_path / "fleet.prom").read_text()
+        assert json.loads(
+            trace.with_suffix(".chrome.json").read_text())["traceEvents"]
 
-    def test_runtime_bench_parser_defaults(self):
-        args = build_parser().parse_args(["runtime-bench", "--quick"])
-        assert args.quick
-        assert args.out.endswith("BENCH_runtime.json")
-        assert args.workers == 4
-        assert args.func.__name__ == "cmd_runtime_bench"
+    def test_metrics_requires_out(self):
+        """No default path: the tool used to rewrite a tracked-looking
+        file in the source checkout."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["metrics"])
 
-    def test_serve_bench_worker_mode_flag(self):
-        args = build_parser().parse_args(
-            ["serve-bench", "--quick", "--worker-mode", "process"])
-        assert args.worker_mode == "process"
-        assert args.out.endswith("BENCH_serving.json")
+    def test_top_demo_fleet(self, capsys):
+        assert main(["top", "--frames", "2", "--no-clear", "--scale",
+                     "tiny", "--dim", "16", "--epochs", "1"]) == 0
+        assert "worker0" in capsys.readouterr().out

@@ -32,7 +32,6 @@ def trainer(beauty_tiny, beauty_kg, beauty_transe):
     them.
     """
     config = REKSConfig(dim=16, state_dim=16, sample_sizes=(20, 4),
-                        online_min_sessions=4, online_max_steps=2,
                         seed=0)
     return REKSTrainer(beauty_tiny, beauty_kg, model_name="narm",
                        config=config, transe=beauty_transe)
@@ -471,50 +470,67 @@ class TestHotSwap:
 
     def test_swap_under_concurrent_traffic(self, trainer, registry,
                                            sessions, beauty_tiny):
+        self._swap_under_traffic("thread", trainer, registry, sessions,
+                                 beauty_tiny)
+
+    def test_swap_under_concurrent_traffic_subprocess_updater(
+            self, trainer, registry, sessions, beauty_tiny):
+        self._swap_under_traffic("subprocess", trainer, registry,
+                                 sessions, beauty_tiny)
+
+    @staticmethod
+    def _swap_under_traffic(mode, trainer, registry, sessions,
+                            beauty_tiny):
         """Clients hammer recommend_one while checkpoints publish and
         swap; no request may fail, and post-swap answers must match a
         fresh server on the final checkpoint."""
-        v1 = registry.publish(trainer.agent.state_dict())
+        ingestor = DeltaIngestor(trainer.built, trainer.env,
+                                 compact_every=10_000)
+        updater = OnlineUpdater(trainer, ingestor, registry,
+                                min_sessions=1, max_steps=1, mode=mode)
         errors = []
         stop = threading.Event()
+        try:
+            # The warm-start round forks the subprocess-mode child:
+            # before the server's and the clients' threads exist.
+            v1 = updater.run_once(force=True)
+            with trainer.serve(max_batch=8, max_wait_ms=1.0, workers=2,
+                               registry=registry) as server:
+                server.swap_model(v1)
+                updater.on_publish = server.swap_model
 
-        with trainer.serve(max_batch=8, max_wait_ms=1.0, workers=2,
-                           registry=registry) as server:
-            server.swap_model(v1)
+                def client(shard):
+                    try:
+                        while not stop.is_set():
+                            for session in shard:
+                                server.recommend_one(session, k=5)
+                    except BaseException as exc:  # pragma: no cover
+                        errors.append(exc)
 
-            def client(shard):
-                try:
-                    while not stop.is_set():
-                        for session in shard:
-                            server.recommend_one(session, k=5)
-                except BaseException as exc:  # pragma: no cover
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=client,
-                                        args=(sessions[i::4],))
-                       for i in range(4)]
-            for thread in threads:
-                thread.start()
-            # Publish + swap repeatedly while traffic flows.
-            ingestor = DeltaIngestor(trainer.built, trainer.env,
-                                     compact_every=10_000)
-            updater = OnlineUpdater(trainer, ingestor, registry,
-                                    min_sessions=1, max_steps=1,
-                                    on_publish=server.swap_model)
-            delta = [s for s in beauty_tiny.split.validation
-                     if len(s.items) >= 2]
-            for round_id in range(2):
-                ingestor.ingest_sessions(
-                    delta[round_id * 4:(round_id + 1) * 4])
-                updater.run_once(force=True)
+                threads = [threading.Thread(target=client,
+                                            args=(sessions[i::4],))
+                           for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                # Publish + swap repeatedly while traffic flows.
+                delta = [s for s in beauty_tiny.split.validation
+                         if len(s.items) >= 2]
+                for round_id in range(2):
+                    ingestor.ingest_sessions(
+                        delta[round_id * 4:(round_id + 1) * 4])
+                    updater.run_once(force=True)
+                stop.set()
+                for thread in threads:
+                    thread.join()
+                assert not errors
+                assert updater.last_error is None
+                final_version = registry.latest()
+                assert final_version == v1 + 2 == server.model_version
+                swapped = [np.asarray(r.items, dtype=np.int64) for r in
+                           server.recommend_many(sessions[:8], k=5)]
+        finally:
             stop.set()
-            for thread in threads:
-                thread.join()
-            assert not errors
-            final_version = registry.latest()
-            assert server.model_version == final_version
-            swapped = [np.asarray(r.items, dtype=np.int64) for r in
-                       server.recommend_many(sessions[:8], k=5)]
+            updater.stop()
 
         with trainer.serve(workers=1, registry=registry) as fresh:
             fresh.swap_model(final_version)
@@ -544,21 +560,17 @@ class TestHotSwap:
 # Config knobs
 # ----------------------------------------------------------------------
 class TestOnlineConfig:
-    def test_online_knob_validation(self):
-        with pytest.raises(ValueError, match="online_min_sessions"):
-            REKSConfig(online_min_sessions=0)
-        with pytest.raises(ValueError, match="online_max_steps"):
-            REKSConfig(online_max_steps=0)
-        with pytest.raises(ValueError, match="online_interval_s"):
-            REKSConfig(online_interval_s=0)
-        with pytest.raises(ValueError, match="online_keep_checkpoints"):
-            REKSConfig(online_keep_checkpoints=-1)
-        with pytest.raises(ValueError, match="online_compact_every"):
-            REKSConfig(online_compact_every=0)
-
-    def test_updater_defaults_from_config(self, trainer, registry):
+    def test_online_knob_validation(self, trainer, tmp_path):
         ingestor = DeltaIngestor(trainer.built, trainer.env)
+        registry = CheckpointRegistry(tmp_path / "reg")
+        for bad in ({"min_sessions": 0}, {"max_steps": 0},
+                    {"interval_s": 0}, {"mode": "fiber"}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                OnlineUpdater(trainer, ingestor, registry, **bad)
+        with pytest.raises(ValueError, match="keep_last"):
+            CheckpointRegistry(tmp_path / "reg", keep_last=-1)
+        with pytest.raises(ValueError, match="compact_every"):
+            DeltaIngestor(trainer.built, trainer.env, compact_every=0)
         updater = OnlineUpdater(trainer, ingestor, registry)
-        assert updater.min_sessions == trainer.config.online_min_sessions
-        assert updater.max_steps == trainer.config.online_max_steps
-        assert updater.interval_s == trainer.config.online_interval_s
+        assert (updater.min_sessions, updater.max_steps,
+                updater.interval_s, updater.mode) == (64, 8, 5.0, "thread")

@@ -386,21 +386,26 @@ class TestTransportEquivalence:
 
     def test_mixed_k_bit_identical_across_transports(self, trainer,
                                                      sessions):
+        """Untraced and with every request traced (trace ids out and
+        spans + row records back ride the same payloads)."""
         subset = sessions[:12]
         ks = [3, 7, 5] * 4
-        outputs = {}
-        for transport in ("pipe", "ring"):
-            with trainer.serve(worker_mode="process", workers=2,
-                               transport=transport, cache_size=0,
-                               max_wait_ms=5.0) as server:
-                futures = [server.submit(s, k=k)
-                           for s, k in zip(subset, ks)]
-                outputs[transport] = [f.result() for f in futures]
-        for got, want, k in zip(outputs["ring"], outputs["pipe"], ks):
-            assert len(got.items) == k
-            assert got.items == want.items
-            assert got.scores == want.scores  # bitwise through the codec
-            assert got.explanations == want.explanations
+        for trace_sample in (0.0, 1.0):
+            outputs = {}
+            for transport in ("pipe", "ring"):
+                with trainer.serve(worker_mode="process", workers=2,
+                                   transport=transport, cache_size=0,
+                                   max_wait_ms=5.0,
+                                   trace_sample=trace_sample) as server:
+                    futures = [server.submit(s, k=k)
+                               for s, k in zip(subset, ks)]
+                    outputs[transport] = [f.result() for f in futures]
+                    assert bool(server.tracer.drain()) == bool(trace_sample)
+            for got, want, k in zip(outputs["ring"], outputs["pipe"], ks):
+                assert len(got.items) == k
+                assert got.items == want.items
+                assert got.scores == want.scores  # bitwise via the codec
+                assert got.explanations == want.explanations
 
     def test_cache_stats_bit_identical_across_transports(self, trainer,
                                                          sessions):

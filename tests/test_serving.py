@@ -17,13 +17,15 @@ import pytest
 
 from repro import REKSConfig, REKSTrainer
 from repro.core.environment import RolloutWorkspace
+from repro.runtime import ProcessWorkerPool
 from repro.serving import (
     BatchScheduler,
     ExplanationCache,
     SchedulerClosed,
     ServerClosed,
 )
-from repro.serving.bench import check_determinism
+
+from helpers import check_determinism
 
 
 @pytest.fixture(scope="module")
@@ -371,15 +373,39 @@ class TestRecommendationServer:
                 _top_k(np.zeros((1, 5)), k)
 
     def test_from_trainer_uses_config_knobs(self, trainer):
-        server = trainer.serve(workers=1)
-        try:
-            assert server._scheduler.max_batch == \
-                trainer.config.serve_max_batch
-            assert server.cache.capacity == \
-                trainer.config.serve_cache_size
-            assert server.default_k == trainer.config.serve_default_k
-        finally:
-            server.shutdown()
+        """``trainer.serve`` hands its options to the server's
+        constructor, whose keywords are their one home — defaults,
+        overrides and validation included."""
+        with trainer.serve() as server:
+            assert server._scheduler.max_batch == 32
+            assert server.cache.capacity == 2048
+            assert server.default_k == 20
+            assert server.walk_memo.capacity == 512
+            assert server.worker_mode == "thread"
+        with trainer.serve(max_batch=4, cache_size=7, default_k=3,
+                           walk_memo_size=0) as server:
+            assert server._scheduler.max_batch == 4
+            assert server.cache.capacity == 7
+            assert server.default_k == 3
+            assert server.walk_memo.capacity == 0
+        with pytest.raises(TypeError):
+            trainer.serve(serve_max_batch=4)
+
+    def test_option_validation_at_the_constructor(self, trainer):
+        for bad in ({"default_k": 0}, {"trace_sample": 1.5},
+                    {"trace_sample": -0.1}, {"window_interval_ms": -5},
+                    {"metrics_port": -1}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                trainer.serve(**bad)
+        # Regression: a negative period used to start a health thread
+        # that spun (0.9 CPU-seconds per idle second in the parent).
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="health_interval_ms"):
+            trainer.serve(worker_mode="process", health_interval_ms=-1)
+        with pytest.raises(ValueError, match="health_interval_s"):
+            ProcessWorkerPool(trainer.agent, workers=1,
+                              health_interval_s=-0.001)
+        assert threading.active_count() == before
 
     def test_check_determinism_helper(self, trainer, sessions):
         assert check_determinism(trainer, sessions[:10], k=5)

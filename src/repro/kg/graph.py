@@ -35,6 +35,11 @@ class KnowledgeGraph:
         self._adj_rels: Optional[np.ndarray] = None
         self._adj_tails: Optional[np.ndarray] = None
         self.entity_names: Dict[int, str] = {}
+        # Label tables for rendering, filled on first use: the
+        # ``type:local`` label of entities without a stored name, and
+        # one ``--relation-->`` arrow per relation.
+        self._fallback_names: Dict[int, str] = {}
+        self._arrows: List[str] = []
 
     # ------------------------------------------------------------------
     # Schema construction
@@ -105,10 +110,21 @@ class KnowledgeGraph:
 
     def entity_name(self, entity: int) -> str:
         name = self.entity_names.get(entity)
-        if name is not None:
-            return name
-        type_name, local = self.local_id(entity)
-        return f"{type_name}:{local}"
+        if name is None:
+            name = self._fallback_names.get(entity)
+            if name is None:
+                # An id's range is fixed when its type is registered,
+                # so the label can be kept.
+                type_name, local = self.local_id(entity)
+                name = self._fallback_names[entity] = f"{type_name}:{local}"
+        return name
+
+    @property
+    def relation_arrows(self) -> List[str]:
+        """``--name-->`` per relation id, as paths render a hop."""
+        if len(self._arrows) != len(self.relation_names):
+            self._arrows = [f"--{name}-->" for name in self.relation_names]
+        return self._arrows
 
     # ------------------------------------------------------------------
     # Triples

@@ -268,10 +268,11 @@ def take_paths(path_rows: Sequence[PathRow], counts: np.ndarray,
 
 def render_path(path: SemanticPath, kg: KnowledgeGraph) -> str:
     """Human-readable arrow form used in the case studies (Fig. 10)."""
-    parts = [kg.entity_name(path.entities[0])]
+    name, arrows = kg.entity_name, kg.relation_arrows
+    parts = [name(path.entities[0])]
     for rel, ent in zip(path.relations, path.entities[1:]):
-        parts.append(f"--{kg.relation_names[rel]}-->")
-        parts.append(kg.entity_name(ent))
+        parts.append(arrows[rel])
+        parts.append(name(ent))
     return " ".join(parts)
 
 

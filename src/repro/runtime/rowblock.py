@@ -7,8 +7,10 @@ exactly the sections the response payload is made of
 *is* the wire body: the ring writes the arrays with ``tobytes`` and
 reads them back as ``frombuffer`` views, the pipe pickles the same
 six arrays, and thread mode hands the block straight to the server's
-respond step.  Python lists appear once, in :meth:`RowBlock.to_rows`,
-where the server needs tuples for its ``ServedResult`` values.
+respond step, which cuts its ``ServedResult`` tuples straight from
+the flat sections (:meth:`RowBlock.path_blobs` decodes the paths).
+:meth:`RowBlock.to_rows` is the list-of-rows form ``pool.execute`` and
+``decode_response`` answer with.
 
 :func:`select_rows` is the only place a row's top-k is cut from its
 score row, and :func:`repro.runtime.flush.execute_flush` its only
@@ -90,12 +92,10 @@ class RowBlock:
                    np.array(path_nodes, dtype=_I32),
                    np.array(probs, dtype=_F64))
 
-    def to_rows(self) -> List[tuple]:
-        """Inverse of :meth:`from_rows`: plain lists, floats and ints.
-
-        Each section becomes a Python list once and rows are slices of
-        those lists — no per-item array access.
-        """
+    def path_blobs(self) -> List[Optional[tuple]]:
+        """Every cell's path as ``(entities, relations, prob)`` plain
+        lists and a float, or None — the path sections decoded once,
+        in cell order."""
         nodes = self.path_nodes.tolist()
         probs = iter(self.probs.tolist())
         blobs: List[Optional[tuple]] = []
@@ -107,6 +107,15 @@ class RowBlock:
             mid = stop + length + 1
             start, stop = stop, mid + length
             blobs.append((nodes[start:mid], nodes[mid:stop], next(probs)))
+        return blobs
+
+    def to_rows(self) -> List[tuple]:
+        """Inverse of :meth:`from_rows`: plain lists, floats and ints.
+
+        Each section becomes a Python list once and rows are slices of
+        those lists — no per-item array access.
+        """
+        blobs = self.path_blobs()
         items, scores = self.items.tolist(), self.scores.tolist()
         rows = []
         start = 0

@@ -4,9 +4,12 @@ Real session traffic is repeat-skewed — hot sessions and shared
 suffixes recur both *within* a coalesced flush (two identical rows in
 one micro-batch) and *across* flushes (the same suffix asked again a
 moment later, often at a different ``k``).  The post-render
-:class:`~repro.serving.cache.ExplanationCache` only catches the exact
-``(suffix, k, user, cascade, version)`` repeat; everything else walks
-again even though the walk is per-row deterministic and k-independent.
+:class:`~repro.serving.cache.ExplanationCache` answers a repeat session
+at the ``k`` it holds and at every smaller ``k`` its ranking decides
+without a tie; what it cannot answer — a ``k`` larger than the one it
+holds, a cut that lands on a tie, an evicted or never-seen session
+whose walk inputs another row shares — would walk again even though
+the walk is per-row deterministic and k-independent.
 
 Two layers close that gap:
 
@@ -58,8 +61,12 @@ answer for a differently-constrained repeat.
 Layering: the explanation cache sits **above** the memo (hit = no
 scheduler, no render); the memo sits **below** the flush (hit = no
 walk, but top-k re-selection + render still run).  A request can miss
-the cache and hit the memo — that is the common case for a hot suffix
-cycling through ks.
+the cache and hit the memo: a hot session asked at a larger ``k`` than
+its entry holds (the upgrade re-selects from the stored row), or at a
+``k`` whose cut ties (the cache counts a tie-miss and the memo answers
+with a dedicated ``_top_k``).  With the cache serving every untied
+smaller ``k`` itself, those two are most of what the memo still sees
+from repeat traffic.
 """
 
 from __future__ import annotations

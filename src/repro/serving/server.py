@@ -14,7 +14,9 @@ A :class:`RecommendationServer` wraps one fitted
   the process fleet only: threads share a GIL, so a second executor
   would just split the flushes and fight the first for it);
 * an :class:`~repro.serving.cache.ExplanationCache` LRU short-circuits
-  repeat (session-suffix, k) requests;
+  repeat sessions — one entry per session, at the largest ``k``
+  answered so far, serves every smaller ``k`` its ranking decides
+  without a tie;
 * a :class:`~repro.serving.stats.ServerStats` recorder tracks latency
   percentiles, batch occupancy, and cache efficiency.
 
@@ -63,7 +65,8 @@ from repro.kg.paths import SemanticPath, render_path
 from repro.runtime import ProcessWorkerPool
 from repro.runtime.flush import FlushPlan, execute_flush
 from repro.runtime.rowblock import RowBlock
-from repro.serving.cache import ExplanationCache
+from repro.serving.cache import (CacheKey, Entry, ExplanationCache,
+                                 strict_prefix)
 from repro.serving.memo import WalkMemo, dedup_plan
 from repro.serving.scheduler import (
     BatchScheduler,
@@ -101,13 +104,14 @@ class ServedResult:
 class _Request:
     """Scheduler payload for one session.
 
-    ``base_key`` is the version-less cache identity, already
-    normalised (:meth:`RecommendationServer._base_key`) — ``submit``
-    and the respond step append ``(cascade, version)`` to it.  The
-    executing worker supplies the model version it actually ran with,
-    which may be newer than the one the submitter looked up (a swap
-    landed between submit and execution; the result is then cached
-    under the version that computed it).
+    ``base_key`` is the version-less cache identity ``(suffix,
+    user)``, already normalised
+    (:meth:`RecommendationServer._base_key`) — ``submit`` and the
+    respond step append ``(cascade, version)`` to it.  The executing
+    worker supplies the model version it actually ran with, which may
+    be newer than the one the submitter looked up (a swap landed
+    between submit and execution; the result is then cached under the
+    version that computed it).
     """
 
     session: Session
@@ -311,7 +315,10 @@ class RecommendationServer:
         """Non-blocking submission; the future yields a ServedResult.
 
         Cache hits resolve the future immediately without touching the
-        scheduler.  ``k`` must be at least 1 (``ValueError``).
+        scheduler — the session's entry answers its own ``k`` and every
+        smaller one it ranks without a tie
+        (:meth:`ExplanationCache.lookup`), by slicing.  ``k`` must be
+        at least 1 (``ValueError``).
         """
         if self._shut_down:
             raise ServerClosed("server has been shut down")
@@ -319,20 +326,27 @@ class RecommendationServer:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         started = perf_counter()
-        base = self._base_key(session, k)
+        base = self._base_key(session)
         version = self._model_version
-        hit = self._cache.get(base + (self._cascade_id, version))
-        if hit is not None:
+        entry, servable = self._cache.lookup(
+            CacheKey(*base, self._cascade_id, version), k)
+        if servable:
+            hit = entry.result
+            answer = ((hit.items[:k], hit.scores[:k], hit.paths[:k],
+                       hit.explanations[:k]) if k < len(hit.items)
+                      else (hit.items, hit.scores, hit.paths,
+                            hit.explanations))
             latency = perf_counter() - started
             # Rendering happened once, at cache admission; a hit
             # serves the stored strings without re-rendering.
-            self._stats.record_hit(latency, version, len(hit.explanations))
+            self._stats.record_hit(latency, version, len(answer[0]),
+                                   nested=k != entry.asked)
             future: Future = Future()
-            future.set_result(ServedResult(
-                hit.items, hit.scores, hit.paths, hit.explanations,
-                cached=True, latency_ms=latency * 1e3))
+            future.set_result(ServedResult(*answer, cached=True,
+                                           latency_ms=latency * 1e3))
             return future
-        self._stats.record_cache(False, version)
+        self._stats.record_cache(
+            False, version, tie=entry is not None and k < entry.asked)
         trace = self._tracer.maybe_start()
         if trace and self._metrics is not None:
             self._metrics.count("traces_sampled_total")
@@ -490,7 +504,8 @@ class RecommendationServer:
     def serving_state(self) -> dict:
         """JSON-safe shared-computation state for ``/metrics.json``:
         per-version entry counts for both caches (the post-swap
-        stale-entry drain) plus the walk memo's own counters.  In
+        stale-entry drain), the explanation cache's nested-hit /
+        tie-miss counters and the walk memo's own counters.  In
         process mode the memo section reflects the (empty) server-side
         instance — the workers' memo counters live in the fleet
         metrics."""
@@ -500,6 +515,8 @@ class RecommendationServer:
             "cache_entries_by_version": {
                 str(v): n for v, n
                 in sorted(self._cache.entries_by_version().items())},
+            "cache_nested_hits": self._cache.nested_hits,
+            "cache_tie_misses": self._cache.tie_misses,
             "walk_memo": {
                 "capacity": memo.capacity,
                 "entries": len(memo),
@@ -632,10 +649,10 @@ class RecommendationServer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _base_key(self, session: Session, k: int) -> tuple:
-        """Version-less cache identity: the first three fields of
-        :meth:`ExplanationCache.key`, normalised here once, so that
-        ``base + (cascade, version)`` *is* the cache key."""
+    def _base_key(self, session: Session) -> tuple:
+        """Version-less cache identity: the first two fields of
+        :class:`~repro.serving.cache.CacheKey`, normalised here once,
+        so that ``base + (cascade, version)`` *is* the cache key."""
         items = session.items
         if len(items) < 2:
             raise ValueError(
@@ -643,7 +660,7 @@ class RecommendationServer:
                 f"next-item slot); got {len(items)}")
         prefix = items[:-1][-self._max_session_length:]
         user = session.user_id if self._start_from == "user" else None
-        return (tuple(int(i) for i in prefix), k, user)
+        return (tuple(map(int, prefix)), user)
 
     def _worker(self) -> None:
         try:
@@ -735,8 +752,7 @@ class RecommendationServer:
             # cache key uses.  Strictly per row — never unioned — so a
             # session's ranking can't depend on its batch-mates.
             c0 = perf_counter()
-            cands = [tuple(self._cascade.plan(payload.base_key[0],
-                                              payload.base_key[2]).tolist())
+            cands = [tuple(self._cascade.plan(*payload.base_key).tolist())
                      for payload in payloads]
             cascade_dur = perf_counter() - c0
             if metrics is not None:
@@ -749,7 +765,7 @@ class RecommendationServer:
             # Model version, store generation and cascade identity are
             # batch-constant: they ride the memo key, not the plan.
             dedup = dedup_plan([
-                (payload.base_key[0], payload.base_key[2],
+                (*payload.base_key,
                  None if cands is None else cands[row])
                 for row, payload in enumerate(payloads)])
             collapsed = len(group) - len(dedup[0])
@@ -789,37 +805,39 @@ class RecommendationServer:
         """Turn a flush's block into its requests' results.
 
         Each distinct block row becomes tuples once — Python lists and
-        its ``SemanticPath`` values (still the transport step that
-        began at ``t0``: this is the unmarshalling), then every
-        explanation rendered — and requests that share a row
-        (``fan_out``) share those tuples.  Then, in this order: every
-        ``ServedResult`` is constructed with its latency; the results
-        are admitted to the cache; the stats and the request histogram
-        take the whole flush; and only then do the futures resolve —
-        a caller that reads ``stats()`` or resubmits right after
-        ``result()`` finds its request counted and cached.
+        its ``SemanticPath`` values, cut straight from the block's flat
+        sections, no per-row lists in between (still the transport step
+        that began at ``t0``: this is the unmarshalling), then every
+        explanation rendered — and
+        requests that share a row (``fan_out``) share those tuples.
+        Then, in this order: every ``ServedResult`` is constructed with
+        its latency; the results are admitted to the cache, one entry
+        per session at the largest ``k`` it was asked
+        (:meth:`ExplanationCache.admit`); the stats and the request
+        histogram take the whole flush; and only then do the futures
+        resolve — a caller that reads ``stats()`` or resubmits right
+        after ``result()`` finds its request counted and cached.
         """
         metrics, tracer, kg = self._metrics, self._tracer, self._kg
-        rows = block.to_rows()
-        paths = [None if blob is None
-                 else SemanticPath(entities=blob[0], relations=blob[1],
-                                   prob=blob[2])
-                 for _, _, blobs in rows for blob in blobs]
+        paths = [None if blob is None else SemanticPath(*blob)
+                 for blob in block.path_blobs()]
+        items, scores = block.items.tolist(), block.scores.tolist()
         transport_dur = perf_counter() - t0
         if metrics is not None:
             metrics.observe("transport_seconds", transport_dur)
         for trace in sampled:
             tracer.record(trace, "transport", "server", t0, transport_dur)
         r0 = perf_counter()
+        texts = ["" if path is None else render_path(path, kg)
+                 for path in paths]
         answers = []
         stop = 0
-        for items, scores, _ in rows:
-            start, stop = stop, stop + len(items)
-            row_paths = tuple(paths[start:stop])
-            answers.append((tuple(items), tuple(scores), row_paths,
-                            tuple("" if path is None
-                                  else render_path(path, kg)
-                                  for path in row_paths)))
+        for k in block.ks.tolist():
+            start, stop = stop, stop + k
+            answers.append((tuple(items[start:stop]),
+                            tuple(scores[start:stop]),
+                            tuple(paths[start:stop]),
+                            tuple(texts[start:stop])))
         render_dur = perf_counter() - r0
         if fan_out is None:
             fan_out = range(len(group))
@@ -831,18 +849,22 @@ class RecommendationServer:
         for trace in sampled:
             tracer.record(trace, "render", "server", r0, render_dur)
         t_resp = perf_counter()
-        key_tail = (self._cascade_id, version)
-        keys, results, latencies = [], [], []
+        cascade_id = self._cascade_id
+        stricts = [strict_prefix(answer[1]) for answer in answers]
+        keys, entries, latencies = [], [], []
         for request, p in zip(group, fan_out):
+            payload = request.payload
             latency = t_resp - request.enqueued_at
-            keys.append(request.payload.base_key + key_tail)
-            results.append(ServedResult(*answers[p], cached=False,
-                                        latency_ms=latency * 1e3))
+            keys.append(CacheKey(*payload.base_key, cascade_id, version))
+            entries.append(Entry(
+                ServedResult(*answers[p], cached=False,
+                             latency_ms=latency * 1e3),
+                payload.k, stricts[p]))
             latencies.append(latency)
-        self._cache.put_many(keys, results)
+        self._cache.admit(keys, entries)
         self._stats.record_requests(latencies)
-        for request, result in zip(group, results):
-            request.future.set_result(result)
+        for request, entry in zip(group, entries):
+            request.future.set_result(entry.result)
         respond_dur = perf_counter() - t_resp
         for trace in sampled:
             tracer.record(trace, "respond", "server", t_resp, respond_dur)

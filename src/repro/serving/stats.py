@@ -46,6 +46,9 @@ class StatsSnapshot:
     version a lookup was keyed against, which is how hot-swap rollovers
     are observed: right after a swap the new version's misses climb
     while the stale version stops being queried at all.
+    ``cache_nested_hits`` are the hits served by slicing an entry
+    admitted at a larger ``k``; ``cache_tie_misses`` the misses that
+    found such an entry but a tie at or before the cut.
     """
 
     requests: int
@@ -61,6 +64,8 @@ class StatsSnapshot:
     batch_occupancy: Dict[int, int] = field(default_factory=dict)
     mean_occupancy: float = 0.0
     cache_by_version: Dict[int, Dict[str, int]] = field(default_factory=dict)
+    cache_nested_hits: int = 0
+    cache_tie_misses: int = 0
     swaps: int = 0
     swap_latency_ms: Tuple[float, ...] = ()
     # Shared-computation plane: rows collapsed by in-flush dedup, the
@@ -99,6 +104,8 @@ class StatsSnapshot:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate,
+            "cache_nested_hits": self.cache_nested_hits,
+            "cache_tie_misses": self.cache_tie_misses,
             "cache_by_version": by_version,
             "swaps": self.swaps,
             "swap_latency_ms": list(self.swap_latency_ms),
@@ -140,6 +147,8 @@ class ServerStats:
         self._occupancy: Dict[int, int] = {}
         self._cache_hits = 0
         self._cache_misses = 0
+        self._nested_hits = 0
+        self._tie_misses = 0
         self._cache_by_version: Dict[int, Dict[str, int]] = {}
         self._swaps = 0
         self._swap_latencies_s: deque = deque(maxlen=SWAP_WINDOW)
@@ -210,8 +219,11 @@ class ServerStats:
         if self.metrics is not None:
             self.metrics.count("batches_total")
 
-    def record_cache(self, hit: bool, version: int = 0) -> None:
-        """One cache lookup, attributed to the model version it keyed."""
+    def record_cache(self, hit: bool, version: int = 0,
+                     tie: bool = False) -> None:
+        """One cache lookup, attributed to the model version it keyed;
+        ``tie`` marks a miss that found a larger-``k`` entry whose
+        ranking ties at or before the cut."""
         with self._lock:
             split = self._cache_by_version.setdefault(
                 int(version), {"hits": 0, "misses": 0})
@@ -221,14 +233,19 @@ class ServerStats:
             else:
                 self._cache_misses += 1
                 split["misses"] += 1
+                if tie:
+                    self._tie_misses += 1
         if self.metrics is not None:
             self.metrics.count("cache_hits_total" if hit
                                else "cache_misses_total")
+            if tie:
+                self.metrics.count("cache_tie_misses_total")
 
     def record_hit(self, latency_s: float, version: int,
-                   rendered: int) -> None:
+                   rendered: int, nested: bool = False) -> None:
         """One request served from the explanation cache, its
-        ``rendered`` stored explanations re-served without rendering:
+        ``rendered`` stored explanations re-served without rendering
+        (``nested``: by slicing an entry admitted at a larger ``k``):
         ``record_cache(True, version)``, a ``render_deferred_total``
         count and ``record_request(latency_s)`` under one lock and one
         seqlock publish of the mirror block — every counter ends
@@ -238,6 +255,8 @@ class ServerStats:
             split = self._cache_by_version.setdefault(
                 int(version), {"hits": 0, "misses": 0})
             self._cache_hits += 1
+            if nested:
+                self._nested_hits += 1
             split["hits"] += 1
             if self._started_at is None:
                 self._started_at = now - latency_s
@@ -248,6 +267,7 @@ class ServerStats:
         if self.metrics is not None:
             self.metrics.count_observe(
                 (("cache_hits_total", 1),
+                 ("cache_nested_hits_total", int(nested)),
                  ("render_deferred_total", rendered),
                  ("requests_total", 1)),
                 "request_latency_seconds", latency_s)
@@ -279,6 +299,8 @@ class ServerStats:
             self._occupancy.clear()
             self._cache_hits = 0
             self._cache_misses = 0
+            self._nested_hits = 0
+            self._tie_misses = 0
             self._cache_by_version.clear()
             self._swaps = 0
             self._swap_latencies_s.clear()
@@ -295,6 +317,7 @@ class ServerStats:
             sample_exact = self._lat_sample.seen <= self._lat_sample.capacity
             occupancy = dict(self._occupancy)
             hits, misses = self._cache_hits, self._cache_misses
+            nested_hits, tie_misses = self._nested_hits, self._tie_misses
             by_version = {v: dict(split) for v, split
                           in self._cache_by_version.items()}
             swaps = self._swaps
@@ -348,6 +371,8 @@ class ServerStats:
             batch_occupancy=occupancy,
             mean_occupancy=mean_occ,
             cache_by_version=by_version,
+            cache_nested_hits=nested_hits,
+            cache_tie_misses=tie_misses,
             swaps=swaps,
             swap_latency_ms=swap_ms,
             dedup_rows=dedup_rows,

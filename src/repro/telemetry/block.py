@@ -606,6 +606,9 @@ def fleet_schema(num_shards: int = 0, hops: int = 0) -> MetricSchema:
     counters = [
         "requests_total", "batches_total",
         "cache_hits_total", "cache_misses_total",
+        # of the hits: sliced from a larger-k entry; of the misses:
+        # such an entry was live but tied at or before the cut
+        "cache_nested_hits_total", "cache_tie_misses_total",
         "ring_batches_total", "pipe_batches_total",
         "ring_fallbacks_total",
         "worker_respawns_total",

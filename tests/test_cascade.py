@@ -295,11 +295,13 @@ class TestCacheKeying:
             result = server.recommend_one(sessions[0], k=5)
             assert not result.cached
             assert server.recommend_one(sessions[0], k=5).cached
+            suffix, user = server._base_key(sessions[0])
             key = ExplanationCache.key(
-                *server._base_key(sessions[0], 5),
+                suffix, user_id=user,
                 cascade=(provider.provider_id, 20),
                 version=server.model_version)
-            assert server._cache.get(key) is not None
+            assert server._cache.get(key).asked == 5
+            assert key.cascade == (provider.provider_id, 20)
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,348 @@
+"""One cached answer per session serves every ``k`` — exactly.
+
+Tier-1.  The explanation cache keys on the session and keeps the
+answer at the largest ``k`` asked; a smaller ``k`` is sliced from it
+only when the ranking has no tie at or before the cut.  Pinned here:
+
+* the rule is *exact* — wherever it says "servable", the prefix is
+  ``_top_k`` at that ``k`` (property over tie-heavy score rows), and
+  every served answer equals the offline oracle
+  (``REKSTrainer.recommend_sessions``; the constrained
+  ``agent.recommend`` under the cascade) in items, paths, explanations
+  and score bits, in thread and process mode, for arbitrary ``k``
+  sequences, with ``cached`` true exactly when the rule says so;
+* a tie at or before the cut is a counted miss that still answers
+  right and leaves the larger entry in place;
+* admission keeps one entry per session at the largest ``k``; the LRU
+  counts and evicts sessions; a hot swap or another cascade identity
+  misses.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import REKSConfig, REKSTrainer
+from repro.cascade import build_constraint, provider_from_trainer
+from repro.core.agent import _top_k
+from repro.data.loader import collate_examples
+from repro.kg.paths import render_path
+from repro.serving import ExplanationCache
+from repro.serving.cache import Entry, strict_prefix
+from repro.serving.server import ServedResult
+
+CASCADE_M = 20
+
+
+@pytest.fixture(scope="module")
+def trainer(beauty_tiny, beauty_kg, beauty_transe):
+    config = REKSConfig(dim=16, state_dim=16, sample_sizes=(20, 4),
+                        seed=0)
+    return REKSTrainer(beauty_tiny, beauty_kg, model_name="narm",
+                       config=config, transe=beauty_transe)
+
+
+@pytest.fixture(scope="module")
+def sessions(beauty_tiny):
+    return [s for s in beauty_tiny.split.test if len(s.items) >= 2]
+
+
+class Oracle:
+    """The offline answer for ``(session, k)``, computed once each."""
+
+    def __init__(self, trainer, provider=None):
+        self.trainer, self.provider = trainer, provider
+        self._answers = {}
+
+    def __call__(self, session, k):
+        key = (tuple(session.items), session.user_id, k)
+        if key not in self._answers:
+            self._answers[key] = self._compute(session, k)
+        return self._answers[key]
+
+    def _compute(self, session, k):
+        trainer, agent = self.trainer, self.trainer.agent
+        if self.provider is None:
+            (rec,) = trainer.recommend_sessions([session], k=k)
+        else:
+            length = trainer.config.max_session_length
+            prefix = tuple(session.items[:-1][-length:])
+            cands = self.provider.top_m(prefix, CASCADE_M, user_id=None)
+            rec = agent.recommend(
+                collate_examples([(session.items[:-1], session.items[-1],
+                                   session.user_id)], length),
+                k=k, candidates=build_constraint(
+                    agent, [cands], agent.config.path_length))
+        items = tuple(int(i) for i in rec.ranked_items[0])
+        paths = tuple(rec.paths.get((0, item)) for item in items)
+        return ServedResult(
+            items, tuple(float(rec.scores[0, i]) for i in items), paths,
+            tuple("" if p is None else render_path(p, trainer.env.built.kg)
+                  for p in paths))
+
+
+def assert_answers(result, expected):
+    assert result.items == expected.items
+    assert result.paths == expected.paths
+    assert result.explanations == expected.explanations
+    # bits, not values
+    assert (np.array(result.scores).tobytes()
+            == np.array(expected.scores).tobytes())
+
+
+def entry_of(server, session):
+    key = server._base_key(session) + (server._cascade_id,
+                                       server.model_version)
+    return server.cache._entries.get(key)
+
+
+def servable(entry, k):
+    """The rule, restated: the oracle ``cached`` is checked against."""
+    if entry is None or k > entry.asked:
+        return False
+    return (k == entry.asked or k >= len(entry.result.items)
+            or entry.strict > k)
+
+
+# ----------------------------------------------------------------------
+# The rule is exact wherever it says yes
+# ----------------------------------------------------------------------
+class TestRule:
+    def test_strict_prefix(self):
+        assert strict_prefix(()) == 0
+        assert strict_prefix((0.5,)) == 1
+        assert strict_prefix((3.0, 2.0, 1.0)) == 3
+        assert strict_prefix((3.0, 2.0, 2.0, 1.0)) == 2
+        assert strict_prefix((1.0, 1.0)) == 1
+        assert strict_prefix((0.2, 0.1, 0.0, 0.0, 0.0)) == 3
+        assert strict_prefix((1.0, float("nan"), 0.0)) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=3, max_size=24),
+           st.integers(1, 30), st.integers(1, 30))
+    def test_a_servable_prefix_is_the_dedicated_top_k(self, values, asked,
+                                                      k):
+        """Tie-heavy rows (few distinct values, zero tails): wherever
+        ``lookup`` serves ``k`` from the entry ranked at ``asked``, the
+        prefix equals ``_top_k(row, k)`` — set, order and all."""
+        row = np.array([[0.0] + [v / 4 for v in values]])
+        ranked = _top_k(row, asked)[0]
+        result = ServedResult(tuple(ranked.tolist()),
+                              tuple(row[0, ranked].tolist()), (), ())
+        cache = ExplanationCache(4)
+        key = ExplanationCache.key((1, 2))
+        cache.admit([key], [Entry(result, asked,
+                                  strict_prefix(result.scores))])
+        entry, ok = cache.lookup(key, k)
+        assert entry.result is result
+        assert ok == servable(entry, k)
+        if ok:
+            assert result.items[:k] == tuple(_top_k(row, k)[0].tolist())
+        assert (cache.hits, cache.misses) == (int(ok), int(not ok))
+        assert cache.nested_hits == int(ok and k != asked)
+        assert cache.tie_misses == int(not ok and k < asked)
+
+    def test_key_drops_k_and_names_its_fields(self):
+        assert (ExplanationCache.key((1, 2), 5)
+                == ExplanationCache.key((1, 2), 20)
+                == ExplanationCache.key((1, 2)))
+        key = ExplanationCache.key([np.int64(1), 2], user_id=7,
+                                   cascade=("neighbors:r20", 50), version=3)
+        assert key == ((1, 2), 7, ("neighbors:r20", 50), 3)
+        assert (key.suffix, key.user, key.cascade, key.version) == key
+
+    def test_other_cascade_identity_or_version_misses(self):
+        result = ServedResult((4, 2), (0.5, 0.25), (None, None), ("", ""))
+        cache = ExplanationCache(8)
+        base = dict(cascade=("neighbors:r20", 50), version=1)
+        cache.admit([ExplanationCache.key((1, 2), **base)],
+                    [Entry(result, 2, 2)])
+        for other in (dict(base, cascade=("neighbors:r20", 100)),
+                      dict(base, cascade=None),
+                      dict(base, cascade=("encoder:narm", 50)),
+                      dict(base, version=2)):
+            assert cache.lookup(ExplanationCache.key((1, 2), **other),
+                                2) == (None, False)
+        assert cache.lookup(ExplanationCache.key((1, 2), **base), 2)[1]
+        assert cache.entries_by_version() == {1: 1}
+
+    def test_admit_keeps_the_larger_entry_and_refreshes_it(self):
+        def entry(asked):
+            scores = tuple(1.0 / (i + 1) for i in range(asked))
+            return Entry(ServedResult(tuple(range(1, asked + 1)), scores,
+                                      (None,) * asked, ("",) * asked),
+                         asked, asked)
+
+        a, b, c = (ExplanationCache.key((i,)) for i in range(3))
+        cache = ExplanationCache(2)
+        cache.admit([a, b], [entry(20), entry(10)])
+        cache.admit([a], [entry(5)])          # kept at 20, now most recent
+        assert cache._entries[a].asked == 20
+        cache.admit([c], [entry(5)])          # evicts b, not a
+        assert list(cache._entries) == [a, c] and cache.evictions == 1
+        cache.admit([c, c], [entry(20), entry(10)])   # one flush, two ks
+        assert cache._entries[c].asked == 20 and len(cache) == 2
+        off = ExplanationCache(0)
+        off.admit([a], [entry(5)])
+        assert len(off) == 0 and off.lookup(a, 5) == (None, False)
+
+
+# ----------------------------------------------------------------------
+# Served answers: any k sequence, both modes, cascade on and off
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module", params=[
+    ("thread", False), ("thread", True), ("process", False),
+    ("process", True)], ids=lambda p: f"{p[0]}-{'cascade' if p[1] else 'full'}")
+def served(request, trainer):
+    mode, cascade = request.param
+    provider = (provider_from_trainer(trainer, "neighbors") if cascade
+                else None)
+    with trainer.serve(worker_mode=mode, workers=1, max_wait_ms=0.0,
+                       cascade=provider, cascade_m=CASCADE_M) as server:
+        yield server, Oracle(trainer, provider)
+
+
+class TestServedSequences:
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_every_answer_is_the_oracles(self, served, sessions, data):
+        server, oracle = served
+        n_items = server._agent.n_items
+        session = sessions[data.draw(st.integers(0, len(sessions) - 1))]
+        ks = data.draw(st.lists(
+            st.one_of(st.integers(1, n_items + 5), st.integers(1, 24)),
+            min_size=2, max_size=6))
+        server.cache.clear()
+        for k in ks:
+            before = entry_of(server, session)
+            result = server.recommend_one(session, k=k)
+            assert result.cached == servable(before, k), (k, before)
+            assert_answers(result, oracle(session, k))
+            after = entry_of(server, session)
+            if result.cached:
+                assert after is before
+                assert result.scores == before.result.scores[:k]
+            else:
+                assert after.asked == max(
+                    k, before.asked if before is not None else 0)
+            assert len(server.cache) == 1
+
+
+# ----------------------------------------------------------------------
+# Ties, clipping, upgrades, eviction, swap — on real walks
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["thread", "process"])
+def server(request, trainer):
+    with trainer.serve(worker_mode=request.param, workers=1,
+                       max_wait_ms=0.0) as server:
+        yield server
+
+
+class TestRealWalks:
+    def test_tie_at_or_past_the_cut_is_a_counted_miss(self, server,
+                                                      trainer, sessions):
+        """With the encoder fallback off, a ranking over the whole
+        catalogue ends in a run of pathless 0.0 scores: the cut is
+        exact up to the first zero and a miss from there on."""
+        oracle = Oracle(trainer)
+        session = sessions[0]
+        n_items = server._agent.n_items
+        full = server.recommend_one(session, k=n_items + 5)
+        entry = entry_of(server, session)
+        reached = sum(1 for score in full.scores if score > 0)
+        assert 5 < reached < n_items - 5
+        assert entry.asked == n_items + 5 and entry.strict == reached + 1
+        assert full.scores[reached:] == (0.0,) * (n_items - reached)
+
+        for k in (1, reached - 1, reached):       # strict at the cut
+            hit = server.recommend_one(session, k=k)
+            assert hit.cached and hit.items == full.items[:k]
+            assert_answers(hit, oracle(session, k))
+        for k in (reached + 1, reached + 4, n_items - 1):   # tied cut
+            miss = server.recommend_one(session, k=k)
+            assert not miss.cached
+            assert_answers(miss, oracle(session, k))
+            assert entry_of(server, session) is entry     # not replaced
+        stats = server.stats()
+        assert (stats.cache_hits, stats.cache_misses) == (3, 4)
+        assert (stats.cache_nested_hits, stats.cache_tie_misses) == (3, 3)
+        assert stats.to_dict()["cache_tie_misses"] == 3
+        snap = server.fleet_snapshot()
+        assert snap.counter("cache_nested_hits_total") == 3
+        assert snap.counter("cache_tie_misses_total") == 3
+        assert snap.counter("cache_hits_total") == 3
+        assert snap.counter("cache_misses_total") == 4
+        state = server.serving_state()
+        assert (state["cache_nested_hits"], state["cache_tie_misses"]) \
+            == (3, 3)
+        assert (server.cache.hits, server.cache.misses) == (3, 4)
+
+    def test_clipped_entry_serves_every_k_at_or_past_the_catalogue(
+            self, server, trainer, sessions):
+        oracle = Oracle(trainer)
+        session = sessions[1]
+        n_items = server._agent.n_items
+        full = server.recommend_one(session, k=n_items + 5)
+        assert len(full.items) == n_items
+        for k in (n_items, n_items + 2, n_items + 5):
+            hit = server.recommend_one(session, k=k)
+            assert hit.cached and hit.items is full.items
+            assert_answers(hit, oracle(session, k))
+        assert not server.recommend_one(session, k=n_items + 6).cached
+        assert entry_of(server, session).asked == n_items + 6
+
+    def test_upgrade_replaces_downgrade_does_not(self, server, sessions):
+        up, down = sessions[2], sessions[3]
+        assert not server.recommend_one(up, k=5).cached
+        assert not server.recommend_one(up, k=20).cached     # larger: walk
+        assert entry_of(server, up).asked == 20
+        assert server.recommend_one(up, k=5).cached
+        assert not server.recommend_one(down, k=20).cached
+        twenty = entry_of(server, down)
+        assert twenty.strict > 5
+        five = server.recommend_one(down, k=5)
+        assert five.cached and five.items == twenty.result.items[:5]
+        assert entry_of(server, down) is twenty
+        assert len(server.cache) == 2
+
+    @pytest.mark.parametrize("ks", [(5, 20), (20, 5)])
+    def test_two_ks_of_one_session_in_one_flush_admit_one_entry(
+            self, trainer, sessions, ks):
+        with trainer.serve(workers=1, max_batch=2,
+                           max_wait_ms=5000.0) as server:
+            futures = [server.submit(sessions[4], k=k) for k in ks]
+            results = [future.result(timeout=30) for future in futures]
+            assert [len(r.items) for r in results] == list(ks)
+            assert not any(r.cached for r in results)
+            assert server.stats().batches == 1
+            assert len(server.cache) == 1
+            assert entry_of(server, sessions[4]).asked == 20
+
+    def test_len_counts_sessions_and_the_lru_evicts_whole_sessions(
+            self, trainer, sessions):
+        a, b, c = sessions[5:8]
+        with trainer.serve(workers=1, max_wait_ms=0.0,
+                           cache_size=2) as server:
+            server.recommend_one(a, k=20)
+            assert server.recommend_one(a, k=5).cached
+            assert server.recommend_one(a, k=10).cached
+            assert len(server.cache) == 1           # three ks, one entry
+            server.recommend_one(b, k=10)
+            server.recommend_one(c, k=10)           # evicts a, all of it
+            assert len(server.cache) == 2
+            assert server.cache.evictions == 1
+            assert entry_of(server, a) is None
+            assert not server.recommend_one(a, k=5).cached
+            assert server.cache.entries_by_version() == {0: 2}
+
+    def test_swap_model_misses(self, server, trainer, sessions):
+        session = sessions[8]
+        server.recommend_one(session, k=20)
+        assert server.recommend_one(session, k=5).cached
+        server.swap_model(state=trainer.agent.state_dict(), version=1)
+        assert not server.recommend_one(session, k=5).cached
+        assert not server.recommend_one(session, k=20).cached
+        assert server.recommend_one(session, k=5).cached
+        assert server.cache.entries_by_version() == {0: 1, 1: 1}

@@ -202,9 +202,9 @@ class TestRespondStep:
         session = Session(items=[np.int64(3), 7, np.int32(9), 4],
                           user_id=5, day=0)
         with trainer.serve(workers=1) as server:
-            base = server._base_key(session, 10)
+            base = server._base_key(session)
             assert base + (None, 3) == ExplanationCache.key(
-                (3, 7, 9), 10, None, cascade=None, version=3)
+                (3, 7, 9), user_id=None, cascade=None, version=3)
             assert all(type(i) is int for i in base[0])
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
@@ -217,9 +217,10 @@ class TestRespondStep:
         with trainer.serve(worker_mode=mode, workers=1, max_batch=8,
                            max_wait_ms=100.0) as server:
             def check(future, session):
-                key = server._base_key(session, 5) + (None, 0)
+                key = server._base_key(session) + (None, 0)
+                entry = server.cache._entries.get(key)
                 seen.append((server.stats().requests,
-                             key in server.cache._entries,
+                             entry is not None and entry.asked == 5,
                              future.result()))
 
             futures = []

@@ -255,7 +255,7 @@ class TestRecommendationServer:
             ten = server.recommend_one(sessions[0], k=10)
         assert len(five.items) == 5
         assert len(ten.items) == 10
-        assert server.cache.hits == 0  # different keys
+        assert server.cache.hits == 0  # 10 after 5 is an upgrade: it walks
 
     def test_mixed_k_coalesced_batch(self, trainer, sessions):
         """Requests with different k coalesce but execute exactly."""

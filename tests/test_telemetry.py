@@ -883,13 +883,19 @@ class TestTraceSink:
                                                            tmp_path):
         """Satellite: the drain-or-drop tracer buffer loses nothing on
         a 100k-span soak once the streaming sink takes the handoff —
-        the deque alone would have evicted all but its tail."""
+        the deque alone would have evicted all but its tail.  The
+        producer waits for the writer every half queue depth: a tight
+        loop can outrun the writer thread past the 65,536-span handoff
+        queue, and a *counted* drop there is the sink working as
+        designed, not the loss this pins."""
         path = tmp_path / "trace.jsonl"
         sink = TraceSink(path, max_bytes=1 << 20, keep=200)
         tracer = Tracer(sample=1.0, capacity=64, sink=sink)
         total = 100_000
         for i in range(total):
             tracer.record((i % 997) + 1, "soak", "t", float(i), 1e-6)
+            if i % 32_768 == 32_767:
+                sink.flush()
         sink.flush()
         sink.close()
         assert tracer.dropped == 0

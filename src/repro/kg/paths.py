@@ -266,14 +266,22 @@ def take_paths(path_rows: Sequence[PathRow], counts: np.ndarray,
     return path_len, path_nodes, out_probs
 
 
-def render_path(path: SemanticPath, kg: KnowledgeGraph) -> str:
-    """Human-readable arrow form used in the case studies (Fig. 10)."""
+def join_path(entities: Sequence[int], relations: Sequence[int],
+              kg: KnowledgeGraph) -> str:
+    """The arrow form of ``entities[0] -relations[0]-> entities[1]
+    ...``: the one formatter, for a :class:`SemanticPath`'s fields or
+    slices of a flat node list alike."""
     name, arrows = kg.entity_name, kg.relation_arrows
-    parts = [name(path.entities[0])]
-    for rel, ent in zip(path.relations, path.entities[1:]):
+    parts = [name(entities[0])]
+    for rel, ent in zip(relations, entities[1:]):
         parts.append(arrows[rel])
         parts.append(name(ent))
     return " ".join(parts)
+
+
+def render_path(path: SemanticPath, kg: KnowledgeGraph) -> str:
+    """Human-readable arrow form used in the case studies (Fig. 10)."""
+    return join_path(path.entities, path.relations, kg)
 
 
 def path_diversity(paths: List[SemanticPath], kg: KnowledgeGraph) -> float:

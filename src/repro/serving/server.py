@@ -52,19 +52,20 @@ traffic keeps hitting.
 
 from __future__ import annotations
 
+import gc
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.agent import REKSAgent, clone_agent
 from repro.core.environment import RolloutWorkspace
 from repro.data.schema import Session
-from repro.kg.paths import SemanticPath, render_path
+from repro.kg.paths import SemanticPath, join_path
 from repro.runtime import ProcessWorkerPool
 from repro.runtime.flush import FlushPlan, execute_flush
-from repro.runtime.rowblock import RowBlock
+from repro.runtime.rowblock import PathColumn, RowBlock, path_slices
 from repro.serving.cache import (CacheKey, Entry, ExplanationCache,
                                  strict_prefix)
 from repro.serving.memo import WalkMemo, dedup_plan
@@ -90,11 +91,20 @@ class ServedResult:
     ``explanations[i]`` is the arrow-form rendering of ``paths[i]``
     (empty string when the item carries no path, e.g. it was reached
     only through the encoder fallback or not at all).
+
+    A served result's ``paths`` is a
+    :class:`~repro.runtime.rowblock.PathColumn` — the answer's slice
+    of its flush's path arrays, read as a sequence of
+    ``Optional[SemanticPath]`` that are built fresh on every read
+    (iteration, index, ``==``; a slice is a plain tuple), so a result
+    shared across cache hits cannot be changed through the paths it
+    hands out.  A plain tuple is accepted too
+    (``dataclasses.replace(result, paths=...)``).
     """
 
     items: Tuple[int, ...]
     scores: Tuple[float, ...]
-    paths: Tuple[Optional[SemanticPath], ...]
+    paths: Union[PathColumn, Tuple[Optional[SemanticPath], ...]]
     explanations: Tuple[str, ...]
     cached: bool = False
     latency_ms: float = 0.0
@@ -296,6 +306,7 @@ class RecommendationServer:
                 window_fn=self.window,
                 health_fn=self._metrics_registry.health,
                 extra_fn=self.serving_state)
+        self._gc_at_start = _gc_collections()
         self._shutdown_lock = threading.Lock()
         self._shut_down = False
         # One executor per interpreter (module docstring): only a
@@ -332,7 +343,7 @@ class RecommendationServer:
             CacheKey(*base, self._cascade_id, version), k)
         if servable:
             hit = entry.result
-            answer = ((hit.items[:k], hit.scores[:k], hit.paths[:k],
+            answer = ((hit.items[:k], hit.scores[:k], hit.paths.head(k),
                        hit.explanations[:k]) if k < len(hit.items)
                       else (hit.items, hit.scores, hit.paths,
                             hit.explanations))
@@ -505,12 +516,16 @@ class RecommendationServer:
         """JSON-safe shared-computation state for ``/metrics.json``:
         per-version entry counts for both caches (the post-swap
         stale-entry drain), the explanation cache's nested-hit /
-        tie-miss counters and the walk memo's own counters.  In
-        process mode the memo section reflects the (empty) server-side
-        instance — the workers' memo counters live in the fleet
-        metrics."""
+        tie-miss counters, the walk memo's own counters and how often
+        this interpreter's cyclic collector ran, per generation, since
+        the server started.  In process mode the memo section reflects
+        the (empty) server-side instance — the workers' memo counters
+        live in the fleet metrics."""
         memo = self._memo
         return {
+            "gc": {"collections": [
+                now - then for now, then
+                in zip(_gc_collections(), self._gc_at_start)]},
             "dedup": self._dedup,
             "cache_entries_by_version": {
                 str(v): n for v, n
@@ -804,12 +819,13 @@ class RecommendationServer:
                  sampled: Sequence[int], t0: float) -> None:
         """Turn a flush's block into its requests' results.
 
-        Each distinct block row becomes tuples once — Python lists and
-        its ``SemanticPath`` values, cut straight from the block's flat
-        sections, no per-row lists in between (still the transport step
-        that began at ``t0``: this is the unmarshalling), then every
-        explanation rendered — and
-        requests that share a row (``fan_out``) share those tuples.
+        Each distinct block row becomes its answer once — item and
+        score tuples cut from the block's flat sections and the row's
+        :class:`~repro.runtime.rowblock.PathColumn`, its paths left as
+        arrays (still the transport step that began at ``t0``: this is
+        the unmarshalling), then every explanation rendered straight
+        from the flush's node list, no ``SemanticPath`` in between —
+        and requests that share a row (``fan_out``) share those values.
         Then, in this order: every ``ServedResult`` is constructed with
         its latency; the results are admitted to the cache, one entry
         per session at the largest ``k`` it was asked
@@ -819,8 +835,7 @@ class RecommendationServer:
         after ``result()`` finds its request counted and cached.
         """
         metrics, tracer, kg = self._metrics, self._tracer, self._kg
-        paths = [None if blob is None else SemanticPath(*blob)
-                 for blob in block.path_blobs()]
+        columns = block.path_columns()
         items, scores = block.items.tolist(), block.scores.tolist()
         transport_dur = perf_counter() - t0
         if metrics is not None:
@@ -828,15 +843,14 @@ class RecommendationServer:
         for trace in sampled:
             tracer.record(trace, "transport", "server", t0, transport_dur)
         r0 = perf_counter()
-        texts = ["" if path is None else render_path(path, kg)
-                 for path in paths]
+        texts = ["" if cut is None else join_path(*cut, kg)
+                 for cut in path_slices(block.path_len, block.path_nodes)]
         answers = []
         stop = 0
-        for k in block.ks.tolist():
+        for k, column in zip(block.ks.tolist(), columns):
             start, stop = stop, stop + k
             answers.append((tuple(items[start:stop]),
-                            tuple(scores[start:stop]),
-                            tuple(paths[start:stop]),
+                            tuple(scores[start:stop]), column,
                             tuple(texts[start:stop])))
         render_dur = perf_counter() - r0
         if fan_out is None:
@@ -868,6 +882,13 @@ class RecommendationServer:
         respond_dur = perf_counter() - t_resp
         for trace in sampled:
             tracer.record(trace, "respond", "server", t_resp, respond_dur)
+
+
+def _gc_collections() -> List[int]:
+    """Collections run so far, per generation — a count read on
+    demand, not a collector hook timing pauses: a hook can fire inside
+    a metric block's write lock on the thread that holds it."""
+    return [generation["collections"] for generation in gc.get_stats()]
 
 
 def _fail_queued(requests: Sequence[PendingRequest],

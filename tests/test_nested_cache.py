@@ -10,7 +10,9 @@ only when the ranking has no tie at or before the cut.  Pinned here:
   (``REKSTrainer.recommend_sessions``; the constrained
   ``agent.recommend`` under the cascade) in items, paths, explanations
   and score bits, in thread and process mode, for arbitrary ``k``
-  sequences, with ``cached`` true exactly when the rule says so;
+  sequences, with ``cached`` true exactly when the rule says so — a
+  hit's paths being the entry's ``PathColumn`` cut by ``head(k)``, the
+  first ``k`` of the oracle's at the ``k`` the entry was walked for;
 * a tie at or before the cut is a counted miss that still answers
   right and leaves the larger entry in place;
 * admission keeps one entry per session at the largest ``k``; the LRU
@@ -29,6 +31,7 @@ from repro.cascade import build_constraint, provider_from_trainer
 from repro.core.agent import _top_k
 from repro.data.loader import collate_examples
 from repro.kg.paths import render_path
+from repro.runtime.rowblock import PathColumn
 from repro.serving import ExplanationCache
 from repro.serving.cache import Entry, strict_prefix
 from repro.serving.server import ServedResult
@@ -224,6 +227,12 @@ class TestServedSequences:
             if result.cached:
                 assert after is before
                 assert result.scores == before.result.scores[:k]
+                # the entry's column, cut to k without decoding it:
+                # the first k paths of the walk the entry came from
+                assert isinstance(result.paths, PathColumn)
+                assert tuple(result.paths) == oracle(
+                    session, before.asked).paths[:k]
+                assert result.paths == before.result.paths[:k]
             else:
                 assert after.asked == max(
                     k, before.asked if before is not None else 0)

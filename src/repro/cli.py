@@ -383,7 +383,7 @@ def cmd_top(args) -> int:
             server.recommend_many(sessions, k=args.top_k)
             curr = server.fleet_snapshot().to_dict()
             # Same extra section /metrics.json serves: per-version
-            # entry counts for the explanation cache and walk memo.
+            # entry counts for the explanation cache.
             curr["serving"] = server.serving_state()
             show(curr, prev, frame)
             prev = curr

@@ -456,9 +456,8 @@ class REKSAgent(Module):
         ``candidates`` constrains the walk (see :meth:`walk`) and
         restricts final scoring to the candidate set: non-candidate
         columns score ``-1.0``, strictly below every reachable item
-        (path probabilities are non-negative), so the tie-safe top-k
-        here — and any downstream per-row re-selection from
-        ``Recommendations.scores`` — can never surface them.
+        (path probabilities are non-negative), so the top-k here can
+        never rank one above a candidate.
         """
         if self.training:
             self.eval()
@@ -495,8 +494,8 @@ class REKSAgent(Module):
         The floor is **per row** (each row's own smallest positive walk
         score; 1.0 for rows the walk reached nothing from), so a row's
         filled scores never depend on its batch-mates — required for
-        row-level result reuse (in-flush dedup, the cross-flush walk
-        memo) to be bit-exact, and sufficient for correctness: the fill
+        row-level result reuse (in-flush dedup) to be bit-exact, and
+        sufficient for correctness: the fill
         is ``1e-6 * floor * probs`` with ``probs <= 1``, strictly below
         every genuine path score of that row.
         """
@@ -576,12 +575,32 @@ def segment_top_k(scores: np.ndarray, row_of: np.ndarray,
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each row's ``k`` best item ids, best first, in the total order
+    ``(-score, item id)``.
+
+    A total order makes every row's top-``k`` the first ``k`` of its
+    top-``K`` for any ``K >= k``, so one ranking serves every smaller
+    ``k`` by slicing.  Column 0 is the padding item and is never
+    selected; ``k`` is clipped to the catalogue (``shape[1] - 1``).
+    """
     if k < 1:
         # argpartition(kth=k-1)[:, :k] would slice from the end and
         # return almost the whole catalogue.
         raise ValueError(f"k must be >= 1, got {k}")
-    k = min(k, scores.shape[1] - 1)
-    rows = np.arange(len(scores))[:, None]
-    part = np.argpartition(-scores, kth=k - 1, axis=1)[:, :k]
-    order = np.argsort(-scores[rows, part], axis=1, kind="stable")
-    return part[rows, order]
+    items = scores[:, 1:]
+    k = min(k, items.shape[1])
+    rows = np.arange(len(items))[:, None]
+    part = np.argpartition(-items, kth=k - 1, axis=1)[:, :k]
+    kept = items[rows, part]
+    cut = kept.min(axis=1, keepdims=True)
+    # argpartition keeps an arbitrary subset of the scores equal to the
+    # cut; a row whose tie group spills past it takes the group's lowest
+    # ids instead (a stable sort keeps ties in id order).
+    spill = np.flatnonzero((items == cut).sum(axis=1)
+                           > (kept == cut).sum(axis=1))
+    if spill.size:
+        part[spill] = np.argsort(-items[spill], axis=1,
+                                 kind="stable")[:, :k]
+        kept[spill] = items[spill[:, None], part[spill]]
+    order = np.lexsort((part, -kept), axis=1)
+    return part[rows, order] + 1

@@ -34,28 +34,16 @@ class SessionBatch:
 
 
 def collate_examples(examples: Sequence[tuple],
-                     max_length: int,
-                     width: Optional[int] = None) -> SessionBatch:
+                     max_length: int) -> SessionBatch:
     """Pad a list of ``(prefix_items, target, user_id)`` examples.
 
     The single collation routine shared by :class:`SessionBatcher` and
     the serving layer's micro-batcher, so a coalesced micro-batch is
     laid out bit-identically to an offline batch of the same sessions.
-
-    ``width`` (optional) pins the padded length instead of using the
-    batch max.  Per-row encoder/walk outputs are bit-identical across
-    batches only at equal padded width, so the shared-computation
-    serving paths pass the *flush* width when walking a subset of a
-    flush's rows (memo misses) — the subset then reproduces exactly
-    what the full flush would have computed.  Must be >= the longest
-    truncated prefix; ``None`` keeps the historical batch-max layout.
     """
     prefixes = [ex[0][-max_length:] for ex in examples]
     lengths = np.array([len(p) for p in prefixes], dtype=np.int64)
-    width = int(lengths.max()) if width is None else int(width)
-    if width < int(lengths.max()):
-        raise ValueError(f"width {width} < longest prefix "
-                         f"{int(lengths.max())}")
+    width = int(lengths.max())
     batch = len(examples)
     items = np.zeros((batch, width), dtype=np.int64)
     mask = np.zeros((batch, width), dtype=np.float32)

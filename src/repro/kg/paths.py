@@ -193,12 +193,11 @@ class PathTable(Mapping):
 class PathRow:
     """One row of a :class:`PathTable`: ``item -> best path``.
 
-    What the serving layer keeps per walked row (and stores in the
-    walk memo).  A flush's answers are cut from its rows' views in one
-    go by :func:`take_paths`; ``take`` lists the plain ``(entities,
-    relations, prob)`` tuples of one ranking's items and ``get`` /
-    ``blob`` answer for one item.  It holds the whole table alive,
-    which a flush's rows share.
+    What the serving layer reads per walked row.  A flush's answers
+    are cut from its rows' views in one go by :func:`take_paths`;
+    ``take`` lists the plain ``(entities, relations, prob)`` tuples of
+    one ranking's items and ``get`` / ``blob`` answer for one item.
+    It holds the whole table alive, which a flush's rows share.
     """
 
     __slots__ = ("_table", "_row")
@@ -223,8 +222,8 @@ def take_paths(path_rows: Sequence[PathRow], counts: np.ndarray,
     """The best paths of a flush's ranked items, as flat arrays.
 
     ``items`` holds ``counts[r]`` consecutive cells for each of
-    ``path_rows`` (rows may view different tables: memo hits keep the
-    table of the flush that walked them).  Returns ``(path_len,
+    ``path_rows`` (rows may view different tables; a served flush's
+    all view its own walk's).  Returns ``(path_len,
     path_nodes, probs)``: per cell the path's relation count (-1 for
     no path), every present path's entities then relations
     concatenated in cell order, and one probability per present path —

@@ -4,16 +4,15 @@ The server cuts a flush into a :class:`FlushPlan` once — which rows
 walk, at which ``k``, under which candidate sets, and which answer row
 every request reads — and :func:`execute_flush` is the only code that
 turns a plan into a :class:`~repro.runtime.rowblock.RowBlock`.  The
-thread executor calls it on the server's memo and workspace, a process
-worker on its own; the plan reaches the worker as it is over the pipe
-and flattened by :func:`repro.runtime.rings.encode_plan` over the ring.
+thread executor calls it on the server's workspace, a process worker
+on its own; the plan reaches the worker as it is over the pipe and
+flattened by :func:`repro.runtime.rings.encode_plan` over the ring.
 
 What a flush shares is the plan's *contents*, not a code path: with
 in-flush dedup off the plan is the identity (every request its own
-unique row), with the walk memo off (capacity 0) every row misses, and
-a plan with nothing to share is exactly the plain batch walk — one
-``recommend`` at the batch's max ``k`` and padded width, every row cut
-at its own ``k``.
+unique row), and either way it is the plain batch walk of its unique
+rows — one ``recommend`` at the plan's max ``k``, every answer row the
+first ``k`` of its walk row's ranking.
 """
 
 from __future__ import annotations
@@ -91,112 +90,59 @@ class FlushPlan:
                    [0] * n if traces is None else list(traces))
 
 
-def execute_flush(agent, workspace, memo, version: int, store_token: str,
-                  plan: FlushPlan, metrics
+def execute_flush(agent, workspace, plan: FlushPlan, metrics
                   ) -> Tuple[RowBlock, List[tuple], List[tuple]]:
     """Answer ``plan`` on ``agent``: ``(block, spans, rowrecs)``.
 
-    Memo lookup per unique row, one collate → constraint →
-    ``recommend`` over the misses, one
+    One collate → constraint → ``recommend`` over the plan's unique
+    rows at its max ``k``, one
     :func:`~repro.runtime.rowblock.select_rows` over ``plan.pairs``.
-    The misses collate at the *flush* width (the longest truncated
-    prefix over every unique row) and memo keys carry it, so a subset
-    walk and a memo replay reproduce the full flush's rows bit for bit
-    (see ``repro.serving.memo``).  ``workspace`` is the caller's,
-    already checked out; ``memo`` is a
-    :class:`~repro.serving.memo.WalkMemo` owned by the calling
-    executor, keyed here — user anchor included — for both worker
-    modes.
+    ``workspace`` is the caller's, already checked out.
 
     ``spans`` are ``(kind_id, t0, dur)`` triples — collate, cascade
     (the constraint build), walk, topk, exec — and ``rowrecs`` the
-    :func:`~repro.telemetry.trace.attribute_rows` records of the rows
-    that walked, each under the first sampled request mapped to it;
-    both are empty unless the plan carries a trace id.  ``exec`` and
-    the ``exec_seconds`` histogram cover memo lookup through row
-    selection.
+    :func:`~repro.telemetry.trace.attribute_rows` records of the walked
+    rows, each under the first sampled request mapped to it; both are
+    empty unless the plan carries a trace id.  ``exec`` and the
+    ``exec_seconds`` histogram cover collation through row selection.
     """
     t0 = perf_counter()
     config = agent.config
-    max_len = config.max_session_length
     rows, cands = plan.rows, plan.candidates
-    n = len(rows)
     sampled = any(plan.traces)
     spans: List[tuple] = []
     rowrecs: List[tuple] = []
-    sources: List[Optional[tuple]] = [None] * n
-    prefixes = [row[0][-max_len:] for row in rows]
-    width = max(map(len, prefixes))
-    keys = None
-    if memo.capacity:
-        by_user = config.start_from == "user"
-        keys = [memo.key(prefixes[j], rows[j][2] if by_user else None,
-                         None if cands is None else tuple(cands[j]),
-                         version, store_token, width=width)
-                for j in range(n)]
-        sources = [memo.get(key) for key in keys]
-        evicted = memo.evictions
-    miss = [j for j in range(n) if sources[j] is None]
-    # The ranking the walk itself makes, per freshly walked row, at the
-    # walk's own k (memo hits carry a score row, no ranking).
-    ranked: List[Optional[object]] = [None] * n
-    walk_k = 0
-    if miss:
-        c0 = perf_counter()
-        batch = collate_examples([rows[j] for j in miss], max_len,
-                                 width=width)
-        c1 = perf_counter()
-        constraint = None
-        if cands is not None:
-            from repro.cascade import build_constraint
+    batch = collate_examples(rows, config.max_session_length)
+    c1 = perf_counter()
+    constraint = None
+    if cands is not None:
+        from repro.cascade import build_constraint
 
-            constraint = build_constraint(
-                agent, [cands[j] for j in miss], config.path_length)
-        miss_ks = [plan.ks[j] for j in miss]
-        walk_k = max(miss_ks)
-        if sampled:
-            spans.append((_SPAN_COLLATE, c0, c1 - c0))
-            if constraint is not None:
-                spans.append((_SPAN_CASCADE, c1, perf_counter() - c1))
-            workspace.spans = spans  # recommend appends walk / topk
-            workspace.row_frontier = []
-        try:
-            rec = agent.recommend(batch, k=walk_k, workspace=workspace,
-                                  candidates=constraint)
-        finally:
-            frontier = workspace.row_frontier
-            workspace.spans = workspace.row_frontier = None
-        memo.note_walk_cost(len(miss), perf_counter() - c0)
-        for idx, j in enumerate(miss):
-            scores = rec.scores[idx]
-            # A memoised score row must outlive the walk's matrix; a
-            # row nothing keeps is read as the view it is.
-            sources[j] = (scores if keys is None else scores.copy(),
-                          rec.paths.row(idx))
-            ranked[j] = rec.ranked_items[idx]
-            if keys is not None:
-                memo.put(keys[j], sources[j])
-        if sampled:
-            first = [0] * n
-            for j, trace in zip(plan.row_map, plan.traces):
-                if trace and not first[j]:
-                    first[j] = trace
-            rowrecs = attribute_rows([first[j] for j in miss], miss_ks,
-                                     frontier, spans)
-    block = select_rows(sources, plan.pairs, ranked, walk_k)
+        constraint = build_constraint(agent, cands, config.path_length)
+    if sampled:
+        spans.append((_SPAN_COLLATE, t0, c1 - t0))
+        if constraint is not None:
+            spans.append((_SPAN_CASCADE, c1, perf_counter() - c1))
+        workspace.spans = spans  # recommend appends walk / topk
+        workspace.row_frontier = []
+    try:
+        rec = agent.recommend(batch, k=max(plan.ks), workspace=workspace,
+                              candidates=constraint)
+    finally:
+        frontier = workspace.row_frontier
+        workspace.spans = workspace.row_frontier = None
+    if sampled:
+        first = [0] * len(rows)
+        for j, trace in zip(plan.row_map, plan.traces):
+            if trace and not first[j]:
+                first[j] = trace
+        rowrecs = attribute_rows(first, plan.ks, frontier, spans)
+    block = select_rows(rec, plan.pairs)
     dur = perf_counter() - t0
     if sampled:
         spans.append((_SPAN_EXEC, t0, dur))
     if metrics is not None:
-        # exec_rows_total counts rows actually walked; memo hits and
-        # collapsed duplicates show in their own counters.
-        counts = [("exec_batches_total", 1), ("exec_rows_total", len(miss))]
-        if keys is not None:
-            counts += [("walk_memo_hits_total", n - len(miss)),
-                       ("walk_memo_misses_total", len(miss)),
-                       ("walk_memo_evictions_total",
-                        memo.evictions - evicted)]
-        metrics.count_observe(counts, "exec_seconds", dur)
-        if keys is not None:
-            metrics.gauge("walk_seconds_saved_total", memo.seconds_saved)
+        metrics.count_observe(
+            (("exec_batches_total", 1), ("exec_rows_total", len(rows))),
+            "exec_seconds", dur)
     return block, spans, rowrecs

@@ -9,29 +9,28 @@ reads them back as ``frombuffer`` views, the pipe pickles the same
 six arrays, and thread mode hands the block straight to the server's
 respond step.  That step cuts its ``ServedResult`` item / score tuples
 from the flat sections and leaves the paths as they are: each row's
-slice of the three path sections goes into the result as one
+slice of the three path sections goes into the row's result as one
 :class:`PathColumn` (:meth:`RowBlock.path_columns`), which builds
-``SemanticPath`` values only when somebody reads them.
+``SemanticPath`` values only when somebody reads them, and a request
+for fewer items than the row ranks reads its ``head(k)``.
 :meth:`RowBlock.to_rows` is the list-of-rows form ``pool.execute`` and
 ``decode_response`` answer with; it and the column decode through the
 one :func:`decode_paths`, which cuts the node section where the
 respond step's renderer does (:func:`path_slices`).
 
-:func:`select_rows` is the only place a row's top-k is cut from its
-score row, and :func:`repro.runtime.flush.execute_flush` its only
-serving caller.
+:func:`select_rows` is the only place an answer row is cut from a
+walk's ranking — a prefix of it, never a re-selection — and
+:func:`repro.runtime.flush.execute_flush` its only serving caller.
 """
 
 from __future__ import annotations
 
 from collections import abc
 from dataclasses import dataclass
-from typing import (Dict, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.agent import _top_k
 from repro.kg.paths import SemanticPath, take_paths
 
 _I32 = np.dtype("<i4")
@@ -235,40 +234,21 @@ class RowBlock:
         return rows
 
 
-def select_rows(sources: Sequence[tuple], plan: Sequence[Tuple[int, int]],
-                ranked: Optional[Sequence[Optional[np.ndarray]]] = None,
-                ranked_k: int = 0) -> RowBlock:
-    """Cut every answer row of a flush from its walked score row.
+def select_rows(rec, plan: Sequence[Tuple[int, int]]) -> RowBlock:
+    """Cut every answer row of a flush from its walk's rankings.
 
-    ``sources[u]`` is unique walk row ``u``'s ``(scores_row,
-    path_row)`` — the full dense score row and the row's
-    :class:`~repro.kg.paths.PathRow` (a walk-memo entry, or the same
-    pair made from a fresh ``Recommendations``); ``plan`` lists one
-    ``(u, k)`` pair per block row.  ``ranked[u]``, where given, is the
-    ranking the walk itself made for ``u`` at ``ranked_k``: a row
-    asked for exactly that ``k`` reuses it.  Every other row (a
-    smaller ``k``, a memo hit) is re-selected by one :func:`_top_k`
-    per distinct ``k`` over those rows stacked — ``_top_k`` partitions
-    each row independently, so both are bit-identical to a dedicated
-    walk's own selection (a prefix of a larger-``k`` ranking is not:
-    its tie order can depend on the partition point).
+    ``rec`` is the flush's ``Recommendations`` — rankings at the walk's
+    ``k`` — and ``plan`` lists one ``(u, k)`` pair per block row, ``k``
+    at most the walk's.  Row ``(u, k)`` is the first ``k`` of walk row
+    ``u``'s ranking: :func:`~repro.core.agent._top_k` is a total
+    order, so that prefix *is* the top-``k``.
     """
-    picks: List[Optional[np.ndarray]] = [None] * len(plan)
-    redo: Dict[int, List[int]] = {}
-    for r, (u, k) in enumerate(plan):
-        if k == ranked_k and ranked is not None and ranked[u] is not None:
-            picks[r] = ranked[u]
-        else:
-            redo.setdefault(k, []).append(r)
-    for k, rows in redo.items():
-        stacked = np.array([sources[plan[r][0]][0] for r in rows])
-        for r, pick in zip(rows, _top_k(stacked, k)):
-            picks[r] = pick
+    picks = [rec.ranked_items[u][:k] for u, k in plan]
     ks = np.array([len(pick) for pick in picks], dtype=_I32)
     items = np.concatenate(picks)
-    scores = np.concatenate(
-        [sources[u][0][pick] for (u, _), pick in zip(plan, picks)])
+    walk_rows = np.repeat(np.array([u for u, _ in plan], dtype=np.intp),
+                          ks)
     path_len, path_nodes, probs = take_paths(
-        [sources[u][1] for u, _ in plan], ks, items)
-    return RowBlock(ks, items.astype(_I32), scores, path_len, path_nodes,
-                    probs)
+        [rec.paths.row(u) for u, _ in plan], ks, items)
+    return RowBlock(ks, items.astype(_I32), rec.scores[walk_rows, items],
+                    path_len, path_nodes, probs)

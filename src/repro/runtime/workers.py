@@ -119,13 +119,12 @@ class AgentSpec:
     config: REKSConfig
     encoder: object
     policy_state: Dict[str, np.ndarray]
-    walk_memo_size: int  # worker-resident WalkMemo entries (0 = off)
     model_version: int = 0
     staged: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         default_factory=lambda: (np.zeros(0, dtype=np.int64),) * 3)
 
     @classmethod
-    def from_agent(cls, agent: REKSAgent, walk_memo_size: int,
+    def from_agent(cls, agent: REKSAgent,
                    model_version: int = 0) -> "AgentSpec":
         policy_state = {
             name: value
@@ -133,7 +132,6 @@ class AgentSpec:
             if name not in TABLE_PARAMS}
         return cls(built=agent.env.built, config=agent.config,
                    encoder=agent.encoder, policy_state=policy_state,
-                   walk_memo_size=walk_memo_size,
                    model_version=model_version,
                    staged=agent.env.staged_snapshot())
 
@@ -275,14 +273,6 @@ def _worker_main(conn, spec: AgentSpec,
     # environment / graph store record gather + per-hop timings without
     # any global sink (single-owner scratch contract extends to it).
     workspace.metrics = metrics
-    # Walk memo: worker-resident (the full score rows it stores are far
-    # too large for the response slots — memoizing here keeps the
-    # numeric outputs next to the matrices that produced them).  Keyed
-    # by version + environment fingerprint, both maintained below.
-    from repro.serving.memo import WalkMemo
-
-    memo = WalkMemo(spec.walk_memo_size)
-    store_token = agent.env.fingerprint()
     # Whether this worker has ever built a cascade constraint — the
     # trigger for pre-warming the reachability index after a "tables"
     # re-attach (a config-independent signal, unlike the provider knob).
@@ -295,8 +285,7 @@ def _worker_main(conn, spec: AgentSpec,
         if metrics is not None and any(plan.traces):
             metrics.count("worker_traces_total",
                           sum(1 for trace in plan.traces if trace))
-        return execute_flush(agent, workspace, memo, version, store_token,
-                             plan, metrics)
+        return execute_flush(agent, workspace, plan, metrics)
 
     def serve_ring_request() -> None:
         # The doorbell byte is consumed by the caller; the request is
@@ -359,7 +348,6 @@ def _worker_main(conn, spec: AgentSpec,
                 elif op == "stage":
                     _, heads, rels, tails = message
                     added = agent.env.stage_edges(heads, rels, tails)
-                    store_token = agent.env.fingerprint()
                     conn.send(("ok", added))
                 elif op == "tables":
                     # Delta re-attach: only the dirty shards arrive.
@@ -378,7 +366,6 @@ def _worker_main(conn, spec: AgentSpec,
                     for sid, plane in fresh.items():
                         shard_planes[sid].close()
                         shard_planes[sid] = plane
-                    store_token = agent.env.fingerprint()
                     if saw_candidates:
                         threading.Thread(target=prewarm_reachability,
                                          daemon=True).start()
@@ -615,8 +602,7 @@ class ProcessWorkerPool:
                  health_interval_s: Optional[float] = None,
                  transport: str = "ring",
                  metrics_registry=None,
-                 metrics_block=None,
-                 walk_memo_size: int = 512) -> None:
+                 metrics_block=None) -> None:
         if workers < 1:
             raise ValueError(f"need >= 1 worker, got {workers}")
         if transport not in ("pipe", "ring"):
@@ -628,7 +614,7 @@ class ProcessWorkerPool:
                 f"health_interval_s must be None (off) or >= 0, "
                 f"got {health_interval_s}")
         self._context = resolve_context(mp_context)
-        self._spec = AgentSpec.from_agent(agent, int(walk_memo_size),
+        self._spec = AgentSpec.from_agent(agent,
                                           model_version=model_version)
         self._backend = plane_backend
         if transport == "ring":

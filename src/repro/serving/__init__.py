@@ -18,7 +18,7 @@ Quickstart::
 """
 
 from repro.serving.cache import ExplanationCache
-from repro.serving.memo import WalkMemo, dedup_plan
+from repro.serving.memo import dedup_plan
 from repro.serving.scheduler import (
     BatchScheduler,
     PendingRequest,
@@ -36,7 +36,6 @@ __all__ = [
     "PendingRequest",
     "SchedulerClosed",
     "ExplanationCache",
-    "WalkMemo",
     "dedup_plan",
     "RecommendationServer",
     "ServedResult",

@@ -6,21 +6,19 @@ pair: a key holds the exact model inputs of a request — the
 id when the walk starts from the user entity, the serving cascade
 identity, and the **model version** that computed the answer — and the
 value is an :class:`Entry`: the immutable
-:class:`~repro.serving.server.ServedResult` at the largest ``k``
-answered so far, safe to share across callers.
+:class:`~repro.serving.server.ServedResult` ranked at the server's
+``k`` ceiling when it walked, safe to share across callers.
 
 One ranking serves every ``k`` (REKS ranks a session once; the paper
-reads that ranking at K = 5, 10 and 20): :meth:`ExplanationCache.lookup`
-lets an entry admitted at ``asked`` answer a smaller ``k`` by slicing,
-but only when the slice is *provably* what a dedicated
-:func:`~repro.core.agent._top_k` at ``k`` returns.  A prefix of a
-larger-``k`` ranking is not that in general — tie order depends on the
-partition point — but when ``scores[0] > ... > scores[k]`` strictly,
-both the top-``k`` set (strict at the cut) and its order (strict
-inside) are unique, so the prefix is the answer, score bits, best
-paths and rendered strings included.  A tie at or before the cut, or a
-``k`` larger than the entry's, is a counted miss and takes the
-scheduler → dedup → walk-memo → walk path.
+reads that ranking at K = 5, 10 and 20).
+:func:`~repro.core.agent._top_k` ranks by the total order ``(-score,
+item id)``, so a session's top-``k`` is the first ``k`` of its
+top-``K`` for every ``K >= k`` — ties included — and
+:meth:`ExplanationCache.lookup` answers any ``k`` up to the one the
+entry was ranked at, or any ``k`` at all when that ranking already
+holds the whole catalogue, by slicing: score bits, best paths and
+rendered strings are the prefix's.  A larger ``k`` is a counted miss
+and takes the scheduler → dedup → walk path.
 
 The version tag is what makes zero-downtime hot-swaps possible: a
 :meth:`~repro.serving.server.RecommendationServer.swap_model` bumps
@@ -34,8 +32,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import (Dict, Hashable, Iterable, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Hashable, Iterable, NamedTuple, Optional, Tuple
 
 
 class CacheKey(NamedTuple):
@@ -48,29 +45,15 @@ class CacheKey(NamedTuple):
 
 
 class Entry(NamedTuple):
-    """A session's answer at the largest ``k`` asked so far.
+    """A session's answer, ranked at ``asked``.
 
-    ``asked`` is the ``k`` that was requested — it exceeds
-    ``len(result.items)`` when the catalogue clipped it; ``strict`` is
-    the length of the strictly-decreasing prefix of ``result.scores``.
-    Both are fixed at admission.
+    ``asked`` is the ``k`` the walk ranked at — the server's ceiling
+    then — and exceeds ``len(result.items)`` when the catalogue clipped
+    it.  Fixed at admission.
     """
 
     result: object
     asked: int
-    strict: int
-
-
-def strict_prefix(scores: Sequence[float]) -> int:
-    """How many leading scores are strictly decreasing (0 if empty)."""
-    if not scores:
-        return 0
-    n = 1
-    for above, below in zip(scores, scores[1:]):
-        if not above > below:
-            break
-        n += 1
-    return n
 
 
 class ExplanationCache:
@@ -92,11 +75,9 @@ class ExplanationCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Of the hits, those served by slicing a larger-k entry; of
-        # the misses, those that found one whose ranking ties at or
-        # before the cut.
+        # Of the hits, those served by slicing an entry ranked at
+        # another k.
         self.nested_hits = 0
-        self.tie_misses = 0
 
     @staticmethod
     def key(prefix_items: Tuple[int, ...], k: Optional[int] = None,
@@ -124,35 +105,31 @@ class ExplanationCache:
     # ------------------------------------------------------------------
     def lookup(self, key: Hashable, k: int) -> Tuple[Optional[Entry], bool]:
         """``(entry, servable)``: the session's live entry, if any, and
-        whether it answers ``k`` exactly.
+        whether it answers ``k``.
 
-        Servable iff ``k == asked``, or ``k < asked`` and either the
-        entry is clipped at or below ``k`` (``k >= len(items)``: both
-        ``_top_k`` calls clip to the same cut) or its first ``k + 1``
-        scores are strictly decreasing (``strict > k``); the caller
-        slices ``[:k]``.  Counts the hit (refreshing recency) or the
-        miss here, so a tie at the cut is a miss, never a hit.
+        Servable iff ``k <= asked``, or the entry is clipped
+        (``len(items) < asked``: it ranks the whole catalogue, which
+        every larger ``k`` clips to as well); the caller slices
+        ``[:k]``.  Counts the hit (refreshing recency) or the miss
+        here.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 asked = entry.asked
-                if k == asked or (k < asked and (
-                        k >= len(entry.result.items) or entry.strict > k)):
+                if k <= asked or len(entry.result.items) < asked:
                     self._entries.move_to_end(key)
                     self.hits += 1
                     if k != asked:
                         self.nested_hits += 1
                     return entry, True
-                if k < asked:
-                    self.tie_misses += 1
             self.misses += 1
             return entry, False
 
     def admit(self, keys: Iterable[Hashable],
               entries: Iterable[Entry]) -> None:
         """Admit a flush's entries under one lock acquisition, one per
-        session: an entry replaces the live one unless that was asked
+        session: an entry replaces the live one unless that was ranked
         at a larger ``k`` — then only its recency is refreshed."""
         if self.capacity == 0:
             return

@@ -14,9 +14,10 @@ A :class:`RecommendationServer` wraps one fitted
   the process fleet only: threads share a GIL, so a second executor
   would just split the flushes and fight the first for it);
 * an :class:`~repro.serving.cache.ExplanationCache` LRU short-circuits
-  repeat sessions — one entry per session, at the largest ``k``
-  answered so far, serves every smaller ``k`` its ranking decides
-  without a tie;
+  repeat sessions — every miss is ranked at the server's ``k``
+  *ceiling* (the largest ``k`` asked so far, clipped to the
+  catalogue), so one entry per session serves every ``k`` up to it by
+  slicing;
 * a :class:`~repro.serving.stats.ServerStats` recorder tracks latency
   percentiles, batch occupancy, and cache efficiency.
 
@@ -66,9 +67,8 @@ from repro.kg.paths import SemanticPath, join_path
 from repro.runtime import ProcessWorkerPool
 from repro.runtime.flush import FlushPlan, execute_flush
 from repro.runtime.rowblock import PathColumn, RowBlock, path_slices
-from repro.serving.cache import (CacheKey, Entry, ExplanationCache,
-                                 strict_prefix)
-from repro.serving.memo import WalkMemo, dedup_plan
+from repro.serving.cache import CacheKey, Entry, ExplanationCache
+from repro.serving.memo import dedup_plan
 from repro.serving.scheduler import (
     BatchScheduler,
     PendingRequest,
@@ -154,8 +154,7 @@ class RecommendationServer:
                  metrics_registry: Optional[MetricsRegistry] = None,
                  cascade=None, cascade_m: int = 50,
                  cascade_cache_size: int = 1024,
-                 dedup: bool = True,
-                 walk_memo_size: int = 512) -> None:
+                 dedup: bool = True) -> None:
         if worker_mode not in ("thread", "process"):
             raise ValueError(
                 f"worker_mode must be 'thread' or 'process', "
@@ -253,8 +252,7 @@ class RecommendationServer:
                 health_interval_s=(health_interval_ms / 1e3
                                    if health_interval_ms else None),
                 metrics_registry=self._metrics_registry,
-                metrics_block=self._metrics,
-                walk_memo_size=int(walk_memo_size))
+                metrics_block=self._metrics)
             # The pool may downgrade ring -> pipe when the host has no
             # usable POSIX shared memory; report what actually runs.
             transport = self._procpool.transport
@@ -262,16 +260,15 @@ class RecommendationServer:
         self._workspace = RolloutWorkspace()
         self._workspace.metrics = self._metrics
         self._cache = ExplanationCache(cache_size)
-        # Shared-computation layer (see repro.serving.memo): in-flush
-        # row dedup plus the cross-flush walk memo.  In process mode
-        # the memo lives inside each worker (full score rows don't fit
-        # the fixed response slots), so the server-side instance stays
-        # disabled there and the worker blocks carry the counters.
+        # The k every miss is ranked at: the largest k asked so far
+        # (never lowered; see submit), clipped to the catalogue when a
+        # flush reads it.
+        self._ceiling = 0
+        self._ceiling_lock = threading.Lock()
+        self._n_items = agent.n_items
         self._dedup = bool(dedup)
-        self._memo = WalkMemo(int(walk_memo_size)
-                              if worker_mode == "thread" else 0)
         self._stats = ServerStats(metrics=self._metrics)
-        self._stats.attach_caches(cache=self._cache, memo=self._memo)
+        self._stats.attach_cache(self._cache)
         # Reachability prewarm (thread mode with the cascade on): a
         # background watcher rebuilds the pruning index the moment the
         # store digest moves, so the first post-compaction request
@@ -326,10 +323,11 @@ class RecommendationServer:
         """Non-blocking submission; the future yields a ServedResult.
 
         Cache hits resolve the future immediately without touching the
-        scheduler — the session's entry answers its own ``k`` and every
-        smaller one it ranks without a tie
-        (:meth:`ExplanationCache.lookup`), by slicing.  ``k`` must be
-        at least 1 (``ValueError``).
+        scheduler — the session's entry answers every ``k`` up to the
+        one it was ranked at (:meth:`ExplanationCache.lookup`), by
+        slicing.  A miss first raises the server's ``k`` ceiling to
+        ``k``, so the flush that answers it ranks at least that deep.
+        ``k`` must be at least 1 (``ValueError``).
         """
         if self._shut_down:
             raise ServerClosed("server has been shut down")
@@ -343,10 +341,8 @@ class RecommendationServer:
             CacheKey(*base, self._cascade_id, version), k)
         if servable:
             hit = entry.result
-            answer = ((hit.items[:k], hit.scores[:k], hit.paths.head(k),
-                       hit.explanations[:k]) if k < len(hit.items)
-                      else (hit.items, hit.scores, hit.paths,
-                            hit.explanations))
+            answer = _first(k, hit.items, hit.scores, hit.paths,
+                            hit.explanations)
             latency = perf_counter() - started
             # Rendering happened once, at cache admission; a hit
             # serves the stored strings without re-rendering.
@@ -356,8 +352,12 @@ class RecommendationServer:
             future.set_result(ServedResult(*answer, cached=True,
                                            latency_ms=latency * 1e3))
             return future
-        self._stats.record_cache(
-            False, version, tie=entry is not None and k < entry.asked)
+        self._stats.record_cache(False, version)
+        if k > self._ceiling:
+            # Checked again under the lock: two racing raises must not
+            # let the smaller one land last.  Only a raise takes it.
+            with self._ceiling_lock:
+                self._ceiling = max(self._ceiling, k)
         trace = self._tracer.maybe_start()
         if trace and self._metrics is not None:
             self._metrics.count("traces_sampled_total")
@@ -514,35 +514,20 @@ class RecommendationServer:
 
     def serving_state(self) -> dict:
         """JSON-safe shared-computation state for ``/metrics.json``:
-        per-version entry counts for both caches (the post-swap
-        stale-entry drain), the explanation cache's nested-hit /
-        tie-miss counters, the walk memo's own counters and how often
-        this interpreter's cyclic collector ran, per generation, since
-        the server started.  In process mode the memo section reflects
-        the (empty) server-side instance — the workers' memo counters
-        live in the fleet metrics."""
-        memo = self._memo
+        per-version cache entry counts (the post-swap stale-entry
+        drain), the cache's nested-hit counter, the ``k`` ceiling
+        misses are ranked at, and how often this interpreter's cyclic
+        collector ran, per generation, since the server started."""
         return {
             "gc": {"collections": [
                 now - then for now, then
                 in zip(_gc_collections(), self._gc_at_start)]},
             "dedup": self._dedup,
+            "k_ceiling": self._ceiling,
             "cache_entries_by_version": {
                 str(v): n for v, n
                 in sorted(self._cache.entries_by_version().items())},
             "cache_nested_hits": self._cache.nested_hits,
-            "cache_tie_misses": self._cache.tie_misses,
-            "walk_memo": {
-                "capacity": memo.capacity,
-                "entries": len(memo),
-                "hits": memo.hits,
-                "misses": memo.misses,
-                "evictions": memo.evictions,
-                "seconds_saved": memo.seconds_saved,
-                "entries_by_version": {
-                    str(v): n for v, n
-                    in sorted(memo.entries_by_version().items())},
-            },
         }
 
     def health(self) -> dict:
@@ -577,12 +562,6 @@ class RecommendationServer:
     @property
     def cache(self) -> ExplanationCache:
         return self._cache
-
-    @property
-    def walk_memo(self) -> WalkMemo:
-        """The cross-flush walk memo (disabled — capacity 0 — in
-        process mode, where each worker owns its own)."""
-        return self._memo
 
     @property
     def workspace(self) -> RolloutWorkspace:
@@ -713,25 +692,25 @@ class RecommendationServer:
         respond.
 
         The flush is cut into one
-        :class:`~repro.runtime.flush.FlushPlan` — with ``dedup`` on,
-        duplicate walk inputs ``(truncated suffix, user anchor, exact
-        candidate set)`` collapse to one unique row walked at the max
-        ``k`` of its group; off, the plan is the identity — and
+        :class:`~repro.runtime.flush.FlushPlan` that ranks every row at
+        the ``k`` ceiling, read once here (at least every ``k`` in the
+        flush: each miss raised it before it was queued), clipped to
+        the catalogue — with ``dedup`` on, duplicate walk inputs
+        ``(truncated suffix, user anchor, exact candidate set)``
+        collapse to one unique row; off, the plan is the identity — and
         :func:`~repro.runtime.flush.execute_flush` answers it: here, on
         the live ``(agent, version)`` read once per flush, or in a
         process worker, which reports the version it executed with (a
         swap broadcast lands between batches, never mid-batch).  The
         results are cached under that version.
 
-        The walk and the score matrix are k-independent, so one
-        ``recommend`` at the max ``k`` serves every row and each answer
-        row is the tie-safe row-local top-k of a full score row
-        (:func:`~repro.runtime.rowblock.select_rows`) — rankings and
-        explanations exact by construction; score bits additionally
-        match whenever the walk-batch composition is preserved, and sit
-        within the documented last-ulp batch-shape tolerance when
-        collapsing shrinks a multi-row flush (see
-        ``repro.serving.memo``).  Both worker modes answer with one
+        The walk and the score matrix are k-independent and ``_top_k``
+        is a total order, so a request's answer is the first ``k`` of
+        its row's ranking — rankings and explanations exact by
+        construction; score bits additionally match whenever the
+        walk-batch composition is preserved, and sit within the
+        documented last-ulp batch-shape tolerance when collapsing
+        shrinks a multi-row flush.  Both worker modes answer with one
         **unrendered** :class:`~repro.runtime.rowblock.RowBlock`;
         :meth:`_respond` fans it out and renders, exactly once, at
         cache admission.  Sampled requests get enqueue / flush /
@@ -752,7 +731,7 @@ class RecommendationServer:
             if trace:
                 tracer.record(trace, "enqueue", "server",
                               request.enqueued_at, wait)
-        ks = [payload.k for payload in payloads]
+        asked = self._ceiling
         examples = [(payload.base_key[0], payload.session.items[-1],
                      payload.session.user_id) for payload in payloads]
         flush_dur = perf_counter() - pickup
@@ -777,8 +756,8 @@ class RecommendationServer:
                 tracer.record(trace, "cascade", "server", c0, cascade_dur)
         dedup = None
         if self._dedup:
-            # Model version, store generation and cascade identity are
-            # batch-constant: they ride the memo key, not the plan.
+            # Model version and cascade identity are batch-constant:
+            # they ride the cache key, not the plan.
             dedup = dedup_plan([
                 (*payload.base_key,
                  None if cands is None else cands[row])
@@ -788,7 +767,9 @@ class RecommendationServer:
                 self._stats.record_dedup(collapsed)
                 if metrics is not None:
                     metrics.count("dedup_rows_total", collapsed)
-        plan = FlushPlan.build(examples, ks, cands, traces, dedup)
+        plan = FlushPlan.build(examples,
+                               [min(asked, self._n_items)] * len(group),
+                               cands, traces, dedup)
         t0 = perf_counter()
         if self._procpool is not None:
             role = "worker"
@@ -804,19 +785,19 @@ class RecommendationServer:
             workspace = self._workspace.checkout()
             try:
                 block, spans, rowrecs = execute_flush(
-                    agent, workspace, self._memo, version,
-                    agent.env.fingerprint(), plan, metrics)
+                    agent, workspace, plan, metrics)
             finally:
                 workspace.release()
         tracer.record_batch_spans(sampled, role, spans)
         if self._trace_rows:
             # Walk time by frontier-mass share, top-k time by k share.
             tracer.record_rows(rowrecs, role, t0)
-        self._respond(group, block, plan.fan_out, version, sampled, t0)
+        self._respond(group, block, plan.fan_out, version, asked, sampled,
+                      t0)
 
     def _respond(self, group: List[PendingRequest], block: RowBlock,
                  fan_out: Optional[Sequence[int]], version: int,
-                 sampled: Sequence[int], t0: float) -> None:
+                 asked: int, sampled: Sequence[int], t0: float) -> None:
         """Turn a flush's block into its requests' results.
 
         Each distinct block row becomes its answer once — item and
@@ -827,8 +808,9 @@ class RecommendationServer:
         from the flush's node list, no ``SemanticPath`` in between —
         and requests that share a row (``fan_out``) share those values.
         Then, in this order: every ``ServedResult`` is constructed with
-        its latency; the results are admitted to the cache, one entry
-        per session at the largest ``k`` it was asked
+        its latency — the row's whole answer, and a request asking for
+        fewer items its ``[:k]`` slice; the whole answers are admitted
+        to the cache, one entry per session ranked at ``asked``
         (:meth:`ExplanationCache.admit`); the stats and the request
         histogram take the whole flush; and only then do the futures
         resolve — a caller that reads ``stats()`` or resubmits right
@@ -857,31 +839,46 @@ class RecommendationServer:
             fan_out = range(len(group))
         if metrics is not None:
             metrics.observe("render_seconds", render_dur)
-            n_rendered = sum(len(answers[p][0]) for p in fan_out)
-            if n_rendered:
-                metrics.count("render_rows_total", n_rendered)
         for trace in sampled:
             tracer.record(trace, "render", "server", r0, render_dur)
         t_resp = perf_counter()
         cascade_id = self._cascade_id
-        stricts = [strict_prefix(answer[1]) for answer in answers]
-        keys, entries, latencies = [], [], []
+        keys, entries, results, latencies = [], [], [], []
+        served = 0
         for request, p in zip(group, fan_out):
             payload = request.payload
             latency = t_resp - request.enqueued_at
+            answer, k = answers[p], payload.k
+            result = ServedResult(*answer, cached=False,
+                                  latency_ms=latency * 1e3)
             keys.append(CacheKey(*payload.base_key, cascade_id, version))
-            entries.append(Entry(
-                ServedResult(*answers[p], cached=False,
-                             latency_ms=latency * 1e3),
-                payload.k, stricts[p]))
+            entries.append(Entry(result, asked))
+            if k < len(answer[0]):
+                result = ServedResult(*_first(k, *answer), cached=False,
+                                      latency_ms=latency * 1e3)
+            served += len(result.items)
+            results.append(result)
             latencies.append(latency)
+        if metrics is not None and served:
+            # explanations handed to requests; a hit counts its own in
+            # render_deferred_total
+            metrics.count("render_rows_total", served)
         self._cache.admit(keys, entries)
         self._stats.record_requests(latencies)
-        for request, entry in zip(group, entries):
-            request.future.set_result(entry.result)
+        for request, result in zip(group, results):
+            request.future.set_result(result)
         respond_dur = perf_counter() - t_resp
         for trace in sampled:
             tracer.record(trace, "respond", "server", t_resp, respond_dur)
+
+
+def _first(k: int, items, scores, paths, explanations) -> tuple:
+    """An answer's first ``k``: three tuple slices and the path
+    column's ``head(k)`` — or the answer itself when it holds no more
+    (``_top_k`` is a total order, so that prefix is the top-``k``)."""
+    if k >= len(items):
+        return items, scores, paths, explanations
+    return items[:k], scores[:k], paths.head(k), explanations[:k]
 
 
 def _gc_collections() -> List[int]:

@@ -47,8 +47,7 @@ class StatsSnapshot:
     are observed: right after a swap the new version's misses climb
     while the stale version stops being queried at all.
     ``cache_nested_hits`` are the hits served by slicing an entry
-    admitted at a larger ``k``; ``cache_tie_misses`` the misses that
-    found such an entry but a tie at or before the cut.
+    ranked at another ``k``.
     """
 
     requests: int
@@ -65,18 +64,13 @@ class StatsSnapshot:
     mean_occupancy: float = 0.0
     cache_by_version: Dict[int, Dict[str, int]] = field(default_factory=dict)
     cache_nested_hits: int = 0
-    cache_tie_misses: int = 0
     swaps: int = 0
     swap_latency_ms: Tuple[float, ...] = ()
-    # Shared-computation plane: rows collapsed by in-flush dedup, the
-    # walk memo's counters, and live entry counts per model version for
-    # both caches (how stale-entry drain after a hot swap is observed).
+    # Shared-computation plane: rows collapsed by in-flush dedup, and
+    # live cache entry counts per model version (how stale-entry drain
+    # after a hot swap is observed).
     dedup_rows: int = 0
-    memo_hits: int = 0
-    memo_misses: int = 0
-    memo_evictions: int = 0
     cache_entries_by_version: Dict[int, int] = field(default_factory=dict)
-    memo_entries_by_version: Dict[int, int] = field(default_factory=dict)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -85,8 +79,9 @@ class StatsSnapshot:
 
     @property
     def memo_hit_rate(self) -> float:
-        total = self.memo_hits + self.memo_misses
-        return self.memo_hits / total if total else 0.0
+        """Always 0.0: the walk memo left the serving path.  Kept only
+        because the frozen benchmark harness reads it."""
+        return 0.0
 
     def to_dict(self) -> dict:
         by_version = {}
@@ -105,7 +100,6 @@ class StatsSnapshot:
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate,
             "cache_nested_hits": self.cache_nested_hits,
-            "cache_tie_misses": self.cache_tie_misses,
             "cache_by_version": by_version,
             "swaps": self.swaps,
             "swap_latency_ms": list(self.swap_latency_ms),
@@ -121,15 +115,6 @@ class StatsSnapshot:
                                 in sorted(self.batch_occupancy.items())},
             "mean_occupancy": self.mean_occupancy,
             "dedup_rows": self.dedup_rows,
-            "walk_memo": {
-                "hits": self.memo_hits,
-                "misses": self.memo_misses,
-                "evictions": self.memo_evictions,
-                "hit_rate": self.memo_hit_rate,
-                "entries_by_version": {
-                    str(v): n for v, n
-                    in sorted(self.memo_entries_by_version.items())},
-            },
             "cache_entries_by_version": {
                 str(v): n for v, n
                 in sorted(self.cache_entries_by_version.items())},
@@ -148,7 +133,6 @@ class ServerStats:
         self._cache_hits = 0
         self._cache_misses = 0
         self._nested_hits = 0
-        self._tie_misses = 0
         self._cache_by_version: Dict[int, Dict[str, int]] = {}
         self._swaps = 0
         self._swap_latencies_s: deque = deque(maxlen=SWAP_WINDOW)
@@ -157,18 +141,15 @@ class ServerStats:
         self._last_event_at: Optional[float] = None
         # Optional shared-memory mirror (repro.telemetry MetricBlock).
         self.metrics = metrics
-        # Optional cache/memo references (attach_caches): snapshots
-        # read their live per-version entry counts and the memo's own
-        # hit/miss/eviction counters (each has its own lock, so the
-        # reads happen outside ours).
+        # Optional cache reference (attach_cache): snapshots read its
+        # live per-version entry counts (under its own lock, so the
+        # read happens outside ours).
         self._cache_ref = None
-        self._memo_ref = None
 
-    def attach_caches(self, cache=None, memo=None) -> None:
-        """Let snapshots report the live ExplanationCache / WalkMemo
-        state (per-version entry counts + memo counters)."""
+    def attach_cache(self, cache) -> None:
+        """Let snapshots report the live ExplanationCache's
+        per-version entry counts."""
         self._cache_ref = cache
-        self._memo_ref = memo
 
     @property
     def nbytes(self) -> int:
@@ -219,11 +200,8 @@ class ServerStats:
         if self.metrics is not None:
             self.metrics.count("batches_total")
 
-    def record_cache(self, hit: bool, version: int = 0,
-                     tie: bool = False) -> None:
-        """One cache lookup, attributed to the model version it keyed;
-        ``tie`` marks a miss that found a larger-``k`` entry whose
-        ranking ties at or before the cut."""
+    def record_cache(self, hit: bool, version: int = 0) -> None:
+        """One cache lookup, attributed to the model version it keyed."""
         with self._lock:
             split = self._cache_by_version.setdefault(
                 int(version), {"hits": 0, "misses": 0})
@@ -233,19 +211,15 @@ class ServerStats:
             else:
                 self._cache_misses += 1
                 split["misses"] += 1
-                if tie:
-                    self._tie_misses += 1
         if self.metrics is not None:
             self.metrics.count("cache_hits_total" if hit
                                else "cache_misses_total")
-            if tie:
-                self.metrics.count("cache_tie_misses_total")
 
     def record_hit(self, latency_s: float, version: int,
                    rendered: int, nested: bool = False) -> None:
         """One request served from the explanation cache, its
         ``rendered`` stored explanations re-served without rendering
-        (``nested``: by slicing an entry admitted at a larger ``k``):
+        (``nested``: by slicing an entry ranked at another ``k``):
         ``record_cache(True, version)``, a ``render_deferred_total``
         count and ``record_request(latency_s)`` under one lock and one
         seqlock publish of the mirror block — every counter ends
@@ -300,7 +274,6 @@ class ServerStats:
             self._cache_hits = 0
             self._cache_misses = 0
             self._nested_hits = 0
-            self._tie_misses = 0
             self._cache_by_version.clear()
             self._swaps = 0
             self._swap_latencies_s.clear()
@@ -317,7 +290,7 @@ class ServerStats:
             sample_exact = self._lat_sample.seen <= self._lat_sample.capacity
             occupancy = dict(self._occupancy)
             hits, misses = self._cache_hits, self._cache_misses
-            nested_hits, tie_misses = self._nested_hits, self._tie_misses
+            nested_hits = self._nested_hits
             by_version = {v: dict(split) for v, split
                           in self._cache_by_version.items()}
             swaps = self._swaps
@@ -342,16 +315,9 @@ class ServerStats:
                     hist.min, hist.max) * 1e3
         else:
             p50 = p95 = p99 = mean = 0.0
-        cache_ref, memo_ref = self._cache_ref, self._memo_ref
+        cache_ref = self._cache_ref
         cache_entries = (cache_ref.entries_by_version()
                          if cache_ref is not None else {})
-        if memo_ref is not None:
-            memo_entries = memo_ref.entries_by_version()
-            memo_hits, memo_misses = memo_ref.hits, memo_ref.misses
-            memo_evictions = memo_ref.evictions
-        else:
-            memo_entries = {}
-            memo_hits = memo_misses = memo_evictions = 0
         sizes = np.array(sorted(occupancy), dtype=np.float64)
         counts = np.array([occupancy[int(s)] for s in sizes],
                           dtype=np.float64)
@@ -372,13 +338,8 @@ class ServerStats:
             mean_occupancy=mean_occ,
             cache_by_version=by_version,
             cache_nested_hits=nested_hits,
-            cache_tie_misses=tie_misses,
             swaps=swaps,
             swap_latency_ms=swap_ms,
             dedup_rows=dedup_rows,
-            memo_hits=memo_hits,
-            memo_misses=memo_misses,
-            memo_evictions=memo_evictions,
             cache_entries_by_version=cache_entries,
-            memo_entries_by_version=memo_entries,
         )

@@ -606,9 +606,8 @@ def fleet_schema(num_shards: int = 0, hops: int = 0) -> MetricSchema:
     counters = [
         "requests_total", "batches_total",
         "cache_hits_total", "cache_misses_total",
-        # of the hits: sliced from a larger-k entry; of the misses:
-        # such an entry was live but tied at or before the cut
-        "cache_nested_hits_total", "cache_tie_misses_total",
+        # of the hits: sliced from an entry ranked at another k
+        "cache_nested_hits_total",
         "ring_batches_total", "pipe_batches_total",
         "ring_fallbacks_total",
         "worker_respawns_total",
@@ -622,17 +621,12 @@ def fleet_schema(num_shards: int = 0, hops: int = 0) -> MetricSchema:
         "online_rounds_total", "online_sessions_total",
         "cascade_candidates_total", "cascade_pruned_frontier_rows_total",
         "dedup_rows_total",
-        "walk_memo_hits_total", "walk_memo_misses_total",
-        "walk_memo_evictions_total",
         "reachability_rebuilds_total",
     ]
     counters += [gather_shard_counter(sid)
                  for sid in range(min(num_shards, MAX_SHARD_COUNTERS))]
     gauges = ["model_version", "workers_alive", "trace_sample",
-              "workspace_bytes",
-              # float accumulator (counters are int64): estimated walk
-              # time avoided by the memo, set from WalkMemo.seconds_saved
-              "walk_seconds_saved_total"]
+              "workspace_bytes"]
     hists = [
         "request_latency_seconds", "enqueue_wait_seconds",
         "batch_flush_seconds", "transport_seconds", "exec_seconds",

@@ -268,13 +268,11 @@ def slo_failures(results: Sequence[SLOResult]) -> List[SLOResult]:
 def serving_slos(p99_ms: Optional[float] = None,
                  swap_max_ms: Optional[float] = None,
                  cache_hit_floor: Optional[float] = None,
-                 ring_fallback_ceiling: Optional[float] = None,
-                 memo_hit_floor: Optional[float] = None
+                 ring_fallback_ceiling: Optional[float] = None
                  ) -> Tuple[SLO, ...]:
-    """The canonical serving gate set (ISSUE 7): request p99, swap
-    latency ceiling, cache-hit floor, ring-fallback ceiling — plus the
-    shared-computation memo-hit floor (ISSUE 10), a ratio over the
-    ``walk_memo_*`` counters.  ``None`` skips a gate."""
+    """The canonical serving gate set: request p99, swap latency
+    ceiling, cache-hit floor, ring-fallback ceiling.  ``None`` skips a
+    gate."""
     slos: List[SLO] = []
     if p99_ms is not None:
         slos.append(SLO(name="request_p99", stat="p99",
@@ -296,10 +294,4 @@ def serving_slos(p99_ms: Optional[float] = None,
                         denominator=("ring_batches_total",
                                      "pipe_batches_total"),
                         max_value=ring_fallback_ceiling))
-    if memo_hit_floor is not None:
-        slos.append(SLO(name="walk_memo_hit_rate", stat="ratio",
-                        metric="walk_memo_hits_total",
-                        denominator=("walk_memo_hits_total",
-                                     "walk_memo_misses_total"),
-                        min_value=memo_hit_floor))
     return tuple(slos)

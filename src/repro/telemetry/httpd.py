@@ -35,7 +35,7 @@ class MetricsEndpoint:
     (optional) returns a JSON-safe dict merged into ``/metrics.json``
     under a ``"serving"`` key — the server uses it to expose state the
     shared-memory plane can't carry, like per-version entry counts of
-    the explanation cache and the walk memo.
+    the explanation cache.
     """
 
     def __init__(self, snapshot_fn: Callable[[], FleetSnapshot],

@@ -155,30 +155,18 @@ def render_top(curr: dict, prev: Optional[dict] = None) -> str:
                      f"({hits}/{hits + misses})")
 
     dedup = _counter_delta(curr, prev, "dedup_rows_total")
-    memo_hits = _counter_delta(curr, prev, "walk_memo_hits_total")
-    memo_misses = _counter_delta(curr, prev, "walk_memo_misses_total")
-    if dedup or memo_hits + memo_misses:
-        line = f"  shared     {dedup} rows deduped"
-        if memo_hits + memo_misses:
-            rate = memo_hits / (memo_hits + memo_misses)
-            line += (f", memo {rate * 100:5.1f}% hit "
-                     f"({memo_hits}/{memo_hits + memo_misses})")
-        lines.append(line)
+    if dedup:
+        lines.append(f"  shared     {dedup} rows deduped")
 
     # Per-version live entry counts (the "serving" extra section of
     # /metrics.json): after a hot swap the stale version's counts only
     # shrink — this is where that drain is watched.
     serving = curr.get("serving") or {}
     cache_bv = serving.get("cache_entries_by_version") or {}
-    memo_bv = (serving.get("walk_memo") or {}).get(
-        "entries_by_version") or {}
-    if cache_bv or memo_bv:
-        def _fmt_bv(bv: Dict[str, int]) -> str:
-            return " ".join(
-                f"v{v}:{bv[v]}" for v in sorted(bv, key=int))
-
-        lines.append(f"  entries    cache [{_fmt_bv(cache_bv)}]  "
-                     f"memo [{_fmt_bv(memo_bv)}]")
+    if cache_bv:
+        entries = " ".join(f"v{v}:{cache_bv[v]}"
+                           for v in sorted(cache_bv, key=int))
+        lines.append(f"  entries    cache [{entries}]")
 
     ring = _counter_delta(curr, prev, "ring_batches_total")
     pipe = _counter_delta(curr, prev, "pipe_batches_total")

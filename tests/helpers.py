@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, the
-direct form of a walk's rows for ``select_rows`` references, and the
-coalesced-vs-batch serving determinism check."""
+frozen best-path oracle, and the coalesced-vs-batch serving
+determinism check."""
 
 from __future__ import annotations
 
@@ -74,15 +74,6 @@ def reference_best_paths(built, rollout):
         entities=[int(e) for e in rollout.entities[p]],
         relations=[int(r) for r in rollout.relations[p]],
         prob=float(rollout.prob[p])) for key, p in best.items()}
-
-
-def walked_sources(rec):
-    """Each row of a fresh ``Recommendations`` as a
-    :func:`repro.runtime.rowblock.select_rows` source: ``(scores_row,
-    path_row)`` views of ``rec`` — what the direct, plan-less walk the
-    serving tests compare against hands to the row selection."""
-    return [(rec.scores[row], rec.paths.row(row))
-            for row in range(len(rec.scores))]
 
 
 def check_determinism(trainer, sessions, k: int = 20) -> bool:

@@ -2,16 +2,16 @@
 
 Tier-1.  Pins that
 
-1. a plan with **nothing to share** (identity ``row_map``, capacity-0
-   memo) *is* the direct batch walk, bitwise, in thread mode, over the
-   pipe and over the ring — which is why the server's ``dedup=`` /
-   ``walk_memo_size=`` arguments choose plan contents, not code;
+1. a plan with **nothing to share** (identity ``row_map``) *is* the
+   direct batch walk, bitwise, in thread mode, over the pipe and over
+   the ring — which is why the server's ``dedup=`` argument chooses
+   plan contents, not code;
 2. the request codec round-trips generated plans and **every** damaged
    payload raises ``CorruptPayload`` — never a plausible different
    batch — and a corrupt request cannot wedge a live ring worker;
 3. what used to drift between the thread and process mirrors cannot:
-   the walk memo is keyed on the user *anchor* in both modes, and a
-   traced request's spans do not depend on who served it.
+   a repeat is keyed on the user *anchor* in both modes, and a traced
+   request's spans do not depend on who served it.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ from repro.runtime import workers as workers_mod
 from repro.runtime.flush import FlushPlan, execute_flush
 from repro.runtime.rings import CorruptPayload, decode_plan, encode_plan
 from repro.runtime.rowblock import select_rows
-from repro.serving import WalkMemo, dedup_plan
+from repro.serving.memo import dedup_plan
 from repro.telemetry.trace import spans_by_trace
-
-from helpers import walked_sources
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +67,7 @@ def examples(sessions):
 # Nothing to share is the direct walk
 # ----------------------------------------------------------------------
 def _direct(agent, examples, ks, candidates=None):
-    """The plain batch walk, spelled out with no plan and no memo."""
+    """The plain batch walk, spelled out with no plan."""
     constraint = None
     if candidates is not None:
         constraint = build_constraint(agent, candidates,
@@ -77,8 +75,7 @@ def _direct(agent, examples, ks, candidates=None):
     rec = agent.recommend(
         collate_examples(examples, agent.config.max_session_length),
         k=max(ks), candidates=constraint)
-    return select_rows(walked_sources(rec), list(enumerate(ks)),
-                       rec.ranked_items, max(ks))
+    return select_rows(rec, list(enumerate(ks)))
 
 
 def _flushes(trainer, examples):
@@ -98,17 +95,15 @@ class TestNothingToShareIsTheDirectWalk:
         agent = trainer.agent
         for batch, ks, cands in _flushes(trainer, examples):
             block, spans, rowrecs = execute_flush(
-                agent, RolloutWorkspace(), WalkMemo(0), 0,
-                agent.env.fingerprint(),
-                FlushPlan.build(batch, ks, cands), None)
+                agent, RolloutWorkspace(), FlushPlan.build(batch, ks, cands),
+                None)
             assert block == _direct(agent, batch, ks, cands)
             assert spans == [] and rowrecs == []
 
     @pytest.mark.parametrize("transport", ["pipe", "ring"])
     def test_process(self, trainer, examples, transport):
         with ProcessWorkerPool(trainer.agent, workers=1,
-                               transport=transport,
-                               walk_memo_size=0) as pool:
+                               transport=transport) as pool:
             for batch, ks, cands in _flushes(trainer, examples):
                 _, block, _, _ = pool.execute_block(
                     FlushPlan.build(batch, ks, cands))
@@ -117,14 +112,16 @@ class TestNothingToShareIsTheDirectWalk:
 
     def test_dedup_off_memo_off_server_is_the_direct_walk(self, trainer,
                                                            sessions):
-        """The same claim through the server's own arguments."""
+        """The same claim through the server's own arguments (the
+        server ranks the flush at its ceiling, 9, and cuts each
+        request's prefix)."""
         subset = sessions[:5]
         ks = [5, 9, 5, 2, 9]
         want = _direct(trainer.agent,
                        [(s.items[:-1], s.items[-1], s.user_id)
                         for s in subset], ks).to_rows()
         with trainer.serve(worker_mode="thread", cache_size=0,
-                           dedup=False, walk_memo_size=0, max_batch=5,
+                           dedup=False, max_batch=5,
                            max_wait_ms=250.0) as server:
             futures = [server.submit(s, k=k) for s, k in zip(subset, ks)]
             got = [f.result() for f in futures]
@@ -294,14 +291,17 @@ _MODE_IDS = ["thread", "process"]
 
 @pytest.mark.parametrize("mode", _MODES, ids=_MODE_IDS)
 class TestMemoKeysOnTheUserAnchor:
+    """The cross-flush reuse of a walk — the explanation cache — keys
+    on the user only when the walk starts from the user entity."""
+
     def _serve_twice(self, trainer, session, mode):
         other = replace(session, user_id=session.user_id + 1)
-        with trainer.serve(cache_size=0, **mode) as server:
+        with trainer.serve(**mode) as server:
             first = server.recommend_one(session, k=5)
             second = server.recommend_one(other, k=5)
             snap = server.fleet_snapshot()
-        return (first, second, snap.counter("walk_memo_hits_total"),
-                snap.counter("walk_memo_misses_total"))
+        return (first, second, snap.counter("cache_hits_total"),
+                snap.counter("cache_misses_total"))
 
     def test_last_item_walks_share_across_users(self, trainer, sessions,
                                                 mode):
@@ -318,7 +318,7 @@ class TestMemoKeysOnTheUserAnchor:
 
 
 def _traced_passes(trainer, subset, **overrides):
-    """One 3-row flush at k=5 (walks) and one at k=7 (all memo hits),
+    """One 3-row flush at k=5 and one at k=7, both walked (no cache),
     every request traced: per pass ``(span-name multiset per request,
     spans, exec_seconds histogram)``."""
     passes = []
@@ -349,10 +349,9 @@ def test_spans_do_not_depend_on_who_served(trainer, sessions, cascade):
     walked = Counter(["enqueue", "flush", "collate", "walk", "topk", "row",
                       "exec", "transport", "render", "respond"]
                      + ["cascade"] * (2 if cascade else 0))
-    hit = walked - Counter(["collate", "walk", "topk", "row", "cascade"])
     for passes, role in ((thread, "server"), (process, "worker")):
         for (names, spans, hist), want, flushes in zip(
-                passes, (walked, hit), (1, 2)):
+                passes, (walked, walked), (1, 2)):
             assert names == [tuple(sorted(want.items()))] * 3
             executed = {s.name: s for s in spans
                         if s.name in ("collate", "walk", "topk", "row",

@@ -1,20 +1,27 @@
 """One cached answer per session serves every ``k`` — exactly.
 
-Tier-1.  The explanation cache keys on the session and keeps the
-answer at the largest ``k`` asked; a smaller ``k`` is sliced from it
-only when the ranking has no tie at or before the cut.  Pinned here:
+Tier-1.  ``_top_k`` ranks by the total order ``(-score, item id)``, so
+every top-``k`` is the first ``k`` of every top-``K``; the server ranks
+every miss at its ``k`` ceiling (the largest ``k`` asked so far) and
+keeps one entry per session, which answers any ``k`` up to the one it
+was ranked at, or any ``k`` once it holds the whole catalogue.  Pinned
+here:
 
-* the rule is *exact* — wherever it says "servable", the prefix is
-  ``_top_k`` at that ``k`` (property over tie-heavy score rows), and
-  every served answer equals the offline oracle
+* the order — property over tie-heavy score rows: prefix-closed,
+  equal to a brute-force sort that never picks the padding item 0,
+  and the cascade's ``top_m`` order;
+* the rule is *exact* — every served answer equals the offline oracle
   (``REKSTrainer.recommend_sessions``; the constrained
   ``agent.recommend`` under the cascade) in items, paths, explanations
-  and score bits, in thread and process mode, for arbitrary ``k``
-  sequences, with ``cached`` true exactly when the rule says so — a
-  hit's paths being the entry's ``PathColumn`` cut by ``head(k)``, the
-  first ``k`` of the oracle's at the ``k`` the entry was walked for;
-* a tie at or before the cut is a counted miss that still answers
-  right and leaves the larger entry in place;
+  and score bits, in thread and process mode, over the pipe and the
+  ring, for arbitrary ``k`` sequences, with ``cached`` true exactly
+  when the rule says so — a hit's paths being the entry's
+  ``PathColumn`` cut by ``head(k)``, the first ``k`` of the oracle's at
+  the ``k`` the entry was ranked at;
+* a tie at or past the cut is served from the entry like any other
+  ``k``;
+* the ceiling only rises, under concurrent submits too, and a ``k``
+  past the catalogue clips the walk, not the ceiling;
 * admission keeps one entry per session at the largest ``k``; the LRU
   counts and evicts sessions; a hot swap or another cascade identity
   misses.
@@ -22,18 +29,22 @@ only when the ranking has no tie at or before the cut.  Pinned here:
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import REKSConfig, REKSTrainer
 from repro.cascade import build_constraint, provider_from_trainer
+from repro.cascade.providers import _ranked_top_m
 from repro.core.agent import _top_k
 from repro.data.loader import collate_examples
 from repro.kg.paths import render_path
 from repro.runtime.rowblock import PathColumn
 from repro.serving import ExplanationCache
-from repro.serving.cache import Entry, strict_prefix
+from repro.serving.cache import Entry
 from repro.serving.server import ServedResult
 
 CASCADE_M = 20
@@ -103,49 +114,78 @@ def entry_of(server, session):
 
 def servable(entry, k):
     """The rule, restated: the oracle ``cached`` is checked against."""
-    if entry is None or k > entry.asked:
-        return False
-    return (k == entry.asked or k >= len(entry.result.items)
-            or entry.strict > k)
+    return entry is not None and (
+        k <= entry.asked or len(entry.result.items) < entry.asked)
+
+
+tie_heavy_rows = st.lists(st.integers(0, 6), min_size=1, max_size=24)
+
+
+def brute_top_k(row, k):
+    """Sort every real item by ``(-score, id)``; item 0 is padding."""
+    return sorted(range(1, len(row)), key=lambda i: (-row[i], i))[:k]
 
 
 # ----------------------------------------------------------------------
-# The rule is exact wherever it says yes
+# One total order, and the rule is exact wherever it says yes
 # ----------------------------------------------------------------------
 class TestRule:
-    def test_strict_prefix(self):
-        assert strict_prefix(()) == 0
-        assert strict_prefix((0.5,)) == 1
-        assert strict_prefix((3.0, 2.0, 1.0)) == 3
-        assert strict_prefix((3.0, 2.0, 2.0, 1.0)) == 2
-        assert strict_prefix((1.0, 1.0)) == 1
-        assert strict_prefix((0.2, 0.1, 0.0, 0.0, 0.0)) == 3
-        assert strict_prefix((1.0, float("nan"), 0.0)) == 1
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(tie_heavy_rows, min_size=1, max_size=4),
+           st.integers(1, 30))
+    def test_top_k_is_one_total_order(self, values, ceiling):
+        """Tie-heavy rows (few distinct values, zero runs, a scored
+        padding column): every ``k <= K`` ranking is the first ``k`` of
+        the ``K`` one, and both are the brute-force ``(-score, id)``
+        sort without item 0 — the order the cascade's ``top_m`` ranks
+        its candidates by."""
+        width = max(map(len, values))
+        rows = np.array([[v % 3 / 2] + [x / 4 for x in row]
+                         + [0.0] * (width - len(row)) for v, row
+                         in enumerate(values)])
+        full = _top_k(rows, ceiling)
+        for k in range(1, ceiling + 1):
+            ranked = _top_k(rows, k)
+            assert (ranked == full[:, :k]).all()
+            for row, got in zip(rows, ranked):
+                assert got.tolist() == brute_top_k(row, k)
+                assert got.tolist() == _ranked_top_m(row, k).tolist()
+
+    def test_top_k_never_serves_the_padding_item(self):
+        """A cut inside a run of 0.0 scores: the parent partitioned
+        over column 0 and could return item 0 (7 of 200 such rows)."""
+        rng = np.random.default_rng(7)
+        rows = np.zeros((200, 90))
+        for row in rows:
+            row[rng.choice(np.arange(1, 90), 30, replace=False)] = (
+                rng.random(30) + 0.1)
+        ranked = _top_k(rows, 40)
+        assert (ranked > 0).all()
+        for row, got in zip(rows, ranked):
+            assert got.tolist() == brute_top_k(row, 40)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, 6), min_size=3, max_size=24),
-           st.integers(1, 30), st.integers(1, 30))
+    @given(tie_heavy_rows, st.integers(1, 30), st.integers(1, 30))
     def test_a_servable_prefix_is_the_dedicated_top_k(self, values, asked,
                                                       k):
-        """Tie-heavy rows (few distinct values, zero tails): wherever
-        ``lookup`` serves ``k`` from the entry ranked at ``asked``, the
-        prefix equals ``_top_k(row, k)`` — set, order and all."""
+        """Wherever ``lookup`` serves ``k`` from the entry ranked at
+        ``asked`` — every ``k <= asked``, and every ``k`` once the
+        entry is clipped — the prefix equals ``_top_k(row, k)``."""
         row = np.array([[0.0] + [v / 4 for v in values]])
         ranked = _top_k(row, asked)[0]
         result = ServedResult(tuple(ranked.tolist()),
                               tuple(row[0, ranked].tolist()), (), ())
         cache = ExplanationCache(4)
         key = ExplanationCache.key((1, 2))
-        cache.admit([key], [Entry(result, asked,
-                                  strict_prefix(result.scores))])
+        cache.admit([key], [Entry(result, asked)])
         entry, ok = cache.lookup(key, k)
         assert entry.result is result
-        assert ok == servable(entry, k)
+        assert ok == servable(entry, k) == (k <= asked
+                                            or len(values) < asked)
         if ok:
             assert result.items[:k] == tuple(_top_k(row, k)[0].tolist())
         assert (cache.hits, cache.misses) == (int(ok), int(not ok))
         assert cache.nested_hits == int(ok and k != asked)
-        assert cache.tie_misses == int(not ok and k < asked)
 
     def test_key_drops_k_and_names_its_fields(self):
         assert (ExplanationCache.key((1, 2), 5)
@@ -161,7 +201,7 @@ class TestRule:
         cache = ExplanationCache(8)
         base = dict(cascade=("neighbors:r20", 50), version=1)
         cache.admit([ExplanationCache.key((1, 2), **base)],
-                    [Entry(result, 2, 2)])
+                    [Entry(result, 2)])
         for other in (dict(base, cascade=("neighbors:r20", 100)),
                       dict(base, cascade=None),
                       dict(base, cascade=("encoder:narm", 50)),
@@ -176,7 +216,7 @@ class TestRule:
             scores = tuple(1.0 / (i + 1) for i in range(asked))
             return Entry(ServedResult(tuple(range(1, asked + 1)), scores,
                                       (None,) * asked, ("",) * asked),
-                         asked, asked)
+                         asked)
 
         a, b, c = (ExplanationCache.key((i,)) for i in range(3))
         cache = ExplanationCache(2)
@@ -197,13 +237,17 @@ class TestRule:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", params=[
     ("thread", False), ("thread", True), ("process", False),
-    ("process", True)], ids=lambda p: f"{p[0]}-{'cascade' if p[1] else 'full'}")
+    ("process", True), ("pipe", False), ("pipe", True)],
+    ids=lambda p: f"{p[0]}-{'cascade' if p[1] else 'full'}")
 def served(request, trainer):
     mode, cascade = request.param
     provider = (provider_from_trainer(trainer, "neighbors") if cascade
                 else None)
-    with trainer.serve(worker_mode=mode, workers=1, max_wait_ms=0.0,
-                       cascade=provider, cascade_m=CASCADE_M) as server:
+    transport = dict(transport="pipe") if mode == "pipe" else {}
+    with trainer.serve(worker_mode="thread" if mode == "thread"
+                       else "process", workers=1, max_wait_ms=0.0,
+                       cascade=provider, cascade_m=CASCADE_M,
+                       **transport) as server:
         yield server, Oracle(trainer, provider)
 
 
@@ -234,8 +278,7 @@ class TestServedSequences:
                     session, before.asked).paths[:k]
                 assert result.paths == before.result.paths[:k]
             else:
-                assert after.asked == max(
-                    k, before.asked if before is not None else 0)
+                assert after.asked == server._ceiling >= k
             assert len(server.cache) == 1
 
 
@@ -250,11 +293,12 @@ def server(request, trainer):
 
 
 class TestRealWalks:
-    def test_tie_at_or_past_the_cut_is_a_counted_miss(self, server,
-                                                      trainer, sessions):
+    def test_tie_at_or_past_the_cut_is_a_hit(self, server, trainer,
+                                              sessions):
         """With the encoder fallback off, a ranking over the whole
-        catalogue ends in a run of pathless 0.0 scores: the cut is
-        exact up to the first zero and a miss from there on."""
+        catalogue ends in a run of pathless 0.0 scores, in id order:
+        every cut — inside the run too — is the first ``k`` of that
+        ranking, and is served from the one entry."""
         oracle = Oracle(trainer)
         session = sessions[0]
         n_items = server._agent.n_items
@@ -262,31 +306,28 @@ class TestRealWalks:
         entry = entry_of(server, session)
         reached = sum(1 for score in full.scores if score > 0)
         assert 5 < reached < n_items - 5
-        assert entry.asked == n_items + 5 and entry.strict == reached + 1
+        assert entry.asked == n_items + 5
         assert full.scores[reached:] == (0.0,) * (n_items - reached)
+        assert list(full.items[reached:]) == sorted(full.items[reached:])
+        assert 0 not in full.items
 
-        for k in (1, reached - 1, reached):       # strict at the cut
+        ks = (1, reached - 1, reached, reached + 1, reached + 4,
+              n_items - 1)
+        for k in ks:
             hit = server.recommend_one(session, k=k)
             assert hit.cached and hit.items == full.items[:k]
             assert_answers(hit, oracle(session, k))
-        for k in (reached + 1, reached + 4, n_items - 1):   # tied cut
-            miss = server.recommend_one(session, k=k)
-            assert not miss.cached
-            assert_answers(miss, oracle(session, k))
-            assert entry_of(server, session) is entry     # not replaced
+        assert entry_of(server, session) is entry
         stats = server.stats()
-        assert (stats.cache_hits, stats.cache_misses) == (3, 4)
-        assert (stats.cache_nested_hits, stats.cache_tie_misses) == (3, 3)
-        assert stats.to_dict()["cache_tie_misses"] == 3
+        assert (stats.cache_hits, stats.cache_misses) == (len(ks), 1)
+        assert stats.cache_nested_hits == len(ks)
+        assert "cache_tie_misses" not in stats.to_dict()
         snap = server.fleet_snapshot()
-        assert snap.counter("cache_nested_hits_total") == 3
-        assert snap.counter("cache_tie_misses_total") == 3
-        assert snap.counter("cache_hits_total") == 3
-        assert snap.counter("cache_misses_total") == 4
-        state = server.serving_state()
-        assert (state["cache_nested_hits"], state["cache_tie_misses"]) \
-            == (3, 3)
-        assert (server.cache.hits, server.cache.misses) == (3, 4)
+        assert snap.counter("cache_nested_hits_total") == len(ks)
+        assert snap.counter("cache_hits_total") == len(ks)
+        assert snap.counter("cache_misses_total") == 1
+        assert server.serving_state()["cache_nested_hits"] == len(ks)
+        assert (server.cache.hits, server.cache.misses) == (len(ks), 1)
 
     def test_clipped_entry_serves_every_k_at_or_past_the_catalogue(
             self, server, trainer, sessions):
@@ -299,8 +340,9 @@ class TestRealWalks:
             hit = server.recommend_one(session, k=k)
             assert hit.cached and hit.items is full.items
             assert_answers(hit, oracle(session, k))
-        assert not server.recommend_one(session, k=n_items + 6).cached
-        assert entry_of(server, session).asked == n_items + 6
+        # clipped: it answers every k, however large
+        assert server.recommend_one(session, k=n_items + 6).cached
+        assert entry_of(server, session).asked == n_items + 5
 
     def test_upgrade_replaces_downgrade_does_not(self, server, sessions):
         up, down = sessions[2], sessions[3]
@@ -310,11 +352,75 @@ class TestRealWalks:
         assert server.recommend_one(up, k=5).cached
         assert not server.recommend_one(down, k=20).cached
         twenty = entry_of(server, down)
-        assert twenty.strict > 5
         five = server.recommend_one(down, k=5)
         assert five.cached and five.items == twenty.result.items[:5]
         assert entry_of(server, down) is twenty
         assert len(server.cache) == 2
+
+    def test_k_past_the_catalogue_clips_the_walk_not_the_ceiling(
+            self, server, trainer, sessions):
+        oracle = Oracle(trainer)
+        n_items = server._agent.n_items
+        big, small = sessions[9], next(
+            s for s in sessions[10:]
+            if server._base_key(s) != server._base_key(sessions[9]))
+        first = server.recommend_one(big, k=n_items + 7)
+        assert len(first.items) == n_items
+        assert server.serving_state()["k_ceiling"] == n_items + 7
+        assert entry_of(server, big).asked == n_items + 7
+        # every later miss ranks the whole catalogue, once, and its
+        # entry then answers any k
+        three = server.recommend_one(small, k=3)
+        assert not three.cached and len(three.items) == 3
+        assert_answers(three, oracle(small, 3))
+        entry = entry_of(server, small)
+        assert entry.asked == n_items + 7
+        assert len(entry.result.items) == n_items
+        for k in (n_items, n_items + 7, 10 * n_items):
+            hit = server.recommend_one(small, k=k)
+            assert hit.cached and hit.items is entry.result.items
+        assert server.recommend_one(small, k=4).cached
+        assert server.serving_state()["k_ceiling"] == n_items + 7
+
+    def test_the_ceiling_only_rises_under_concurrent_submits(
+            self, trainer, sessions):
+        """Eight threads submit mixed ``k`` with a 1 us switch
+        interval while a reader watches the ceiling: it never moves
+        down, ends at the largest ``k`` asked, and every answer has
+        its own ``k``."""
+        ks = [3, 20, 5, 11, 17, 2, 19, 7]
+        seen = []
+        stop = threading.Event()
+        interval = sys.getswitchinterval()
+        with trainer.serve(workers=1, max_wait_ms=0.0,
+                           cache_size=0) as server:
+            def watch():
+                while not stop.is_set():
+                    seen.append(server._ceiling)
+
+            def client(k):
+                for session in sessions[:12]:
+                    assert len(server.submit(session, k=k).result(
+                        timeout=60).items) == k
+
+            reader = threading.Thread(target=watch)
+            clients = [threading.Thread(target=client, args=(k,))
+                       for k in ks]
+            sys.setswitchinterval(1e-6)
+            try:
+                reader.start()
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+                stop.set()
+                reader.join(timeout=10)
+            assert not any(t.is_alive() for t in clients + [reader])
+            assert server.stats().requests == len(ks) * 12
+            assert server._ceiling == max(ks)
+        assert seen and seen == sorted(seen)
 
     @pytest.mark.parametrize("ks", [(5, 20), (20, 5)])
     def test_two_ks_of_one_session_in_one_flush_admit_one_entry(
@@ -352,6 +458,7 @@ class TestRealWalks:
         assert server.recommend_one(session, k=5).cached
         server.swap_model(state=trainer.agent.state_dict(), version=1)
         assert not server.recommend_one(session, k=5).cached
-        assert not server.recommend_one(session, k=20).cached
+        # that miss ranked at the ceiling, 20
+        assert server.recommend_one(session, k=20).cached
         assert server.recommend_one(session, k=5).cached
         assert server.cache.entries_by_version() == {0: 1, 1: 1}

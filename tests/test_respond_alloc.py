@@ -40,7 +40,7 @@ FLUSH = 32
 FLUSHES = 20
 # Tracked objects a cold request may leave behind once its future and
 # result are dropped: the cache's key, entry and result, the result's
-# three tuples and its column, the walk memo's entry.
+# three tuples and its column.
 RETAINED_PER_REQUEST = 14
 
 

@@ -2,10 +2,11 @@
 
 Tier-1.  Pins that the block round-trips through both of its other
 forms (the response payload and the ``(items, scores, path_blobs)``
-list rows), that :func:`select_rows` answers exactly what the per-row
-selection it replaced answered — byte for byte on the wire — for every
-kind of flush the server cuts, and that a damaged payload raises one
-typed error.
+list rows), that :func:`select_rows` — a prefix of each walk row's
+ranking — answers exactly what a dedicated per-row ``_top_k`` at each
+row's own ``k`` answers, byte for byte on the wire, for every kind of
+flush the server cuts, and that a damaged payload raises one typed
+error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import REKSConfig, REKSTrainer
 from repro.cascade import build_constraint, provider_from_trainer
-from repro.core.agent import _top_k
+from repro.core.agent import Recommendations, _top_k
 from repro.data.loader import collate_examples
 from repro.kg.paths import PathTable
 from repro.runtime import ProcessWorkerPool
@@ -28,8 +29,6 @@ from repro.runtime.rings import (
     encode_response,
 )
 from repro.runtime.rowblock import RowBlock, select_rows
-
-from helpers import walked_sources
 
 # ----------------------------------------------------------------------
 # Round trips over generated rows
@@ -202,54 +201,34 @@ def _walk(trainer, examples, k, candidates=None):
 
 
 def _reference_row(scores_row, path_row, k):
-    """The per-row selection every call site used to spell out."""
+    """A dedicated selection at the row's own ``k``."""
     ranked = _top_k(scores_row.reshape(1, -1), int(k))[0]
     items = ranked.tolist()
     return items, scores_row[ranked].tolist(), path_row.take(items)
 
 
-def _reference(sources, plan):
-    return [_reference_row(*sources[u], k) for u, k in plan]
+def _reference(rec, plan):
+    return [_reference_row(rec.scores[u], rec.paths.row(u), k)
+            for u, k in plan]
 
 
 class TestSelectRows:
-    def _check(self, sources, plan, ranked=None, ranked_k=0):
-        block = select_rows(sources, plan, ranked, ranked_k)
-        want = _reference(sources, plan)
+    def _check(self, rec, plan):
+        block = select_rows(rec, plan)
+        want = _reference(rec, plan)
         assert block.to_rows() == want
         assert encode_response(5, block) == encode_response(5, want)
         return block
 
     def test_all_rows_at_the_walks_own_k(self, trainer, examples):
         rec = _walk(trainer, examples[:8], 10)
-        plan = [(row, 10) for row in range(8)]
-        block = self._check(walked_sources(rec), plan,
-                            rec.ranked_items, 10)
-        # with no ranking to reuse, every row is re-selected: same block
-        assert select_rows(walked_sources(rec), plan) == block
+        block = self._check(rec, [(row, 10) for row in range(8)])
         assert (block.path_len >= 0).any()
 
     def test_mixed_k(self, trainer, examples):
         ks = [3, 10, 5, 10, 1, 7, 3, 10]
         rec = _walk(trainer, examples[:8], max(ks))
-        self._check(walked_sources(rec), list(enumerate(ks)),
-                    rec.ranked_items, max(ks))
-
-    def test_memo_hit_rows_from_other_tables(self, trainer, examples):
-        """Rows of one flush may come from three different walks (two
-        earlier flushes' memo entries and a fresh one), interleaved."""
-        first = walked_sources(_walk(trainer, examples[:4], 10))
-        second = walked_sources(_walk(trainer, examples[4:7], 10))
-        fresh_rec = _walk(trainer, examples[7:12], 10)
-        fresh = walked_sources(fresh_rec)
-        sources = [first[1], fresh[0], second[2], fresh[1], first[3],
-                   fresh[2], second[0]]
-        ranked = [None, fresh_rec.ranked_items[0], None,
-                  fresh_rec.ranked_items[1], None,
-                  fresh_rec.ranked_items[2], None]
-        plan = [(0, 5), (1, 10), (2, 10), (3, 3), (4, 10), (5, 10),
-                (6, 20)]
-        self._check(sources, plan, ranked, 10)
+        self._check(rec, list(enumerate(ks)))
 
     def test_dedup_fan_out_plan(self, trainer, examples):
         """A collapsed flush answers one block row per distinct
@@ -260,11 +239,10 @@ class TestSelectRows:
                                dedup=([0, 1, 3], row_map))
         pairs, fan_out = plan.pairs, plan.fan_out
         assert len(pairs) == 5 and plan.ks == [10, 10, 3]
-        block = self._check(walked_sources(rec), pairs,
-                            rec.ranked_items, 10)
+        block = self._check(rec, pairs)
         rows = block.to_rows()
         assert ([rows[p] for p in fan_out]
-                == _reference(walked_sources(rec), list(zip(row_map, ks))))
+                == _reference(rec, list(zip(row_map, ks))))
 
     def test_cascade_constrained(self, trainer, examples):
         provider = provider_from_trainer(trainer, "neighbors")
@@ -273,15 +251,14 @@ class TestSelectRows:
                       for prefix, _, _ in batch]
         rec = _walk(trainer, batch, 10, candidates)
         ks = [10, 4, 10, 10, 2, 10]
-        block = self._check(walked_sources(rec), list(enumerate(ks)),
-                            rec.ranked_items, 10)
+        block = self._check(rec, list(enumerate(ks)))
         for row, (items, _, _) in enumerate(block.to_rows()):
             assert set(items[:1]) <= {int(c) for c in candidates[row]}
 
     def test_k_past_the_catalogue_is_clipped(self, trainer, examples):
-        rec = _walk(trainer, examples[:2], 10)
+        rec = _walk(trainer, examples[:2], 10 ** 6)
         n_items = rec.scores.shape[1] - 1
-        block = self._check(walked_sources(rec), [(0, 10 ** 6), (1, 2)])
+        block = self._check(rec, [(0, 10 ** 6), (1, 2)])
         assert block.ks.tolist() == [n_items, 2]
 
     def test_empty_path_table(self, trainer, examples):
@@ -292,8 +269,9 @@ class TestSelectRows:
                           np.zeros((0, 3), np.int64),
                           np.zeros((0, 2), np.int64), np.zeros(0),
                           rec.scores.shape[1] - 1)
-        sources = [(rec.scores[row], empty.row(row)) for row in range(3)]
-        block = self._check(sources, [(0, 5), (1, 3), (2, 5)])
+        block = self._check(Recommendations(rec.scores, rec.ranked_items,
+                                            empty),
+                            [(0, 5), (1, 3), (2, 5)])
         assert (block.path_len == -1).all() and block.probs.size == 0
 
 
@@ -304,8 +282,7 @@ class TestPoolBlocks:
     def test_ring_and_pipe_carry_the_same_block(self, trainer, examples):
         rec = _walk(trainer, examples[:6], 7)
         ks = [7, 3, 7, 5, 7, 1]
-        want = select_rows(walked_sources(rec), list(enumerate(ks)),
-                           rec.ranked_items, 7)
+        want = select_rows(rec, list(enumerate(ks)))
         for transport in ("ring", "pipe"):
             with ProcessWorkerPool(trainer.agent, workers=1,
                                    transport=transport) as pool:
@@ -323,9 +300,7 @@ class TestPoolBlocks:
                 _, block, _, _ = pool.execute_block(plan)
                 assert plan.rows == uniq and plan.fan_out == [0, 1, 0]
                 pair = _walk(trainer, uniq, 7)
-                assert block == select_rows(walked_sources(pair),
-                                            [(0, 7), (1, 3)],
-                                            pair.ranked_items, 7)
+                assert block == select_rows(pair, [(0, 7), (1, 3)])
 
     def test_wrong_row_count_is_refused(self, trainer, examples,
                                         monkeypatch):

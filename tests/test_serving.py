@@ -368,7 +368,7 @@ class TestRecommendationServer:
         for k in (0, -3):
             with pytest.raises(ValueError, match="k must be >= 1"):
                 trainer.agent.recommend(batch, k=k)
-            # _top_k is also reached by memo-hit / mixed-k re-selection.
+            # _top_k is also what cascade providers rank candidates with.
             with pytest.raises(ValueError, match="k must be >= 1"):
                 _top_k(np.zeros((1, 5)), k)
 
@@ -380,16 +380,15 @@ class TestRecommendationServer:
             assert server._scheduler.max_batch == 32
             assert server.cache.capacity == 2048
             assert server.default_k == 20
-            assert server.walk_memo.capacity == 512
             assert server.worker_mode == "thread"
-        with trainer.serve(max_batch=4, cache_size=7, default_k=3,
-                           walk_memo_size=0) as server:
+        with trainer.serve(max_batch=4, cache_size=7,
+                           default_k=3) as server:
             assert server._scheduler.max_batch == 4
             assert server.cache.capacity == 7
             assert server.default_k == 3
-            assert server.walk_memo.capacity == 0
-        with pytest.raises(TypeError):
-            trainer.serve(serve_max_batch=4)
+        for retired in ({"serve_max_batch": 4}, {"walk_memo_size": 0}):
+            with pytest.raises(TypeError):
+                trainer.serve(**retired)
 
     def test_option_validation_at_the_constructor(self, trainer):
         for bad in ({"default_k": 0}, {"trace_sample": 1.5},

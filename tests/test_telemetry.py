@@ -732,11 +732,10 @@ class TestProcessFleetTelemetry:
         so every batch raises RingUnsuitable and rides the pickle pipe
         — worker spans and trace echoes must come back regardless."""
         subset = sessions[:6]
-        # Memo off: a warm replay would be all memo hits — no walk, no
+        # Cache off: a warm replay would be all hits — no walk, no
         # worker row spans — and this test is about transport fallback.
         with trainer.serve(worker_mode="process", workers=1,
-                           cache_size=0, walk_memo_size=0,
-                           trace_sample=1.0) as server:
+                           cache_size=0, trace_sample=1.0) as server:
             expected = [r.items for r in server.recommend_many(subset,
                                                                k=5)]
             server.tracer.drain()

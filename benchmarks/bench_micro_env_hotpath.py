@@ -1,9 +1,10 @@
 """Micro-benchmark: CSR frontier construction vs the loop reference.
 
-Measures ``batched_actions`` throughput (frontier entities/sec) at
+Measures frontier construction throughput (frontier entities/sec) at
 frontier sizes 64-8192 for three variants — the loop-based reference
-environment (``tests/reference_env.py``), the CSR environment, and the
-CSR environment with a recycled :class:`RolloutWorkspace` — and writes
+environment's padded grid (``tests/reference_env.py``), the CSR
+environment's ``batched_actions`` grid view, and its
+``flat_actions`` cells (what every walk hop expands) — and writes
 ``benchmarks/results/BENCH_env_hotpath.json``.
 
 Run as a pytest test (``pytest benchmarks/bench_micro_env_hotpath.py -s``)
@@ -26,11 +27,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
 
 from common import RESULTS_DIR, get_world  # noqa: E402
 from reference_env import ReferenceKGEnvironment  # noqa: E402
-from repro.autograd import no_grad  # noqa: E402
-from repro.core.environment import (  # noqa: E402
-    KGEnvironment,
-    RolloutWorkspace,
-)
+from repro.core.environment import KGEnvironment  # noqa: E402
 
 FRONTIER_SIZES = (64, 256, 1024, 4096, 8192)
 ACTION_CAP = 100
@@ -59,7 +56,6 @@ def run_hotpath_bench(sizes=FRONTIER_SIZES, seed=0):
     ref_env = ReferenceKGEnvironment(built, action_cap=ACTION_CAP,
                                      seed=seed)
     csr_env = KGEnvironment(built, action_cap=ACTION_CAP, seed=seed)
-    workspace = RolloutWorkspace()
     rng = np.random.default_rng(seed)
     n_entities = built.kg.num_entities
 
@@ -73,17 +69,15 @@ def run_hotpath_bench(sizes=FRONTIER_SIZES, seed=0):
             lambda: ref_env.batched_actions(entities, visited))
         csr_s = _best_seconds(
             lambda: csr_env.batched_actions(entities, visited))
-        with no_grad():
-            ws_s = _best_seconds(
-                lambda: csr_env.batched_actions(entities, visited,
-                                                workspace=workspace))
+        flat_s = _best_seconds(
+            lambda: csr_env.flat_actions(entities, visited))
         rows.append({
             "frontier_size": int(size),
             "reference_eps": size / ref_s,
             "csr_eps": size / csr_s,
-            "csr_workspace_eps": size / ws_s,
+            "csr_flat_eps": size / flat_s,
             "speedup": ref_s / csr_s,
-            "speedup_workspace": ref_s / ws_s,
+            "speedup_flat": ref_s / flat_s,
         })
     return rows
 
@@ -98,12 +92,12 @@ def emit(rows):
     }
     out.write_text(json.dumps(payload, indent=2))
     header = (f"{'frontier':>9} {'ref ent/s':>12} {'csr ent/s':>12} "
-              f"{'csr+ws ent/s':>13} {'speedup':>8} {'ws speedup':>11}")
+              f"{'flat ent/s':>13} {'speedup':>8} {'flat speedup':>13}")
     print(header)
     for r in rows:
         print(f"{r['frontier_size']:>9} {r['reference_eps']:>12.0f} "
-              f"{r['csr_eps']:>12.0f} {r['csr_workspace_eps']:>13.0f} "
-              f"{r['speedup']:>8.1f} {r['speedup_workspace']:>11.1f}")
+              f"{r['csr_eps']:>12.0f} {r['csr_flat_eps']:>13.0f} "
+              f"{r['speedup']:>8.1f} {r['speedup_flat']:>13.1f}")
     print(f"-> {out}")
     return out
 
@@ -113,7 +107,7 @@ def test_env_hotpath_throughput():
     emit(rows)
     for r in rows:
         if r["frontier_size"] >= 1024:
-            best = max(r["speedup"], r["speedup_workspace"])
+            best = max(r["speedup"], r["speedup_flat"])
             assert best >= SPEEDUP_FLOOR, (
                 f"frontier {r['frontier_size']}: {best:.1f}x < "
                 f"{SPEEDUP_FLOOR}x over the loop reference")

@@ -65,19 +65,14 @@ class BenchScale:
     action_cap: int
     batch_size: int
     final_beam: int
-    # Degree-quantile frontier buckets per hop: >1 at the larger
-    # scales now that the CSR differential suite pins bucketed
-    # correctness (measured 1.8x end-to-end inference at `small`;
-    # smoke keeps the paper's single-rectangle layout).
-    frontier_buckets: int = 1
 
 
 _SCALES = {
     "smoke": BenchScale("smoke", "tiny", (0, 1, 2), 4, 4, 16, 60, 64, 8),
     "small": BenchScale("small", "small", (0, 1, 2, 3, 4), 6, 8, 32, 120,
-                        128, 4, frontier_buckets=4),
+                        128, 4),
     "paper": BenchScale("paper", "medium", (0, 1, 2, 3, 4), 10, 10, 64, 250,
-                        128, 1, frontier_buckets=4),
+                        128, 1),
 }
 
 
@@ -152,11 +147,6 @@ def run_reks(world: World, model: str, seed: int, ks=(5, 10, 20),
     """Train + evaluate one REKS-wrapped model."""
     scale = bench_scale()
     built = built or world.built
-    # The scale's bucket count only applies to default runs; an
-    # explicit variant config keeps its own value verbatim so
-    # bucketing stays ablatable at every scale.
-    frontier_buckets = (config.frontier_buckets if config is not None
-                        else scale.frontier_buckets)
     if config is None:
         config = REKSConfig()
     dim = world.transe.config.dim
@@ -168,7 +158,6 @@ def run_reks(world: World, model: str, seed: int, ks=(5, 10, 20),
                         "epochs": scale.reks_epochs,
                         "batch_size": scale.batch_size,
                         "action_cap": scale.action_cap,
-                        "frontier_buckets": frontier_buckets,
                         "patience": 2, "seed": seed})
     transe = world.transe if built is world.built else None
     trainer = REKSTrainer(world.dataset, built, model_name=model,

@@ -7,7 +7,7 @@ the hot path of both the SR encoders and the REKS policy network.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,8 +26,8 @@ def coerce_indices(indices: np.ndarray, detach: bool) -> np.ndarray:
     per-lookup upcast copy); anything else is cast to int64.  With
     ``detach=True`` the result never aliases the input: callers that
     record a backward closure retaining the indices (the scatter-add
-    backward of an embedding gather) must not hold a view into a
-    recycled :class:`~repro.core.environment.RolloutWorkspace` buffer.
+    backward of an embedding gather) must not see a later in-place
+    write to the caller's array.
     """
     indices = np.asarray(indices)
     if indices.dtype.kind not in "iu":
@@ -67,6 +67,88 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
             g = out.grad
             soft = np.exp(out.data)
             x._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+
+        out._backward = _backward
+    return out
+
+
+def segments(row_of: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, counts)`` of the runs of equal values in a
+    non-decreasing, non-negative ``row_of`` (one run per row that has
+    a cell)."""
+    counts = np.bincount(row_of)
+    counts = counts[counts > 0]
+    return np.cumsum(counts) - counts, counts
+
+
+def segment_log_softmax_data(logits: np.ndarray, starts: np.ndarray,
+                             counts: np.ndarray) -> np.ndarray:
+    """Numerically stable log-softmax within each ``segments`` run, on
+    plain arrays (the forward of :func:`segment_log_softmax`)."""
+    if not len(logits):
+        return logits
+    shifted = logits - np.repeat(np.maximum.reduceat(logits, starts), counts)
+    # float64 accumulation: reduceat adds left to right, and a float32
+    # running sum over a few hundred cells would lose the last digits
+    # a pairwise row sum keeps.
+    log_sum = np.log(np.add.reduceat(np.exp(shifted), starts,
+                                     dtype=np.float64)).astype(logits.dtype)
+    return shifted - np.repeat(log_sum, counts)
+
+
+def segment_log_softmax(x: Tensor, row_of: np.ndarray) -> Tensor:
+    """Log-softmax of a flat ``(M,)`` tensor within each row segment.
+
+    ``row_of`` (non-decreasing) assigns every cell to a row; each row
+    normalizes over its own cells only — the ragged counterpart of
+    :func:`log_softmax` over a padded, masked grid.  Backward:
+    ``g - softmax * segment_sum(g)``.
+    """
+    starts, counts = segments(row_of)
+    out = x._make_child(segment_log_softmax_data(x.data, starts, counts),
+                        (x,), "segment_log_softmax")
+    if out.requires_grad:
+
+        def _backward() -> None:
+            g = out.grad
+            if not len(g):
+                x._accumulate(g)
+                return
+            row_sum = np.add.reduceat(g, starts, dtype=np.float64)
+            x._accumulate(g - np.exp(out.data) * np.repeat(
+                row_sum.astype(g.dtype), counts))
+
+        out._backward = _backward
+    return out
+
+
+def segment_dot(x: Tensor, y: Tensor, row_of: np.ndarray) -> Tensor:
+    """``out[m] = y[m] · x[row_of[m]]``: each of the ``(M, d)`` cells of
+    ``y`` dotted with its row of the ``(N, d)`` ``x``, for a
+    non-decreasing ``row_of``.
+
+    The segment row gather ``x[row_of]`` is fused into the dot, so the
+    tape holds no ``(M, d)`` copy of it or of the product — on a
+    training frontier those would be the largest arrays of the hop.
+    Backward to ``x`` sums each run of cells into its row with one
+    ``np.add.reduceat``; to ``y`` it is ``g · x[row_of]``.
+    """
+    row_of = np.asarray(row_of)
+    out = x._make_child(np.einsum("md,md->m", y.data, x.data[row_of]),
+                        (x, y), "segment_dot")
+    if out.requires_grad:
+
+        def _backward() -> None:
+            g = out.grad[:, None]
+            if x.requires_grad:
+                grad = np.zeros_like(x.data)
+                if len(row_of):
+                    starts, _ = segments(row_of)
+                    grad[row_of[starts]] = np.add.reduceat(
+                        g * y.data, starts, axis=0)
+                x._accumulate(grad)
+            if y.requires_grad:
+                y._accumulate(g * x.data[row_of])
 
         out._backward = _backward
     return out
@@ -162,8 +244,8 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows from an embedding matrix (scatter-add backward).
 
     Integer index arrays keep their dtype (int32 stays int32); the
-    copy detaching the indices from any recycled workspace buffer is
-    only taken when a backward closure will retain them.
+    copy detaching the indices from the caller's array is only taken
+    when a backward closure will retain them.
     """
     return weight[coerce_indices(
         indices, detach=weight.requires_grad and is_grad_enabled())]

@@ -108,7 +108,6 @@ def _reks_trainer(args) -> REKSTrainer:
                         epochs=args.epochs, batch_size=args.batch_size,
                         lr=args.lr, beta=args.beta,
                         sample_sizes=(100, args.final_beam),
-                        frontier_buckets=args.frontier_buckets,
                         seed=args.seed)
     trainer = REKSTrainer(dataset, built, model_name=args.model,
                           config=config)
@@ -418,10 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=MODELS, default="narm")
         p.add_argument("--beta", type=float, default=0.2)
         p.add_argument("--final-beam", type=int, default=4)
-        p.add_argument("--frontier-buckets", type=int, default=1,
-                       help="degree-quantile buckets per hop frontier "
-                            "of the training walk (1 = one padded "
-                            "rectangle per hop; inference pads nothing)")
         p.add_argument("--no-users", action="store_true",
                        help="build the KG without user entities")
         if extra:

@@ -9,12 +9,7 @@ semantic explanation path per recommended item.
 """
 
 from repro.core.config import REKSConfig
-from repro.core.environment import (
-    FrontierBucket,
-    KGEnvironment,
-    Rollout,
-    RolloutWorkspace,
-)
+from repro.core.environment import KGEnvironment, Rollout, RolloutWorkspace
 from repro.core.policy import PolicyNetwork
 from repro.core.rewards import RewardComputer, RewardWeights
 from repro.core.agent import REKSAgent
@@ -25,7 +20,6 @@ from repro.core.presets import paper_config
 
 __all__ = [
     "REKSConfig",
-    "FrontierBucket",
     "KGEnvironment",
     "Rollout",
     "RolloutWorkspace",

@@ -37,14 +37,12 @@ from repro.core.environment import (
     Rollout,
     RolloutWorkspace,
 )
-from repro.core.policy import PolicyNetwork, segments
+from repro.core.policy import PolicyNetwork
 from repro.core.rewards import RewardComputer
 from repro.data.loader import SessionBatch
 from repro.kg.paths import PathTable
 from repro.models.base import SessionEncoder
 from repro.nn.module import Module
-
-NEG_INF = -1e9
 
 
 @dataclass
@@ -104,20 +102,16 @@ class REKSAgent(Module):
              candidates: Optional["WalkConstraint"] = None) -> Rollout:
         """Beam-walk the KG; gradient flows when grad mode is enabled.
 
-        Which walk runs is decided here, once, from what the caller can
-        observe: with grad mode on, or dropout active, every hop is the
-        **tape walk** (:meth:`_expand_tape` — padded action grids from
-        ``iter_frontier_buckets``, ``PolicyNetwork.step`` on the
-        autograd tape); under ``no_grad`` with dropout inactive it is
-        the **flat walk** (:meth:`_expand_flat` — the frontier's legal
-        actions as flat arrays, one ``PolicyNetwork.step_flat`` and one
-        segment top-k per hop).  Both keep the same actions up to
-        float32 summation order in the log-probs; the flat walk lists
-        its paths in frontier-row order, the tape walk bucket by
-        bucket.  ``config.frontier_buckets`` and the workspace's grid
-        buffers belong to the tape walk only.
+        Every hop is one :meth:`_expand`: the frontier's legal actions
+        as flat cells, one policy forward, one segment top-k.  Which
+        forward runs is decided here, once, from what the caller can
+        observe: with grad mode on, or dropout active, it is
+        ``PolicyNetwork.step`` on the autograd tape; under ``no_grad``
+        with dropout inactive it is ``PolicyNetwork.step_flat`` on
+        plain arrays.  Both keep the same actions, in the same order,
+        up to float32 summation order in the log-probs.
 
-        ``workspace`` overrides the agent's own scratch buffers for
+        ``workspace`` overrides the agent's own telemetry carrier for
         this walk — serving workers each pin their own workspace so
         concurrent walks over one shared agent never collide.
 
@@ -132,20 +126,20 @@ class REKSAgent(Module):
         cfg = self.config
         sizes = sizes or cfg.sample_sizes
         workspace = workspace if workspace is not None else self.workspace
-        flat = not is_grad_enabled() and not (self.policy.drop.training
-                                              and self.policy.drop.p > 0)
-        if flat:
-            expand, session_repr = self._expand_flat, session_repr.data
+        tape = is_grad_enabled() or (self.policy.drop.training
+                                     and self.policy.drop.p > 0)
+        if tape:
+            forward = self.policy.step
         else:
-            expand = self._expand_tape
+            forward, session_repr = self.policy.step_flat, session_repr.data
         batch_size = batch.batch_size
         sess_idx = np.arange(batch_size, dtype=np.int64)
         entities = self.env.start_entities(batch, cfg.start_from)
         ent_hist = entities[:, None]
         rel_hist = np.zeros((batch_size, 0), dtype=np.int64)
         prev_rel: Optional[np.ndarray] = None
-        # Summed per-hop log-probs: a Tensor on the tape walk, a plain
-        # array (wrapped on return) on the flat walk.
+        # Summed per-hop log-probs: a Tensor from the tape forward, a
+        # plain array (wrapped on return) from the flat one.
         log_prob = None
 
         # Per-hop wall time lands in the owner's metric block (if any);
@@ -161,8 +155,9 @@ class REKSAgent(Module):
             hop_t0 = perf_counter() if metrics is not None else 0.0
             hop_allowed = (None if candidates is None
                            else candidates.hop_mask(hop, len(sizes)))
-            picked = expand(session_repr, sess_idx, ent_hist, prev_rel, k,
-                            stochastic, hop_allowed, workspace)
+            picked = self._expand(forward, session_repr, sess_idx, ent_hist,
+                                  prev_rel, k, stochastic, hop_allowed,
+                                  metrics)
             if picked is None:
                 # Every surviving path dead-ended: return a rollout
                 # that is empty but shape-consistent.
@@ -193,92 +188,28 @@ class REKSAgent(Module):
                 metrics.observe(walk_hop_hist(hop),
                                 perf_counter() - hop_t0)
 
-        if flat and log_prob is not None:
+        if not tape and log_prob is not None:
             log_prob = Tensor(log_prob)
         prob = (np.exp(log_prob.data.astype(np.float64))
                 if log_prob is not None else np.zeros(len(sess_idx)))
         return Rollout(session_idx=sess_idx, entities=ent_hist,
                        relations=rel_hist, prob=prob, log_prob=log_prob)
 
-    def _expand_tape(self, session_repr: Tensor, sess_idx: np.ndarray,
-                     ent_hist: np.ndarray, prev_rel: Optional[np.ndarray],
-                     k: int, stochastic: bool,
-                     hop_allowed: Optional[np.ndarray],
-                     workspace: Optional[RolloutWorkspace]):
-        """One hop of the tape walk: padded grids, bucket by bucket.
-
-        Returns ``(rows, rels, tails, log_probs)`` of the kept actions
-        — ``rows`` indexes the frontier, ``log_probs`` is a Tensor on
-        the tape — or None when nothing could be kept.
-        """
-        metrics = None if workspace is None else workspace.metrics
-        sel_rows, sel_rels, sel_tails, logp_parts = [], [], [], []
-        # Buckets are consumed one at a time so the workspace's
-        # scratch buffers can be recycled between them.
-        for bucket in self.env.iter_frontier_buckets(
-                ent_hist[:, -1], visited=ent_hist,
-                num_buckets=self.config.frontier_buckets,
-                workspace=workspace):
-            rows_g = bucket.rows
-            rels, tails, mask = bucket.rels, bucket.tails, bucket.mask
-            allowed = None
-            if hop_allowed is not None:
-                allowed = hop_allowed[sess_idx[rows_g][:, None], tails]
-                if metrics is not None:
-                    pruned = np.count_nonzero(
-                        (mask & ~allowed).any(axis=1))
-                    if pruned:
-                        metrics.count(
-                            "cascade_pruned_frontier_rows_total",
-                            pruned)
-                # Rows with no candidate-reachable action dead-end
-                # in _select anyway; dropping them *before* the
-                # policy forward skips their whole log-prob
-                # computation.  Exact: the softmax is per-row, so
-                # surviving rows score identically either way.
-                live = (mask & allowed).any(axis=1)
-                if not live.all():
-                    if not live.any():
-                        continue
-                    rows_g = rows_g[live]
-                    rels, tails, mask = (rels[live], tails[live],
-                                         mask[live])
-                    allowed = allowed[live]
-            se_paths = session_repr[sess_idx[rows_g]]
-            prev = None if prev_rel is None else prev_rel[rows_g]
-            log_probs = self.policy.step(
-                se_paths, ent_hist[rows_g, -1], prev,
-                rels, tails, mask)
-            rows, cols = self._select(log_probs.data, mask, k,
-                                      stochastic, allowed=allowed)
-            if len(rows) == 0:
-                continue
-            logp_parts.append(log_probs[rows, cols])
-            sel_rows.append(rows_g[rows])
-            sel_rels.append(rels[rows, cols])
-            sel_tails.append(tails[rows, cols])
-        if not sel_rows:
-            return None
-        step_logp = (logp_parts[0] if len(logp_parts) == 1
-                     else F.concat(logp_parts, axis=0))
-        return (np.concatenate(sel_rows), np.concatenate(sel_rels),
-                np.concatenate(sel_tails), step_logp)
-
-    def _expand_flat(self, session_repr: np.ndarray, sess_idx: np.ndarray,
-                     ent_hist: np.ndarray, prev_rel: Optional[np.ndarray],
-                     k: int, stochastic: bool,
-                     hop_allowed: Optional[np.ndarray],
-                     workspace: Optional[RolloutWorkspace]):
-        """One hop of the flat walk: no grid, no buckets, no tape.
+    def _expand(self, forward, session_repr, sess_idx: np.ndarray,
+                ent_hist: np.ndarray, prev_rel: Optional[np.ndarray],
+                k: int, stochastic: bool,
+                hop_allowed: Optional[np.ndarray], metrics):
+        """One hop: flat frontier, one policy forward, segment top-k.
 
         The whole frontier's legal actions arrive as flat
-        ``(row_of, rels, tails)`` cells, one policy pass scores them
-        and one segment top-k keeps each row's best ``k``.  Same
-        return as :meth:`_expand_tape` with ``log_probs`` a plain
-        array; kept actions are listed in frontier-row order, by
-        action column within a row.
+        ``(row_of, rels, tails)`` cells, ``forward`` (``step`` or
+        ``step_flat``, see :meth:`walk`) scores them and one segment
+        top-k keeps each row's best ``k`` — Gumbel-perturbed when
+        ``stochastic``.  Returns ``(rows, rels, tails, log_probs)`` of
+        the kept actions in frontier-row order, by action column
+        within a row (``rows`` indexes the frontier, ``log_probs`` is
+        ``forward``'s type), or None when nothing could be kept.
         """
-        metrics = None if workspace is None else workspace.metrics
         row_of, rels, tails = self.env.flat_actions(
             ent_hist[:, -1], ent_hist, metrics=metrics)
         rows_g = np.arange(len(ent_hist))  # frontier rows the policy sees
@@ -290,10 +221,9 @@ class REKSAgent(Module):
                 if pruned:
                     metrics.count("cascade_pruned_frontier_rows_total",
                                   pruned)
-            # As on the tape walk: rows with nothing selectable are
-            # dropped before the policy pass (exact — the softmax is
-            # per row), the others still normalize over every legal
-            # action.
+            # Rows with nothing selectable are dropped before the
+            # policy pass (exact — the softmax is per row); the others
+            # still normalize over every legal action.
             live = np.zeros(len(ent_hist), dtype=bool)
             live[row_of[selectable]] = True
             if not live.all():
@@ -304,51 +234,19 @@ class REKSAgent(Module):
                 selectable = selectable[cells]
         if len(row_of) == 0:
             return None
-        logp = self.policy.step_flat(
-            session_repr[sess_idx[rows_g]], ent_hist[rows_g, -1],
-            None if prev_rel is None else prev_rel[rows_g],
-            row_of, rels, tails)
-        scores = logp
+        logp = forward(session_repr[sess_idx[rows_g]], ent_hist[rows_g, -1],
+                       None if prev_rel is None else prev_rel[rows_g],
+                       row_of, rels, tails)
+        scores = logp.data if isinstance(logp, Tensor) else logp
         if stochastic:
-            scores = logp - np.log(-np.log(
-                self._rng.random(len(logp)) + 1e-12) + 1e-12)
+            scores = scores - np.log(-np.log(
+                self._rng.random(len(scores)) + 1e-12) + 1e-12)
         if selectable is None:
             kept = segment_top_k(scores, row_of, k)
         else:
             cells = np.flatnonzero(selectable)
             kept = cells[segment_top_k(scores[cells], row_of[cells], k)]
         return rows_g[row_of[kept]], rels[kept], tails[kept], logp[kept]
-
-    def _select(self, logp: np.ndarray, mask: np.ndarray, k: int,
-                stochastic: bool,
-                allowed: Optional[np.ndarray] = None
-                ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row top-k (or Gumbel top-k) over valid actions.
-
-        ``allowed`` (same shape as ``mask``) further restricts which
-        valid actions are *selectable* — used by the cascade to skip
-        tails that cannot reach a candidate.  It never feeds the
-        policy, so scores of surviving actions are unaffected.
-
-        Returns flat (row_index, col_index) arrays of the kept actions.
-        """
-        n, width = logp.shape
-        if allowed is not None:
-            mask = mask & allowed
-        scores = np.where(mask, logp, NEG_INF)
-        if stochastic:
-            gumbel = -np.log(-np.log(
-                self._rng.random(scores.shape) + 1e-12) + 1e-12)
-            scores = np.where(mask, scores + gumbel, NEG_INF)
-        k_eff = min(k, width)
-        if k_eff >= width:
-            cols = np.broadcast_to(np.arange(width), (n, width))
-        else:
-            cols = np.argpartition(-scores, kth=k_eff - 1, axis=1)[:, :k_eff]
-        rows = np.repeat(np.arange(n), cols.shape[1])
-        cols = cols.reshape(-1)
-        valid = mask[rows, cols]
-        return rows[valid], cols[valid]
 
     # ------------------------------------------------------------------
     # ŷ aggregation (Eq. 14's predicted probabilities)
@@ -447,7 +345,7 @@ class REKSAgent(Module):
                   ) -> Recommendations:
         """Top-``k`` items plus the best explanation path per item.
 
-        ``workspace`` pins this call's rollout scratch buffers (see
+        ``workspace`` pins this call's telemetry carrier (see
         :meth:`walk`); required when several threads share the agent.
         Note the train/eval flag is module state, not per-thread:
         serving an agent while another thread trains it is not
@@ -558,7 +456,7 @@ def segment_top_k(scores: np.ndarray, row_of: np.ndarray,
     with at most ``k`` cells keeps them all, and an exact tie at the
     cut keeps the lower index.
     """
-    starts, counts = segments(row_of)
+    starts, counts = F.segments(row_of)
     if not len(scores) or k >= counts.max():
         return np.arange(len(scores))
     if k == 1:
@@ -566,7 +464,7 @@ def segment_top_k(scores: np.ndarray, row_of: np.ndarray,
         # the first cell of each row that equals the row's maximum.
         best = np.flatnonzero(
             scores == np.repeat(np.maximum.reduceat(scores, starts), counts))
-        return best[segments(row_of[best])[0]]
+        return best[F.segments(row_of[best])[0]]
     # Stable sort by (row, -score): rows stay where they were, so rank
     # within a row is position minus the row's (unchanged) start.
     order = np.lexsort((-scores, row_of))

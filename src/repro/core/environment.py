@@ -11,48 +11,27 @@ adjacency (pruned to ``action_cap`` edges PGPR-style) lives in a
 entity-id space is cut into contiguous, edge-mass-balanced shards,
 each owning an immutable ``indptr`` / ``rels`` / ``tails`` int32
 bundle, stitched behind a facade that preserves the flat-CSR query
-contract — a whole frontier of entities is padded into rectangular
-``(N, A)`` arrays by a single gather + broadcast mask per *touched
-shard*, with no Python loop over the frontier:
+contract.
 
-* ``actions_of`` is two O(1) slices inside one shard;
-* ``batched_actions`` broadcasts per-shard ``indptr[local] + arange(A)``
-  against the per-row degrees to build the gather index and legality
-  mask in one shot; padded cells read each shard's sentinel slot and
-  are zeroed.
+A frontier's action space has one layout, the **flat frontier** of
+:meth:`KGEnvironment.flat_actions`: its legal actions as
+``(row_of, rels, tails)`` cells in row-major order, sized by the
+number of legal actions — one store gather per hop, no Python loop
+over the frontier.  Both forwards of :meth:`REKSAgent.walk` (the tape
+one for training, the plain-array one for inference) expand it.
+``actions_of`` is two O(1) slices inside one shard, and
+``batched_actions`` is a padded ``(N, A)`` view scattered from the same
+cells, for callers that read a grid.
 
-A frontier's action space comes in two layouts, one per walk (see
-:meth:`REKSAgent.walk` for which runs when):
-
-* the **padded grid** of ``batched_actions`` — what the tape walk
-  (training, and any walk with grad mode or dropout on) feeds the
-  autograd forward;
-* the **flat frontier** of :meth:`KGEnvironment.flat_actions` — the
-  same legal actions as ``(row_of, rels, tails)`` cells in row-major
-  order, sized by the number of legal actions instead of rows times
-  the widest row; what the inference walk (``no_grad``, dropout
-  inactive) expands, one call per hop.
-
-Three scale features sit on top of the CSR core; the first two serve
-the padded grid and so the tape walk only:
-
-* **degree-bucketed frontiers** (:meth:`KGEnvironment.iter_frontier_buckets`)
-  group frontier rows by degree quantile so one mega-hub entity does
-  not inflate the pad width ``A`` for the entire batch — each bucket
-  gets its own rectangle, sized to its own largest degree;
-* a :class:`RolloutWorkspace` recycles the per-hop gather/mask scratch
-  buffers across :meth:`REKSAgent.walk` calls instead of reallocating
-  them every hop (see the class docstring for the aliasing contract);
-* a **staged edge overlay** (:meth:`KGEnvironment.stage_edges` /
-  :meth:`KGEnvironment.compact`) lets the online subsystem append new
-  triples to a live environment: staged edges are visible to
-  ``batched_actions`` (a per-row widen restricted to the staged
-  entities) and ``flat_actions`` (inserted after their rows' base
-  cells) immediately, and a periodic compaction folds them into fresh
-  per-shard bundles — **only the shards holding staged edges rebuild**
-  (delta-proportional, see :mod:`repro.graphstore.merge`), published
-  with a single facade swap so concurrent walks see either the old
-  store or the new one, never a mix.
+A **staged edge overlay** (:meth:`KGEnvironment.stage_edges` /
+:meth:`KGEnvironment.compact`) lets the online subsystem append new
+triples to a live environment: staged edges are visible to
+``flat_actions`` (inserted after their rows' base cells) immediately,
+and a periodic compaction folds them into fresh per-shard bundles —
+**only the shards holding staged edges rebuild** (delta-proportional,
+see :mod:`repro.graphstore.merge`), published with a single facade
+swap so concurrent walks see either the old store or the new one,
+never a mix.
 """
 
 from __future__ import annotations
@@ -60,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,6 +52,7 @@ from repro.graphstore import (
     compact_store,
 )
 from repro.kg.builder import BuiltKG
+
 
 @dataclass
 class Rollout:
@@ -101,62 +81,29 @@ class Rollout:
         return self.entities[:, -1]
 
 
-@dataclass
-class FrontierBucket:
-    """One degree-homogeneous slice of a frontier.
-
-    ``rows`` indexes back into the frontier this bucket was cut from;
-    the action arrays are rectangular over this bucket only, so the pad
-    width equals the bucket's (not the whole frontier's) max degree.
-    """
-
-    rows: np.ndarray     # (M,) frontier-row indices covered
-    rels: np.ndarray     # (M, A_bucket)
-    tails: np.ndarray    # (M, A_bucket)
-    mask: np.ndarray     # (M, A_bucket) True for legal actions
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` is in the sorted ``sorted_keys``."""
+    if not sorted_keys.size:
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
 
 
 class RolloutWorkspace:
-    """Grow-only scratch buffers recycled across frontier constructions.
+    """One walk's telemetry carrier, with an ownership check.
 
-    ``batched_actions`` materializes each frontier as rectangular
-    ``(N, A)`` arrays; on wide frontiers those allocations dominate the
-    per-hop cost.  A workspace keeps one buffer per role — rows grow
-    geometrically, columns track the max width seen (bounded by
-    ``action_cap``) — and hands out ``(N, A)`` views.  Only the tape
-    walk builds grids: the inference walk's flat frontier
-    (:meth:`KGEnvironment.flat_actions`) allocates its few
-    action-count-sized arrays afresh and uses a workspace just as the
-    carrier of the telemetry attachments below.
-
-    Aliasing contract: arrays returned by a workspace-backed
-    ``batched_actions`` call are views into these buffers and are
-    valid only until the next call with the same workspace — consume
-    (or copy out of) each frontier before requesting the next one,
-    which is exactly how :meth:`REKSAgent.walk` iterates buckets.
-    Recycling is safe even on the autograd tape because no backward
-    closure ever captures a buffer: ``masked_fill`` retains the fresh
-    ``~mask`` inversion rather than ``mask``, the gather index never
-    reaches the tape, and embedding lookups copy the int32
-    ``rels``/``tails`` views (dtype-preserving — see
-    ``repro.nn.embedding.coerce_indices``) before the scatter-add
-    closure retains them (``tests/test_env_differential`` pins that
-    invariant end-to-end).
-
-    A workspace is **single-owner** scratch: two concurrent walks
-    sharing one would silently corrupt each other's frontiers.  The
-    :meth:`checkout` / :meth:`release` hooks make ownership explicit —
-    the serving executor checks its workspace out around every walk,
-    and a double checkout raises instead of corrupting.
+    The walk itself allocates its few action-count-sized arrays
+    afresh; a workspace only threads the owner's telemetry through it
+    (see the attributes set in ``__init__``).  It is **single-owner**:
+    two concurrent walks sharing one would interleave their spans and
+    frontier census.  The :meth:`checkout` / :meth:`release` hooks make
+    ownership explicit — the serving executor checks its workspace out
+    around every walk, and a double checkout raises.
     """
 
     def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
         self._checked_out = False
         self.checkouts = 0
-        # Buffer (re)allocations — steady state is zero once every
-        # buffer has saturated; tests and telemetry assert on it.
-        self.allocations = 0
         # Optional telemetry attachments, threaded through the walk by
         # whoever owns the workspace: ``metrics`` is a
         # repro.telemetry MetricBlock (or None), ``spans`` a list the
@@ -173,46 +120,21 @@ class RolloutWorkspace:
     def checkout(self) -> "RolloutWorkspace":
         """Mark this workspace as owned by one rollout/worker.
 
-        Raises if it is already checked out — the recycled buffers are
-        single-owner, so a second concurrent user means corruption.
+        Raises if it is already checked out — a second concurrent user
+        would mix its telemetry into the first one's.
         """
         if self._checked_out:
             raise RuntimeError(
-                "RolloutWorkspace is already checked out; scratch "
-                "buffers are single-owner — use one workspace per "
-                "concurrent walk")
+                "RolloutWorkspace is already checked out; a workspace "
+                "is single-owner — use one workspace per concurrent "
+                "walk")
         self._checked_out = True
         self.checkouts += 1
         return self
 
     def release(self) -> None:
-        """Return a checked-out workspace (buffers stay warm)."""
+        """Return a checked-out workspace."""
         self._checked_out = False
-
-    def buffer(self, name: str, n: int, width: int, dtype) -> np.ndarray:
-        """A ``(n, width)`` view of the named buffer, growing if needed."""
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape[0] < n or buf.shape[1] < width:
-            # Rows grow geometrically, and only when ``n`` outgrows
-            # them; columns grow exact-fit to the running max width.
-            # Over-allocating columns would make every handed-out view
-            # row-strided (non-contiguous), slowing all downstream
-            # ufuncs; width is bounded by action_cap and saturates
-            # after the first few frontiers, so exact-fit
-            # reallocations are finitely bounded while views stay
-            # contiguous whenever width == buffer width.
-            rows, cols = (n, width) if buf is None else buf.shape
-            if n > rows:
-                rows = max(n, 2 * rows)
-            cols = max(cols, width)
-            buf = np.empty((max(rows, 1), max(cols, 1)), dtype=dtype)
-            self._buffers[name] = buf
-            self.allocations += 1
-        return buf[:n, :width]
-
-    @property
-    def nbytes(self) -> int:
-        return sum(buf.nbytes for buf in self._buffers.values())
 
 
 class KGEnvironment:
@@ -262,7 +184,7 @@ class KGEnvironment:
             self._csr = ShardedCSR.build(degrees, rels, tails,
                                          num_shards=num_shards)
         # Staged edge overlay (online delta ingestion).  Edges land in
-        # per-entity lists, are visible to batched_actions immediately,
+        # per-entity lists, are visible to flat_actions immediately,
         # and are folded into fresh per-shard bundles by compact().
         # The lock covers staging and compaction; readers are lock-free
         # (they check one counter and snapshot the per-entity lists).
@@ -323,7 +245,7 @@ class KGEnvironment:
     def stage_edges(self, heads, rels, tails) -> int:
         """Stage new ``(head, relation, tail)`` edges into the overlay.
 
-        Edges become visible to :meth:`batched_actions` /
+        Edges become visible to :meth:`flat_actions` /
         :meth:`actions_of` immediately (eventual within a concurrent
         call: a walk that already gathered its frontier keeps its
         snapshot).  Duplicates — against the capped CSR adjacency,
@@ -335,11 +257,10 @@ class KGEnvironment:
         already exist: growing the entity set online would also require
         growing the embedding tables, which is a retrain, not a delta.
 
-        The dedup is fully vectorized: one padded grid gather over the
-        batch heads answers membership against the base adjacency for
-        every edge at once, and a ``searchsorted`` against the sorted
-        overlay-key array answers overlay membership — no per-edge CSR
-        slice, no per-edge list scan.
+        The dedup is fully vectorized: the batch heads' base edges (one
+        flat gather, keys sorted) and the sorted overlay-key array each
+        answer membership for every edge with one ``searchsorted`` — no
+        per-edge CSR slice, no per-edge list scan.
         """
         heads = np.asarray(heads, dtype=np.int64).ravel()
         rels = np.asarray(rels, dtype=np.int64).ravel()
@@ -368,30 +289,18 @@ class KGEnvironment:
                 first.sort()
                 heads, rels, tails = heads[first], rels[first], tails[first]
                 keys = keys[first]
-            # Membership vs the capped base adjacency: gather every
-            # head's padded (rels, tails) grid once, compare broadcast.
-            base_deg = np.take(csr.degrees, heads).astype(np.int64)
-            n = heads.size
-            width = max(int(base_deg.max()), 1)
-            cols = np.arange(width, dtype=np.int32)
-            mask = cols[None, :] < base_deg[:, None]
-            idx = np.empty((n, width), dtype=np.int32)
-            grid_rels = np.empty((n, width), dtype=np.int32)
-            grid_tails = np.empty((n, width), dtype=np.int32)
-            csr.gather_into(heads, cols, mask, idx, grid_rels, grid_tails)
-            dup = ((grid_rels == rels[:, None])
-                   & (grid_tails == tails[:, None]) & mask).any(axis=1)
-            # ...and vs the overlay (sorted scalar keys).
-            if self._staged_keys.size:
-                pos = np.minimum(
-                    np.searchsorted(self._staged_keys, keys),
-                    self._staged_keys.size - 1)
-                dup |= self._staged_keys[pos] == keys
-            fresh = ~dup
+            # Membership vs the capped base adjacency (the batch heads'
+            # edges as flat cells, keyed like the batch) and vs the
+            # overlay.
+            row_of, base_rels, base_tails = csr.gather_flat(heads)
+            fresh = ~(_contains(np.sort(self._edge_keys(
+                heads[row_of], base_rels, base_tails)), keys)
+                | _contains(self._staged_keys, keys))
             if not fresh.any():
                 return 0
             heads, rels, tails = heads[fresh], rels[fresh], tails[fresh]
-            keys, base_deg = keys[fresh], base_deg[fresh]
+            keys = keys[fresh]
+            base_deg = np.take(csr.degrees, heads).astype(np.int64)
             # At-cap drop, order-preserving: the j-th surviving edge of
             # a head (after `existing` already-staged ones) lands only
             # if base_deg + existing + j < cap — identical to the old
@@ -640,205 +549,74 @@ class KGEnvironment:
         digest.update(self._csr.digest().encode("ascii"))
         return digest.hexdigest()[:16]
 
-    def batched_actions(self, entities: np.ndarray, visited: np.ndarray,
-                        workspace: Optional[RolloutWorkspace] = None
-                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Padded action arrays for a frontier — one gather, no row loop.
-
-        Parameters
-        ----------
-        entities:
-            ``(N,)`` current entity per path.
-        visited:
-            ``(N, V)`` entities already on each path (including the
-            current one); matching tails are masked out.
-        workspace:
-            Optional scratch-buffer pool.  When given, the returned
-            arrays are views into its buffers, valid only until the
-            next call with the same workspace (see
-            :class:`RolloutWorkspace` for why that is tape-safe).
-
-        Returns
-        -------
-        (relations, tails, mask):
-            ``(N, A)`` arrays with ``A = max(frontier degrees, 1)``;
-            ``mask`` is True for legal actions and padded cells hold 0.
-        """
-        entities = np.asarray(entities, dtype=np.int64)
-        n = len(entities)
-
-        # Beam frontiers repeat entities heavily (wide beams fan into
-        # shared hub tails), so when the frontier is duplicate-rich we
-        # gather the grid once per *distinct* entity and row-expand —
-        # the dominant random gather shrinks to the unique count and
-        # the expansion is a contiguous row copy.  Attempted when the
-        # pigeonhole bound guarantees a >= 2x duplication factor (the
-        # sort inside np.unique can never be wasted work), and also for
-        # serving-sized micro-batches (32-256 rows): coalesced traffic
-        # repeats popular start entities far below the pigeonhole
-        # threshold, and at these row counts the entity->grid-row memo
-        # costs a sort of a few hundred ints, so we keep it whenever it
-        # removes at least a quarter of the gather rows.  On a sharded
-        # store the memo doubles as **shard-major routing**: np.unique
-        # returns the distinct frontier sorted, shards cover contiguous
-        # id ranges, so the grid gather walks the touched shards as
-        # contiguous runs and the row expansion (np.take over inverse)
-        # is the single scatter back to row order — hence any dedup at
-        # all pays on a multi-shard store.
-        uniq = inverse = None
-        if n >= 64 and n >= 2 * self.kg.num_entities:
-            uniq, inverse = np.unique(entities, return_inverse=True)
-        elif 8 <= n <= 512:
-            memo_uniq, memo_inverse = np.unique(entities,
-                                                return_inverse=True)
-            if (4 * memo_uniq.size <= 3 * n
-                    or (self._csr.num_shards > 1
-                        and memo_uniq.size < n)):
-                uniq, inverse = memo_uniq, memo_inverse
-        if uniq is None:
-            rels, tails, mask = self._gather_grid(entities, workspace)
-            width = rels.shape[1]
-        else:
-            rels_u, tails_u, mask_u = self._gather_grid(uniq, None)
-            width = rels_u.shape[1]
-            if workspace is not None:
-                rels = workspace.buffer("rels", n, width, np.int32)
-                tails = workspace.buffer("tails", n, width, np.int32)
-                mask = workspace.buffer("mask", n, width, bool)
-                np.take(rels_u, inverse, axis=0, out=rels)
-                np.take(tails_u, inverse, axis=0, out=tails)
-                np.take(mask_u, inverse, axis=0, out=mask)
-            else:
-                rels = np.take(rels_u, inverse, axis=0)
-                tails = np.take(tails_u, inverse, axis=0)
-                mask = np.take(mask_u, inverse, axis=0)
-
-        if self._staged_count:
-            rels, tails, mask = self._widen_with_overlay(
-                entities, rels, tails, mask)
-            width = rels.shape[1]
-
-        if workspace is not None:
-            scratch = workspace.buffer("scratch", n, width, bool)
-        else:
-            scratch = np.empty((n, width), dtype=bool)
-        visited = np.asarray(visited)
-        if visited.dtype != np.int32:
-            visited = visited.astype(np.int32)  # (N, V) — tiny copy
-        for col in range(visited.shape[1]):  # path length, not frontier
-            np.not_equal(tails, visited[:, col:col + 1], out=scratch)
-            np.logical_and(mask, scratch, out=mask)
-        return rels, tails, mask
-
-    def _gather_grid(self, entities: np.ndarray,
-                     workspace: Optional[RolloutWorkspace]
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Visited-agnostic ``(N, A)`` action grid for given entities."""
-        csr = self._csr
-        n = len(entities)
-        degs = np.take(csr.degrees, entities)
-        width = int(degs.max()) if n else 0
-        width = max(width, 1)
-
-        if workspace is not None:
-            idx = workspace.buffer("idx", n, width, np.int32)
-            mask = workspace.buffer("mask", n, width, bool)
-            rels = workspace.buffer("rels", n, width, np.int32)
-            tails = workspace.buffer("tails", n, width, np.int32)
-        else:
-            idx = np.empty((n, width), dtype=np.int32)
-            mask = np.empty((n, width), dtype=bool)
-            rels = np.empty((n, width), dtype=np.int32)
-            tails = np.empty((n, width), dtype=np.int32)
-
-        cols = np.arange(width, dtype=np.int32)
-        np.less(cols[None, :], degs[:, None], out=mask)
-        # The store redirects every padded cell to its shard's
-        # zero-sentinel slot, so the gather stays in bounds and pads
-        # read as 0 — one sub-gather per touched shard, no row loop.
-        # The workspace rides along so the multi-shard path recycles
-        # its scatter scratch, and its metric block (if any) picks up
-        # per-shard gather counters.
-        csr.gather_into(entities, cols, mask, idx, rels, tails,
-                        scratch=workspace,
-                        metrics=None if workspace is None
-                        else workspace.metrics)
-        return rels, tails, mask
-
-    def _widen_with_overlay(self, entities: np.ndarray, rels: np.ndarray,
-                            tails: np.ndarray, mask: np.ndarray
-                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Append staged-overlay edges to the rows that have them.
-
-        The overlay holds edges ingested since the last compaction — a
-        deliberately small set, so the per-affected-row Python loop is
-        bounded.  Returns fresh (copied) arrays: overlay frontiers
-        bypass the workspace buffers, which keeps the zero-overlay hot
-        path untouched.
-        """
-        hot = np.take(self._staged_len, entities) > 0
-        if not hot.any():
-            return rels, tails, mask
-        hot_rows = np.flatnonzero(hot)
-        # Copy each bucket: a concurrent stage_edges may append to the
-        # live lists between the width computation and the fill loop.
-        extras = [list(self._staged.get(int(entities[row]), ()))
-                  for row in hot_rows]
-        extra_width = max(len(pairs) for pairs in extras)
-        if extra_width == 0:
-            return rels, tails, mask
-        n, width = rels.shape
-        wide = width + extra_width
-        out_rels = np.zeros((n, wide), dtype=np.int32)
-        out_tails = np.zeros((n, wide), dtype=np.int32)
-        out_mask = np.zeros((n, wide), dtype=bool)
-        out_rels[:, :width] = rels
-        out_tails[:, :width] = tails
-        out_mask[:, :width] = mask
-        degs = mask.sum(axis=1)
-        for row, pairs in zip(hot_rows, extras):
-            base = int(degs[row])
-            for offset, (rel, tail) in enumerate(pairs):
-                out_rels[row, base + offset] = rel
-                out_tails[row, base + offset] = tail
-                out_mask[row, base + offset] = True
-        return out_rels, out_tails, out_mask
-
     def flat_actions(self, entities: np.ndarray, visited: np.ndarray,
                      metrics=None
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A frontier's legal actions as flat arrays — no padded grid.
 
-        Same action space as :meth:`batched_actions` (same arguments),
-        laid out as its legal cells in row-major order: returns
-        ``(row_of, rels, tails)`` where cell ``j`` is the action
-        ``(rels[j], tails[j])`` of frontier row ``row_of[j]``.
-        ``row_of`` is non-decreasing; within a row the capped CSR edges
-        come first, then any staged-overlay edges, with visited tails
-        removed; a row with no legal action has no cell.  This is what
-        the inference walk expands (:meth:`REKSAgent.walk` under
-        ``no_grad``): its size is the number of legal actions, not
-        rows times the widest row.
+        ``entities`` is the ``(N,)`` current entity per path and
+        ``visited`` the ``(N, V)`` entities already on each path
+        (including the current one).  Returns ``(row_of, rels,
+        tails)`` where cell ``j`` is the action ``(rels[j], tails[j])``
+        of frontier row ``row_of[j]``.  ``row_of`` is non-decreasing;
+        within a row the capped CSR edges come first, then any
+        staged-overlay edges, with visited tails removed; a row with no
+        legal action has no cell.  This is what every walk hop expands
+        (:meth:`REKSAgent.walk`): its size is the number of legal
+        actions, not rows times the widest row.
 
         ``metrics`` (a ``repro.telemetry`` MetricBlock or None) picks
         up the store's gather counters.
         """
         entities = np.asarray(entities, dtype=np.int64)
+        row_of, rels, tails = self._frontier(entities, metrics)
+        keep = self._unvisited(row_of, tails, visited)
+        return row_of[keep], rels[keep], tails[keep]
+
+    def batched_actions(self, entities: np.ndarray, visited: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`flat_actions` as padded ``(N, A)`` grids: row ``i``
+        holds entity ``i``'s actions in that order, visited tails
+        included but masked out, so ``A`` is the frontier's largest
+        degree (at least 1).  Returns int32 ``(relations, tails)`` and
+        the legality ``mask``, padded cells 0; no walk reads it."""
+        entities = np.asarray(entities, dtype=np.int64)
+        row_of, rels, tails = self._frontier(entities, None)
+        n = len(entities)
+        counts = np.bincount(row_of, minlength=n)
+        cols = np.arange(len(row_of)) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+        shape = (n, max(int(counts.max(initial=0)), 1))
+        grids = (np.zeros(shape, np.int32), np.zeros(shape, np.int32),
+                 np.zeros(shape, bool))
+        for grid, cells in zip(grids, (rels, tails, self._unvisited(
+                row_of, tails, visited))):
+            grid[row_of, cols] = cells
+        return grids
+
+    def _frontier(self, entities: np.ndarray, metrics
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every action of every row as flat cells, visited included."""
         row_of, rels, tails = self._csr.gather_flat(entities, metrics)
         if self._staged_count:
             row_of, rels, tails = self._append_overlay(
                 entities, row_of, rels, tails)
+        return row_of, rels, tails
+
+    @staticmethod
+    def _unvisited(row_of: np.ndarray, tails: np.ndarray,
+                   visited: np.ndarray) -> np.ndarray:
+        """Mask of the cells whose tail is not on their row's path."""
         visited = np.asarray(visited)
         keep = np.ones(len(tails), dtype=bool)
         for col in range(visited.shape[1]):  # path length, not frontier
             keep &= tails != np.take(visited[:, col], row_of)
-        return row_of[keep], rels[keep], tails[keep]
+        return keep
 
     def _append_overlay(self, entities: np.ndarray, row_of: np.ndarray,
                         rels: np.ndarray, tails: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Insert staged-overlay edges after their rows' base cells
-        (the flat counterpart of :meth:`_widen_with_overlay`)."""
+        """Insert staged-overlay edges after their rows' base cells."""
         hot_rows = np.flatnonzero(np.take(self._staged_len, entities) > 0)
         # Copy each bucket: a concurrent stage_edges may append to the
         # live lists while this frontier is being assembled.
@@ -855,40 +633,6 @@ class KGEnvironment:
         return (np.insert(row_of, at, rows),
                 np.insert(rels, at, extra_rels),
                 np.insert(tails, at, extra_tails))
-
-    def iter_frontier_buckets(self, entities: np.ndarray,
-                              visited: np.ndarray, num_buckets: int = 1,
-                              workspace: Optional[RolloutWorkspace] = None
-                              ) -> Iterator[FrontierBucket]:
-        """Yield the frontier as degree-quantile buckets.
-
-        With ``num_buckets <= 1`` (the default) this is a single bucket
-        covering every row — identical arrays to ``batched_actions``.
-        With more buckets, rows are grouped by degree quantile so each
-        rectangle is padded only to its own bucket's max degree; a lone
-        mega-hub then costs one narrow bucket instead of widening the
-        whole batch.
-
-        Buckets are yielded lazily and may share ``workspace`` buffers:
-        consume each bucket fully before advancing the iterator.
-        """
-        entities = np.asarray(entities, dtype=np.int64)
-        n = len(entities)
-        if num_buckets <= 1 or n <= num_buckets:
-            rels, tails, mask = self.batched_actions(
-                entities, visited, workspace=workspace)
-            yield FrontierBucket(rows=np.arange(n, dtype=np.int64),
-                                 rels=rels, tails=tails, mask=mask)
-            return
-        order = np.argsort(self._csr.degrees[entities], kind="stable")
-        for chunk in np.array_split(order, num_buckets):
-            if chunk.size == 0:
-                continue
-            rows = np.sort(chunk)
-            rels, tails, mask = self.batched_actions(
-                entities[rows], visited[rows], workspace=workspace)
-            yield FrontierBucket(rows=rows, rels=rels, tails=tails,
-                                 mask=mask)
 
     # ------------------------------------------------------------------
     def start_entities(self, batch: SessionBatch, start_from: str) -> np.ndarray:

@@ -3,11 +3,11 @@
 ``s_t = MLP(Se ⊕ Sp)`` fuses the session representation from the
 wrapped SR model with the current path context ``Sp = x_et + x_rt``;
 actions ``(r, e)`` are embedded as ``x_r + x_e`` and scored by
-``(x_r + x_e)ᵀ (W1 s_t)``, masked to the legal action set, softmaxed.
-Two forwards compute that hop: :meth:`PolicyNetwork.step` over a padded
-action grid on the autograd tape (training), and
-:meth:`PolicyNetwork.step_flat` over the legal actions alone on plain
-arrays (inference) — :meth:`REKSAgent.walk` picks, from grad mode.
+``(x_r + x_e)ᵀ (W1 s_t)``, then softmaxed over each row's legal actions,
+given as flat ``(row_of, rels, tails)`` cells.  Two forwards compute
+that hop on the same cells: :meth:`PolicyNetwork.step` on the autograd
+tape (training) and :meth:`PolicyNetwork.step_flat` on plain arrays
+(inference) — :meth:`REKSAgent.walk` picks, from grad mode and dropout.
 
 KG entity/relation embeddings default to the frozen TransE tables
 (PGPR convention); ``finetune=True`` makes them trainable parameters.
@@ -15,7 +15,7 @@ KG entity/relation embeddings default to the frozen TransE tables
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from repro.nn.dropout import Dropout
 from repro.nn.embedding import Embedding
 from repro.nn.linear import Linear, MLP
 from repro.nn.module import Module
-
-NEG_INF = -1e9
 
 
 class PolicyNetwork(Module):
@@ -72,50 +70,39 @@ class PolicyNetwork(Module):
         return self.state_mlp(self.drop(fused))
 
     def action_embeddings(self, rels: np.ndarray, tails: np.ndarray) -> Tensor:
-        """``x_r + x_e`` for a padded ``(N, A)`` action grid."""
+        """``x_r + x_e`` for the ``(M,)`` flat action cells."""
         return self.relation_emb(rels) + self.entity_emb(tails)
 
-    def action_log_probs(self, state: Tensor, rels: np.ndarray,
-                         tails: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Masked log-softmax over the action grid (Eq. 4).
-
-        ``state`` is ``(N, state_dim)``; returns ``(N, A)``.  Rows whose
-        mask is empty yield a uniform distribution — callers must drop
-        those paths (the environment reports them as dead ends).
-        """
-        proj = self.w1(state)                         # (N, kg_dim)
-        action_emb = self.action_embeddings(rels, tails)  # (N, A, kg_dim)
-        n, width = rels.shape
-        logits = action_emb.matmul(proj.reshape(n, self.kg_dim, 1))
-        logits = logits.reshape(n, width)
-        logits = logits.masked_fill(~mask, NEG_INF)
-        return F.log_softmax(logits, axis=-1)
-
     def step(self, session_repr: Tensor, entities: np.ndarray,
-             relations: Optional[np.ndarray], rels: np.ndarray,
-             tails: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Full hop on a padded grid: context -> state -> masked action
-        log-probs.  This is the tape forward the training walk
-        differentiates through; the inference walk scores the same
-        actions without the grid via :meth:`step_flat`."""
+             relations: Optional[np.ndarray], row_of: np.ndarray,
+             rels: np.ndarray, tails: np.ndarray) -> Tensor:
+        """Full hop on the autograd tape: ``(M,)`` log-probs.
+
+        The tape forward of :meth:`step_flat`, on the same arguments:
+        the ``N`` frontier rows (``session_repr`` / ``entities`` /
+        ``relations``) and their ``M`` legal cells ``(rels[j],
+        tails[j])`` of row ``row_of[j]``.  Dropout applies to the state
+        input when the module is training.  Each cell is dotted against
+        its row's projected state (a segment dot) and the softmax is
+        taken per row segment, so gradients reach the session encoder,
+        the state MLP and ``W1`` through the legal actions only.
+        """
         sp = self.path_context(entities, relations)
-        st = self.state(session_repr, sp)
-        return self.action_log_probs(st, rels, tails, mask)
+        proj = self.w1(self.state(session_repr, sp))       # (N, kg_dim)
+        action_emb = self.action_embeddings(rels, tails)   # (M, kg_dim)
+        logits = F.segment_dot(proj, action_emb, row_of)
+        return F.segment_log_softmax(logits, row_of)
 
     def step_flat(self, session_repr: np.ndarray, entities: np.ndarray,
                   relations: Optional[np.ndarray], row_of: np.ndarray,
                   rels: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        """Inference-only hop over a flat frontier: ``(M,)`` log-probs.
+        """Inference-only :meth:`step` on plain arrays: ``(M,)`` log-probs.
 
-        ``session_repr`` / ``entities`` / ``relations`` describe the
-        ``N`` frontier rows as in :meth:`step`; the actions are the
-        ``M`` legal cells ``(rels[j], tails[j])`` of row ``row_of[j]``
-        (``row_of`` non-decreasing —
-        :meth:`KGEnvironment.flat_actions` order).  Plain arrays
-        throughout, no tape and no dropout: the caller checks both are
-        off.  The state MLP runs once over all rows, each cell is
-        dotted against its row's projected state, and the softmax is
-        taken per row segment, so a cell's log-prob is the tape
+        Same arguments and cells as :meth:`step` (``row_of``
+        non-decreasing — :meth:`KGEnvironment.flat_actions` order), no
+        tape and no dropout: the caller checks both are off.  The state
+        MLP runs once over all rows through ``Linear.infer`` /
+        ``Embedding.gather``, so a cell's log-prob is the tape
         forward's for the same action to float32 summation order.
         """
         sp = self.entity_emb.gather(entities)
@@ -128,27 +115,4 @@ class PolicyNetwork(Module):
         action_emb = self.relation_emb.gather(rels)
         action_emb += self.entity_emb.gather(tails)    # (M, kg_dim)
         logits = np.einsum("md,md->m", action_emb, proj[row_of])
-        return segment_log_softmax(logits, *segments(row_of))
-
-
-def segments(row_of: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(starts, counts)`` of the runs of equal values in a
-    non-decreasing, non-negative ``row_of`` (one run per row that has
-    a cell)."""
-    counts = np.bincount(row_of)
-    counts = counts[counts > 0]
-    return np.cumsum(counts) - counts, counts
-
-
-def segment_log_softmax(logits: np.ndarray, starts: np.ndarray,
-                        counts: np.ndarray) -> np.ndarray:
-    """Numerically stable log-softmax within each ``segments`` run."""
-    if not len(logits):
-        return logits
-    shifted = logits - np.repeat(np.maximum.reduceat(logits, starts), counts)
-    # float64 accumulation: reduceat adds left to right, and a float32
-    # running sum over a few hundred cells would lose the last digits
-    # the tape's pairwise row sum keeps.
-    log_sum = np.log(np.add.reduceat(np.exp(shifted), starts,
-                                     dtype=np.float64)).astype(logits.dtype)
-    return shifted - np.repeat(log_sum, counts)
+        return F.segment_log_softmax_data(logits, *F.segments(row_of))

@@ -40,16 +40,6 @@ TABLE_VII: Dict[Tuple[str, str], Tuple[int, float, float, float]] = {
 PAPER_DIMS = {"beauty": 400, "cellphones": 400, "baby": 400,
               "movielens": 64}
 
-# Degree-quantile frontier buckets per hop at paper scale.  The KGs'
-# degree distributions are heavy-tailed, so bucketing the frontier
-# stops one hub from inflating the pad width of the whole batch; the
-# CSR differential suite pins correctness for any bucket count, and
-# 4 buckets measured 1.8x end-to-end inference throughput over the
-# single-rectangle layout on the small-scale synthetic Beauty KG
-# (see CHANGES.md, PR 2).
-PAPER_FRONTIER_BUCKETS = {"beauty": 4, "cellphones": 4, "baby": 4,
-                          "movielens": 4}
-
 
 def paper_config(model: str, dataset: str, **overrides) -> REKSConfig:
     """The paper's REKS configuration for a (model, dataset) pair.
@@ -71,7 +61,6 @@ def paper_config(model: str, dataset: str, **overrides) -> REKSConfig:
         "beta": beta,
         # Fixed across Table VII: path length 2, sizes {100, 1}, γ=0.99.
         "path_length": 2, "sample_sizes": (100, 1), "gamma": 0.99,
-        "frontier_buckets": PAPER_FRONTIER_BUCKETS[key[1]],
     }
     settings.update(overrides)
     return REKSConfig(**settings)

@@ -10,7 +10,7 @@ import numpy as np
 from repro.autograd import Adam, clip_grad_norm
 from repro.core.agent import REKSAgent, Recommendations
 from repro.core.config import REKSConfig
-from repro.core.environment import KGEnvironment, RolloutWorkspace
+from repro.core.environment import KGEnvironment
 from repro.core.policy import PolicyNetwork
 from repro.core.rewards import RewardComputer, RewardWeights
 from repro.data.loader import SessionBatch, SessionBatcher
@@ -83,16 +83,12 @@ class REKSTrainer:
         self.env = KGEnvironment(built, action_cap=cfg.action_cap,
                                  seed=cfg.seed + 3,
                                  shards=cfg.graph_shards or None)
-        # One workspace for the trainer's whole lifetime: the rollout
-        # scratch buffers are sized once at the first batch and then
-        # recycled across every train/eval walk.
-        self.workspace = RolloutWorkspace()
         weights = RewardWeights(*cfg.reward_weights)
         self.rewards = RewardComputer(
             built, entity_table, relation_table, weights=weights,
             mode=cfg.reward_mode, gamma=cfg.gamma, rank_k=cfg.rank_k)
         self.agent = REKSAgent(self.encoder, self.policy, self.env,
-                               self.rewards, cfg, workspace=self.workspace)
+                               self.rewards, cfg)
         self.optimizer = Adam(self.agent.parameters(), lr=cfg.lr,
                               weight_decay=cfg.weight_decay)
         self.history = REKSHistory()

@@ -14,12 +14,11 @@ generation afterwards.  This module splits the entity-id space into
   unchanged shard hashes for free;
 * a :class:`ShardedCSR` facade stitches the shards back into the query
   contract the walk hot path expects: a global ``degrees`` view
-  (concatenated lazily, so compaction never pays for it), the
-  zero-sentinel :meth:`gather_into` grid fill (shard-major grouped:
-  contiguous sub-gathers per touched shard run, one scatter back to row
-  order — never a Python loop per frontier row), its ragged
-  counterpart :meth:`gather_flat` (the same routing, edges as flat
-  ``(row_of, rels, tails)`` cells with no padding), and per-entity
+  (concatenated lazily, so compaction never pays for it), the frontier
+  gather :meth:`gather_flat` (a frontier's edges as flat
+  ``(row_of, rels, tails)`` cells with no padding; shard-major grouped:
+  contiguous sub-gathers per touched shard run, one permutation back to
+  row order — never a Python loop per frontier row), and per-entity
   :meth:`slice` lookups;
 * compaction becomes **delta-proportional**: only shards holding staged
   edges rebuild (see :func:`repro.graphstore.merge.merge_capped`), and
@@ -47,9 +46,8 @@ class ShardTables(NamedTuple):
     """One immutable CSR bundle (entity-local when owned by a shard).
 
     Slot 0 of the flat ``rels``/``tails`` arrays is a zero sentinel;
-    real edges start at 1, so ``indptr`` is offset by one and a batched
-    gather can redirect every padded cell to slot 0 with a single
-    ``idx *= mask`` — bounds-safe and zero-padded in one pass.  int32
+    real edges start at 1, so ``indptr`` is offset by one — the layout
+    every shard, plane segment and content digest shares.  int32
     throughout: halves the memory traffic of the per-hop gathers, and
     no KG here approaches 2^31 entities or edges.
     """
@@ -305,128 +303,22 @@ class ShardedCSR:
         start, stop = tables.indptr[local], tables.indptr[local + 1]
         return tables.rels[start:stop], tables.tails[start:stop]
 
-    def gather_into(self, entities: np.ndarray, cols: np.ndarray,
-                    mask: np.ndarray, idx: np.ndarray,
-                    rels_out: np.ndarray, tails_out: np.ndarray,
-                    scratch=None, metrics=None) -> None:
-        """Fill ``(N, A)`` rel/tail grids for a frontier, zero-padded.
-
-        ``mask`` must already hold ``cols < degrees[entities]``; padded
-        cells are redirected to each shard's slot-0 sentinel by the
-        ``idx *= mask`` trick, so the gathers stay in bounds and pads
-        read as 0.  Single-shard frontiers (always when ``S == 1``, and
-        whenever the frontier's id range happens to fit one shard) take
-        one global gather — the monolithic fast path; otherwise the
-        frontier is sorted **shard-major** and served as one contiguous
-        sub-gather per touched shard run with a single scatter back to
-        row order per output grid.
-
-        ``scratch`` (a :class:`~repro.core.environment.RolloutWorkspace`
-        or None) recycles the multi-shard path's two scatter grids so
-        steady-state gathers allocate nothing; ``metrics`` (a
-        ``repro.telemetry`` MetricBlock or None) picks up gather call /
-        row counters, per-shard row counters on the multi-shard path,
-        and the scratch-allocation count that proves the recycling.
-        """
-        n = len(entities)
-        if n == 0:
-            return
-        boundaries = self.boundaries
-        sid = 0
-        if self.num_shards > 1:
-            lo, hi = entities.min(), entities.max()
-            sid = int(np.searchsorted(boundaries, lo, side="right")) - 1
-            if hi >= boundaries[sid + 1]:
-                self._gather_multi(entities, cols, mask, idx,
-                                   rels_out, tails_out, scratch,
-                                   metrics)
-                return
-        tables = self.shards[sid].tables
-        local = entities - boundaries[sid] if sid else entities
-        np.add(np.take(tables.indptr, local)[:, None], cols[None, :],
-               out=idx)
-        np.multiply(idx, mask, out=idx)
-        np.take(tables.rels, idx, out=rels_out)
-        np.take(tables.tails, idx, out=tails_out)
-        if metrics is not None:
-            metrics.count("gather_calls_total")
-            metrics.count("gather_rows_total", n)
-            metrics.count(gather_shard_counter(sid), n)
-
-    def _gather_multi(self, entities: np.ndarray, cols: np.ndarray,
-                      mask: np.ndarray, idx: np.ndarray,
-                      rels_out: np.ndarray, tails_out: np.ndarray,
-                      scratch=None, metrics=None) -> None:
-        """Cross-shard frontier: shard-major grouped gather.
-
-        One stable argsort groups rows into contiguous runs per shard;
-        each run's sub-gather then reads *and writes* contiguous slices
-        (the row permutation is applied to the small inputs up front,
-        and undone with exactly **one** fancy scatter per output grid at
-        the end) instead of paying a fancy row-scatter per touched shard
-        per output, which is what made scattered frontiers degrade
-        toward S separate gathers.
-
-        The two frontier-sized scatter grids come from ``scratch``
-        when available — the last per-hop allocation on the walk path
-        recycles through the workspace like every other grid.
-        """
-        sid = self.shard_of(entities)
-        order = np.argsort(sid, kind="stable")
-        sorted_sid = sid[order]
-        ents_s = entities[order]
-        mask_s = mask[order]
-        n, width = rels_out.shape
-        if scratch is not None:
-            before = scratch.allocations
-            rels_s = scratch.buffer("gather_rels_s", n, width,
-                                    rels_out.dtype)
-            tails_s = scratch.buffer("gather_tails_s", n, width,
-                                    tails_out.dtype)
-            if metrics is not None and scratch.allocations != before:
-                metrics.count("gather_scratch_allocs_total",
-                              scratch.allocations - before)
-        else:
-            rels_s = np.empty_like(rels_out)
-            tails_s = np.empty_like(tails_out)
-        starts = np.flatnonzero(
-            np.concatenate([[True], sorted_sid[1:] != sorted_sid[:-1]]))
-        stops = np.concatenate([starts[1:], [sorted_sid.size]])
-        for start, stop in zip(starts, stops):
-            shard_id = int(sorted_sid[start])
-            shard = self.shards[shard_id]
-            tables = shard.tables
-            local = ents_s[start:stop] - shard.start
-            block = idx[start:stop]
-            np.add(np.take(tables.indptr, local)[:, None], cols[None, :],
-                   out=block)
-            np.multiply(block, mask_s[start:stop], out=block)
-            np.take(tables.rels, block, out=rels_s[start:stop])
-            np.take(tables.tails, block, out=tails_s[start:stop])
-            if metrics is not None:
-                metrics.count(gather_shard_counter(shard_id),
-                              stop - start)
-        rels_out[order] = rels_s
-        tails_out[order] = tails_s
-        if metrics is not None:
-            metrics.count("gather_calls_total")
-            metrics.count("gather_multi_total")
-            metrics.count("gather_rows_total", n)
-
     def gather_flat(self, entities: np.ndarray, metrics=None
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A frontier's edges as flat ``(row_of, rels, tails)`` arrays.
 
-        The ragged counterpart of :meth:`gather_into`: row ``i``'s
-        capped edge block is copied, in CSR order, into the cells whose
-        ``row_of`` is ``i`` — rows ascending, no padding, zero-degree
-        rows simply absent.  ``M = degrees[entities].sum()`` cells in
-        all, against the ``N * max(degree)`` of the padded grid.
+        Row ``i``'s capped edge block is copied, in CSR order, into the
+        cells whose ``row_of`` is ``i`` — rows ascending, no padding,
+        zero-degree rows simply absent: ``M = degrees[entities].sum()``
+        cells in all.
 
-        Same routing and counters as :meth:`gather_into`: one gather
-        when the frontier's id range fits a single shard, otherwise one
-        contiguous sub-gather per touched shard over the shard-major
-        sorted rows and a single permutation back to row order.
+        Single-shard frontiers (always when ``S == 1``, and whenever the
+        frontier's id range happens to fit one shard) take one global
+        gather — the monolithic fast path; otherwise one contiguous
+        sub-gather per touched shard over the shard-major sorted rows
+        and a single permutation back to row order.  ``metrics`` (a
+        ``repro.telemetry`` MetricBlock or None) picks up gather call /
+        row counters and per-shard row counters.
         """
         n = len(entities)
         degs = np.take(self.degrees, entities).astype(np.int64)

@@ -70,8 +70,8 @@ class PathTable(Mapping):
     Two ways out besides the mapping protocol: :meth:`blob` /
     :meth:`take` give plain-list ``(entities, relations, prob)`` tuples
     for one item or one row's items; :meth:`take_block` answers a whole
-    flush of ``(row, item)`` cells as arrays — what serving uses, via
-    :func:`take_paths`.
+    flush of ``(row, item)`` cells as arrays — what serving uses (see
+    :func:`repro.runtime.rowblock.select_rows`).
     """
 
     def __init__(self, rows: np.ndarray, items: np.ndarray,
@@ -184,85 +184,6 @@ class PathTable(Mapping):
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    def row(self, row: int) -> "PathRow":
-        """The paths of one batch row, keyed by item."""
-        return PathRow(self, int(row))
-
-
-class PathRow:
-    """One row of a :class:`PathTable`: ``item -> best path``.
-
-    What the serving layer reads per walked row.  A flush's answers
-    are cut from its rows' views in one go by :func:`take_paths`;
-    ``take`` lists the plain ``(entities, relations, prob)`` tuples of
-    one ranking's items and ``get`` / ``blob`` answer for one item.
-    It holds the whole table alive, which a flush's rows share.
-    """
-
-    __slots__ = ("_table", "_row")
-
-    def __init__(self, table: PathTable, row: int) -> None:
-        self._table = table
-        self._row = row
-
-    def get(self, item: int) -> Optional[SemanticPath]:
-        return self._table.get((self._row, item))
-
-    def blob(self, item: int) -> Optional[tuple]:
-        return self._table.blob(self._row, item)
-
-    def take(self, items) -> List[Optional[tuple]]:
-        return self._table.take(self._row, items)
-
-
-def take_paths(path_rows: Sequence[PathRow], counts: np.ndarray,
-               items: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The best paths of a flush's ranked items, as flat arrays.
-
-    ``items`` holds ``counts[r]`` consecutive cells for each of
-    ``path_rows`` (rows may view different tables; a served flush's
-    all view its own walk's).  Returns ``(path_len,
-    path_nodes, probs)``: per cell the path's relation count (-1 for
-    no path), every present path's entities then relations
-    concatenated in cell order, and one probability per present path —
-    one :meth:`PathTable.take_block` per distinct table.
-    """
-    table_rows = np.repeat(np.array([view._row for view in path_rows],
-                                    dtype=np.int64), counts)
-    tables = {id(view._table): view._table for view in path_rows}
-    if len(tables) == 1:
-        # The common flush (every row walked together): the table's
-        # answer is already in cell order.
-        (table,) = tables.values()
-        found, nodes, probs = table.take_block(table_rows, items)
-        path_len = np.where(found, nodes.shape[1] // 2,
-                            -1).astype(np.int32)
-        return path_len, nodes.ravel(), probs
-    table_of = np.repeat(np.array([id(view._table) for view in path_rows],
-                                  dtype=np.int64), counts)
-    path_len = np.full(len(items), -1, dtype=np.int32)
-    pieces = []
-    for key, table in tables.items():
-        cells = np.flatnonzero(table_of == key)
-        found, nodes, probs = table.take_block(table_rows[cells],
-                                               items[cells])
-        cells = cells[found]
-        path_len[cells] = nodes.shape[1] // 2
-        pieces.append((cells, nodes, probs))
-    # Scatter each table's paths to where cell order puts them.
-    present = path_len >= 0
-    stops = np.cumsum(np.where(present, 2 * path_len + 1, 0))
-    slot = np.cumsum(present) - 1
-    path_nodes = np.empty(int(stops[-1]), dtype=np.int32)
-    out_probs = np.empty(int(slot[-1]) + 1, dtype=np.float64)
-    for cells, nodes, probs in pieces:
-        width = nodes.shape[1]
-        path_nodes[(stops[cells] - width)[:, None]
-                   + np.arange(width)] = nodes
-        out_probs[slot[cells]] = probs
-    return path_len, path_nodes, out_probs
 
 
 def join_path(entities: Sequence[int], relations: Sequence[int],

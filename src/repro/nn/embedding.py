@@ -45,7 +45,7 @@ class Embedding(Module):
 
     def forward(self, indices: np.ndarray) -> Tensor:
         # Detach (copy) only when a backward closure will retain the
-        # indices; inference gathers read workspace views in place.
+        # indices; inference gathers read the caller's array in place.
         return self.weight[self._checked(
             indices, detach=self.weight.requires_grad and is_grad_enabled())]
 

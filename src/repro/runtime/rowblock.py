@@ -31,7 +31,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.kg.paths import SemanticPath, take_paths
+from repro.kg.paths import SemanticPath
 
 _I32 = np.dtype("<i4")
 _F64 = np.dtype("<f8")
@@ -248,7 +248,7 @@ def select_rows(rec, plan: Sequence[Tuple[int, int]]) -> RowBlock:
     items = np.concatenate(picks)
     walk_rows = np.repeat(np.array([u for u, _ in plan], dtype=np.intp),
                           ks)
-    path_len, path_nodes, probs = take_paths(
-        [rec.paths.row(u) for u, _ in plan], ks, items)
+    found, nodes, probs = rec.paths.take_block(walk_rows, items)
+    path_len = np.where(found, nodes.shape[1] // 2, -1).astype(_I32)
     return RowBlock(ks, items.astype(_I32), rec.scores[walk_rows, items],
-                    path_len, path_nodes, probs)
+                    path_len, nodes.ravel(), probs)

@@ -206,8 +206,8 @@ def build_worker_agent(spec: AgentSpec,
 
     Every large array is a zero-copy plane view; only the trainable
     modules allocate.  The returned agent is eval-mode and owns a fresh
-    :class:`RolloutWorkspace` (one per worker process, per the
-    single-owner scratch contract).
+    :class:`RolloutWorkspace` (one per worker process, per its
+    single-owner contract).
     """
     cfg = spec.config
     env = KGEnvironment(spec.built, action_cap=cfg.action_cap,
@@ -271,7 +271,7 @@ def _worker_main(conn, spec: AgentSpec,
     workspace = agent.workspace
     # The workspace carries the metric block through the walk so the
     # environment / graph store record gather + per-hop timings without
-    # any global sink (single-owner scratch contract extends to it).
+    # any global sink (the workspace's single-owner contract covers it).
     workspace.metrics = metrics
     # Whether this worker has ever built a cascade constraint — the
     # trigger for pre-warming the reachability index after a "tables"

@@ -565,8 +565,8 @@ class RecommendationServer:
 
     @property
     def workspace(self) -> RolloutWorkspace:
-        """The thread-mode executor's scratch workspace (idle in
-        process mode, where each worker process owns its own)."""
+        """The thread-mode executor's workspace (idle in process
+        mode, where each worker process owns its own)."""
         return self._workspace
 
     @property

@@ -614,7 +614,7 @@ def fleet_schema(num_shards: int = 0, hops: int = 0) -> MetricSchema:
         "exec_batches_total", "exec_rows_total",
         "render_rows_total", "render_deferred_total",
         "gather_calls_total", "gather_rows_total",
-        "gather_multi_total", "gather_scratch_allocs_total",
+        "gather_multi_total",
         "traces_sampled_total", "worker_traces_total",
         "trace_dropped_total",
         "swaps_total",
@@ -625,8 +625,7 @@ def fleet_schema(num_shards: int = 0, hops: int = 0) -> MetricSchema:
     ]
     counters += [gather_shard_counter(sid)
                  for sid in range(min(num_shards, MAX_SHARD_COUNTERS))]
-    gauges = ["model_version", "workers_alive", "trace_sample",
-              "workspace_bytes"]
+    gauges = ["model_version", "workers_alive", "trace_sample"]
     hists = [
         "request_latency_seconds", "enqueue_wait_seconds",
         "batch_flush_seconds", "transport_seconds", "exec_seconds",

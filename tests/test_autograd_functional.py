@@ -160,3 +160,79 @@ class TestEmbeddingLookup:
         out = F.embedding_lookup(w, idx)
         assert out.shape == (2, 2, 3)
         assert_grad_close(lambda: F.embedding_lookup(w, idx).sum(), [w])
+
+
+class TestSegmentOps:
+    """The ragged (flat-cell) ops the training walk runs on the tape:
+    ``row_of`` assigns every cell to a row, rows with no cell allowed."""
+
+    RAGGED = np.array([0, 0, 0, 2, 3, 3, 5])   # rows 1 and 4 empty
+    SINGLES = np.array([0, 1, 2])               # every segment length 1
+
+    @pytest.mark.parametrize("row_of", [RAGGED, SINGLES])
+    def test_log_softmax_normalizes_per_segment(self, rng, row_of):
+        x = make_tensor(rng, len(row_of), requires_grad=False)
+        out = F.segment_log_softmax(x, row_of).data
+        totals = np.bincount(row_of, weights=np.exp(out))
+        np.testing.assert_allclose(totals[np.unique(row_of)], 1.0,
+                                   rtol=1e-12)
+        for row in np.unique(row_of):
+            cells = row_of == row
+            np.testing.assert_allclose(
+                out[cells],
+                F.log_softmax(Tensor(x.data[cells][None, :],
+                                     dtype=np.float64)).data[0],
+                rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("row_of", [RAGGED, SINGLES])
+    def test_log_softmax_gradient(self, rng, row_of):
+        x = make_tensor(rng, len(row_of))
+        w = Tensor(rng.standard_normal(len(row_of)), dtype=np.float64)
+        assert_grad_close(lambda: (F.segment_log_softmax(x, row_of)
+                                   * w).sum(), [x], rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("row_of", [RAGGED, SINGLES])
+    def test_dot_matches_gather_and_gradient(self, rng, row_of):
+        x = make_tensor(rng, int(row_of.max()) + 2, 3)  # last row unread
+        y = make_tensor(rng, len(row_of), 3)
+        np.testing.assert_allclose(F.segment_dot(x, y, row_of).data,
+                                   (x.data[row_of] * y.data).sum(axis=1),
+                                   rtol=1e-12)
+        w = Tensor(rng.standard_normal(len(row_of)), dtype=np.float64)
+        assert_grad_close(lambda: (F.segment_dot(x, y, row_of) * w).sum(),
+                          [x, y], rtol=1e-6, atol=1e-8)
+        np.testing.assert_array_equal(x.grad[np.setdiff1d(
+            np.arange(len(x.data)), row_of)], 0.0)
+
+    def test_float32_forward_and_backward(self, rng):
+        """float32 in, float32 out and float32 gradients, matching a
+        float64 rerun to float32 precision."""
+        row_of = self.RAGGED
+
+        def run(dtype):
+            x = Tensor(rng_x, requires_grad=True, dtype=dtype)
+            y = Tensor(rng_y, requires_grad=True, dtype=dtype)
+            out = F.segment_log_softmax(F.segment_dot(x, y, row_of), row_of)
+            (out * Tensor(w, dtype=dtype)).sum().backward()
+            return out, x.grad, y.grad
+
+        rng_x = rng.standard_normal((6, 4))
+        rng_y = rng.standard_normal((len(row_of), 4))
+        w = rng.standard_normal(len(row_of))
+        out32, gx32, gy32 = run(np.float32)
+        out64, gx64, gy64 = run(np.float64)
+        assert out32.dtype == gx32.dtype == gy32.dtype == np.float32
+        np.testing.assert_allclose(out32.data, out64.data, rtol=1e-5,
+                                   atol=1e-6)
+        np.testing.assert_allclose(gx32, gx64, rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(gy32, gy64, rtol=1e-4, atol=1e-5)
+
+    def test_empty_frontier(self):
+        none = np.zeros(0, dtype=np.int64)
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        y = Tensor(np.zeros((0, 3)), requires_grad=True)
+        out = F.segment_log_softmax(F.segment_dot(x, y, none), none)
+        assert out.shape == (0,)
+        out.sum().backward()
+        assert y.grad.shape == (0, 3)
+        np.testing.assert_array_equal(x.grad, 0.0)

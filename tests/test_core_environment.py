@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.environment import KGEnvironment, RolloutWorkspace
+from repro.core.environment import KGEnvironment
 from repro.data.loader import SessionBatcher
 from repro.data.schema import Session
 
@@ -61,8 +61,8 @@ class TestActionSpaces:
                                                          beauty_kg):
         """A duplicate-rich micro-batch (the coalesced-serving shape:
         few distinct popular start entities repeated across 32-256
-        rows) must produce row-for-row the same grids as a frontier of
-        all-distinct entities would — the memo is a pure optimization."""
+        rows) must produce row-for-row the same actions as one-row
+        frontiers of the same entities."""
         distinct = beauty_kg.item_entity[np.array([1, 2, 3, 4])]
         # 64 rows over 4 distinct entities: far below the 2x-entities
         # pigeonhole bound, so only the micro-batch memo dedups this.
@@ -104,28 +104,3 @@ class TestStartEntities:
         batch = self._batch([Session([1, 2], 0, 0)])
         with pytest.raises(ValueError):
             env.start_entities(batch, "nowhere")
-
-
-class TestRolloutWorkspace:
-    def test_column_growth_does_not_grow_rows(self):
-        """A frontier of fixed height that widens a column at a time
-        (hot-item ingestion raising the max degree) must reallocate
-        columns only: doubling the rows on every widening ends in a
-        multi-gigabyte request after ~20 steps."""
-        ws = RolloutWorkspace()
-        n, max_width = 2000, 250
-        for width in range(1, max_width + 1):
-            for name, dtype in (("rels", np.int32), ("mask", bool)):
-                view = ws.buffer(name, n, width, dtype)
-                assert view.shape == (n, width)
-        assert ws.nbytes <= n * max_width * (4 + 1)
-        assert ws.allocations == 2 * max_width  # one per new width
-        ws.buffer("rels", n, max_width, np.int32)
-        assert ws.allocations == 2 * max_width  # saturated: no realloc
-
-    def test_row_growth_stays_geometric(self):
-        ws = RolloutWorkspace()
-        for n in range(1, 1025):
-            assert ws.buffer("idx", n, 8, np.int32).shape == (n, 8)
-        assert ws.allocations <= 11  # doublings, not one per row
-        assert ws.nbytes <= 2 * 1024 * 8 * 4

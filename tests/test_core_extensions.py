@@ -1,5 +1,6 @@
 """Tests for extension features: diversity report, prefix evaluation,
-encoder fallback, KG-embedding finetuning, and bucketed frontiers."""
+encoder fallback, KG-embedding finetuning, and the training walk's
+flat frontier."""
 
 import numpy as np
 import pytest
@@ -118,13 +119,13 @@ class TestFinetuneKGEmbeddings:
 class TestBucketedFrontiers:
     def test_training_step_with_buckets_backprops(self, beauty_tiny,
                                                   beauty_kg, beauty_transe):
-        """Bucketed walks keep the tape intact: loss is finite and
-        gradients reach the policy through the concatenated buckets."""
+        """The training walk runs the tape forward over the flat
+        frontier: the loss is finite and gradients reach both the
+        policy and the wrapped encoder through the segment ops."""
         from repro.data.loader import SessionBatcher
 
         cfg = REKSConfig(dim=16, state_dim=16, epochs=1, batch_size=32,
-                         action_cap=60, sample_sizes=(100, 4),
-                         frontier_buckets=3, seed=5)
+                         action_cap=60, sample_sizes=(100, 4), seed=5)
         trainer = REKSTrainer(beauty_tiny, beauty_kg, model_name="gru4rec",
                               config=cfg, transe=beauty_transe)
         batch = next(iter(SessionBatcher(beauty_tiny.split.train,
@@ -134,15 +135,16 @@ class TestBucketedFrontiers:
         loss.backward()
         assert np.isfinite(stats.loss)
         assert stats.num_paths > 0
-        grads = [p.grad for p in trainer.policy.parameters()
-                 if p.requires_grad and p.grad is not None]
-        assert grads and any(np.abs(g).sum() > 0 for g in grads)
+        for module in (trainer.policy, trainer.encoder):
+            grads = [p.grad for p in module.parameters()
+                     if p.requires_grad and p.grad is not None]
+            assert grads and any(np.abs(g).sum() > 0 for g in grads)
 
     def test_bucketed_inference_matches_flat_candidates(self, beauty_tiny,
                                                         beauty_kg,
                                                         beauty_transe):
-        """Same model, bucketed vs flat frontier: identical candidate
-        item sets (ordering of paths may differ, legality may not)."""
+        """Same model, tape forward (grad mode) vs flat forward
+        (``no_grad``): identical (session, terminal) key sets."""
         from repro.autograd import no_grad
         from repro.data.loader import SessionBatcher
 
@@ -153,15 +155,13 @@ class TestBucketedFrontiers:
         batch = next(iter(SessionBatcher(beauty_tiny.split.test,
                                          batch_size=32, shuffle=False)))
         trainer.agent.eval()
+        se = trainer.encoder.encode(batch)
+        tape = trainer.agent.walk(se, batch)
+        assert tape.log_prob.requires_grad
         with no_grad():
-            se = trainer.encoder.encode(batch)
             flat = trainer.agent.walk(se, batch)
-            trainer.agent.config.frontier_buckets = 4
-            try:
-                bucketed = trainer.agent.walk(se, batch)
-            finally:
-                trainer.agent.config.frontier_buckets = 1
+
         def key_set(rollout):
             return {(int(s), int(t)) for s, t in
                     zip(rollout.session_idx, rollout.terminals)}
-        assert key_set(flat) == key_set(bucketed)
+        assert key_set(flat) == key_set(tape)

@@ -4,7 +4,8 @@ A hand-built world where the last session item has exactly two 2-hop
 paths: one reaching the ground-truth target, one reaching a decoy.
 Training must shift policy probability toward the rewarded arm — the
 most direct check that REINFORCE-with-baseline, the ŷ aggregation, and
-the loss wiring are all pulling in the same direction.
+the loss wiring are all pulling in the same direction — plus a
+finite-difference check of the policy gradient ``losses`` builds.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from repro.autograd import Adam, no_grad
 from repro.core import REKSConfig
-from repro.core.agent import REKSAgent
+from repro.core.agent import REKSAgent, segment_top_k
 from repro.core.environment import KGEnvironment
 from repro.core.policy import PolicyNetwork
 from repro.core.rewards import RewardComputer, RewardWeights
@@ -137,35 +138,111 @@ class TestPolicyLearnsRewardedArm:
         assert decoy_item_reward.max() < 1.0
 
 
+def one_hop(agent, k, stochastic=False, hop_allowed=None, forward=None):
+    """One walk hop from item 1 (both arms' first edge) for one row."""
+    return agent._expand(forward or agent.policy.step_flat,
+                         np.zeros((1, 8), dtype=np.float32),
+                         np.array([0]), np.array([[0]]), None, k,
+                         stochastic, hop_allowed, None)
+
+
 class TestSelectionMechanics:
     def test_top_k_selects_highest(self, world):
-        _, agent = world
-        logp = np.log(np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]))
-        mask = np.ones((2, 3), dtype=bool)
-        rows, cols = agent._select(logp, mask, k=1, stochastic=False)
-        np.testing.assert_array_equal(sorted(zip(rows, cols)),
-                                      [(0, 0), (1, 2)])
+        row_of = np.array([0, 0, 0, 1, 1, 1])
+        logp = np.log(np.array([0.7, 0.2, 0.1, 0.1, 0.3, 0.6]))
+        assert segment_top_k(logp, row_of, 1).tolist() == [0, 5]
+        assert segment_top_k(logp, row_of, 2).tolist() == [0, 1, 4, 5]
 
     def test_invalid_never_selected(self, world):
-        _, agent = world
-        logp = np.zeros((1, 4))
-        mask = np.array([[False, True, False, True]])
-        rows, cols = agent._select(logp, mask, k=4, stochastic=False)
-        assert set(cols.tolist()) <= {1, 3}
+        """A cell the cascade disallows is never kept, even when ``k``
+        exceeds the row's cells."""
+        built, agent = world
+        hub_b = built.kg.entity_id("category", 1)
+        allowed = np.ones((1, built.kg.num_entities), dtype=bool)
+        allowed[0, hub_b] = False
+        rows, rels, tails, _ = one_hop(agent, k=4, hop_allowed=allowed)
+        assert tails.tolist() == [built.kg.entity_id("category", 0)]
 
     def test_gumbel_sampling_varies(self, world):
         _, agent = world
-        logp = np.log(np.full((1, 5), 0.2))
-        mask = np.ones((1, 5), dtype=bool)
+
+        def uniform(*args):          # step_flat's signature, flat logits
+            return np.full(len(args[3]), np.log(0.5), dtype=np.float32)
+
         picks = set()
         for _ in range(20):
-            _, cols = agent._select(logp, mask, k=1, stochastic=True)
-            picks.add(int(cols[0]))
+            _, _, tails, _ = one_hop(agent, k=1, stochastic=True,
+                                     forward=uniform)
+            picks.add(int(tails[0]))
         assert len(picks) > 1  # uniform logits + gumbel -> variety
 
     def test_empty_mask_returns_nothing(self, world):
-        _, agent = world
-        logp = np.zeros((1, 3))
-        mask = np.zeros((1, 3), dtype=bool)
-        rows, cols = agent._select(logp, mask, k=2, stochastic=False)
-        assert len(rows) == 0
+        built, agent = world
+        none = np.zeros(0)
+        assert segment_top_k(none, none.astype(np.int64), 2).tolist() == []
+        nothing = np.zeros((1, built.kg.num_entities), dtype=bool)
+        assert one_hop(agent, k=2, hop_allowed=nothing) is None
+
+
+class TestPolicyGradient:
+    def test_losses_gradient_matches_central_differences(self,
+                                                         monkeypatch):
+        """The surrogate loss ``β·Lr + Lce`` that ``losses`` builds on
+        the tape differentiates correctly w.r.t. every policy
+        parameter: autograd against central differences of the loss
+        itself, on a toy KG with dropout 0.  The rewards and baseline
+        are constants of the policy parameters (the rank term is
+        piecewise constant), so the two agree exactly as long as every
+        probe walks the same cells — asserted too.  Hop 0 keeps 3 of
+        up to 10 actions and hop 1 keeps 2, so top-k cuts are inside
+        the check."""
+        from helpers import numerical_gradient
+        from test_env_differential import random_built_kg
+
+        rng = np.random.default_rng(4)
+        built = random_built_kg(rng, n_items=6, n_other=3, n_relations=2,
+                                n_edges=50)
+        dim = 8
+        entity_table = (0.5 * rng.standard_normal(
+            (built.kg.num_entities, dim))).astype(np.float32)
+        relation_table = (0.5 * rng.standard_normal(
+            (built.kg.num_relations, dim))).astype(np.float32)
+        policy = PolicyNetwork(dim, dim, dim, entity_table, relation_table,
+                               rng=rng)
+        agent = REKSAgent(
+            create_encoder("gru4rec", n_items=6, dim=dim, rng=rng,
+                           dropout=0.0),
+            policy, KGEnvironment(built, action_cap=10, seed=0),
+            RewardComputer(built, entity_table, relation_table,
+                           weights=RewardWeights(), mode="full"),
+            REKSConfig(dim=dim, state_dim=dim, sample_sizes=(3, 2),
+                       dropout=0.0, beta=0.5, seed=0))
+        agent.eval()  # no dropout anywhere; grad mode keeps the tape
+        params = [p for p in policy.parameters() if p.requires_grad]
+        for p in params:  # float64 leaves room for the differences
+            p.data = p.data.astype(np.float64)
+        sessions = [Session(list(rng.integers(1, 7, size=3)), 0, 0)
+                    for _ in range(4)]
+        batch = next(iter(SessionBatcher(sessions, batch_size=4,
+                                         shuffle=False)))
+
+        walks = []
+        walk = agent.walk
+        monkeypatch.setattr(agent, "walk", lambda *args, **kwargs:
+                            walks.append(walk(*args, **kwargs))
+                            or walks[-1])
+
+        def loss():
+            return agent.losses(batch)[0]
+
+        loss().backward()
+        assert walks[0].num_paths > len(sessions)
+        for p in params:
+            numeric = numerical_gradient(loss, p, eps=1e-6)
+            np.testing.assert_allclose(p.grad, numeric, rtol=1e-4,
+                                       atol=1e-7)
+        assert any(np.abs(p.grad).sum() > 0 for p in params)
+        for probe in walks[1:]:
+            for field in ("session_idx", "entities", "relations"):
+                np.testing.assert_array_equal(getattr(probe, field),
+                                              getattr(walks[0], field))

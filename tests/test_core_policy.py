@@ -34,41 +34,45 @@ class TestStateFeaturizer:
 class TestActionScoring:
     def test_log_probs_normalize_over_valid(self, policy, rng):
         se = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
-        rels = np.zeros((2, 5), dtype=np.int64)
-        tails = np.tile(np.arange(5), (2, 1))
-        mask = np.array([[True, True, True, False, False],
-                         [True, True, True, True, True]])
-        logp = policy.step(se, np.array([1, 2]), None, rels, tails, mask)
+        # Row 0 has three legal actions, row 1 five: flat cells.
+        row_of = np.array([0, 0, 0, 1, 1, 1, 1, 1])
+        rels = np.zeros(8, dtype=np.int64)
+        tails = np.array([0, 1, 2, 0, 1, 2, 3, 4])
+        logp = policy.step(se, np.array([1, 2]), None, row_of, rels, tails)
+        assert logp.shape == (8,)
         probs = np.exp(logp.data)
-        np.testing.assert_allclose((probs * mask).sum(axis=1), np.ones(2),
-                                   rtol=1e-4)
+        np.testing.assert_allclose(np.bincount(row_of, weights=probs),
+                                   np.ones(2), rtol=1e-4)
 
     def test_invalid_actions_get_negligible_mass(self, policy, rng):
-        se = Tensor(rng.standard_normal((1, 8)).astype(np.float32))
-        rels = np.zeros((1, 4), dtype=np.int64)
-        tails = np.arange(4)[None, :]
-        mask = np.array([[True, False, True, False]])
-        logp = policy.step(se, np.array([0]), None, rels, tails, mask)
-        probs = np.exp(logp.data[0])
-        assert probs[1] < 1e-6 and probs[3] < 1e-6
+        """A row's illegal actions have no cell, so its legal cells
+        carry all of its mass — a row's distribution ignores its
+        neighbours' cells."""
+        se = Tensor(rng.standard_normal((2, 8)).astype(np.float32))
+        row_of = np.array([0, 0, 1])
+        rels = np.zeros(3, dtype=np.int64)
+        tails = np.array([0, 2, 1])
+        logp = policy.step(se, np.array([0, 3]), None, row_of, rels, tails)
+        probs = np.exp(logp.data)
+        assert probs[:2].sum() == pytest.approx(1.0, rel=1e-5)
+        assert probs[2] == pytest.approx(1.0, rel=1e-6)
 
     def test_gradients_flow_to_state_mlp(self, policy, rng):
         se = Tensor(rng.standard_normal((2, 8)).astype(np.float32),
                     requires_grad=True)
-        rels = np.zeros((2, 3), dtype=np.int64)
-        tails = np.tile(np.arange(3), (2, 1))
-        mask = np.ones((2, 3), dtype=bool)
-        logp = policy.step(se, np.array([0, 1]), None, rels, tails, mask)
-        logp.sum().backward()
-        assert se.grad is not None
+        row_of = np.array([0, 0, 0, 1, 1, 1])
+        rels = np.zeros(6, dtype=np.int64)
+        tails = np.tile(np.arange(3), 2)
+        weights = Tensor(rng.standard_normal(6).astype(np.float32))
+        logp = policy.step(se, np.array([0, 1]), None, row_of, rels, tails)
+        (logp * weights).sum().backward()
+        assert se.grad is not None and np.abs(se.grad).sum() > 0
         assert policy.w1.weight.grad is not None
 
     def test_kg_embeddings_frozen_by_default(self, policy, rng):
         se = Tensor(rng.standard_normal((1, 8)).astype(np.float32))
-        rels = np.zeros((1, 3), dtype=np.int64)
-        tails = np.arange(3)[None, :]
-        mask = np.ones((1, 3), dtype=bool)
-        logp = policy.step(se, np.array([0]), None, rels, tails, mask)
+        logp = policy.step(se, np.array([0]), None, np.zeros(3, np.int64),
+                           np.zeros(3, dtype=np.int64), np.arange(3))
         logp.sum().backward()
         assert policy.entity_emb.weight.grad is None
         assert not policy.entity_emb.weight.requires_grad
@@ -80,9 +84,7 @@ class TestActionScoring:
             relation_table=rng.standard_normal((2, 4)).astype(np.float32),
             finetune=True, rng=np.random.default_rng(0))
         se = Tensor(rng.standard_normal((1, 4)).astype(np.float32))
-        rels = np.zeros((1, 2), dtype=np.int64)
-        tails = np.arange(2)[None, :]
-        logp = policy.step(se, np.array([0]), None, rels, tails,
-                           np.ones((1, 2), dtype=bool))
+        logp = policy.step(se, np.array([0]), None, np.zeros(2, np.int64),
+                           np.zeros(2, dtype=np.int64), np.arange(2))
         logp.sum().backward()
         assert policy.entity_emb.weight.grad is not None

@@ -9,7 +9,7 @@ dead-end frontier must return an empty but shape-consistent rollout.
 import numpy as np
 import pytest
 
-from repro.core.environment import KGEnvironment, RolloutWorkspace
+from repro.core.environment import KGEnvironment
 from repro.kg.builder import BuiltKG
 from repro.kg.graph import KnowledgeGraph
 
@@ -59,13 +59,13 @@ class TestDegenerateFrontiers:
         assert rels.shape == tails.shape == mask.shape == (0, 1)
 
     def test_empty_batch_with_workspace(self, env):
-        workspace = RolloutWorkspace()
         entities = np.zeros(0, dtype=np.int64)
         visited = np.zeros((0, 3), dtype=np.int64)
-        rels, tails, mask = env.batched_actions(entities, visited,
-                                                workspace=workspace)
+        rels, tails, mask = env.batched_actions(entities, visited)
         assert rels.shape == (0, 1)
         assert not mask.any()
+        row_of, rels, tails = env.flat_actions(entities, visited)
+        assert len(row_of) == len(rels) == len(tails) == 0
 
     def test_visited_kills_every_action_of_a_row(self, env, built):
         entity = 0
@@ -97,14 +97,6 @@ class TestDegenerateFrontiers:
         assert env.degree(0) == 0
         got_r, got_t = env.actions_of(1)
         assert len(got_r) == len(got_t) == 0
-
-    def test_bucketed_all_dead_ends(self, env, built):
-        entities = _dead_entities(built, 4)
-        buckets = list(env.iter_frontier_buckets(
-            entities, entities[:, None], num_buckets=3))
-        rows = np.sort(np.concatenate([b.rows for b in buckets]))
-        np.testing.assert_array_equal(rows, np.arange(4))
-        assert not any(b.mask.any() for b in buckets)
 
 
 class TestDeadEndWalk:

@@ -6,7 +6,9 @@ exact array equality, not just set equality.  The contract checked on
 randomized KGs (varied degree distributions, action-cap hits,
 duplicate edges, hub entities, dead ends) is that both return the
 same legal-action set per frontier row — identical ``(rel, tail)``
-pairs up to within-entity order — and the same mask semantics.
+pairs up to within-entity order — and the same mask semantics, and
+that ``flat_actions`` (what every walk hop expands) is exactly the
+reference grid's legal cells.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 from reference_env import ReferenceKGEnvironment
 from repro.autograd import no_grad
-from repro.core.environment import KGEnvironment, RolloutWorkspace
+from repro.core.environment import KGEnvironment
 from repro.kg.builder import BuiltKG
 from repro.kg.graph import KnowledgeGraph
 
@@ -76,9 +78,8 @@ def grid_cells(rels, tails, mask):
     return np.nonzero(mask)[0], rels[mask], tails[mask]
 
 
-def assert_envs_agree(csr_env, ref_env, entities, visited,
-                      workspace=None, exact=True):
-    got = csr_env.batched_actions(entities, visited, workspace=workspace)
+def assert_envs_agree(csr_env, ref_env, entities, visited, exact=True):
+    got = csr_env.batched_actions(entities, visited)
     want = ref_env.batched_actions(entities, visited)
     assert got[0].shape == want[0].shape
     assert legal_action_sets(*got) == legal_action_sets(*want)
@@ -133,28 +134,26 @@ def test_degrees_and_actions_of_match(cap):
 
 
 def test_workspace_reuse_matches_fresh_allocation():
-    """Recycled buffers across growing/shrinking frontiers stay correct."""
+    """Consecutive frontiers that grow and shrink stay exact: nothing
+    sized by one frontier carries into the next."""
     rng = np.random.default_rng(11)
     built = random_built_kg(rng, n_edges=300, hub_degree=60)
     csr_env = KGEnvironment(built, action_cap=40, seed=0)
     ref_env = ReferenceKGEnvironment(built, action_cap=40, seed=0)
-    workspace = RolloutWorkspace()
     for size in (64, 8, 128, 1, 32):
         entities, visited = random_frontier(rng, built, size, 2)
-        assert_envs_agree(csr_env, ref_env, entities, visited,
-                          workspace=workspace)
-    assert workspace.nbytes > 0
+        assert_envs_agree(csr_env, ref_env, entities, visited)
 
 
 def test_workspace_reuse_is_tape_safe():
-    """Buffer recycling must not corrupt a pending autograd tape.
+    """A later write to a frontier's arrays must not corrupt a pending
+    autograd tape.
 
-    The contract (see RolloutWorkspace) is that embedding lookups
-    copy the int32 rels/tails views (dtype-preserving) before any
-    backward closure retains them.  Pin it: look an action grid
-    up through an Embedding, clobber the workspace with a second
-    frontier, then backward — the gradient must land at the
-    *original* indices, bit-identical to an unshared-buffer run.
+    Embedding lookups copy the int32 ``tails`` cells (dtype-preserving)
+    before any backward closure retains them.  Pin it: look a frontier
+    up through an Embedding, overwrite the caller's ``tails`` in place,
+    then backward — the gradient must land at the *original* indices,
+    bit-identical to an untouched-array run.
     """
     from repro.autograd.tensor import Tensor
     from repro.nn.embedding import Embedding
@@ -162,10 +161,8 @@ def test_workspace_reuse_is_tape_safe():
     rng = np.random.default_rng(13)
     built = random_built_kg(rng, n_edges=200)
     env = KGEnvironment(built, action_cap=30, seed=0)
-    workspace = RolloutWorkspace()
     entities, visited = random_frontier(rng, built, 16, 2)
-    rels, tails, mask = env.batched_actions(entities, visited,
-                                            workspace=workspace)
+    _, _, tails = env.flat_actions(entities, visited)
     tails_frozen = tails.copy()
 
     table = rng.standard_normal(
@@ -175,39 +172,13 @@ def test_workspace_reuse_is_tape_safe():
 
     emb = Embedding.from_pretrained(table, trainable=True)
     looked_up = emb(tails)  # closure must retain a *copy* of tails
-    # Clobber the workspace: a different frontier overwrites the
-    # tails view that the lookup above was given.
-    entities2, visited2 = random_frontier(rng, built, 16, 2)
-    env.batched_actions(entities2, visited2, workspace=workspace)
+    tails[:] = (tails_frozen + 1) % built.kg.num_entities
     assert not np.array_equal(tails, tails_frozen)  # really clobbered
     (looked_up * Tensor(upstream)).sum().backward()
 
     control = Embedding.from_pretrained(table, trainable=True)
     (control(tails_frozen) * Tensor(upstream)).sum().backward()
     np.testing.assert_array_equal(emb.weight.grad, control.weight.grad)
-
-
-def test_bucketed_frontier_covers_all_rows_identically():
-    """Bucketed rectangles reassemble to the flat frontier's actions."""
-    rng = np.random.default_rng(17)
-    built = random_built_kg(rng, n_edges=300, hub_degree=200, dead_ends=3)
-    env = KGEnvironment(built, action_cap=150, seed=0)
-    entities, visited = random_frontier(rng, built, 48, 2)
-    flat = legal_action_sets(*env.batched_actions(entities, visited))
-    seen = np.zeros(len(entities), dtype=int)
-    hub_width = max(env.degree(int(e)) for e in entities)
-    widths = []
-    for bucket in env.iter_frontier_buckets(entities, visited,
-                                            num_buckets=4):
-        widths.append(bucket.rels.shape[1])
-        got = legal_action_sets(bucket.rels, bucket.tails, bucket.mask)
-        for local, row in enumerate(bucket.rows):
-            assert got[local] == flat[row]
-            seen[row] += 1
-    assert (seen == 1).all()
-    # The hub only widens its own bucket: at least one bucket must be
-    # narrower than the global max degree.
-    assert min(widths) < hub_width
 
 
 @pytest.mark.slow
@@ -228,11 +199,9 @@ def test_differential_sweep(seed):
     cap = int(rng.integers(1, 300))
     csr_env = KGEnvironment(built, action_cap=cap, seed=seed)
     ref_env = ReferenceKGEnvironment(built, action_cap=cap, seed=seed)
-    workspace = RolloutWorkspace()
     with no_grad():
         for trial in range(5):
             entities, visited = random_frontier(
                 rng, built, size=int(rng.integers(1, 256)),
                 visited_width=int(rng.integers(1, 5)))
-            assert_envs_agree(csr_env, ref_env, entities, visited,
-                              workspace=workspace)
+            assert_envs_agree(csr_env, ref_env, entities, visited)

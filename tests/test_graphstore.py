@@ -168,32 +168,26 @@ class TestShardedStore:
 
     @pytest.mark.parametrize("shards", [2, 3, 7])
     def test_scattered_gather_matches_monolithic(self, shards):
-        """gather_into on a frontier scattered across every shard must
+        """gather_flat on a frontier scattered across every shard must
         match the S=1 store cell for cell (the shard-major grouped path
         against the monolithic single gather)."""
         rng = np.random.default_rng(100 + shards)
         store, raw = self._store(rng, shards)
         mono = ShardedCSR.build(*raw, num_shards=1)
         assert store.num_shards > 1
-        degrees = store.degrees
-        candidates = np.flatnonzero(degrees > 0)
+        candidates = np.flatnonzero(store.degrees > 0)
         for trial in range(3):
             n = int(rng.integers(3, 33))
-            entities = rng.choice(candidates, size=n,
-                                  replace=True).astype(np.int64)
-            width = int(degrees[entities].max()) + int(rng.integers(0, 3))
-            cols = np.arange(width, dtype=np.int32)
-            mask = cols[None, :] < degrees[entities][:, None]
-            grids = []
-            for variant in (store, mono):
-                idx = np.empty((n, width), dtype=np.int32)
-                rels = np.full((n, width), -1, dtype=np.int32)
-                tails = np.full((n, width), -1, dtype=np.int32)
-                variant.gather_into(entities, cols, mask, idx,
-                                    rels, tails)
-                grids.append((rels, tails))
-            np.testing.assert_array_equal(grids[0][0], grids[1][0])
-            np.testing.assert_array_equal(grids[0][1], grids[1][1])
+            # The lowest and highest entities with edges sit in the
+            # first and last shard: every frontier straddles.
+            entities = np.concatenate(
+                [rng.choice(candidates, size=n, replace=True),
+                 candidates[[-1, 0]]]).astype(np.int64)
+            assert len(np.unique(store.shard_of(entities))) > 1
+            got = store.gather_flat(entities)
+            want = mono.gather_flat(entities)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
 
 
 # ----------------------------------------------------------------------

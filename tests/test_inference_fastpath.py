@@ -1,16 +1,16 @@
 """Differential tests for the array-native inference walk.
 
-Under ``no_grad`` :meth:`REKSAgent.recommend` leaves the autograd
-wrappers twice.  The walk is **flat**: each hop takes the frontier's
-legal actions as ``(row_of, rels, tails)`` cells from
-``KGEnvironment.flat_actions``, scores them in one
-``PolicyNetwork.step_flat`` and keeps each row's best with
-``segment_top_k`` — no padded grid, no degree buckets.  And
+Every walk hop takes the frontier's legal actions as ``(row_of, rels,
+tails)`` cells from ``KGEnvironment.flat_actions``, scores them in one
+policy forward and keeps each row's best with ``segment_top_k`` — no
+padded grid, no degree buckets.  Under ``no_grad`` (dropout inactive)
+:meth:`REKSAgent.recommend` leaves the autograd wrappers twice: the
+forward is ``PolicyNetwork.step_flat`` on plain arrays, and
 ``_best_paths`` returns an array-backed :class:`PathTable` instead of a
-dict of ``SemanticPath`` objects.  Each piece is pinned here against
-what it replaced — ``batched_actions``' grid, the tape forward
-(``PolicyNetwork.step``), ``REKSAgent._select``, the tape walk (the
-same ``walk`` in grad mode) and the dict builder kept frozen in
+dict of ``SemanticPath`` objects.  Each piece is pinned here against a
+reference — ``batched_actions``' grid, the tape forward
+(``PolicyNetwork.step``) on the same cells, a per-row sort, the same
+``walk`` in grad mode and the dict builder kept frozen in
 ``helpers.reference_best_paths`` — on Hypothesis-generated KGs,
 frontiers and rollouts.
 
@@ -30,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.kg.paths as paths_mod
 from helpers import reference_best_paths
+from reference_env import ReferenceKGEnvironment
 from repro import REKSConfig, REKSTrainer
 from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
@@ -71,21 +72,22 @@ def random_policy(rng, built, dim):
             (built.kg.num_relations, dim))).astype(np.float32),
         rng=rng)
     # Zero-initialised biases let a ReLU-dead row project to exactly
-    # zero: every action of the row then ties, and which one the grid's
-    # argpartition keeps is arbitrary.  Random biases rule that out.
+    # zero: every action of the row then ties, and which one each
+    # forward keeps turns on its last-digit rounding.  Random biases
+    # rule that out.
     for layer in (policy.state_mlp.fc0, policy.state_mlp.fc1):
         layer.bias.data[:] = 0.1 * rng.standard_normal(layer.bias.shape)
     policy.eval()
     return policy
 
 
-def both_steps(policy, session_repr, entities, prev, rels, tails, mask):
-    """(flat, tape) log-probs of one hop's legal cells, row-major."""
-    rows, flat_rels, flat_tails = grid_cells(rels, tails, mask)
-    flat = policy.step_flat(session_repr.data, entities, prev, rows,
-                            flat_rels, flat_tails)
-    tape = policy.step(session_repr, entities, prev, rels, tails, mask)
-    return flat, tape.data[mask]
+def both_steps(policy, session_repr, entities, prev, row_of, rels, tails):
+    """(flat, tape) log-probs of one hop's legal cells: ``step_flat``
+    on plain arrays and ``step`` on the tape, same cells."""
+    flat = policy.step_flat(session_repr.data, entities, prev, row_of,
+                            rels, tails)
+    tape = policy.step(session_repr, entities, prev, row_of, rels, tails)
+    return flat, tape.data
 
 
 def assert_log_probs_agree(flat, tape):
@@ -94,16 +96,13 @@ def assert_log_probs_agree(flat, tape):
 
 
 def picked(expanded):
-    """One hop's kept actions as sorted (row, rel, tail) triples plus
-    their log-probs in that order (the two walks list them in
-    different orders)."""
+    """One hop's kept actions as (row, rel, tail) triples plus their
+    log-probs, in the order the hop lists them."""
     if expanded is None:
         return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
     rows, rels, tails, logp = expanded
     logp = np.asarray(getattr(logp, "data", logp))
-    keys = np.column_stack([rows, rels, tails]).astype(np.int64)
-    order = np.lexsort(keys.T[::-1])
-    return keys[order], logp[order]
+    return np.column_stack([rows, rels, tails]).astype(np.int64), logp
 
 
 # ----------------------------------------------------------------------
@@ -132,10 +131,16 @@ def test_flat_actions_are_the_grids_legal_cells(seed, action_cap, staged,
     metrics = CountingMetrics()
     row_of, rels, tails = env.flat_actions(entities, visited,
                                            metrics=metrics)
-    want = grid_cells(*env.batched_actions(entities, visited))
-    np.testing.assert_array_equal(row_of, want[0])
-    np.testing.assert_array_equal(rels, want[1])
-    np.testing.assert_array_equal(tails, want[2])
+    grids = [env.batched_actions(entities, visited)]
+    if not staged:  # the loop-based oracle knows no overlay
+        grids.append(ReferenceKGEnvironment(built, action_cap=action_cap,
+                                            seed=0).batched_actions(
+                                                entities, visited))
+    for grid in grids:
+        want = grid_cells(*grid)
+        np.testing.assert_array_equal(row_of, want[0])
+        np.testing.assert_array_equal(rels, want[1])
+        np.testing.assert_array_equal(tails, want[2])
     # One gather call over all n rows, split across the touched shards.
     assert metrics.counters["gather_calls_total"] == 1
     assert metrics.counters["gather_rows_total"] == n
@@ -174,31 +179,32 @@ def test_flat_step_matches_tape_forward(seed, dim, action_cap,
     policy = random_policy(rng, built, dim)
     n = int(rng.integers(1, 40))
     entities, visited = random_frontier(rng, built, n, 2)
-    rels, tails, mask = env.batched_actions(entities, visited)
+    row_of, rels, tails = env.flat_actions(entities, visited)
     session_repr = Tensor(rng.standard_normal((n, dim)).astype(np.float32))
     prev = (rng.integers(0, built.kg.num_relations, size=n)
             if with_prev else None)
     flat, tape = both_steps(policy, session_repr, entities, prev,
-                            rels, tails, mask)
+                            row_of, rels, tails)
     assert_log_probs_agree(flat, tape)
 
-    # One whole hop either way keeps the same actions with the same
-    # log-probs, with and without a cascade mask — including rows whose
-    # only legal actions the cascade disallows (dropped before the
-    # policy pass; every other row still normalizes over all of its
-    # legal actions).
+    # One whole hop on either forward keeps the same actions, in the
+    # same order, with the same log-probs, with and without a cascade
+    # mask — including rows whose only legal actions the cascade
+    # disallows (dropped before the policy pass; every other row still
+    # normalizes over all of its legal actions).
     agent = REKSAgent(encoder=None, policy=policy, env=env, rewards=None,
                       config=REKSConfig(dim=dim, state_dim=dim))
     allowed = rng.random((n, built.kg.num_entities)) < 0.6
     allowed[rng.random(n) < 0.3] = False
     sess_idx = np.arange(n)
-    for k in (1, 3, mask.shape[1] + 1):
+    widest = int(np.bincount(row_of, minlength=1).max())
+    for k in (1, 3, widest + 1):
         for hop_allowed in (None, allowed):
             args = (sess_idx, visited, prev, k, False, hop_allowed, None)
-            got, got_logp = picked(
-                agent._expand_flat(session_repr.data, *args))
-            want, want_logp = picked(
-                agent._expand_tape(session_repr, *args))
+            got, got_logp = picked(agent._expand(
+                policy.step_flat, session_repr.data, *args))
+            want, want_logp = picked(agent._expand(
+                policy.step, session_repr, *args))
             np.testing.assert_array_equal(got, want)
             np.testing.assert_allclose(got_logp, want_logp,
                                        rtol=1e-6, atol=1e-6)
@@ -220,8 +226,8 @@ def test_flat_step_degenerate_frontiers(mask):
     session_repr = Tensor(rng.standard_normal((n, 8)).astype(np.float32))
     flat, tape = both_steps(policy, session_repr,
                             rng.integers(0, n_ent, size=n), None,
-                            rels.astype(np.int32), tails.astype(np.int32),
-                            mask)
+                            *grid_cells(rels.astype(np.int32),
+                                        tails.astype(np.int32), mask))
     assert len(flat) == mask.sum()
     assert_log_probs_agree(flat, tape)
     # A row's log-probs normalize over its own cells only.
@@ -254,29 +260,28 @@ def test_flat_step_keeps_the_index_range_check():
 
 
 # ----------------------------------------------------------------------
-# Segment top-k vs the grid's _select
+# Segment top-k vs a per-row sort
 # ----------------------------------------------------------------------
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 12),
        width=st.integers(1, 9), restricted=st.booleans())
 def test_segment_top_k_matches_select(seed, n, width, restricted):
+    """Each row keeps the cells of its ``k`` highest scores — checked
+    against sorting every row of a (masked) grid on its own."""
     rng = np.random.default_rng(seed)
     mask = rng.random((n, width)) < 0.7
-    # A permutation: tie-free, so _select's argpartition has one answer.
+    # A permutation: tie-free, so each row's top-k has one answer.
     logp = rng.permutation(n * width).reshape(n, width).astype(np.float32)
-    allowed = rng.random((n, width)) < 0.6 if restricted else None
-    _, env = random_world(rng, action_cap=5, staged=False)
-    agent = REKSAgent(encoder=None, policy=None, env=env, rewards=None,
-                      config=REKSConfig())
-    selectable = mask if allowed is None else mask & allowed
-    rows, cols = np.nonzero(selectable)
+    if restricted:
+        mask &= rng.random((n, width)) < 0.6
+    rows, cols = np.nonzero(mask)
     for k in (1, 2, width, width + 3):
         kept = segment_top_k(logp[rows, cols], rows, k)
         assert (np.diff(kept) > 0).all()  # ascending cell indices
-        want_rows, want_cols = agent._select(logp, mask, k, False,
-                                             allowed=allowed)
-        assert (sorted(zip(rows[kept].tolist(), cols[kept].tolist()))
-                == sorted(zip(want_rows.tolist(), want_cols.tolist())))
+        want = {(row, int(col)) for row in range(n)
+                for col in np.flatnonzero(mask[row])[
+                    np.argsort(-logp[row, mask[row]])[:k]]}
+        assert set(zip(rows[kept].tolist(), cols[kept].tolist())) == want
 
 
 def test_segment_top_k_takes_the_lowest_index_on_exact_ties():
@@ -304,18 +309,16 @@ def path_rows(rollout):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), path_length=st.integers(1, 3),
-       frontier_buckets=st.integers(1, 3), action_cap=st.integers(2, 30),
-       constrained=st.booleans(), staged=st.booleans())
-def test_inference_walk_matches_tape_walk(seed, path_length,
-                                          frontier_buckets, action_cap,
+       action_cap=st.integers(2, 30), constrained=st.booleans(),
+       staged=st.booleans())
+def test_inference_walk_matches_tape_walk(seed, path_length, action_cap,
                                           constrained, staged):
     dim = 8
     rng = np.random.default_rng(seed)
     built, env = random_world(rng, action_cap, staged)
     cfg = REKSConfig(dim=dim, state_dim=dim, path_length=path_length,
                      sample_sizes=(4,) + (2,) * (path_length - 1),
-                     action_cap=action_cap,
-                     frontier_buckets=frontier_buckets)
+                     action_cap=action_cap)
     agent = REKSAgent(encoder=None, policy=random_policy(rng, built, dim),
                       env=env, rewards=None, config=cfg)
     n_items = built.n_items
@@ -338,15 +341,17 @@ def test_inference_walk_matches_tape_walk(seed, path_length,
         fast = agent.walk(session_repr, batch, candidates=constraint)
     tape = agent.walk(session_repr, batch, candidates=constraint)
 
-    # Same path set; the flat walk lists it in frontier-row order, the
-    # tape walk bucket by bucket.
-    fast_paths, fast_order = path_rows(fast)
-    tape_paths, tape_order = path_rows(tape)
+    # Same paths in the same order: both forwards feed one expander.
+    fast_paths, _ = path_rows(fast)
+    tape_paths, _ = path_rows(tape)
     np.testing.assert_array_equal(fast_paths, tape_paths)
-    np.testing.assert_allclose(fast.prob[fast_order], tape.prob[tape_order],
-                               rtol=1e-6)
-    np.testing.assert_array_equal(fast.prob,
-                                  np.exp(fast.log_prob.data.astype(float)))
+    for field in ("session_idx", "entities", "relations"):
+        np.testing.assert_array_equal(getattr(fast, field),
+                                      getattr(tape, field))
+    np.testing.assert_allclose(fast.prob, tape.prob, rtol=1e-6)
+    if fast.num_paths:  # a dead-end rollout has no log-probs
+        np.testing.assert_array_equal(
+            fast.prob, np.exp(fast.log_prob.data.astype(float)))
     fast_scores = agent.aggregate_scores_numpy(fast, rows)
     tape_scores = agent.aggregate_scores_numpy(tape, rows)
     np.testing.assert_allclose(fast_scores, tape_scores, rtol=1e-6)
@@ -356,7 +361,8 @@ def test_inference_walk_matches_tape_walk(seed, path_length,
 
 
 def test_walk_is_flat_only_without_grad_and_dropout(monkeypatch):
-    """The one place the two walks split: grad mode / active dropout."""
+    """One expander runs every hop; grad mode / active dropout only
+    choose its forward: ``step`` on the tape or ``step_flat``."""
     rng = np.random.default_rng(9)
     built, env = random_world(rng, action_cap=8, staged=False)
     policy = random_policy(rng, built, 8)
@@ -367,27 +373,32 @@ def test_walk_is_flat_only_without_grad_and_dropout(monkeypatch):
                                      shuffle=False)))
     session_repr = Tensor(rng.standard_normal((1, 8)).astype(np.float32))
     used = []
-    for name in ("_expand_flat", "_expand_tape"):
-        inner = getattr(agent, name)
+
+    def record(owner, name):
+        inner = getattr(owner, name)
         monkeypatch.setattr(
-            agent, name,
-            lambda *args, _name=name, _inner=inner:
-                used.append(_name) or _inner(*args))
+            owner, name,
+            lambda *args: used.append(name) or inner(*args))
+
+    record(agent, "_expand")
+    record(policy, "step")
+    record(policy, "step_flat")
 
     def walked():
         used.clear()
         agent.walk(session_repr, batch)
-        return set(used)
+        assert used.count("_expand") >= 1
+        return set(used) - {"_expand"}
 
-    assert walked() == {"_expand_tape"}           # grad mode
+    assert walked() == {"step"}                   # grad mode
     with no_grad():
-        assert walked() == {"_expand_flat"}
+        assert walked() == {"step_flat"}
         policy.drop.p = 0.5                       # eval mode: inactive
-        assert walked() == {"_expand_flat"}
+        assert walked() == {"step_flat"}
         policy.train()
-        assert walked() == {"_expand_tape"}       # dropout is live
+        assert walked() == {"step"}               # dropout is live
         policy.drop.p = 0.0
-        assert walked() == {"_expand_flat"}
+        assert walked() == {"step_flat"}
 
 
 # ----------------------------------------------------------------------
@@ -431,18 +442,18 @@ def test_path_table_matches_reference_dict(seed, rows, paths, hops):
     for (row, item), path in want.items():
         assert (row, item) in table
         assert table[(row, item)] == path
-        assert table.row(row).get(item) == path
-        assert table.row(row).blob(item) == (path.entities,
-                                             path.relations, path.prob)
-        assert table.blob(row, item) == table.row(row).blob(item)
+        assert table.get((row, item)) == path
+        assert table.blob(row, item) == (path.entities, path.relations,
+                                         path.prob)
+        assert table.take(row, [item]) == [table.blob(row, item)]
     stride = built.n_items + 1
     for row in range(rows):
         for item in range(-1, stride + 1):
             if (row, item) not in want:
                 assert (row, item) not in table
                 assert table.get((row, item)) is None
-                assert table.row(row).get(item) is None
-                assert table.row(row).blob(item) is None
+                assert table.blob(row, item) is None
+                assert table.take(row, [item]) == [None]
                 with pytest.raises(KeyError):
                     table[(row, item)]
     # A key must not alias its neighbour row's slot.
@@ -462,7 +473,7 @@ def test_dead_end_rollout_is_an_empty_mapping():
     table = table_of(built, rollout)
     assert table == {}
     assert len(table) == 0 and list(table) == []
-    assert table.get((0, 1)) is None and table.row(0).get(1) is None
+    assert table.get((0, 1)) is None and table.take(0, [1]) == [None]
 
 
 def test_recommend_builds_no_semantic_path_until_lookup(
@@ -486,7 +497,7 @@ def test_recommend_builds_no_semantic_path_until_lookup(
     assert built == []
     (row, item) = next(iter(rec.paths))
     assert (row, item) in rec.paths and built == []
-    assert rec.paths.row(row).blob(item) is not None and built == []
+    assert rec.paths.blob(row, item) is not None and built == []
     path = rec.paths[(row, item)]
     assert built == [path]
     assert built[0].entities[-1] == beauty_kg.entities_of_items(

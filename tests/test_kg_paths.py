@@ -96,10 +96,9 @@ class TestPathTableTake:
             items += items[:3]
             want = [table.blob(row, item) for item in items]
             assert table.take(row, items) == want
-            assert table.row(row).take(items) == want
             assert table.take(row, np.array(items)) == want
             for blob, item in zip(want, items):
-                path = table.row(row).get(item)
+                path = table.get((row, item))
                 if blob is None:
                     assert path is None
                 else:
@@ -152,37 +151,3 @@ class TestPathTableTakeBlock:
                                                np.array([3, 4]))
         assert found.tolist() == [False, False]
         assert nodes.shape == (0, 5) and probs.shape == (0,)
-
-    def test_take_paths_across_tables_keeps_cell_order(self):
-        """Rows viewing different tables — with different hop counts —
-        interleave; the flat sections follow cell order regardless."""
-        from repro.kg.paths import take_paths
-
-        rng = np.random.default_rng(9)
-        short = self._table(rng, hops=1)
-        long = self._table(rng, hops=2)
-        views = [long.row(0), short.row(1), long.row(2), short.row(0),
-                 long.row(4)]                            # last: no paths
-        counts = np.array([4, 3, 0, 5, 2])
-        items = rng.integers(0, 11, size=int(counts.sum()))
-        path_len, path_nodes, probs = take_paths(views, counts, items)
-        want_len, want_nodes, want_probs = [], [], []
-        cell = 0
-        for view, count in zip(views, counts):
-            for item in items[cell:cell + count].tolist():
-                blob = view.blob(item)
-                want_len.append(-1 if blob is None else len(blob[1]))
-                if blob is not None:
-                    want_nodes += blob[0] + blob[1]
-                    want_probs.append(blob[2])
-            cell += count
-        assert path_len.tolist() == want_len
-        assert {1, 2, -1} <= set(want_len)
-        assert path_nodes.tolist() == want_nodes
-        assert probs.tolist() == want_probs
-        # one table: same answer through the no-scatter path
-        single = take_paths([long.row(0), long.row(2)], np.array([4, 3]),
-                            items[:7])
-        assert single[0].tolist() == [
-            -1 if long.blob(r, i) is None else 2
-            for r, i in zip([0] * 4 + [2] * 3, items[:7].tolist())]

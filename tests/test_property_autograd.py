@@ -1,12 +1,14 @@
 """Property-based tests (hypothesis) for the autograd engine."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor
 from repro.autograd import functional as F
 from repro.autograd.tensor import _unbroadcast
+
+from helpers import assert_grad_close
 
 SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 4))
 FLOATS = hnp.arrays(np.float64, SHAPES,
@@ -119,3 +121,41 @@ class TestScatterAddProperty:
         out = F.scatter_add(src, (idx,), (n_buckets,))
         np.testing.assert_allclose(out.data.sum(), src.data.sum(),
                                    rtol=1e-9)
+
+
+@st.composite
+def segment_layouts(draw):
+    """A non-decreasing ``row_of`` over 1-6 rows, each with 0-4 cells
+    (ragged, empty and length-1 rows), plus float64 cell values."""
+    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    row_of = np.repeat(np.arange(len(counts)), counts)
+    values = draw(hnp.arrays(np.float64, len(row_of),
+                             elements=st.floats(-5, 5, allow_nan=False,
+                                                allow_infinity=False)))
+    return row_of, values
+
+
+class TestSegmentOpsProperty:
+    @given(segment_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_segment_log_softmax_matches_finite_differences(self, layout):
+        row_of, values = layout
+        assume(len(values))
+        x = Tensor(values, requires_grad=True, dtype=np.float64)
+        w = Tensor(np.linspace(-1.0, 1.0, len(values)), dtype=np.float64)
+        assert_grad_close(lambda: (F.segment_log_softmax(x, row_of)
+                                   * w).sum(), [x], rtol=1e-5, atol=1e-7)
+
+    @given(segment_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_segment_dot_matches_finite_differences(self, layout):
+        row_of, values = layout
+        assume(len(values))
+        rows = int(row_of.max()) + 1
+        x = Tensor(np.arange(rows * 2, dtype=np.float64).reshape(rows, 2)
+                   / 7.0, requires_grad=True, dtype=np.float64)
+        y = Tensor(np.stack([values, values[::-1]], axis=1),
+                   requires_grad=True, dtype=np.float64)
+        w = Tensor(np.linspace(1.0, -1.0, len(values)), dtype=np.float64)
+        assert_grad_close(lambda: (F.segment_dot(x, y, row_of) * w).sum(),
+                          [x, y], rtol=1e-5, atol=1e-7)

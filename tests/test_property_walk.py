@@ -4,9 +4,9 @@ Hypothesis generates small random KGs, session batches, and beam
 shapes; every path :meth:`REKSAgent.walk` returns must (a) start at
 the session's last item, (b) follow real KG edges hop by hop, (c)
 never revisit an entity, and (d) appear in the exhaustive
-:func:`enumerate_paths` oracle for its start entity.  Runs both walks: the flat inference
-walk (``no_grad``) and the tape walk (grad mode), the latter with
-single and degree-bucketed frontiers.
+:func:`enumerate_paths` oracle for its start entity.  Runs the walk
+with both forwards: plain arrays (``no_grad``) and the autograd tape
+(grad mode).
 """
 
 from contextlib import nullcontext
@@ -57,13 +57,11 @@ def oracle_path_set(built, start, length):
 @given(
     kg_seed=st.integers(0, 10_000),
     path_length=st.integers(1, 3),
-    frontier_buckets=st.integers(1, 3),
     action_cap=st.integers(2, 30),
     stochastic=st.booleans(),
     flat=st.booleans(),
 )
-def test_walk_paths_are_simple_kg_walks(kg_seed, path_length,
-                                        frontier_buckets, action_cap,
+def test_walk_paths_are_simple_kg_walks(kg_seed, path_length, action_cap,
                                         stochastic, flat):
     rng = np.random.default_rng(kg_seed)
     n_items = int(rng.integers(3, 9))
@@ -75,7 +73,6 @@ def test_walk_paths_are_simple_kg_walks(kg_seed, path_length,
     cfg = REKSConfig(dim=DIM, state_dim=DIM, path_length=path_length,
                      sample_sizes=(3,) * path_length,
                      action_cap=action_cap,
-                     frontier_buckets=frontier_buckets,
                      seed=kg_seed % 17)
     agent = make_agent(built, cfg, seed=kg_seed % 23)
 
@@ -113,14 +110,11 @@ def test_walk_paths_are_simple_kg_walks(kg_seed, path_length,
 @given(
     kg_seed=st.integers(0, 10_000),
     path_length=st.integers(1, 4),
-    frontier_buckets=st.integers(1, 5),
     action_cap=st.integers(1, 60),
     stochastic=st.booleans(),
     flat=st.booleans(),
 )
 def test_walk_paths_are_simple_kg_walks_sweep(kg_seed, path_length,
-                                              frontier_buckets,
                                               action_cap, stochastic, flat):
     test_walk_paths_are_simple_kg_walks.hypothesis.inner_test(
-        kg_seed, path_length, frontier_buckets, action_cap, stochastic,
-        flat)
+        kg_seed, path_length, action_cap, stochastic, flat)

@@ -200,16 +200,16 @@ def _walk(trainer, examples, k, candidates=None):
         k=k, candidates=constraint)
 
 
-def _reference_row(scores_row, path_row, k):
+def _reference_row(rec, u, k):
     """A dedicated selection at the row's own ``k``."""
+    scores_row = rec.scores[u]
     ranked = _top_k(scores_row.reshape(1, -1), int(k))[0]
     items = ranked.tolist()
-    return items, scores_row[ranked].tolist(), path_row.take(items)
+    return items, scores_row[ranked].tolist(), rec.paths.take(u, items)
 
 
 def _reference(rec, plan):
-    return [_reference_row(rec.scores[u], rec.paths.row(u), k)
-            for u, k in plan]
+    return [_reference_row(rec, u, k) for u, k in plan]
 
 
 class TestSelectRows:

@@ -4,9 +4,8 @@ Unit layers (block seqlock, registry retire/merge, tracer, Prometheus
 text, SLO gates, HTTP endpoint) run against synthetic metrics; the
 integration layers drive a real :class:`RecommendationServer` — thread
 and process worker modes — and assert the fleet snapshot, trace-id
-propagation through the ring codec *and* its pipe fallback, bounded
-``ServerStats`` memory under a 1M-request soak, and zero steady-state
-scratch allocations in the grouped gather.
+propagation through the ring codec *and* its pipe fallback, and
+bounded ``ServerStats`` memory under a 1M-request soak.
 """
 
 from __future__ import annotations
@@ -73,15 +72,6 @@ def trainer(beauty_tiny, beauty_kg, beauty_transe):
     """Untrained (but inference-ready) REKS stack, shared per module."""
     config = REKSConfig(dim=16, state_dim=16, sample_sizes=(20, 4),
                         seed=0)
-    return REKSTrainer(beauty_tiny, beauty_kg, model_name="narm",
-                       config=config, transe=beauty_transe)
-
-
-@pytest.fixture(scope="module")
-def sharded_trainer(beauty_tiny, beauty_kg, beauty_transe):
-    """Same stack over a 2-shard graph store (grouped gathers)."""
-    config = REKSConfig(dim=16, state_dim=16, sample_sizes=(20, 4),
-                        graph_shards=2, seed=0)
     return REKSTrainer(beauty_tiny, beauty_kg, model_name="narm",
                        config=config, transe=beauty_transe)
 
@@ -649,47 +639,6 @@ class TestServerTelemetry:
             got = [r.items for r in traced.recommend_many(subset, k=5)]
             assert traced.tracer.peek()   # spans actually recorded
         assert got == baseline            # tracing never perturbs results
-
-    def test_gather_scratch_steady_state_allocates_nothing(
-            self, sharded_trainer):
-        """Satellite (b): the first grouped gather warms the workspace
-        scratch grids; every repeat runs without a single new
-        allocation, and the per-shard row counters split the frontier
-        across both shards."""
-        from repro.core.environment import RolloutWorkspace
-
-        store = sharded_trainer.env.csr_tables()
-        assert store.num_shards == 2
-        # A frontier straddling the shard boundary forces the
-        # shard-major grouped path on every call.
-        edge = int(store.boundaries[1])
-        entities = np.array([edge - 2, edge - 1, edge, edge + 1],
-                            dtype=np.int64)
-        degs = np.take(store.degrees, entities)
-        width = max(int(degs.max()), 1)
-        cols = np.arange(width, dtype=np.int32)
-        mask = cols[None, :] < degs[:, None]
-        idx = np.empty((len(entities), width), dtype=np.int32)
-        rels = np.empty_like(idx)
-        tails = np.empty_like(idx)
-        workspace = RolloutWorkspace()
-        block = MetricBlock.create(fleet_schema(num_shards=2), role="g")
-        try:
-            for _ in range(5):
-                store.gather_into(entities, cols, mask, idx, rels,
-                                  tails, scratch=workspace,
-                                  metrics=block)
-            snap = block.snapshot()
-            assert snap.counters["gather_multi_total"] == 5
-            assert snap.counters["gather_rows_total"] == 5 * len(entities)
-            assert snap.counters[gather_shard_counter(0)] == 5 * 2
-            assert snap.counters[gather_shard_counter(1)] == 5 * 2
-            # Both scatter grids allocated exactly once, on the first
-            # call; the four repeats recycled them.
-            assert snap.counters["gather_scratch_allocs_total"] == 2
-            assert workspace.allocations == 2
-        finally:
-            block.unlink()
 
 
 # ----------------------------------------------------------------------

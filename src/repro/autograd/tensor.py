@@ -6,6 +6,17 @@ accumulates gradients into them.  Calling :meth:`Tensor.backward`
 performs a topological sort of the graph and runs the closures in
 reverse order.
 
+Graph lifetime: backward consumes the graph, as PyTorch's does without
+``retain_graph``.  Once a node's closure has run, the node drops the
+closure, its parents and its ``.grad`` — so reference counting frees
+each intermediate as soon as backward has passed it, instead of the
+cyclic collector freeing the whole tape some time later (every closure
+captures the node it belongs to).  Leaves keep their accumulated
+``.grad``; a non-leaf's ``.grad`` is ``None`` afterwards.  A second
+backward that reaches a consumed node — the same root again, or
+another loss sharing part of the graph — raises ``RuntimeError``
+instead of propagating stale gradients.
+
 Broadcasting is supported for the elementwise operations; gradients
 flowing into a broadcast operand are summed back to the operand's
 original shape by :func:`_unbroadcast`.
@@ -73,6 +84,14 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _graph_freed() -> None:
+    """A consumed node's backward: a plain function, so it holds no
+    reference back to the node."""
+    raise RuntimeError(
+        "graph already freed by backward(): build the graph again "
+        "before calling backward() through it a second time")
+
+
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
 
@@ -87,7 +106,8 @@ class Tensor:
         Whether gradients should be accumulated into :attr:`grad`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -186,7 +206,8 @@ class Tensor:
             self.grad += grad
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph,
+        consuming it (see "Graph lifetime" in the module docstring)."""
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         if grad is None:
@@ -209,9 +230,18 @@ class Tensor:
                 if id(parent) not in visited and parent.requires_grad:
                     stack.append((parent, False))
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+        # Pop rather than iterate so the list stops holding each node
+        # once it has run.
+        while topo:
+            node = topo.pop()
+            run = node._backward
+            if run is None:  # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
+                run()
+            node._backward = _graph_freed
+            node._prev = ()
+            node.grad = None
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

@@ -2,6 +2,9 @@
 
 The paper runs every (baseline, REKS_baseline) pair five times and
 reports a paired t-test: ``*`` for p <= .05, ``**`` for p <= .01.
+SciPy is imported inside :func:`paired_t_test`, on first use, so
+``import repro`` does not load it into every serving process and
+forked worker.
 """
 
 from __future__ import annotations
@@ -9,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 
 def paired_t_test(baseline_runs: Sequence[float],
@@ -31,6 +33,8 @@ def paired_t_test(baseline_runs: Sequence[float],
         if np.allclose(diff.mean(), 0.0):
             return 0.0, 1.0
         return float("inf") * np.sign(diff.mean()), 0.0
+    from scipy import stats
+
     t_stat, p_value = stats.ttest_rel(treat, base)
     return float(t_stat), float(p_value)
 

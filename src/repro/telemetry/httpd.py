@@ -7,19 +7,32 @@ rolling-window delta when the owner wired a window function), and
 ``/healthz`` (200 ``ok`` / 503 degraded when any writer block reads
 torn or its writer process is dead).  Zero dependencies; ``port=0``
 binds an ephemeral port (read it back from ``endpoint.port``), which
-is what the tests and CI smoke use.
+is what the tests and CI smoke use.  ``http.server`` is imported when
+an endpoint is built, so a server without ``metrics_port`` (and every
+worker it forks) never loads it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from .exporters import json_snapshot, prometheus_text
 from .registry import FleetSnapshot
+
+
+def _window_seconds(raw: str) -> Optional[float]:
+    """``?window=`` as seconds: None for ``all`` (the full retained
+    span), the value for a finite number >= 0; ValueError otherwise."""
+    if raw == "all":
+        return None
+    seconds = float(raw)
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError(raw)
+    return seconds
 
 
 class MetricsEndpoint:
@@ -44,6 +57,8 @@ class MetricsEndpoint:
                  window_fn: Optional[Callable] = None,
                  health_fn: Optional[Callable[[], dict]] = None,
                  extra_fn: Optional[Callable[[], dict]] = None) -> None:
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         self._snapshot_fn = snapshot_fn
         self._namespace = namespace
         self._window_fn = window_fn
@@ -105,7 +120,12 @@ class MetricsEndpoint:
             return 400, json.dumps(
                 {"error": "no rolling window configured on this "
                           "endpoint"})
-        seconds = float(raw) if raw not in ("", "all") else None
+        try:
+            seconds = _window_seconds(raw)
+        except ValueError:
+            return 400, json.dumps(
+                {"error": "window must be 'all' or a finite number of "
+                          f"seconds >= 0, got {raw!r}"})
         win = self._window_fn(seconds)
         if win is None:  # fewer than two samples retained yet
             return 200, json.dumps({"window_seconds": seconds,

@@ -1204,6 +1204,16 @@ class TestContinuousServing:
             assert win["window_seconds"] >= 0.0
             assert win["counters"]["requests_total"] == len(subset)
             assert "request_latency_seconds" in win["histograms"]
+            with urlopen(f"{base}/metrics.json?window=5",
+                         timeout=5) as resp:
+                assert resp.status == 200
+            for bad in ("abc", "-1", "nan", "inf"):
+                # A client's malformed window is a 400, not a 500.
+                with pytest.raises(HTTPError) as err:
+                    urlopen(f"{base}/metrics.json?window={bad}",
+                            timeout=5)
+                assert err.value.code == 400
+                assert bad in json.loads(err.value.read())["error"]
             with urlopen(f"{base}/healthz", timeout=5) as resp:
                 assert resp.read() == b"ok\n"
             assert server.health()["roles"]["server"]["ok"] is True

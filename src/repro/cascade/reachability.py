@@ -21,14 +21,14 @@ Bitmaps are bit-packed (``np.packbits``) per item row, so a request's
 per-row mask is one ``bitwise_or`` reduction over its ``M`` candidate
 rows plus one unpack — no graph traversal on the request path.
 
-Scope: the index is built from the **compacted** shards
-(:meth:`~repro.graphstore.ShardedCSR`); staged overlay edges are not
+Scope: the index is built from the **compacted** CSR bundle
+(:class:`~repro.graphstore.CSRTables`); staged overlay edges are not
 folded in, so a path that exists only through the overlay can be
 pruned until the next compaction.  That makes cascade-on results
 conservative (never wrong for compacted graphs, temporarily narrower
 for freshly staged edges) and — crucially — identical between thread
 mode and process workers, which rebuild the same index from the same
-shard digests.  Cascade-off serving is entirely unaffected.
+bundle digest.  Cascade-off serving is entirely unaffected.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class ReachabilityIndex:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, store, built, hops: int) -> "ReachabilityIndex":
-        """Build levels ``0..hops`` from a :class:`ShardedCSR` store.
+        """Build levels ``0..hops`` from a :class:`CSRTables` bundle.
 
         O(hops * n_items * E / 8) bit-ops via chunked boolean
         reductions over the flat CSR — an offline cost paid once per
@@ -70,16 +70,15 @@ class ReachabilityIndex:
         """
         if hops < 0:
             raise ValueError(f"hops must be >= 0, got {hops}")
-        flat = store.to_flat()
         n_entities = int(store.num_entities)
         n_items = built.n_items
         # Flat layout is offset-by-one with a slot-0 sentinel: entity
         # e's edges live at tails[indptr[e] : indptr[e + 1]] with
         # indptr[0] == 1, so shifting the pointers down by one indexes
         # the sentinel-free edge array directly.
-        tails_flat = flat.tails[1:].astype(np.int64)
-        starts = (flat.indptr[:-1].astype(np.int64) - 1)
-        degrees = flat.degrees.astype(np.int64)
+        tails_flat = store.tails[1:].astype(np.int64)
+        starts = (store.indptr[:-1].astype(np.int64) - 1)
+        degrees = store.degrees.astype(np.int64)
         has_edges = degrees > 0
 
         level0 = np.zeros((n_items + 1, n_entities), dtype=bool)

@@ -222,8 +222,8 @@ def cmd_metrics(args) -> int:
     """Stand up a miniature serving fleet — >= 2 plane-attached worker
     processes plus a subprocess fine-tune child — drive traffic and an
     online round through it, and emit the merged fleet metrics snapshot
-    in Prometheus text and JSON (per-shard gather counters, per-hop
-    walk timings, online round phases, transport counters)."""
+    in Prometheus text and JSON (gather counters, per-hop walk
+    timings, online round phases, transport counters)."""
     import json
     import tempfile
     from pathlib import Path
@@ -238,11 +238,7 @@ def cmd_metrics(args) -> int:
     config = REKSConfig(dim=args.dim, state_dim=args.dim,
                         epochs=args.epochs, batch_size=args.batch_size,
                         lr=args.lr, sample_sizes=(100, args.final_beam),
-                        transe_epochs=2,
-                        # Multi-shard store so the per-shard gather
-                        # counters actually split across shards.
-                        graph_shards=args.graph_shards,
-                        seed=args.seed)
+                        transe_epochs=2, seed=args.seed)
     trainer = REKSTrainer(dataset, built, model_name=args.model,
                           config=config)
     sessions = [s for s in dataset.split.test
@@ -305,17 +301,16 @@ def cmd_metrics(args) -> int:
         chrome.write_text(json.dumps(spans_to_chrome_trace(spans)))
         print(f"-> {args.trace_out} ({len(spans)} spans), {chrome}")
 
-    # The snapshot must carry the labelled families the exporters
-    # split back out: per-shard gather counters and per-hop walk hists.
-    shard_counters = [name for name in snapshot.counters
-                      if name.startswith("gather_rows_total{shard=")]
+    # The snapshot must carry the workers' gather counter and the
+    # labelled per-hop walk hists the exporters split back out.
+    gather_rows = snapshot.counters.get("gather_rows_total", 0)
     hop_hists = [name for name in snapshot.hists
                  if name.startswith("walk_hop_seconds{hop=")]
-    print(f"per-shard gather counters: {len(shard_counters)}, "
+    print(f"gather rows: {gather_rows}, "
           f"per-hop walk timings: {len(hop_hists)}")
-    if not shard_counters or not hop_hists:
-        print("FAIL: snapshot is missing per-shard gather counters or "
-              "per-hop walk timings")
+    if gather_rows <= 0 or not hop_hists:
+        print("FAIL: snapshot is missing gather rows or per-hop walk "
+              "timings")
         return 1
     return 0
 
@@ -323,10 +318,10 @@ def cmd_metrics(args) -> int:
 def cmd_top(args) -> int:
     """Live fleet view: render consecutive ``/metrics.json`` snapshots
     as terminal frames — per-role QPS, windowed request p50/p99, cache
-    hit rate, ring/pipe transport mix, trace pressure, and a per-shard
-    gather heat bar.  With ``--url`` it polls a running server's
-    metrics endpoint; without one it stands up a demo fleet and drives
-    a traffic pass between frames."""
+    hit rate, ring/pipe transport mix, and trace pressure.  With
+    ``--url`` it polls a running server's metrics endpoint; without one
+    it stands up a demo fleet and drives a traffic pass between
+    frames."""
     import json
     import time
     from repro.telemetry.top import render_top
@@ -365,8 +360,7 @@ def cmd_top(args) -> int:
     config = REKSConfig(dim=args.dim, state_dim=args.dim,
                         epochs=args.epochs, batch_size=args.batch_size,
                         lr=args.lr, sample_sizes=(100, 4),
-                        transe_epochs=2, graph_shards=4,
-                        seed=args.seed)
+                        transe_epochs=2, seed=args.seed)
     trainer = REKSTrainer(dataset, built, model_name=args.model,
                           config=config)
     sessions = [s for s in dataset.split.test
@@ -462,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--workers", type=int, default=2,
                        help="plane-attached worker processes (>= 2 so "
                             "the snapshot demonstrably merges blocks)")
-    p_met.add_argument("--graph-shards", type=int, default=4,
-                       help="graph-store shards (per-shard gather "
-                            "counters split across these)")
     p_met.add_argument("--trace-sample", type=float, default=1.0,
                        help="request-trace sampling rate (0..1)")
     p_met.add_argument("--top-k", type=int, default=10)

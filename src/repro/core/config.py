@@ -41,14 +41,6 @@ class REKSConfig:
     # benchmark harness passes it; it goes when the harness stops
     # (ROADMAP direction 1(e)).
     frontier_buckets: int = 1
-    # Graph-store shards: the capped adjacency is partitioned into this
-    # many contiguous, edge-mass-balanced entity-range shards so online
-    # compaction rebuilds only the shards a delta touches and the
-    # runtime plane ships per-shard generations.  0 = auto: one shard
-    # per ~250k edges, so small graphs keep the monolithic single-
-    # gather hot path (see repro.graphstore.auto_shard_count).
-    # Sharding never changes query results, only delta cost.
-    graph_shards: int = 0
 
     # Reward (Eq. 5): weights of (item, rank, path) components.
     reward_weights: Tuple[float, float, float] = (1.0, 2.0, 1.0)
@@ -103,10 +95,6 @@ class REKSConfig:
         if self.frontier_buckets < 1:
             raise ValueError(
                 f"frontier_buckets must be >= 1, got {self.frontier_buckets}")
-        if self.graph_shards < 0:
-            raise ValueError(
-                f"graph_shards must be >= 0 (0 = auto), "
-                f"got {self.graph_shards}")
 
     @classmethod
     def for_ablation(cls, name: str, **overrides) -> "REKSConfig":

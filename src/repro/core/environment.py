@@ -6,12 +6,10 @@ an entity is its outgoing edge set minus already-visited entities
 deterministic (Eq. 10).
 
 This module owns the vectorized action-space construction.  The capped
-adjacency (pruned to ``action_cap`` edges PGPR-style) lives in a
-**sharded CSR store** (:class:`repro.graphstore.ShardedCSR`): the
-entity-id space is cut into contiguous, edge-mass-balanced shards,
-each owning an immutable ``indptr`` / ``rels`` / ``tails`` int32
-bundle, stitched behind a facade that preserves the flat-CSR query
-contract.
+adjacency (pruned to ``action_cap`` edges PGPR-style) is one immutable
+CSR bundle (:class:`repro.graphstore.CSRTables`): ``indptr`` /
+``rels`` / ``tails`` / ``degrees`` int32 arrays with a cached content
+digest.
 
 A frontier's action space has one layout, the **flat frontier** of
 :meth:`KGEnvironment.flat_actions`: its legal actions as
@@ -19,7 +17,7 @@ A frontier's action space has one layout, the **flat frontier** of
 number of legal actions — one store gather per hop, no Python loop
 over the frontier.  Both forwards of :meth:`REKSAgent.walk` (the tape
 one for training, the plain-array one for inference) expand it.
-``actions_of`` is two O(1) slices inside one shard, and
+``actions_of`` is two O(1) slices, and
 ``batched_actions`` is a padded ``(N, A)`` view scattered from the same
 cells, for callers that read a grid.
 
@@ -27,11 +25,10 @@ A **staged edge overlay** (:meth:`KGEnvironment.stage_edges` /
 :meth:`KGEnvironment.compact`) lets the online subsystem append new
 triples to a live environment: staged edges are visible to
 ``flat_actions`` (inserted after their rows' base cells) immediately,
-and a periodic compaction folds them into fresh per-shard bundles —
-**only the shards holding staged edges rebuild** (delta-proportional,
-see :mod:`repro.graphstore.merge`), published with a single facade
-swap so concurrent walks see either the old store or the new one,
-never a mix.
+and a periodic compaction folds them into a fresh bundle (the
+base-first capped merge :func:`repro.graphstore.merge_capped`), published
+with a single attribute swap so concurrent walks see either the old
+bundle or the new one, never a mix.
 """
 
 from __future__ import annotations
@@ -44,13 +41,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.data.loader import SessionBatch
-from repro.graphstore import (
-    CSRShard,
-    ShardTables,
-    ShardedCSR,
-    auto_shard_count,
-    compact_store,
-)
+from repro.graphstore import CSRTables
 from repro.kg.builder import BuiltKG
 
 
@@ -79,6 +70,18 @@ class Rollout:
     @property
     def terminals(self) -> np.ndarray:
         return self.entities[:, -1]
+
+
+def as_edge_ids(values) -> np.ndarray:
+    """``values`` as a flat int64 id array; raises ``ValueError`` for a
+    non-empty array that is not of an integer dtype (a float or string
+    id would otherwise be truncated onto some other entity).  An empty
+    list stays legal even though NumPy reads it as float64."""
+    array = np.asarray(values).ravel()
+    if array.size and not np.issubdtype(array.dtype, np.integer):
+        raise ValueError(
+            f"edge ids must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
 
 
 def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -138,24 +141,23 @@ class RolloutWorkspace:
 
 
 class KGEnvironment:
-    """Sharded-CSR capped adjacency with batched action-space queries."""
+    """CSR capped adjacency with batched action-space queries."""
 
     def __init__(self, built: BuiltKG, action_cap: int = 250,
                  seed: int = 0,
-                 tables: Optional[ShardedCSR] = None,
-                 shards: Optional[int] = None) -> None:
+                 tables: Optional[CSRTables] = None) -> None:
         self.built = built
         self.kg = built.kg
         self.action_cap = action_cap
         if tables is not None:
-            # Attach a precomputed store (e.g. shared-memory plane
+            # Attach a precomputed bundle (e.g. shared-memory plane
             # views in a process worker) instead of re-running the
             # capping — the rng subsample below would otherwise have
             # to replay bit-exactly for rankings to match the
             # exporting parent.
             if tables.num_entities != self.kg.num_entities:
                 raise ValueError(
-                    f"store covers {tables.num_entities} entities, "
+                    f"tables cover {tables.num_entities} entities, "
                     f"this KG has {self.kg.num_entities}")
             self._csr = tables
         else:
@@ -178,14 +180,10 @@ class KGEnvironment:
                     keep[start:stop] = block
                 rels, tails = rels[keep], tails[keep]
                 degrees = np.minimum(degrees, action_cap)
-            num_shards = (int(shards) if shards
-                          else auto_shard_count(self.kg.num_entities,
-                                                int(rels.shape[0])))
-            self._csr = ShardedCSR.build(degrees, rels, tails,
-                                         num_shards=num_shards)
+            self._csr = CSRTables.build(degrees, rels, tails)
         # Staged edge overlay (online delta ingestion).  Edges land in
         # per-entity lists, are visible to flat_actions immediately,
-        # and are folded into fresh per-shard bundles by compact().
+        # and are folded into a fresh bundle by compact().
         # The lock covers staging and compaction; readers are lock-free
         # (they check one counter and snapshot the per-entity lists).
         # `_staged_len` doubles as the hot-path "has overlay" flag and
@@ -201,11 +199,6 @@ class KGEnvironment:
     # ------------------------------------------------------------------
     def degree(self, entity: int) -> int:
         return int(self._csr.degrees[entity])
-
-    @property
-    def num_shards(self) -> int:
-        """Shard count of the current store generation."""
-        return self._csr.num_shards
 
     def actions_of(self, entity: int) -> Tuple[np.ndarray, np.ndarray]:
         """(relations, tails) of one entity after capping (CSR slices).
@@ -260,11 +253,11 @@ class KGEnvironment:
         The dedup is fully vectorized: the batch heads' base edges (one
         flat gather, keys sorted) and the sorted overlay-key array each
         answer membership for every edge with one ``searchsorted`` — no
-        per-edge CSR slice, no per-edge list scan.
+        per-edge CSR slice, no per-edge list scan.  Ids must be
+        integers (see :func:`as_edge_ids`).
         """
-        heads = np.asarray(heads, dtype=np.int64).ravel()
-        rels = np.asarray(rels, dtype=np.int64).ravel()
-        tails = np.asarray(tails, dtype=np.int64).ravel()
+        heads, rels, tails = (as_edge_ids(heads), as_edge_ids(rels),
+                              as_edge_ids(tails))
         if not (heads.shape == rels.shape == tails.shape):
             raise ValueError("heads, rels, tails must have matching shapes")
         if heads.size == 0:
@@ -276,7 +269,7 @@ class KGEnvironment:
         if rels.min() < 0 or rels.max() >= n_rel:
             raise IndexError("staged relation id out of range")
         with self._overlay_lock:
-            # Read the store under the lock: compact() also holds it,
+            # Read the bundle under the lock: compact() also holds it,
             # so the dedup below can never run against a generation
             # older than the overlay it is staging into (a stale read
             # could re-stage a just-compacted edge and bake it into
@@ -335,31 +328,27 @@ class KGEnvironment:
             return int(heads.size)
 
     def compact(self) -> int:
-        """Fold the staged overlay into fresh shard bundles (atomic swap).
+        """Fold the staged overlay into a fresh bundle (atomic swap).
 
-        Delta-proportional: only shards that hold staged heads rebuild
-        (base + staged merged per head, base edges first so
-        ``action_cap`` truncation prefers the established adjacency —
-        see :func:`repro.graphstore.merge.merge_shard`); every clean
-        shard rides into the new facade untouched, keeping its arrays
-        and cached digest.  The new store is published with a single
-        attribute store: in-flight queries keep the facade they already
-        loaded, the next query sees the new one.  Returns the number of
-        edges merged.
+        Base + staged edges are merged per head, base edges first so
+        ``action_cap`` truncation prefers the established adjacency
+        (see :func:`repro.graphstore.merge_capped`).  The new
+        bundle is published with a single attribute store: in-flight
+        queries keep the bundle they already loaded, the next query
+        sees the new one.  Returns the number of edges merged.
         """
         with self._overlay_lock:
             if not self._staged_count:
                 return 0
-            store = self._csr
-            staged = self._staged_grouped_locked()
-            new_store, _ = compact_store(store, staged, self.action_cap)
+            new_tables = self._csr.merged(*self._staged_triples_locked(),
+                                          self.action_cap)
             merged = self._staged_count
-            # Clear the overlay BEFORE publishing the merged store: a
+            # Clear the overlay BEFORE publishing the merged bundle: a
             # lock-free reader between the two stores then misses the
             # staged edges for one query (benign eventual visibility)
             # instead of seeing them twice (duplicate actions).
             self._clear_overlay_locked()
-            self._csr = new_store
+            self._csr = new_tables
             self.compactions += 1
         return merged
 
@@ -373,9 +362,9 @@ class KGEnvironment:
                                               np.ndarray]:
         """Flatten the overlay into ``(heads, rels, tails)`` arrays.
 
-        The single overlay flattener (lock held): snapshots, key
-        rebuilds, and shard grouping all derive from this, so the
-        overlay representation has exactly one reader to change.
+        The single overlay flattener (lock held): snapshots and
+        compaction both derive from this, so the overlay representation
+        has exactly one reader to change.
         Per-head staging order is preserved (heads grouped per dict
         entry, bucket order within).
         """
@@ -389,94 +378,33 @@ class KGEnvironment:
                               for col in zip(*triples))
         return heads, rels, tails
 
-    def _staged_grouped_locked(self) -> Dict[int, Tuple[np.ndarray,
-                                                        np.ndarray,
-                                                        np.ndarray]]:
-        """The overlay grouped by owning shard (lock held)."""
-        heads, rels, tails = self._staged_triples_locked()
-        if not heads.size:
-            return {}
-        sids = self._csr.shard_of(heads)
-        return {int(sid): (heads[sids == sid], rels[sids == sid],
-                           tails[sids == sid])
-                for sid in np.unique(sids)}
-
-    def csr_tables(self) -> ShardedCSR:
-        """The current immutable store (one atomic attribute load).
+    def csr_tables(self) -> CSRTables:
+        """The current immutable bundle (one atomic attribute load).
 
         This is the export surface of the environment: the runtime
-        plane copies each shard's arrays into OS shared memory, and
-        worker processes hand equivalent zero-copy views back to
-        :meth:`attach_tables` / :meth:`attach_shards`.
+        plane copies its arrays into OS shared memory, and worker
+        processes hand equivalent zero-copy views back to
+        :meth:`attach_tables`.
         """
         return self._csr
 
-    def flat_tables(self) -> ShardTables:
-        """Monolithic flat bundle of the current store (O(E) copy —
-        compatibility/oracle surface, never the hot path)."""
-        return self._csr.to_flat()
+    def attach_tables(self, tables: CSRTables) -> None:
+        """Atomically replace the bundle with foreign views.
 
-    def attach_tables(self, tables: ShardedCSR) -> None:
-        """Atomically replace the whole store with foreign views.
-
-        Used by process workers when the parent publishes a full plane
+        Used by process workers when the parent publishes a plane
         generation: the swap is a single attribute store, so a
-        concurrent walk keeps the facade it already loaded.  The staged
-        overlay is cleared — a published generation already contains
-        everything the parent compacted into it.
+        concurrent walk keeps the bundle it already loaded.  The staged
+        overlay is cleared — the publisher ships its own overlay next
+        to the generation, and the worker replays it afterwards.
         """
         if tables.num_entities != self.kg.num_entities:
             raise ValueError(
-                f"store covers {tables.num_entities} entities, "
+                f"tables cover {tables.num_entities} entities, "
                 f"this KG has {self.kg.num_entities}")
         with self._overlay_lock:
             self._clear_overlay_locked()
             self._csr = tables
             self.compactions += 1
-
-    def attach_shards(self, updates: Dict[int, CSRShard],
-                      staged: Optional[Dict[int, Tuple[np.ndarray,
-                                                       np.ndarray,
-                                                       np.ndarray]]] = None
-                      ) -> None:
-        """Swap in foreign generations of *only* the given shards.
-
-        The delta half of the plane publish protocol: overlay entries
-        whose head lies in a replaced shard are dropped (the incoming
-        generation already contains what the publisher compacted),
-        entries on untouched shards stay live, and ``staged`` — the
-        publisher's still-staged edges *for exactly the replaced
-        shards* — is replayed afterwards, so the environment lands on
-        the publisher's served adjacency without touching the clean
-        shards or their overlay.
-        """
-        if not updates:
-            return
-        with self._overlay_lock:
-            store = self._csr
-            ranges = [(store.shards[sid].start, store.shards[sid].stop)
-                      for sid in updates]
-            if self._staged_count:
-                stale = [head for head in self._staged
-                         if any(lo <= head < hi for lo, hi in ranges)]
-                for head in stale:
-                    pairs = self._staged.pop(head)
-                    self._staged_count -= len(pairs)
-                    self._staged_len[head] = 0
-                if stale:
-                    self._staged_keys = self._overlay_keys_locked()
-            self._csr = store.replace_shards(updates)
-            self.compactions += 1
-        if staged:
-            for sid in sorted(staged):
-                self.stage_edges(*staged[sid])
-
-    def _overlay_keys_locked(self) -> np.ndarray:
-        """Recompute the sorted overlay-key array from the live dict."""
-        heads, rels, tails = self._staged_triples_locked()
-        if not heads.size:
-            return np.zeros(0, dtype=np.int64)
-        return np.sort(self._edge_keys(heads, rels, tails))
 
     def reset_overlay_after_fork(self) -> None:
         """Reinitialize overlay lock + staged state in a forked child.
@@ -486,67 +414,45 @@ class KGEnvironment:
         staged dict mid-mutation.  A child that owns its own delta
         stream — the subprocess updater re-derives edges from the
         sessions shipped to it — calls this first: fresh lock, empty
-        overlay, immutable store untouched.
+        overlay, immutable bundle untouched.
         """
         self._overlay_lock = threading.Lock()
         self._clear_overlay_locked()
 
-    def staged_snapshot(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copy of the staged overlay as ``(heads, rels, tails)`` arrays.
+    def staged_snapshot(self) -> Tuple[
+            CSRTables, Tuple[np.ndarray, np.ndarray, np.ndarray], str]:
+        """The bundle, its staged overlay and their fingerprint, read in
+        one acquisition of the overlay lock.
 
-        Lets a process-worker bootstrap replay edges that were staged
-        but not yet compacted when the worker pool was built, so child
-        environments serve the same adjacency as the parent.
+        The overlay comes as ``(heads, rels, tails)`` arrays.  Lets a
+        process worker replay edges that were staged but not yet
+        compacted — at bootstrap, and after attaching a published
+        generation — so child environments serve the same adjacency as
+        the parent.  Read together, the three always describe one
+        generation: a compaction cannot land between the bundle and the
+        overlay it empties.
         """
         with self._overlay_lock:
-            return self._staged_triples_locked()
-
-    def staged_by_shard(self) -> Dict[int, Tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray]]:
-        """The staged overlay grouped by owning shard.
-
-        The delta-publish path ships only the dirty shards' entries, so
-        a worker that re-attached two shards replays two shards' worth
-        of edges, not the whole overlay.
-        """
-        with self._overlay_lock:
-            return self._staged_grouped_locked()
-
-    def staged_counts_by_shard(self) -> Dict[int, int]:
-        """Staged-edge count per shard (the per-shard compaction
-        policy's trigger signal)."""
-        with self._overlay_lock:
-            heads, _, _ = self._staged_triples_locked()
-            if not heads.size:
-                return {}
-            sids = self._csr.shard_of(heads)
-        uniq, counts = np.unique(sids, return_counts=True)
-        return {int(sid): int(count) for sid, count in zip(uniq, counts)}
+            return (self._csr, self._staged_triples_locked(),
+                    self._fingerprint(self._csr, self._staged_count))
 
     def fingerprint(self) -> str:
-        """Digest of the served adjacency (shard digests + staged count).
+        """Digest of the served adjacency (bundle digest + staged count).
 
         Checkpoint manifests record it so a restored model can detect
         that it is being attached to a different graph than it was
-        trained against.  The store digest is a hash over the cached
-        per-shard content digests, so after a 2-shard delta only those
-        2 shards re-hash — unchanged shards cost nothing.  Compaction
-        changes the fingerprint; staging alone does too (via the
-        staged-edge count).
-
-        The trade for that incrementality: the digest is scoped to the
-        **shard layout** as well as the content — re-sharding the same
-        adjacency (a ``graph_shards`` change, or the auto heuristic
-        flipping as the graph grows across a threshold) re-keys it.
-        The failure mode is conservative (a checkpoint looks attached
-        to a *different* graph, never silently to the wrong one);
-        :meth:`flat_tables` is the layout-independent content surface
-        if a consumer needs byte-level identity across layouts.
+        trained against.  The bundle digest is cached per generation,
+        so only a compaction re-hashes.  Compaction changes the
+        fingerprint; staging alone does too (via the staged-edge
+        count).
         """
+        return self._fingerprint(self._csr, self._staged_count)
+
+    def _fingerprint(self, tables: CSRTables, staged_count: int) -> str:
         digest = hashlib.sha256()
         digest.update(np.int64(self.kg.num_entities).tobytes())
-        digest.update(np.int64(self._staged_count).tobytes())
-        digest.update(self._csr.digest().encode("ascii"))
+        digest.update(np.int64(staged_count).tobytes())
+        digest.update(tables.digest().encode("ascii"))
         return digest.hexdigest()[:16]
 
     def flat_actions(self, entities: np.ndarray, visited: np.ndarray,

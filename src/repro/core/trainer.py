@@ -81,8 +81,7 @@ class REKSTrainer:
             dropout=cfg.dropout, finetune=cfg.finetune_kg_embeddings,
             rng=rng)
         self.env = KGEnvironment(built, action_cap=cfg.action_cap,
-                                 seed=cfg.seed + 3,
-                                 shards=cfg.graph_shards or None)
+                                 seed=cfg.seed + 3)
         weights = RewardWeights(*cfg.reward_weights)
         self.rewards = RewardComputer(
             built, entity_table, relation_table, weights=weights,

@@ -29,23 +29,13 @@ class DeltaIngestor:
     """Validates, stages, and buffers streamed deltas for one live stack."""
 
     def __init__(self, built: BuiltKG, env: KGEnvironment, *,
-                 compact_every: int = 1024,
-                 compact_shard_every: Optional[int] = None) -> None:
+                 compact_every: int = 1024) -> None:
         if compact_every < 1:
             raise ValueError(
                 f"compact_every must be >= 1, got {compact_every}")
-        if compact_shard_every is not None and compact_shard_every < 1:
-            raise ValueError(
-                f"compact_shard_every must be >= 1 (or None), "
-                f"got {compact_shard_every}")
         self.built = built
         self.env = env
         self.compact_every = compact_every
-        # Per-shard early trigger: compaction is delta-proportional
-        # (only dirty shards rebuild), so a hot shard can afford to
-        # fold early instead of widening every frontier that touches
-        # it until the global threshold trips.
-        self.compact_shard_every = compact_shard_every
         self._lock = threading.Lock()
         self._pending: List[Session] = []
         self._co_occur = built.kg.relation_id("co_occur")
@@ -133,20 +123,10 @@ class DeltaIngestor:
     # Compaction
     # ------------------------------------------------------------------
     def compact_if_due(self) -> int:
-        """Fold the overlay once a compaction trigger fires.
-
-        Triggers: the global overlay crosses ``compact_every``, or —
-        with ``compact_shard_every`` set — any single shard's staged
-        count crosses the per-shard threshold (the rebuild then costs
-        only that shard's edges, see
-        :meth:`~repro.core.environment.KGEnvironment.compact`).
-        """
+        """Fold the overlay once it holds ``compact_every`` staged
+        edges (see :meth:`~repro.core.environment.KGEnvironment.compact`)."""
         if self.env.staged_edges >= self.compact_every:
             return self.env.compact()
-        if self.compact_shard_every and self.env.staged_edges:
-            counts = self.env.staged_counts_by_shard()
-            if counts and max(counts.values()) >= self.compact_shard_every:
-                return self.env.compact()
         return 0
 
     def compact(self) -> int:

@@ -227,10 +227,8 @@ class OnlineUpdater:
         self._metrics = None
         if metrics_registry is not None:
             from repro.telemetry.block import fleet_schema
-            store = trainer.env.csr_tables()
             self._metrics = metrics_registry.create_block(
-                "updater", fleet_schema(num_shards=len(store.shards),
-                                        hops=trainer.config.path_length))
+                "updater", fleet_schema(hops=trainer.config.path_length))
         self.rounds = 0
         self.published: List[int] = []
         self.last_error: Optional[BaseException] = None

@@ -5,9 +5,9 @@
 read-only state per process:
 
 * :class:`~repro.runtime.plane.TablePlane` — one generation of the hot
-  path's large read-only arrays (the sharded CSR adjacency — one plane
-  per graph-store shard, so a compaction republishes only its dirty
-  shards — and the frozen TransE embedding tables) exported to OS
+  path's large read-only arrays (the CSR adjacency bundle, republished
+  after each compaction, and the frozen TransE embedding tables)
+  exported to OS
   shared memory (or mmap'd ``.npy`` files) and re-attached as
   zero-copy NumPy views in children;
 * :class:`~repro.runtime.workers.ProcessWorkerPool` — spec-rebuilt
@@ -24,7 +24,7 @@ read-only state per process:
   hot path) that ``transport="ring"`` pools serve micro-batches over,
   while control messages stay on the pipe;
 * :class:`~repro.runtime.plane.PlaneArena` — reusable double-buffered
-  backing segments so steady-state delta publishes allocate zero new
+  backing segments so steady-state CSR publishes allocate zero new
   segments;
 * :class:`~repro.runtime.lease.FileLease` — advisory cross-process
   lease (stale-holder takeover) guarding shared on-disk resources such
@@ -50,11 +50,10 @@ from repro.runtime.workers import (
     WorkerDied,
     WorkerError,
     build_worker_agent,
+    csr_from_plane,
+    export_csr_plane,
     export_embedding_plane,
-    export_shard_plane,
-    export_shard_planes,
     resolve_context,
-    store_from_planes,
 )
 
 __all__ = [
@@ -72,9 +71,8 @@ __all__ = [
     "WorkerDied",
     "WorkerError",
     "build_worker_agent",
+    "csr_from_plane",
+    "export_csr_plane",
     "export_embedding_plane",
-    "export_shard_plane",
-    "export_shard_planes",
     "resolve_context",
-    "store_from_planes",
 ]

@@ -1,9 +1,9 @@
 """The shared-memory table plane: one copy of the big read-only arrays.
 
 Every hot-path query reads a handful of large, effectively immutable
-numeric tables — the capped sharded-CSR adjacency
-(:class:`repro.graphstore.ShardedCSR`, exported one plane per shard)
-and the frozen TransE-initialized entity/relation embedding tables.  Threads share
+numeric tables — the capped CSR adjacency
+(:class:`repro.graphstore.CSRTables`) and the frozen TransE-initialized
+entity/relation embedding tables.  Threads share
 them for free; *processes* do not, and naively forking a worker per
 core would duplicate hundreds of megabytes at paper dims and silently
 diverge after the first compaction.
@@ -49,35 +49,17 @@ class _Entry:
     shape: Tuple[int, ...]
     offset: int          # byte offset into the shm segment (shm backend)
     filename: str = ""   # per-array file name (mmap backend)
-    shard: int = -1      # graph-store shard this array belongs to
 
 
 @dataclass(frozen=True)
 class PlaneManifest:
-    """Everything a foreign process needs to attach a plane (picklable).
-
-    ``entries`` doubles as a per-shard directory: arrays published with
-    a ``shard_of`` mapping carry their shard index, so a delta consumer
-    can see exactly which shard a generation covers
-    (:meth:`shard_ids` / :meth:`entries_for_shard`) without parsing
-    array names.
-    """
+    """Everything a foreign process needs to attach a plane (picklable)."""
 
     key: str                       # generation key (env fingerprint)
     backend: str                   # "shm" | "mmap"
     segment: str                   # shm name, or the directory path
     nbytes: int
     entries: Dict[str, _Entry] = field(default_factory=dict)
-
-    def shard_ids(self) -> Tuple[int, ...]:
-        """Distinct graph-store shards covered by this plane."""
-        return tuple(sorted({entry.shard
-                             for entry in self.entries.values()
-                             if entry.shard >= 0}))
-
-    def entries_for_shard(self, shard: int) -> Dict[str, _Entry]:
-        return {name: entry for name, entry in self.entries.items()
-                if entry.shard == shard}
 
 
 def _attach_shm(name: str, untrack: bool):
@@ -134,46 +116,36 @@ class TablePlane:
     @classmethod
     def publish(cls, arrays: Mapping[str, np.ndarray], *, key: str,
                 backend: str = "auto",
-                directory: Optional[Path] = None,
-                shard_of: Optional[Mapping[str, int]] = None
-                ) -> "TablePlane":
+                directory: Optional[Path] = None) -> "TablePlane":
         """Export ``arrays`` as a new plane generation.
 
         ``backend="auto"`` prefers OS shared memory and falls back to
         mmap'd per-array ``.npy`` files (``directory`` then names where
-        they live; a temp dir is created when omitted).  ``shard_of``
-        tags each array with the graph-store shard it belongs to (the
-        manifest's per-shard entry directory — see
-        :meth:`PlaneManifest.shard_ids`).  The returned plane *owns*
-        the storage: :meth:`unlink` retires it.
+        they live; a temp dir is created when omitted).  The returned
+        plane *owns* the storage: :meth:`unlink` retires it.
         """
         if backend not in ("auto", "shm", "mmap"):
             raise ValueError(f"unknown plane backend {backend!r}")
         if backend in ("auto", "shm"):
             try:
-                return cls._publish_shm(arrays, key=key,
-                                        shard_of=shard_of)
+                return cls._publish_shm(arrays, key=key)
             except (ImportError, OSError):
                 if backend == "shm":
                     raise
-        return cls._publish_mmap(arrays, key=key, directory=directory,
-                                 shard_of=shard_of)
+        return cls._publish_mmap(arrays, key=key, directory=directory)
 
     @classmethod
-    def _publish_shm(cls, arrays: Mapping[str, np.ndarray], key: str,
-                     shard_of: Optional[Mapping[str, int]] = None
-                     ) -> "TablePlane":
+    def _publish_shm(cls, arrays: Mapping[str, np.ndarray],
+                     key: str) -> "TablePlane":
         from multiprocessing import shared_memory
 
-        shard_of = shard_of or {}
         contiguous = {name: np.ascontiguousarray(arr)
                       for name, arr in arrays.items()}
         total, entries = 0, {}
         for name, arr in contiguous.items():
             total = -(-total // _ALIGN) * _ALIGN
             entries[name] = _Entry(dtype=str(arr.dtype), shape=arr.shape,
-                                   offset=total,
-                                   shard=shard_of.get(name, -1))
+                                   offset=total)
             total += arr.nbytes
         shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
         views: Dict[str, np.ndarray] = {}
@@ -190,12 +162,9 @@ class TablePlane:
 
     @classmethod
     def _publish_mmap(cls, arrays: Mapping[str, np.ndarray], key: str,
-                      directory: Optional[Path],
-                      shard_of: Optional[Mapping[str, int]] = None
-                      ) -> "TablePlane":
+                      directory: Optional[Path]) -> "TablePlane":
         import tempfile
 
-        shard_of = shard_of or {}
         if directory is None:
             directory = Path(tempfile.mkdtemp(prefix="reks-plane-"))
         directory = Path(directory)
@@ -208,8 +177,7 @@ class TablePlane:
             filename = f"{index:02d}-{safe}.npy"
             np.save(directory / filename, arr)
             entries[name] = _Entry(dtype=str(arr.dtype), shape=arr.shape,
-                                   offset=0, filename=filename,
-                                   shard=shard_of.get(name, -1))
+                                   offset=0, filename=filename)
             total += arr.nbytes
             views[name] = np.load(directory / filename, mmap_mode="r")
         manifest = PlaneManifest(key=key, backend="mmap",
@@ -330,8 +298,8 @@ class PlaneArena:
     """A reusable backing segment for successive plane generations.
 
     Publishing a fresh :class:`TablePlane` per delta generation means
-    one ``shm_open`` + zero-fill + (eventually) ``unlink`` per dirty
-    shard per compaction — steady-state churn that scales with publish
+    one ``shm_open`` + zero-fill + (eventually) ``unlink`` per
+    compaction — steady-state churn that scales with publish
     frequency, not delta size.  An arena is allocated **once** and
     rewritten in place: :meth:`write` lays a new generation's arrays
     into the same segment and returns a non-owning :class:`TablePlane`
@@ -388,13 +356,11 @@ class PlaneArena:
             return True
         return layout_size(arrays) <= self.capacity
 
-    def write(self, arrays: Mapping[str, np.ndarray], *, key: str,
-              shard_of: Optional[Mapping[str, int]] = None
-              ) -> TablePlane:
+    def write(self, arrays: Mapping[str, np.ndarray], *,
+              key: str) -> TablePlane:
         """Lay one generation into the arena; returns a non-owning
         plane (the arena keeps the storage — its :meth:`unlink`, not
         the plane's, retires the segment)."""
-        shard_of = shard_of or {}
         contiguous = {name: np.ascontiguousarray(arr)
                       for name, arr in arrays.items()}
         if self.backend == "shm":
@@ -402,8 +368,7 @@ class PlaneArena:
             for name, arr in contiguous.items():
                 total = -(-total // _ALIGN) * _ALIGN
                 entries[name] = _Entry(dtype=str(arr.dtype),
-                                       shape=arr.shape, offset=total,
-                                       shard=shard_of.get(name, -1))
+                                       shape=arr.shape, offset=total)
                 total += arr.nbytes
             if total > self.capacity:
                 raise ArenaOverflow(
@@ -432,8 +397,7 @@ class PlaneArena:
             filename = f"{index:02d}-{safe}.npy"
             np.save(directory / filename, arr)
             entries[name] = _Entry(dtype=str(arr.dtype), shape=arr.shape,
-                                   offset=0, filename=filename,
-                                   shard=shard_of.get(name, -1))
+                                   offset=0, filename=filename)
             total += arr.nbytes
             views[name] = np.load(directory / filename, mmap_mode="r")
         manifest = PlaneManifest(key=key, backend="mmap",

@@ -1,4 +1,4 @@
-"""Process-level execution: spec-built worker agents over shard planes.
+"""Process-level execution: spec-built worker agents over shared planes.
 
 Thread workers share one interpreter, so at paper dims (400) every
 serving worker fights the trainer and its siblings for the GIL.  This
@@ -10,13 +10,14 @@ read-only state physically shared:
   the small trainable modules travel by value, the large frozen tables
   travel *by reference* as :class:`~repro.runtime.plane.PlaneManifest`
   entries (attached zero-copy in the child);
-* the CSR adjacency is exported **one plane generation per graph-store
-  shard** (:func:`export_shard_planes`): after a per-shard compaction,
-  :meth:`ProcessWorkerPool.publish_tables` exports only the *dirty*
-  shards into fresh segments, broadcasts a delta manifest, and workers
-  re-attach just those shards (atomic facade swap via
-  :meth:`~repro.core.environment.KGEnvironment.attach_shards`); the
-  retired shard segments are unlinked once every worker has moved;
+* the CSR adjacency is exported as **one plane generation**
+  (:func:`export_csr_plane`): after a compaction,
+  :meth:`ProcessWorkerPool.publish_tables` writes the new bundle into
+  the spare arena, broadcasts its manifest with the parent's staged
+  overlay, and workers re-attach it (atomic swap via
+  :meth:`~repro.core.environment.KGEnvironment.attach_tables`) and
+  replay the overlay; the retired segment becomes the next spare once
+  every worker has moved;
 * :func:`_worker_main` is the child loop: attach planes, build the
   agent, then serve ``exec`` / ``swap`` / ``stage`` / ``tables``
   messages until told to stop.  Control messages always ride the
@@ -38,7 +39,7 @@ read-only state physically shared:
   the respawned slot (inference is idempotent).
 
 Determinism contract: a worker rebuilt from a spec attaches the exact
-shard bundles and embedding tables the parent serves, loads the exact
+CSR bundle and embedding tables the parent serves, loads the exact
 trainable weights, and walks with the same deterministic top-k
 selection — so process-mode rankings, scores, and rendered
 explanations are bit-identical to thread mode (pinned by
@@ -57,10 +58,14 @@ import numpy as np
 
 from repro.core.agent import REKSAgent
 from repro.core.config import REKSConfig
-from repro.core.environment import KGEnvironment, RolloutWorkspace
+from repro.core.environment import (
+    KGEnvironment,
+    RolloutWorkspace,
+    as_edge_ids,
+)
 from repro.core.policy import PolicyNetwork
 from repro.core.rewards import RewardComputer, RewardWeights
-from repro.graphstore import CSRShard, ShardTables, ShardedCSR
+from repro.graphstore import CSRTables
 from repro.kg.builder import BuiltKG
 from repro.runtime.flush import FlushPlan, execute_flush
 from repro.runtime.plane import (
@@ -89,8 +94,6 @@ from repro.telemetry.block import BlockManifest, MetricBlock, fleet_schema
 # + pad + (collate/cascade/walk/topk/exec) span triples.
 _MAX_RESP_SPANS = 8
 
-# Per-shard plane array names (stable across generations).
-SHARD_ARRAYS = ("indptr", "rels", "tails", "degrees")
 EMB_ENTITY = "emb/entity"
 EMB_RELATION = "emb/relation"
 # Policy parameters whose payload is plane-backed rather than shipped.
@@ -125,42 +128,24 @@ class AgentSpec:
 
     @classmethod
     def from_agent(cls, agent: REKSAgent,
+                   staged: Tuple[np.ndarray, np.ndarray, np.ndarray],
                    model_version: int = 0) -> "AgentSpec":
+        """``staged`` is the overlay of the bundle the children attach
+        (from the same :meth:`KGEnvironment.staged_snapshot`)."""
         policy_state = {
             name: value
             for name, value in agent.policy.state_dict().items()
             if name not in TABLE_PARAMS}
         return cls(built=agent.env.built, config=agent.config,
                    encoder=agent.encoder, policy_state=policy_state,
-                   model_version=model_version,
-                   staged=agent.env.staged_snapshot())
+                   model_version=model_version, staged=staged)
 
 
-def shard_plane_key(sid: int, shard: CSRShard) -> str:
-    """Content-addressed generation key of one shard plane."""
-    return f"csr:{sid}:{shard.digest()}"
-
-
-def export_shard_plane(sid: int, shard: CSRShard,
-                       backend: str = "auto") -> TablePlane:
-    """Publish one shard's bundle as its own plane generation.
-
-    Each shard gets a private segment so a delta publish can retire
-    exactly the dirty generations while clean shards' segments — and
-    every worker mapping of them — stay untouched.
-    """
-    return TablePlane.publish(
-        {name: getattr(shard.tables, name) for name in SHARD_ARRAYS},
-        key=shard_plane_key(sid, shard), backend=backend,
-        shard_of={name: sid for name in SHARD_ARRAYS})
-
-
-def export_shard_planes(env: KGEnvironment,
-                        backend: str = "auto") -> Dict[int, TablePlane]:
-    """Publish every shard of ``env``'s current store (full export)."""
-    store = env.csr_tables()
-    return {sid: export_shard_plane(sid, shard, backend=backend)
-            for sid, shard in enumerate(store.shards)}
+def export_csr_plane(tables: CSRTables,
+                     backend: str = "auto") -> TablePlane:
+    """Publish a CSR bundle as a plane generation keyed by its digest."""
+    return TablePlane.publish(tables.arrays(),
+                              key=f"csr:{tables.digest()}", backend=backend)
 
 
 def export_embedding_plane(agent: REKSAgent,
@@ -172,35 +157,17 @@ def export_embedding_plane(agent: REKSAgent,
         key="embeddings", backend=backend)
 
 
-def shard_from_plane(sid: int, plane: TablePlane, start: int,
-                     stop: int, epoch: int = 0) -> CSRShard:
-    """Rebuild a shard over a plane's zero-copy views.
+def csr_from_plane(plane: TablePlane) -> CSRTables:
+    """A CSR bundle over a plane's zero-copy views.
 
     The publisher's content digest rides in the plane key
-    (``csr:<sid>:<digest>``), so the attaching side never re-hashes an
-    unchanged shard.
+    (``csr:<digest>``), so the attaching side never re-hashes it.
     """
-    tables = ShardTables(*(plane[name] for name in SHARD_ARRAYS))
-    digest = None
-    parts = plane.key.split(":")
-    if len(parts) == 3 and parts[0] == "csr" and parts[1] == str(sid):
-        digest = parts[2]
-    return CSRShard(start, stop, tables, epoch=epoch, digest=digest)
+    return CSRTables(*(plane[name] for name in CSRTables.ARRAYS),
+                     digest=plane.key.partition("csr:")[2] or None)
 
 
-def store_from_planes(boundaries: np.ndarray,
-                      planes: Dict[int, TablePlane]) -> ShardedCSR:
-    """Stitch a full set of attached shard planes into a store."""
-    shards = tuple(
-        shard_from_plane(sid, planes[sid], int(boundaries[sid]),
-                         int(boundaries[sid + 1]))
-        for sid in range(len(boundaries) - 1))
-    return ShardedCSR(boundaries, shards)
-
-
-def build_worker_agent(spec: AgentSpec,
-                       shard_planes: Dict[int, TablePlane],
-                       boundaries: np.ndarray,
+def build_worker_agent(spec: AgentSpec, csr_plane: TablePlane,
                        emb_plane: TablePlane) -> REKSAgent:
     """Reconstruct the serving agent from a spec + attached planes.
 
@@ -212,7 +179,7 @@ def build_worker_agent(spec: AgentSpec,
     cfg = spec.config
     env = KGEnvironment(spec.built, action_cap=cfg.action_cap,
                         seed=cfg.seed + 3,
-                        tables=store_from_planes(boundaries, shard_planes))
+                        tables=csr_from_plane(csr_plane))
     if spec.staged[0].size:
         env.stage_edges(*spec.staged)
     policy = PolicyNetwork(
@@ -235,9 +202,8 @@ def build_worker_agent(spec: AgentSpec,
 # ----------------------------------------------------------------------
 # Child process loop
 # ----------------------------------------------------------------------
-def _worker_main(conn, spec: AgentSpec,
-                 shard_manifests: Dict[int, PlaneManifest],
-                 boundaries: np.ndarray, emb_manifest: PlaneManifest,
+def _worker_main(conn, spec: AgentSpec, csr_manifest: PlaneManifest,
+                 emb_manifest: PlaneManifest,
                  untrack_shm: bool = False,
                  ring_manifest: Optional[RingManifest] = None,
                  db_req=None, db_resp=None,
@@ -258,19 +224,18 @@ def _worker_main(conn, spec: AgentSpec,
     """
     import traceback
 
-    shard_planes = {sid: TablePlane.attach(manifest, untrack=untrack_shm)
-                    for sid, manifest in shard_manifests.items()}
+    csr_plane = TablePlane.attach(csr_manifest, untrack=untrack_shm)
     emb_plane = TablePlane.attach(emb_manifest, untrack=untrack_shm)
     ring = (RingPair.attach(ring_manifest, untrack=untrack_shm)
             if ring_manifest is not None else None)
     metrics = (MetricBlock.attach(metrics_manifest, untrack=untrack_shm,
                                   writer=True)
                if metrics_manifest is not None else None)
-    agent = build_worker_agent(spec, shard_planes, boundaries, emb_plane)
+    agent = build_worker_agent(spec, csr_plane, emb_plane)
     version = spec.model_version
     workspace = agent.workspace
     # The workspace carries the metric block through the walk so the
-    # environment / graph store record gather + per-hop timings without
+    # environment / CSR bundle record gather + per-hop timings without
     # any global sink (the workspace's single-owner contract covers it).
     workspace.metrics = metrics
     # Whether this worker has ever built a cascade constraint — the
@@ -309,7 +274,7 @@ def _worker_main(conn, spec: AgentSpec,
 
     def prewarm_reachability() -> None:
         """Rebuild the cascade reachability index for the just-attached
-        store off the request path (daemon thread; a racing request
+        bundle off the request path (daemon thread; a racing request
         building the same index concurrently is benign — both insert
         the same digest-keyed entry)."""
         from repro.cascade.reachability import get_index
@@ -350,22 +315,13 @@ def _worker_main(conn, spec: AgentSpec,
                     added = agent.env.stage_edges(heads, rels, tails)
                     conn.send(("ok", added))
                 elif op == "tables":
-                    # Delta re-attach: only the dirty shards arrive.
-                    _, manifests, staged = message
-                    store = agent.env.csr_tables()
-                    fresh = {sid: TablePlane.attach(manifest,
-                                                    untrack=untrack_shm)
-                             for sid, manifest in manifests.items()}
-                    updates = {
-                        sid: shard_from_plane(
-                            sid, plane, store.shards[sid].start,
-                            store.shards[sid].stop,
-                            epoch=store.shards[sid].epoch + 1)
-                        for sid, plane in fresh.items()}
-                    agent.env.attach_shards(updates, staged)
-                    for sid, plane in fresh.items():
-                        shard_planes[sid].close()
-                        shard_planes[sid] = plane
+                    # A new generation plus the parent's overlay on it.
+                    _, manifest, staged = message
+                    fresh = TablePlane.attach(manifest, untrack=untrack_shm)
+                    agent.env.attach_tables(csr_from_plane(fresh))
+                    agent.env.stage_edges(*staged)
+                    csr_plane.close()
+                    csr_plane = fresh
                     if saw_candidates:
                         threading.Thread(target=prewarm_reachability,
                                          daemon=True).start()
@@ -387,8 +343,7 @@ def _worker_main(conn, spec: AgentSpec,
             ring.close()
         if metrics is not None:
             metrics.close()
-        for plane in shard_planes.values():
-            plane.close()
+        csr_plane.close()
         emb_plane.close()
 
 
@@ -410,8 +365,7 @@ class _Worker:
     """
 
     def __init__(self, context, spec: AgentSpec,
-                 shard_manifests: Dict[int, PlaneManifest],
-                 boundaries: np.ndarray, emb_manifest: PlaneManifest,
+                 csr_manifest: PlaneManifest, emb_manifest: PlaneManifest,
                  name: str, index: int, untrack_shm: bool,
                  transport: str = "pipe",
                  metrics_manifest: Optional[BlockManifest] = None
@@ -432,8 +386,8 @@ class _Worker:
             self._db_resp, child_db_resp = context.Pipe(duplex=False)
         self.process = context.Process(
             target=_worker_main,
-            args=(child_conn, spec, shard_manifests, boundaries,
-                  emb_manifest, untrack_shm, ring_manifest,
+            args=(child_conn, spec, csr_manifest, emb_manifest,
+                  untrack_shm, ring_manifest,
                   child_db_req, child_db_resp, metrics_manifest),
             name=name, daemon=True)
         self.process.start()
@@ -579,11 +533,11 @@ def resolve_context(name: str = "auto"):
 
 
 class ProcessWorkerPool:
-    """Fixed-size pool of process workers over shared shard planes.
+    """Fixed-size pool of process workers over shared table planes.
 
     The pool owns one embedding plane (frozen tables never change) and
-    one plane generation **per graph-store shard** (dirty ones replaced
-    by :meth:`publish_tables` after a compaction).  Broadcast
+    one CSR plane generation (replaced by :meth:`publish_tables` after
+    a compaction).  Broadcast
     operations (``swap`` / ``stage_edges`` / ``publish_tables``)
     serialize against in-flight executions per worker, and their
     effects are recorded so a respawned worker can be bootstrapped back
@@ -614,7 +568,8 @@ class ProcessWorkerPool:
                 f"health_interval_s must be None (off) or >= 0, "
                 f"got {health_interval_s}")
         self._context = resolve_context(mp_context)
-        self._spec = AgentSpec.from_agent(agent,
+        tables, staged, self._csr_key = agent.env.staged_snapshot()
+        self._spec = AgentSpec.from_agent(agent, staged,
                                           model_version=model_version)
         self._backend = plane_backend
         if transport == "ring":
@@ -639,10 +594,7 @@ class ProcessWorkerPool:
         self._counter_lock = threading.Lock()
         self._emb_plane = export_embedding_plane(agent,
                                                  backend=plane_backend)
-        store = agent.env.csr_tables()
-        self._boundaries = np.array(store.boundaries, dtype=np.int64)
-        self._csr_planes = export_shard_planes(agent.env,
-                                               backend=plane_backend)
+        self._csr_plane = export_csr_plane(tables, backend=plane_backend)
         # Telemetry: one shared-memory metric block per worker role
         # (created by the parent's registry so retire-on-respawn folds
         # counts without double counting), plus an optional
@@ -650,20 +602,14 @@ class ProcessWorkerPool:
         self._metrics_registry = metrics_registry
         self._metrics = metrics_block
         self._metrics_schema = fleet_schema(
-            num_shards=len(self._csr_planes),
             hops=self._spec.config.path_length)
-        # Double-buffered delta publish: each dirty-shard generation is
-        # written into that shard's *spare* arena and flipped live, so
-        # steady state re-publishes allocate zero new segments.
-        # _shard_arenas maps sid -> the arena backing its live plane
-        # (absent while the live plane is still the initial one-shot
-        # export); _spare_arenas holds the write target for the next
-        # publish of that shard.
-        self._shard_arenas: Dict[int, PlaneArena] = {}
-        self._spare_arenas: Dict[int, PlaneArena] = {}
-        self._shard_digests = {sid: shard.digest()
-                               for sid, shard in enumerate(store.shards)}
-        self._csr_key = agent.env.fingerprint()
+        # Double-buffered publish: each generation is written into the
+        # *spare* arena and flipped live, so steady state re-publishes
+        # allocate zero new segments.  _csr_arena is the arena backing
+        # the live plane (None while it is still the initial one-shot
+        # export); _spare_arena is the write target of the next publish.
+        self._csr_arena: Optional[PlaneArena] = None
+        self._spare_arena: Optional[PlaneArena] = None
         # Current-state ledger for respawn bootstrap.
         self._version = int(model_version)
         self._swap_state: Optional[dict] = None
@@ -679,9 +625,8 @@ class ProcessWorkerPool:
         # Failed respawn attempts from the health sweep (observable
         # signal that recovery itself is broken, e.g. fd exhaustion).
         self.health_failures = 0
-        # What the last delta publish actually shipped (manifest-level
-        # accounting: dirty shard ids + exported bytes) — tests assert
-        # delta cost against it.
+        # What the last publish actually shipped (exported bytes and
+        # segments allocated) — tests assert publish cost against it.
         self.last_publish: Optional[dict] = None
         # One re-entrant lock serializes everything that touches the
         # state ledger: broadcasts (which mutate it first, then
@@ -718,8 +663,6 @@ class ProcessWorkerPool:
 
     # ------------------------------------------------------------------
     def _spawn(self, index: int) -> _Worker:
-        manifests = {sid: plane.manifest
-                     for sid, plane in self._csr_planes.items()}
         metrics_manifest = None
         if self._metrics_registry is not None:
             # create_block retires any stale block under this role
@@ -729,8 +672,8 @@ class ProcessWorkerPool:
             block = self._metrics_registry.create_block(
                 f"worker{index}", self._metrics_schema)
             metrics_manifest = block.manifest
-        return _Worker(self._context, self._spec, manifests,
-                       self._boundaries, self._emb_plane.manifest,
+        return _Worker(self._context, self._spec, self._csr_plane.manifest,
+                       self._emb_plane.manifest,
                        name=f"reks-procworker-{index}", index=index,
                        untrack_shm=self._untrack_shm,
                        transport=self.transport,
@@ -950,9 +893,8 @@ class ProcessWorkerPool:
 
     def stage_edges(self, heads, rels, tails) -> int:
         """Stage overlay edges in every worker environment."""
-        heads = np.asarray(heads, dtype=np.int64)
-        rels = np.asarray(rels, dtype=np.int64)
-        tails = np.asarray(tails, dtype=np.int64)
+        heads, rels, tails = (as_edge_ids(heads), as_edge_ids(rels),
+                              as_edge_ids(tails))
         with self._state_lock:
             self._staged_log.append((heads, rels, tails))
             replies = self._deliver(("stage", heads, rels, tails))
@@ -962,107 +904,86 @@ class ProcessWorkerPool:
         return 0
 
     def publish_tables(self, env: KGEnvironment) -> str:
-        """Delta-publish ``env``'s current store to every worker.
+        """Publish ``env``'s current CSR bundle to every worker.
 
-        Compares each shard's content digest against the generation the
-        pool last exported and ships **only the dirty shards**: fresh
-        segments are published per dirty shard, the delta manifest is
-        broadcast, workers re-attach just those shards (clearing only
-        their overlay slices — see
-        :meth:`~repro.core.environment.KGEnvironment.attach_shards` —
-        and replaying ``env``'s still-staged edges for them), and the
-        retired backing flips to the shard's spare arena (or, for the
-        initial one-shot export, is unlinked) once every worker has
-        moved.  With no dirty shard this is a no-op returning the
-        current generation key.
+        Compares the bundle's content digest with the generation the
+        pool last exported (its plane key, ``csr:<digest>``); with no
+        change this is a no-op returning the current generation key.
+        Otherwise the bundle is written into the spare arena, and its
+        manifest is broadcast together with the staged overlay of that
+        same bundle, snapshotted under the state lock — the snapshot the
+        respawn ledger records, so an edge staged while the segment was
+        being written rides along rather than being dropped.  If a
+        compaction moved ``env`` to a newer bundle during the write, the
+        written one no longer matches the overlay, so the newer bundle
+        is written instead (into the same arena) before anything is
+        broadcast.  Each worker attaches the generation
+        (:meth:`~repro.core.environment.KGEnvironment.attach_tables`,
+        which clears its overlay) and replays that overlay.  The retired
+        arena becomes the next spare once every worker has moved (the
+        initial one-shot export is unlinked instead).
 
         Segment accounting rides in
         ``last_publish["segments_allocated"]``: the first two publishes
-        of a shard each allocate one arena (the double buffer priming
-        itself); from the third on, the write lands in the spare retired
-        two generations ago — which every worker un-mapped before
-        acking the previous broadcast — and the steady-state count is
-        zero.
+        each allocate one arena (the double buffer priming itself); from
+        the third on, the write lands in the spare retired two
+        generations ago — which every worker un-mapped before acking the
+        previous broadcast — and the steady-state count is zero.
         """
-        store = env.csr_tables()
-        # One publisher at a time; the slow part — segment writes + the
-        # per-shard byte copy — runs OUTSIDE the state lock so corpse
-        # respawns, pings, and execute()'s recovery path never queue
-        # behind a large export.  Only the ledger mutation + delivery
-        # take the state lock.
+        # One publisher at a time; the slow part — the segment write —
+        # runs OUTSIDE the state lock so corpse respawns, pings, and
+        # execute()'s recovery path never queue behind a large export.
+        # Only the ledger mutation + delivery take the state lock.
         with self._publish_lock:
-            with self._state_lock:
-                digests = dict(self._shard_digests)
-            dirty = {sid: shard for sid, shard in enumerate(store.shards)
-                     if digests.get(sid) != shard.digest()}
-            if not dirty:
+            tables = env.csr_tables()
+            if f"csr:{tables.digest()}" == self._csr_plane.key:
                 return self._csr_key
-            staged_all = env.staged_by_shard()
-            staged_dirty = {sid: staged_all[sid] for sid in dirty
-                            if sid in staged_all}
-            fresh: Dict[int, TablePlane] = {}
-            fresh_arenas: Dict[int, PlaneArena] = {}
+            arena, self._spare_arena = self._spare_arena, None
             segments_allocated = 0
-            for sid, shard in dirty.items():
-                arrays = {name: getattr(shard.tables, name)
-                          for name in SHARD_ARRAYS}
-                arena = self._spare_arenas.pop(sid, None)
+            while True:
+                arrays = tables.arrays()
                 if arena is not None and not arena.fits(arrays):
-                    # Shard outgrew its buffer; retire and re-size.
+                    # The graph outgrew its buffer; retire and re-size.
                     arena.unlink()
                     arena = None
                 if arena is None:
                     # 25% headroom so ordinary delta growth keeps
                     # fitting the same arena across generations.
-                    capacity = layout_size(arrays) * 5 // 4 + 64
-                    arena = PlaneArena.create(capacity,
-                                              backend=self._backend)
+                    arena = PlaneArena.create(
+                        layout_size(arrays) * 5 // 4 + 64,
+                        backend=self._backend)
                     segments_allocated += 1
-                fresh[sid] = arena.write(
-                    arrays, key=shard_plane_key(sid, shard),
-                    shard_of={name: sid for name in SHARD_ARRAYS})
-                fresh_arenas[sid] = arena
-            with self._state_lock:
-                retired = {sid: self._csr_planes[sid] for sid in dirty}
-                retired_arenas = {
-                    sid: self._shard_arenas.pop(sid)
-                    for sid in dirty if sid in self._shard_arenas}
-                self._csr_planes.update(fresh)
-                self._shard_arenas.update(fresh_arenas)
-                self._shard_digests.update(
-                    {sid: shard.digest() for sid, shard in dirty.items()})
-                self._csr_key = env.fingerprint()
-                # Respawn bootstrap replays the parent's full overlay
-                # onto the freshly-attached store (duplicates of
-                # already-staged broadcasts dedup to no-ops child-side).
-                snapshot = env.staged_snapshot()
-                self._staged_log = ([snapshot] if snapshot[0].size
-                                    else [])
-                self.generation += 1
-                self.last_publish = {
-                    "shards": sorted(dirty),
-                    "total_shards": store.num_shards,
-                    "nbytes": sum(plane.nbytes
-                                  for plane in fresh.values()),
-                    "segments_allocated": segments_allocated,
-                    "key": self._csr_key,
-                }
-                self._deliver(
-                    ("tables",
-                     {sid: plane.manifest
-                      for sid, plane in fresh.items()},
-                     staged_dirty))
-            # Workers detached from the retired generations in the
-            # broadcast (respawned ones never attached them).  An
-            # arena-backed retiree keeps its segment and becomes the
-            # shard's spare — the write target of the next publish of
-            # that shard; the initial one-shot export is unlinked for
-            # good.
-            for sid, plane in retired.items():
-                if sid in retired_arenas:
-                    self._spare_arenas[sid] = retired_arenas[sid]
-                else:
-                    plane.unlink()
+                fresh = arena.write(arrays, key=f"csr:{tables.digest()}")
+                with self._state_lock:
+                    current, snapshot, key = env.staged_snapshot()
+                    if current is tables:
+                        retired, retired_arena = (self._csr_plane,
+                                                  self._csr_arena)
+                        self._csr_plane, self._csr_arena = fresh, arena
+                        self._csr_key = key
+                        # Workers replay this overlay onto the new
+                        # generation, and a respawn bootstrap replays
+                        # it too.
+                        self._staged_log = ([snapshot] if snapshot[0].size
+                                            else [])
+                        self.generation += 1
+                        self.last_publish = {
+                            "nbytes": fresh.nbytes,
+                            "segments_allocated": segments_allocated,
+                            "key": key,
+                        }
+                        self._deliver(("tables", fresh.manifest, snapshot))
+                        break
+                # A compaction landed during the write: no worker has
+                # seen this arena yet, so overwrite it with the newer
+                # bundle, whose overlay is the one just read.
+                tables = current
+            # Workers detached from the retired generation in the
+            # broadcast (respawned ones never attached it).
+            if retired_arena is not None:
+                self._spare_arena = retired_arena
+            else:
+                retired.unlink()
         return self._csr_key
 
     # ------------------------------------------------------------------
@@ -1079,18 +1000,7 @@ class ProcessWorkerPool:
 
     @property
     def plane_nbytes(self) -> int:
-        return (sum(plane.nbytes for plane in self._csr_planes.values())
-                + self._emb_plane.nbytes)
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._csr_planes)
-
-    def shard_manifests(self) -> Dict[int, PlaneManifest]:
-        """The per-shard manifest directory of the current generation."""
-        with self._state_lock:
-            return {sid: plane.manifest
-                    for sid, plane in self._csr_planes.items()}
+        return self._csr_plane.nbytes + self._emb_plane.nbytes
 
     def ping(self) -> List[int]:
         """Liveness probe; returns each worker's model version.
@@ -1121,13 +1031,11 @@ class ProcessWorkerPool:
             # read) and unlink the segments.
             for index in range(self.size):
                 self._metrics_registry.retire(f"worker{index}")
-        for sid, plane in self._csr_planes.items():
-            if sid not in self._shard_arenas:
-                plane.unlink()
-        for arena in self._shard_arenas.values():
-            arena.unlink()
-        for arena in self._spare_arenas.values():
-            arena.unlink()
+        if self._csr_arena is None:
+            self._csr_plane.unlink()
+        for arena in (self._csr_arena, self._spare_arena):
+            if arena is not None:
+                arena.unlink()
         self._emb_plane.unlink()
 
     def __enter__(self) -> "ProcessWorkerPool":
@@ -1139,5 +1047,5 @@ class ProcessWorkerPool:
     def __repr__(self) -> str:
         return (f"ProcessWorkerPool(size={self.size}, "
                 f"version={self._version}, generation={self.generation}, "
-                f"shards={self.num_shards}, plane={self.plane_key!r}, "
+                f"plane={self.plane_key!r}, "
                 f"respawns={self.respawns})")

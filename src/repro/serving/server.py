@@ -223,9 +223,7 @@ class RecommendationServer:
                                       else MetricsRegistry(
                                           backend=plane_backend))
             self._owns_registry = metrics_registry is None
-            store = agent.env.csr_tables()
-            schema = fleet_schema(num_shards=len(store.shards),
-                                  hops=agent.config.path_length)
+            schema = fleet_schema(hops=agent.config.path_length)
             self._metrics = self._metrics_registry.create_block(
                 "server", schema)
             self._metrics.gauge("model_version", float(model_version))
@@ -460,14 +458,14 @@ class RecommendationServer:
         return self._agent.env.stage_edges(heads, rels, tails)
 
     def refresh_tables(self) -> Optional[str]:
-        """Ship the template environment's compacted shards to the
+        """Ship the template environment's compacted CSR bundle to the
         process workers (no-op in thread mode, where workers read the
-        compacted store directly).
+        compacted bundle directly).
 
-        The publish is a **delta**: only shards whose content changed
-        since the last export travel — fresh segments per dirty shard,
-        a delta manifest broadcast, partial re-attach worker-side, old
-        segments unlinked (see
+        Nothing travels unless the bundle's digest changed since the
+        last export; otherwise the bundle is written to the spare plane
+        segment, its manifest broadcast with the parent's staged
+        overlay, and each worker re-attaches and replays it (see
         :meth:`~repro.runtime.ProcessWorkerPool.publish_tables`;
         ``process_pool.last_publish`` records what actually shipped).
         Returns the generation key, or None in thread mode."""

@@ -25,14 +25,14 @@ See ``src/repro/telemetry/README.md`` for layout and merge semantics.
 from .block import (BlockManifest, BlockSnapshot, HistSnapshot,
                     LocalHistogram, MetricBlock, MetricSchema, Reservoir,
                     bucket_index, bucket_upper_edges, fleet_schema,
-                    gather_shard_counter, merge_hists, walk_hop_hist)
+                    merge_hists, walk_hop_hist)
 from .exporters import (SLO, SLOResult, evaluate_slos, json_snapshot,
                         prometheus_text, serving_slos, slo_failures,
                         split_labels)
 from .httpd import MetricsEndpoint
 from .registry import FleetSnapshot, MetricsRegistry
 from .sink import TraceSink
-from .top import render_top, shard_heat
+from .top import render_top
 from .trace import (ROW_SPAN, SPAN_KINDS, SpanRecord, Tracer,
                     attribute_rows, span_kind_id, span_kind_name,
                     spans_by_trace, spans_to_chrome_trace,
@@ -43,12 +43,11 @@ from .window import (RollingWindow, WindowSampler, WindowSnapshot,
 __all__ = [
     "BlockManifest", "BlockSnapshot", "HistSnapshot", "LocalHistogram",
     "MetricBlock", "MetricSchema", "Reservoir", "bucket_index",
-    "bucket_upper_edges", "fleet_schema", "gather_shard_counter",
-    "merge_hists", "walk_hop_hist",
+    "bucket_upper_edges", "fleet_schema", "merge_hists", "walk_hop_hist",
     "SLO", "SLOResult", "evaluate_slos", "json_snapshot",
     "prometheus_text", "serving_slos", "slo_failures", "split_labels",
     "MetricsEndpoint", "FleetSnapshot", "MetricsRegistry",
-    "TraceSink", "render_top", "shard_heat",
+    "TraceSink", "render_top",
     "ROW_SPAN", "SPAN_KINDS", "SpanRecord", "Tracer", "attribute_rows",
     "span_kind_id", "span_kind_name", "spans_by_trace",
     "spans_to_chrome_trace", "spans_to_jsonl",

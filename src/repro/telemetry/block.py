@@ -98,7 +98,7 @@ class MetricSchema:
     """Ordered metric names; fixes a block's byte layout.
 
     Names may carry Prometheus-style labels inline
-    (``gather_rows_total{shard=3}``, ``walk_hop_seconds{hop=1}``) —
+    (``walk_hop_seconds{hop=1}``) —
     the exporters parse them back out; the block treats the full
     string as the key.
     """
@@ -581,13 +581,7 @@ class Reservoir:
 # ----------------------------------------------------------------------
 # Canonical fleet schema + label helpers
 # ----------------------------------------------------------------------
-MAX_SHARD_COUNTERS = 64  # matches graphstore.auto_shard_count's cap
 MAX_HOP_HISTS = 8
-
-
-@lru_cache(maxsize=256)
-def gather_shard_counter(sid: int) -> str:
-    return f"gather_rows_total{{shard={sid}}}"
 
 
 @lru_cache(maxsize=64)
@@ -595,13 +589,13 @@ def walk_hop_hist(hop: int) -> str:
     return f"walk_hop_seconds{{hop={hop}}}"
 
 
-def fleet_schema(num_shards: int = 0, hops: int = 0) -> MetricSchema:
+def fleet_schema(hops: int = 0) -> MetricSchema:
     """The schema every fleet role shares (unused metrics stay zero).
 
     One shared schema keeps merge trivial (union by name is identity)
-    and lets any role record any metric its layer touches.  Per-shard
-    gather counters and per-hop walk histograms are materialized up to
-    the store's shard count / the config's path length (capped).
+    and lets any role record any metric its layer touches.  Per-hop
+    walk histograms are materialized up to the config's path length
+    (capped).
     """
     counters = [
         "requests_total", "batches_total",
@@ -614,7 +608,6 @@ def fleet_schema(num_shards: int = 0, hops: int = 0) -> MetricSchema:
         "exec_batches_total", "exec_rows_total",
         "render_rows_total", "render_deferred_total",
         "gather_calls_total", "gather_rows_total",
-        "gather_multi_total",
         "traces_sampled_total", "worker_traces_total",
         "trace_dropped_total",
         "swaps_total",
@@ -623,8 +616,6 @@ def fleet_schema(num_shards: int = 0, hops: int = 0) -> MetricSchema:
         "dedup_rows_total",
         "reachability_rebuilds_total",
     ]
-    counters += [gather_shard_counter(sid)
-                 for sid in range(min(num_shards, MAX_SHARD_COUNTERS))]
     gauges = ["model_version", "workers_alive", "trace_sample"]
     hists = [
         "request_latency_seconds", "enqueue_wait_seconds",

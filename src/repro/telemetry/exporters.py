@@ -3,7 +3,7 @@
 Prometheus text format: counters end in ``_total``, histograms expand
 to ``_bucket{le=...}`` / ``_sum`` / ``_count`` (cumulative, seconds),
 gauges carry a ``role`` label per writer.  Metric names that embed
-labels inline (``gather_rows_total{shard=3}``) are parsed back into
+labels inline (``walk_hop_seconds{hop=1}``) are parsed back into
 real Prometheus labels.
 
 SLOs are declarative: each :class:`SLO` names a metric, a statistic
@@ -27,8 +27,8 @@ _NAME_RE = re.compile(r"^([A-Za-z_:][A-Za-z0-9_:]*)(?:\{(.*)\})?$")
 
 
 def split_labels(name: str) -> Tuple[str, Dict[str, str]]:
-    """``"gather_rows_total{shard=3}" -> ("gather_rows_total",
-    {"shard": "3"})``; plain names return empty labels."""
+    """``"walk_hop_seconds{hop=1}" -> ("walk_hop_seconds",
+    {"hop": "1"})``; plain names return empty labels."""
     match = _NAME_RE.match(name)
     if not match:
         return name, {}

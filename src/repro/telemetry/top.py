@@ -10,19 +10,15 @@ into per-second rates, histograms diff bucket-wise (via
 
 The frame shows what the serving fleet's operators actually watch:
 per-role QPS, windowed request p50/p99, cache hit rate, ring vs pipe
-batch mix and fallbacks, trace pressure (sampled vs dropped), and a
-per-shard gather heat bar that makes a hot shard visible at a glance.
+batch mix and fallbacks, and trace pressure (sampled vs dropped).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from .block import HistSnapshot
-from .exporters import split_labels
 from .window import hist_delta, hist_from_dict
-
-_BARS = " ▁▂▃▄▅▆▇█"
 
 
 def _fmt_rate(value: float) -> str:
@@ -60,30 +56,6 @@ def _window_hist(curr: dict, prev: Optional[dict],
     before = prev.get("histograms", {}).get(name)
     delta = hist_delta(end, hist_from_dict(before) if before else None)
     return delta if delta.count else None
-
-
-def heat_bar(values: List[float], width: int = 0) -> str:
-    """Unicode block heat bar, one glyph per value, scaled to max."""
-    if not values:
-        return ""
-    peak = max(values)
-    if peak <= 0:
-        return _BARS[0] * len(values)
-    return "".join(
-        _BARS[min(len(_BARS) - 1,
-                  int(round(v / peak * (len(_BARS) - 1))))]
-        for v in values)
-
-
-def shard_heat(curr: dict, prev: Optional[dict]) -> List[Tuple[int, int]]:
-    """Per-shard gather row deltas, ``[(shard, rows), ...]`` ordered by
-    shard id (from ``gather_rows_total{shard=N}`` counters)."""
-    out: Dict[int, int] = {}
-    for name in curr.get("counters", {}):
-        base, labels = split_labels(name)
-        if base == "gather_rows_total" and "shard" in labels:
-            out[int(labels["shard"])] = _counter_delta(curr, prev, name)
-    return sorted(out.items())
 
 
 def _role_rows(curr: dict, prev: Optional[dict],
@@ -180,13 +152,6 @@ def render_top(curr: dict, prev: Optional[dict] = None) -> str:
     if sampled or dropped:
         lines.append(f"  traces     {sampled} sampled, "
                      f"{dropped} dropped")
-
-    heat = shard_heat(curr, prev)
-    if heat:
-        values = [float(rows) for _, rows in heat]
-        total = int(sum(values))
-        lines.append(f"  gather     {heat_bar(values)}  "
-                     f"{len(heat)} shards, {total} rows")
 
     role_rows = _role_rows(curr, prev, dt)
     if role_rows:

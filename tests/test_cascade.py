@@ -141,10 +141,9 @@ class TestReachability:
         index = get_index(agent.env, agent.config.path_length)
         store = agent.env.csr_tables()
         built = agent.env.built
-        flat = store.to_flat()
-        tails = flat.tails[1:]
-        starts = flat.indptr[:-1] - 1
-        degrees = flat.degrees
+        tails = store.tails[1:]
+        starts = store.indptr[:-1] - 1
+        degrees = store.degrees
         cand = np.array([3, 7, 11], dtype=np.int64)
         got = index.entity_mask([cand], 1)[0]
         targets = {int(built.item_entity[c]) for c in cand}

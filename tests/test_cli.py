@@ -79,14 +79,14 @@ class TestCommands:
         trace = tmp_path / "fleet.trace.jsonl"
         code = main(["metrics", "--scale", "tiny", "--dim", "16",
                      "--epochs", "1", "--workers", "2",
-                     "--graph-shards", "4", "--trace-sample", "1.0",
+                     "--trace-sample", "1.0",
                      "--requests", "32", "--out", str(out),
                      "--prom-out", str(tmp_path / "fleet.prom"),
                      "--trace-out", str(trace)])
         assert code == 0
         roles = set(json.loads(out.read_text())["roles"])
         assert roles >= {"server", "updater", "worker0", "worker1"}
-        assert "per-shard gather counters: 4" in capsys.readouterr().out
+        assert "per-hop walk timings: " in capsys.readouterr().out
         assert "# TYPE" in (tmp_path / "fleet.prom").read_text()
         assert json.loads(
             trace.with_suffix(".chrome.json").read_text())["traceEvents"]

@@ -1,19 +1,23 @@
-"""Sharded graph store: monolithic-vs-sharded differential + delta publish.
+"""CSR graph store: the bundle, compaction, and publish to workers.
 
-Three contracts pinned here:
+Four contracts pinned here:
 
-1. **Sharding is invisible to queries** — an environment over S shards
-   answers every ``actions_of`` / ``batched_actions`` / ``flat_tables``
-   query identically to the S=1 (monolithic) degenerate, through
-   arbitrary interleavings of staging, compaction, and queries
-   (random delta streams, mixed shard counts).
-2. **Per-shard compaction == full rebuild** — the delta-proportional
-   merge and the monolithic O(E) merge agree on the final capped
-   adjacency (hypothesis property over random graphs and deltas).
-3. **Delta publish ships only dirty shards** — after a compaction that
-   touches a subset of shards, ``publish_tables`` exports exactly
-   those shards' bytes (asserted via manifest inspection) and worker
-   rankings stay bit-identical to thread mode.
+1. **The bundle round-trips** — ``CSRTables.build`` packs a flat
+   adjacency behind the zero sentinel, its digest is content-stable
+   and cached, and ``gather_flat`` returns each row's block in CSR
+   order.
+2. **Compaction is invisible to queries** — an environment that
+   compacts answers every ``actions_of`` / ``batched_actions`` query
+   identically to one that only stages, through random interleavings
+   of staging, compaction and queries.
+3. **Compaction equals a from-scratch build** — staging a delta and
+   compacting gives each entity the same ``(rel, tail)`` set as
+   building the environment from a KG whose triples include the delta
+   (hypothesis property), and the merge keeps base edges first.
+4. **Publish ships the bundle once per change** — after a compaction
+   ``publish_tables`` re-exports the bundle, a clean publish is a no-op,
+   and worker rankings stay bit-identical to thread mode, including for
+   an edge staged while the segment is being written.
 """
 
 from __future__ import annotations
@@ -32,13 +36,9 @@ from test_env_differential import (
 
 from repro import REKSConfig, REKSTrainer
 from repro.core.environment import KGEnvironment
-from repro.graphstore import (
-    ShardedCSR,
-    compact_store,
-    full_merge,
-    merge_capped,
-    shard_boundaries,
-)
+from repro.graphstore import CSRTables, merge_capped
+from repro.kg.builder import BuiltKG
+from repro.kg.graph import KnowledgeGraph
 
 
 def random_delta(rng, built, size):
@@ -51,196 +51,128 @@ def random_delta(rng, built, size):
     return heads, rels, tails
 
 
-def assert_same_adjacency(sharded: KGEnvironment, mono: KGEnvironment):
-    flat_s, flat_m = sharded.flat_tables(), mono.flat_tables()
-    for got, want in zip(flat_s, flat_m):
-        np.testing.assert_array_equal(np.asarray(got), np.asarray(want))
+def assert_same_adjacency(env: KGEnvironment, other: KGEnvironment):
+    for entity in range(env.kg.num_entities):
+        for got, want in zip(env.actions_of(entity),
+                             other.actions_of(entity)):
+            np.testing.assert_array_equal(np.asarray(got),
+                                          np.asarray(want))
 
 
 # ----------------------------------------------------------------------
-# Boundaries
-# ----------------------------------------------------------------------
-class TestShardBoundaries:
-    def test_cover_and_monotone(self):
-        rng = np.random.default_rng(0)
-        degrees = rng.integers(0, 50, size=257)
-        for shards in (1, 2, 5, 16, 257, 1000):
-            bounds = shard_boundaries(degrees, shards)
-            assert bounds[0] == 0 and bounds[-1] == degrees.size
-            assert (np.diff(bounds) > 0).all()
-            assert len(bounds) - 1 <= max(shards, 1)
-
-    def test_edge_mass_balanced(self):
-        # One mega-hub: the cut must isolate it rather than splitting
-        # entities evenly.
-        degrees = np.ones(100, dtype=np.int64)
-        degrees[0] = 1000
-        bounds = shard_boundaries(degrees, 4)
-        # The hub's shard ends almost immediately; the rest of the
-        # entity space is spread over the remaining shards.
-        assert bounds[1] <= 5
-
-    def test_edgeless_graph_splits_by_entity(self):
-        bounds = shard_boundaries(np.zeros(64, dtype=np.int64), 4)
-        assert bounds[0] == 0 and bounds[-1] == 64
-        assert (np.diff(bounds) > 0).all()
-
-
-# ----------------------------------------------------------------------
-# Store-level invariants
+# The bundle
 # ----------------------------------------------------------------------
 class TestShardedStore:
-    def _store(self, rng, shards):
+    """The one CSR bundle (the class name predates the removal of graph
+    sharding and is kept so the test ids stay stable)."""
+
+    def _store(self, rng):
         degrees = rng.integers(0, 9, size=40).astype(np.int64)
+        degrees[::7] = 0  # dead ends among the rows
         edges = int(degrees.sum())
         rels = rng.integers(0, 3, size=edges)
         tails = rng.integers(0, 40, size=edges)
-        return ShardedCSR.build(degrees, rels, tails, num_shards=shards), \
-            (degrees, rels, tails)
+        return CSRTables.build(degrees, rels, tails), (degrees, rels, tails)
 
-    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
-    def test_build_round_trips_flat(self, shards):
-        rng = np.random.default_rng(shards)
-        store, (degrees, rels, tails) = self._store(rng, shards)
-        flat = store.to_flat()
-        np.testing.assert_array_equal(flat.degrees,
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_build_round_trips_flat(self, seed):
+        rng = np.random.default_rng(seed)
+        tables, (degrees, rels, tails) = self._store(rng)
+        np.testing.assert_array_equal(tables.degrees,
                                       degrees.astype(np.int32))
-        np.testing.assert_array_equal(flat.rels[1:],
+        assert tables.rels[0] == tables.tails[0] == 0  # the sentinel
+        np.testing.assert_array_equal(tables.rels[1:],
                                       rels.astype(np.int32))
-        np.testing.assert_array_equal(flat.tails[1:],
+        np.testing.assert_array_equal(tables.tails[1:],
                                       tails.astype(np.int32))
-        assert store.num_edges == rels.size
+        assert tables.num_edges == rels.size
+        assert tables.num_entities == degrees.size
+        starts = np.concatenate([[0], np.cumsum(degrees)])
+        for entity in range(degrees.size):
+            got_r, got_t = tables.slice(entity)
+            lo, hi = starts[entity], starts[entity + 1]
+            np.testing.assert_array_equal(got_r, rels[lo:hi])
+            np.testing.assert_array_equal(got_t, tails[lo:hi])
 
     def test_digest_stable_and_shard_cached(self):
         rng = np.random.default_rng(5)
-        store, raw = self._store(rng, 4)
-        again = ShardedCSR.build(*raw, num_shards=4)
-        assert store.digest() == again.digest()
-        # replace_shards keeps clean shards' digest objects (cached —
-        # unchanged shards hash for free).
-        fresh = store.replace_shards({})
-        assert fresh.shards[1] is store.shards[1]
-        assert fresh.shards[1]._digest == store.shards[1]._digest
+        tables, (degrees, rels, tails) = self._store(rng)
+        again = CSRTables.build(degrees, rels, tails)
+        assert tables.digest() == again.digest()
+        # Cached on the immutable bundle: the second call hashes nothing.
+        assert tables._digest is not None
+        assert tables.digest() is tables.digest()
+        # Content-addressed: one changed tail re-keys it.
+        other = tails.copy()
+        other[0] = (other[0] + 1) % 40
+        assert CSRTables.build(degrees, rels, other).digest() \
+            != tables.digest()
 
-    def test_replace_shards_rejects_range_mismatch(self):
-        rng = np.random.default_rng(6)
-        store, _ = self._store(rng, 4)
-        wrong = store.shards[1]
-        with pytest.raises(ValueError, match="covers"):
-            store.replace_shards({0: wrong})
-
-    def test_epochs_bump_only_on_dirty_shards(self):
-        rng = np.random.default_rng(7)
-        store, _ = self._store(rng, 4)
-        heads = np.array([int(store.boundaries[0])], dtype=np.int64)
-        staged = {0: (heads, np.zeros(1, np.int64), np.ones(1, np.int64))}
-        new_store, updates = compact_store(store, staged, action_cap=50)
-        assert set(updates) == {0}
-        assert new_store.shards[0].epoch == store.shards[0].epoch + 1
-        for sid in range(1, 4):
-            assert new_store.shards[sid] is store.shards[sid]
-
-    def test_degrees_lazy_and_replace_does_not_materialize(self):
-        """replace_shards must not pay the O(entities) global-degrees
-        copy: the fresh facade starts unmaterialized and re-concats
-        only when something actually reads degrees through it."""
-        rng = np.random.default_rng(8)
-        store, (degrees, _, _) = self._store(rng, 4)
-        assert store._degrees is None  # built lazy
-        heads = np.array([int(store.boundaries[0])], dtype=np.int64)
-        staged = {0: (heads, np.zeros(1, np.int64),
-                      np.ones(1, np.int64))}
-        new_store, _ = compact_store(store, staged, action_cap=50)
-        assert new_store._degrees is None
-        _ = new_store.nbytes  # introspection must not force the concat
-        assert new_store._degrees is None
-        got = new_store.degrees  # first real read materializes
-        assert new_store._degrees is not None
-        assert new_store.degrees is got  # cached
-        # Content: concatenation of the (possibly rebuilt) shards.
-        np.testing.assert_array_equal(
-            got, np.concatenate([s.tables.degrees
-                                 for s in new_store.shards]))
-        # Clean-shard ranges agree with the original degrees.
-        lo, hi = int(store.boundaries[1]), int(store.boundaries[-1])
-        np.testing.assert_array_equal(got[lo:hi],
-                                      degrees[lo:hi].astype(np.int32))
-
-    @pytest.mark.parametrize("shards", [2, 3, 7])
-    def test_scattered_gather_matches_monolithic(self, shards):
-        """gather_flat on a frontier scattered across every shard must
-        match the S=1 store cell for cell (the shard-major grouped path
-        against the monolithic single gather)."""
-        rng = np.random.default_rng(100 + shards)
-        store, raw = self._store(rng, shards)
-        mono = ShardedCSR.build(*raw, num_shards=1)
-        assert store.num_shards > 1
-        candidates = np.flatnonzero(store.degrees > 0)
-        for trial in range(3):
+    @pytest.mark.parametrize("seed", [2, 3, 7])
+    def test_scattered_gather_matches_monolithic(self, seed):
+        """gather_flat on a scattered frontier — repeats, any order,
+        dead ends — matches the rows' per-entity slices, cell for cell."""
+        rng = np.random.default_rng(100 + seed)
+        tables, _ = self._store(rng)
+        for _ in range(3):
             n = int(rng.integers(3, 33))
-            # The lowest and highest entities with edges sit in the
-            # first and last shard: every frontier straddles.
-            entities = np.concatenate(
-                [rng.choice(candidates, size=n, replace=True),
-                 candidates[[-1, 0]]]).astype(np.int64)
-            assert len(np.unique(store.shard_of(entities))) > 1
-            got = store.gather_flat(entities)
-            want = mono.gather_flat(entities)
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
+            entities = rng.integers(0, tables.num_entities, size=n)
+            row_of, rels, tails = tables.gather_flat(entities)
+            blocks = [tables.slice(int(e)) for e in entities]
+            np.testing.assert_array_equal(
+                row_of, np.repeat(np.arange(n), [len(r) for r, _ in blocks]))
+            np.testing.assert_array_equal(
+                rels, np.concatenate([r for r, _ in blocks]))
+            np.testing.assert_array_equal(
+                tails, np.concatenate([t for _, t in blocks]))
 
 
 # ----------------------------------------------------------------------
-# Monolithic vs sharded differential (random delta streams)
+# Compacting vs staging-only differential (random delta streams)
 # ----------------------------------------------------------------------
 class TestMonoShardedDifferential:
-    @pytest.mark.parametrize("shards", [1, 2, 3, 5, 8])
-    def test_delta_stream_interleavings(self, shards):
-        """stage / compact / query interleavings agree with S=1 at
-        every step, and the final compacted adjacency is identical."""
-        rng = np.random.default_rng(100 + shards)
+    """Compaction and the staged overlay against each other and the
+    loop oracle (the class name predates the removal of graph sharding
+    and is kept so the test ids stay stable)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5, 8])
+    def test_delta_stream_interleavings(self, seed):
+        """stage / compact / query interleavings on an environment that
+        compacts agree at every step with one that only stages: the
+        merge puts staged edges after their head's base edges, exactly
+        where the overlay serves them."""
+        rng = np.random.default_rng(100 + seed)
         built = random_built_kg(rng, n_items=16, n_other=8, n_edges=250,
                                 hub_degree=40)
         cap = 12
-        mono = KGEnvironment(built, action_cap=cap, seed=3, shards=1)
-        shard_env = KGEnvironment(built, action_cap=cap, seed=3,
-                                  shards=shards)
-        assert shard_env.num_shards == (shards if shards == 1
-                                        else shard_env.num_shards)
-        assert_same_adjacency(shard_env, mono)
+        staging = KGEnvironment(built, action_cap=cap, seed=3)
+        compacting = KGEnvironment(built, action_cap=cap, seed=3)
         for step in range(6):
             heads, rels, tails = random_delta(rng, built,
                                               rng.integers(1, 40))
-            got = shard_env.stage_edges(heads, rels, tails)
-            want = mono.stage_edges(heads, rels, tails)
+            got = compacting.stage_edges(heads, rels, tails)
+            want = staging.stage_edges(heads, rels, tails)
             assert got == want
-            assert shard_env.staged_edges == mono.staged_edges
             entities, visited = random_frontier(rng, built,
                                                 rng.integers(1, 48), 2)
-            got_grid = shard_env.batched_actions(entities, visited)
-            want_grid = mono.batched_actions(entities, visited)
+            got_grid = compacting.batched_actions(entities, visited)
+            want_grid = staging.batched_actions(entities, visited)
             assert legal_action_sets(*got_grid) \
                 == legal_action_sets(*want_grid)
             if step % 2 == 1:
-                assert shard_env.compact() == mono.compact()
-                assert_same_adjacency(shard_env, mono)
-        shard_env.compact(), mono.compact()
-        assert_same_adjacency(shard_env, mono)
-        for entity in range(built.kg.num_entities):
-            got_r, got_t = shard_env.actions_of(entity)
-            want_r, want_t = mono.actions_of(entity)
-            np.testing.assert_array_equal(np.asarray(got_r),
-                                          np.asarray(want_r))
-            np.testing.assert_array_equal(np.asarray(got_t),
-                                          np.asarray(want_t))
+                compacting.compact()
+                assert compacting.staged_edges == 0
+                assert_same_adjacency(compacting, staging)
+        compacting.compact()
+        assert_same_adjacency(compacting, staging)
 
     def test_sharded_env_matches_reference_oracle(self):
-        """The loop-based oracle still agrees with a many-shard env
-        (same rng seed => exact array equality, not just set)."""
+        """The loop-based oracle agrees with the CSR environment (same
+        rng seed => exact array equality, not just set)."""
         rng = np.random.default_rng(17)
         built = random_built_kg(rng, n_edges=300, hub_degree=60)
         cap = 20
-        env = KGEnvironment(built, action_cap=cap, seed=4, shards=6)
+        env = KGEnvironment(built, action_cap=cap, seed=4)
         ref = ReferenceKGEnvironment(built, action_cap=cap, seed=4)
         for _ in range(4):
             entities, visited = random_frontier(rng, built,
@@ -257,7 +189,7 @@ class TestMonoShardedDifferential:
         indistinguishable from the old per-edge loop."""
         rng = np.random.default_rng(23)
         built = random_built_kg(rng, n_edges=60, dead_ends=2)
-        env = KGEnvironment(built, action_cap=5, seed=0, shards=3)
+        env = KGEnvironment(built, action_cap=5, seed=0)
         head = next(e for e in range(built.kg.num_entities)
                     if env.degree(e) == 0)
         tails = [(head + 1 + i) % built.kg.num_entities for i in range(8)]
@@ -280,20 +212,13 @@ class TestMonoShardedDifferential:
         assert env.stage_edges(heads, rels, tails) == 0
 
     def test_fingerprint_deterministic_per_layout(self):
-        """Same content + same shard layout => same fingerprint across
-        independent processes/builds; staging and compaction re-key it.
-        (The fingerprint is deliberately layout-scoped — re-sharding
-        re-keys it, conservatively; see KGEnvironment.fingerprint —
-        so cross-layout identity goes through flat_tables instead.)"""
+        """Same content => same fingerprint across independent builds;
+        staging and compaction re-key it."""
         rng = np.random.default_rng(29)
         built = random_built_kg(rng, n_edges=200)
-        env_a = KGEnvironment(built, action_cap=10, seed=1, shards=4)
-        env_b = KGEnvironment(built, action_cap=10, seed=1, shards=4)
+        env_a = KGEnvironment(built, action_cap=10, seed=1)
+        env_b = KGEnvironment(built, action_cap=10, seed=1)
         assert env_a.fingerprint() == env_b.fingerprint()
-        mono = KGEnvironment(built, action_cap=10, seed=1, shards=1)
-        for got, want in zip(mono.flat_tables(), env_a.flat_tables()):
-            np.testing.assert_array_equal(np.asarray(got),
-                                          np.asarray(want))
         before = env_a.fingerprint()
         heads, rels, tails = random_delta(rng, built, 10)
         if env_a.stage_edges(heads, rels, tails):
@@ -303,46 +228,60 @@ class TestMonoShardedDifferential:
 
 
 # ----------------------------------------------------------------------
-# Hypothesis: per-shard compaction == full rebuild
+# Hypothesis: compaction == a from-scratch build
 # ----------------------------------------------------------------------
+def built_from_triples(n_entities, n_relations, heads, rels, tails):
+    """A BuiltKG over ``n_entities`` product entities holding exactly
+    the given triples."""
+    kg = KnowledgeGraph()
+    kg.add_entity_type("product", n_entities)
+    for rel in range(n_relations):
+        kg.add_relation(f"r{rel}")
+        sel = rels == rel
+        kg.add_triples(heads[sel], rel, tails[sel])
+    kg.finalize()
+    item_entity = np.arange(-1, n_entities, dtype=np.int64)
+    entity_item = np.arange(1, n_entities + 1, dtype=np.int64)
+    return BuiltKG(kg=kg, item_entity=item_entity, entity_item=entity_item,
+                   user_entity=None, include_users=False)
+
+
+def edge_sets(env):
+    return [set(zip(*(np.asarray(a).tolist()
+                      for a in env.actions_of(entity))))
+            for entity in range(env.kg.num_entities)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), shards=st.integers(1, 9),
-       cap=st.sampled_from([1, 3, 8, 1000]))
-def test_property_shard_compaction_equals_full_rebuild(seed, shards, cap):
+@given(seed=st.integers(0, 10_000), rounds=st.integers(1, 3))
+def test_property_compaction_equals_from_scratch_build(seed, rounds):
+    """Staged deltas, compacted (once per round), leave every entity
+    with the ``(rel, tail)`` set of an environment built from scratch
+    over the base triples plus the deltas.  The cap is above any degree
+    the graph can reach, so no edge is dropped on either side."""
     rng = np.random.default_rng(seed)
-    n_ent = int(rng.integers(4, 60))
-    degrees = rng.integers(0, 7, size=n_ent).astype(np.int64)
-    degrees = np.minimum(degrees, cap)
-    edges = int(degrees.sum())
-    rels = rng.integers(0, 4, size=edges)
-    tails = rng.integers(0, n_ent, size=edges)
-    store = ShardedCSR.build(degrees, rels, tails, num_shards=shards)
-
-    n_delta = int(rng.integers(1, 30))
-    d_heads = rng.integers(0, n_ent, size=n_delta)
-    d_rels = rng.integers(0, 4, size=n_delta)
-    d_tails = rng.integers(0, n_ent, size=n_delta)
-
-    # Route the delta through the per-shard path...
-    staged = {}
-    sid_of = store.shard_of(d_heads)
-    for sid in np.unique(sid_of):
-        rows = sid_of == sid
-        staged[int(sid)] = (d_heads[rows], d_rels[rows], d_tails[rows])
-    sharded, _ = compact_store(store, staged, action_cap=cap)
-
-    # ...and through the monolithic full rebuild.
-    # (full_merge concatenates per-head; group the delta by head first
-    # the same way the overlay does — staging order within a head.)
-    order = np.argsort(d_heads, kind="stable")
-    f_deg, f_rels, f_tails = full_merge(
-        store, d_heads[order], d_rels[order], d_tails[order], cap)
-
-    flat = sharded.to_flat()
-    np.testing.assert_array_equal(flat.degrees, f_deg.astype(np.int32))
-    np.testing.assert_array_equal(flat.rels[1:], f_rels.astype(np.int32))
-    np.testing.assert_array_equal(flat.tails[1:],
-                                  f_tails.astype(np.int32))
+    n_ent, n_rel = int(rng.integers(2, 40)), int(rng.integers(1, 4))
+    n_base = int(rng.integers(0, 120))
+    base = tuple(rng.integers(0, hi, size=n_base)
+                 for hi in (n_ent, n_rel, n_ent))
+    cap = 10_000
+    env = KGEnvironment(built_from_triples(n_ent, n_rel, *base),
+                        action_cap=cap, seed=0)
+    deltas = []
+    for _ in range(rounds):
+        n_delta = int(rng.integers(1, 40))
+        delta = tuple(rng.integers(0, hi, size=n_delta)
+                      for hi in (n_ent, n_rel, n_ent))
+        env.stage_edges(*delta)
+        env.compact()
+        deltas.append(delta)
+    assert env.staged_edges == 0
+    everything = tuple(np.concatenate([base[col]] + [d[col] for d in deltas])
+                       for col in range(3))
+    scratch = KGEnvironment(built_from_triples(n_ent, n_rel, *everything),
+                            action_cap=cap, seed=0)
+    assert edge_sets(env) == edge_sets(scratch)
+    assert env.csr_tables().num_edges == scratch.csr_tables().num_edges
 
 
 @settings(max_examples=30, deadline=None)
@@ -377,27 +316,21 @@ def test_property_merge_capped_is_base_first(seed):
 
 
 # ----------------------------------------------------------------------
-# Delta publish: only dirty shards travel
+# Publish: the bundle travels once per change
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def trainer(beauty_tiny, beauty_kg, beauty_transe):
-    # graph_shards pinned: the tiny fixture KG is below the auto
-    # heuristic's sharding threshold, and the delta-publish tests need
-    # shards to diff.
-    config = REKSConfig(dim=16, state_dim=16, sample_sizes=(20, 4),
-                        graph_shards=8, seed=0)
+    config = REKSConfig(dim=16, state_dim=16, sample_sizes=(20, 4), seed=0)
     return REKSTrainer(beauty_tiny, beauty_kg, model_name="narm",
                        config=config, transe=beauty_transe)
 
 
-def _fresh_edges_in_shard(env, built, sid, count=4):
-    """(heads, rels, tails) new co_occur edges whose heads live in
-    shard ``sid`` and have room under the action cap."""
+def _fresh_edges(env, built, count=4):
+    """(heads, rels, tails) new co_occur edges whose heads have room
+    under the action cap."""
     co_occur = built.kg.relation_id("co_occur")
-    store = env.csr_tables()
-    lo, hi = int(store.boundaries[sid]), int(store.boundaries[sid + 1])
     heads, tails = [], []
-    for head in range(lo, hi):
+    for head in range(built.kg.num_entities):
         if env.degree(head) >= env.action_cap - 1:
             continue
         _, existing = env.actions_of(head)
@@ -411,35 +344,32 @@ def _fresh_edges_in_shard(env, built, sid, count=4):
     return heads, [co_occur] * len(heads), tails
 
 
+def _serving_sessions(dataset):
+    return [s for s in dataset.split.test if len(s.items) >= 2][:8]
+
+
 class TestDeltaPublish:
     def test_publish_ships_only_dirty_shards(self, trainer, beauty_kg):
+        """A publish re-exports the bundle only when its digest moved:
+        after a compaction the generation changes and exactly the new
+        bundle's bytes are written; a publish with nothing new is a
+        no-op."""
         from repro.runtime import ProcessWorkerPool
 
         env = trainer.env
-        assert env.num_shards >= 2, "fixture KG must shard for this test"
-        sid = 0
-        heads, rels, tails = _fresh_edges_in_shard(env, beauty_kg, sid)
-        assert heads, "no under-cap head found in shard 0"
+        heads, rels, tails = _fresh_edges(env, beauty_kg)
+        assert heads, "no under-cap head found"
         with ProcessWorkerPool(trainer.agent, workers=1) as pool:
-            before = pool.shard_manifests()
-            total_bytes = sum(p.nbytes
-                              for p in pool._csr_planes.values())
+            before = pool._csr_plane.manifest
             env.stage_edges(heads, rels, tails)
             pool.stage_edges(heads, rels, tails)
             assert env.compact() == len(heads)
             key = pool.publish_tables(env)
             assert key == env.fingerprint()
-            # Manifest inspection: exactly the dirty shard re-exported.
-            after = pool.shard_manifests()
-            assert pool.last_publish["shards"] == [sid]
-            assert after[sid].segment != before[sid].segment
-            assert after[sid].shard_ids() == (sid,)
-            for other in after:
-                if other != sid:
-                    assert after[other] is before[other]
-            # ...and only its bytes were published.
-            assert pool.last_publish["nbytes"] \
-                == pool._csr_planes[sid].nbytes < total_bytes
+            after = pool._csr_plane.manifest
+            assert after.segment != before.segment
+            assert after.key == f"csr:{env.csr_tables().digest()}"
+            assert pool.last_publish["nbytes"] == after.nbytes
             # A second publish with nothing new is a no-op.
             generation = pool.generation
             assert pool.publish_tables(env) == key
@@ -448,11 +378,9 @@ class TestDeltaPublish:
     def test_rankings_identical_after_delta_attach(self, trainer,
                                                    beauty_kg,
                                                    beauty_tiny):
-        sessions = [s for s in beauty_tiny.split.test
-                    if len(s.items) >= 2][:8]
+        sessions = _serving_sessions(beauty_tiny)
         env = trainer.env
-        heads, rels, tails = _fresh_edges_in_shard(env, beauty_kg, 1,
-                                                   count=3)
+        heads, rels, tails = _fresh_edges(env, beauty_kg, count=3)
         assert heads
         with trainer.serve(worker_mode="process", workers=2,
                            cache_size=0) as proc, \
@@ -461,41 +389,81 @@ class TestDeltaPublish:
             thread.stage_edges(heads, rels, tails)
             proc.stage_edges(heads, rels, tails)
             env.compact()
+            generation = proc.process_pool.generation
             proc.refresh_tables()
-            assert proc.process_pool.last_publish["shards"] == [1]
+            assert proc.process_pool.generation == generation + 1
             got = [r.items for r in proc.recommend_many(sessions, k=5)]
             want = [r.items for r in thread.recommend_many(sessions, k=5)]
             assert got == want
 
-    def test_partial_attach_keeps_clean_shard_overlay(self, trainer,
-                                                      beauty_kg):
-        """attach_shards drops only the replaced shards' overlay slices
-        and replays the shipped staged edges — the per-shard staged
-        snapshot contract a delta-attaching worker relies on."""
-        config = REKSConfig(dim=16, state_dim=16, sample_sizes=(20, 4),
-                            graph_shards=8, seed=0)
-        private = REKSTrainer(trainer.dataset, beauty_kg,
-                              model_name="narm", config=config,
-                              transe=trainer.transe)
-        env = private.env
-        h0, r0, t0 = _fresh_edges_in_shard(env, beauty_kg, 0, count=2)
-        h1, r1, t1 = _fresh_edges_in_shard(env, beauty_kg, 1, count=2)
-        assert h0 and h1
-        env.stage_edges(h0 + h1, r0 + r1, t0 + t1)
-        by_shard = env.staged_by_shard()
-        assert set(by_shard) == {0, 1}
-        assert env.staged_counts_by_shard() == {0: len(h0), 1: len(h1)}
-        # Replace shard 0 with a publisher-compacted generation.
-        donor = KGEnvironment(beauty_kg, action_cap=env.action_cap,
-                              seed=config.seed + 3,
-                              shards=env.num_shards)
-        donor.stage_edges(h0, r0, t0)
-        donor.compact()
-        update = {0: donor.csr_tables().shards[0]}
-        env.attach_shards(update, staged=None)
-        # Shard-0 overlay dropped (now in the base), shard-1 kept.
-        assert env.staged_counts_by_shard() == {1: len(h1)}
-        rels, tails = env.actions_of(h0[0])
-        assert t0[0] in list(tails)  # served from the new base
-        rels, tails = env.actions_of(h1[0])
-        assert t1[0] in list(tails)  # still served from the overlay
+    def test_edge_staged_during_export_survives_publish(
+            self, trainer, beauty_kg, beauty_tiny, monkeypatch):
+        """An edge staged (parent, then workers) while the publish is
+        writing the segment reaches the workers with the generation:
+        the tables message carries the overlay snapshotted under the
+        state lock, not one read before the export."""
+        _publish_with_late_edge(trainer, beauty_kg, beauty_tiny,
+                                monkeypatch, compact=False)
+
+    def test_compaction_during_export_publishes_newer_bundle(
+            self, trainer, beauty_kg, beauty_tiny, monkeypatch):
+        """An edge staged and compacted while the publish is writing the
+        segment reaches the workers: the older bundle no longer matches
+        the overlay read under the state lock (the compaction emptied
+        it), so the publish writes the newer bundle and ships that."""
+        _publish_with_late_edge(trainer, beauty_kg, beauty_tiny,
+                                monkeypatch, compact=True)
+
+
+def _publish_with_late_edge(trainer, beauty_kg, beauty_tiny, monkeypatch,
+                            compact):
+    """Publish while the first segment write stages one late edge in
+    the env and the pool (then compacts the env, if ``compact``), and
+    check that every worker holds it and ranks like thread mode."""
+    from repro.runtime.plane import PlaneArena
+
+    sessions = _serving_sessions(beauty_tiny)
+    env = trainer.env
+    heads, rels, tails = _fresh_edges(env, beauty_kg, count=4)
+    assert len(heads) == 4
+    late = (heads[3:], rels[3:], tails[3:])
+    with trainer.serve(worker_mode="process", workers=2,
+                       cache_size=0) as proc, \
+            trainer.serve(worker_mode="thread", workers=1,
+                          cache_size=0) as thread:
+        pool = proc.process_pool
+        env.stage_edges(heads[:3], rels[:3], tails[:3])
+        pool.stage_edges(heads[:3], rels[:3], tails[:3])
+        env.compact()
+        write = PlaneArena.write
+        keys = []
+
+        def write_then_stage(arena, arrays, *, key):
+            plane = write(arena, arrays, key=key)
+            keys.append(key)
+            if len(keys) == 1:
+                assert env.stage_edges(*late) == 1
+                assert pool.stage_edges(*late) == 1
+                if compact:
+                    assert env.compact() == 1
+            return plane
+
+        monkeypatch.setattr(PlaneArena, "write", write_then_stage)
+        generation = pool.generation
+        proc.refresh_tables()
+        monkeypatch.undo()
+        # A compaction during the write makes the written bundle stale:
+        # it is overwritten with the newer one, and one generation is
+        # broadcast either way.
+        assert len(keys) == 1 + compact and len(set(keys)) == len(keys)
+        assert pool.generation == generation + 1
+        assert env.staged_edges == (0 if compact else 1)
+        assert pool._csr_plane.key == f"csr:{env.csr_tables().digest()}"
+        assert pool.plane_key == env.fingerprint()
+        # Every worker already holds the late edge.
+        assert pool.stage_edges(*late) == 0
+        got = [r.items for r in proc.recommend_many(sessions, k=5)]
+        want = [r.items for r in thread.recommend_many(sessions, k=5)]
+        assert got == want
+        env.compact()
+        proc.refresh_tables()

@@ -48,13 +48,13 @@ from test_env_differential import (grid_cells, random_built_kg,
 TABLE_SCALE = 0.2
 
 
-def random_world(rng, action_cap, staged, shards=None):
+def random_world(rng, action_cap, staged):
     built = random_built_kg(rng, n_items=int(rng.integers(3, 12)),
                             n_other=int(rng.integers(1, 6)),
                             n_relations=int(rng.integers(1, 4)),
                             n_edges=int(rng.integers(5, 120)),
                             dead_ends=int(rng.integers(0, 3)))
-    env = KGEnvironment(built, action_cap=action_cap, seed=0, shards=shards)
+    env = KGEnvironment(built, action_cap=action_cap, seed=0)
     if staged:  # overlay-widened rows
         n_ent, n_rel = built.kg.num_entities, built.kg.num_relations
         env.stage_edges(rng.integers(0, n_ent, size=6),
@@ -118,14 +118,13 @@ class CountingMetrics:
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), action_cap=st.integers(1, 30),
-       staged=st.booleans(), shards=st.sampled_from([1, 2, 3]),
-       visited_width=st.integers(1, 3))
+       staged=st.booleans(), visited_width=st.integers(1, 3))
 def test_flat_actions_are_the_grids_legal_cells(seed, action_cap, staged,
-                                                shards, visited_width):
+                                                visited_width):
     """Same cells, same per-row order: base edges, then staged ones,
-    visited tails gone, dead-end rows absent — on 1-3 shard stores."""
+    visited tails gone, dead-end rows absent."""
     rng = np.random.default_rng(seed)
-    built, env = random_world(rng, action_cap, staged, shards=shards)
+    built, env = random_world(rng, action_cap, staged)
     n = int(rng.integers(1, 40))
     entities, visited = random_frontier(rng, built, n, visited_width)
     metrics = CountingMetrics()
@@ -141,14 +140,9 @@ def test_flat_actions_are_the_grids_legal_cells(seed, action_cap, staged,
         np.testing.assert_array_equal(row_of, want[0])
         np.testing.assert_array_equal(rels, want[1])
         np.testing.assert_array_equal(tails, want[2])
-    # One gather call over all n rows, split across the touched shards.
-    assert metrics.counters["gather_calls_total"] == 1
-    assert metrics.counters["gather_rows_total"] == n
-    per_shard = {name: count for name, count in metrics.counters.items()
-                 if name.startswith("gather_rows_total{")}
-    assert sum(per_shard.values()) == n
-    assert (len(per_shard) > 1) == ("gather_multi_total"
-                                    in metrics.counters)
+    # One gather call over all n rows.
+    assert metrics.counters == {"gather_calls_total": 1,
+                                "gather_rows_total": n}
 
 
 def test_flat_actions_of_an_empty_or_dead_end_frontier():

@@ -228,6 +228,21 @@ class TestDeltaIngestor:
             env.stage_edges([env.kg.num_entities + 1], [0], [0])
         with pytest.raises(IndexError, match="relation id"):
             env.stage_edges([0], [env.kg.num_relations + 3], [1])
+        # Non-integer ids are refused, not truncated onto another
+        # entity; empty lists (float64 to NumPy) stay legal.
+        staged = env.staged_edges
+        head = int(trainer.built.item_entity[1])
+        tail = trainer.built.kg.type_range("brand")[0]
+        ingestor = DeltaIngestor(trainer.built, env, compact_every=10_000)
+        with pytest.raises(ValueError, match="integers"):
+            ingestor.ingest_triples([head + 0.9], "co_occur", [tail])
+        with pytest.raises(ValueError, match="integers"):
+            env.stage_edges(["7"], [0], [1])
+        with pytest.raises(ValueError, match="integers"):
+            env.stage_edges([head], [0.0], [tail])
+        assert env.stage_edges([], [], []) == 0
+        assert ingestor.ingest_triples([], "co_occur", []) == 0
+        assert env.staged_edges == staged
 
     def test_auto_compaction_threshold(self, trainer, beauty_tiny):
         ingestor = DeltaIngestor(trainer.built, trainer.env,

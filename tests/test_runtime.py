@@ -396,10 +396,10 @@ class TestProcessWorkerPool:
     def test_delta_publish_reuses_spare_arena(self, beauty_tiny,
                                               beauty_kg, beauty_transe,
                                               sessions):
-        """Double-buffered shard segments: the first two publishes of a
-        shard prime its buffer pair (one arena each); from the third on
-        the write lands in the retired spare and steady-state delta
-        publish allocates zero new segments."""
+        """Double-buffered CSR segments: the first two publishes prime
+        the buffer pair (one arena each); from the third on the write
+        lands in the retired spare and steady-state publish allocates
+        zero new segments."""
         config = REKSConfig(dim=16, state_dim=16, sample_sizes=(20, 4),
                             seed=0)
         trainer = REKSTrainer(beauty_tiny, beauty_kg, model_name="narm",
@@ -421,8 +421,7 @@ class TestProcessWorkerPool:
                 env.compact()
                 pool.publish_tables(env)
                 publish = pool.last_publish
-                # Only the head's shard went dirty each round.
-                assert len(publish["shards"]) == 1
+                assert publish["key"] == env.fingerprint()
                 allocations.append(publish["segments_allocated"])
                 # Every generation flip must still serve correctly.
                 _, rows = pool.execute(_examples(subset), 5)

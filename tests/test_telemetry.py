@@ -32,7 +32,6 @@ from repro.telemetry.block import (
     bucket_index,
     bucket_upper_edges,
     fleet_schema,
-    gather_shard_counter,
     merge_hists,
     walk_hop_hist,
 )
@@ -47,7 +46,7 @@ from repro.telemetry.exporters import (
 from repro.telemetry.httpd import MetricsEndpoint
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.sink import TraceSink
-from repro.telemetry.top import heat_bar, render_top, shard_heat
+from repro.telemetry.top import render_top
 from repro.telemetry.trace import (
     ROW_SPAN,
     SPAN_KINDS,
@@ -210,9 +209,7 @@ class TestMetricBlock:
         assert empty.count == 0 and empty.min == 0.0
 
     def test_fleet_schema_labelled_families(self):
-        schema = fleet_schema(num_shards=3, hops=2)
-        assert gather_shard_counter(2) in schema.counters
-        assert gather_shard_counter(3) not in schema.counters
+        schema = fleet_schema(hops=2)
         assert walk_hop_hist(1) in schema.histograms
         assert walk_hop_hist(2) not in schema.histograms
         # One shared schema: every core family present regardless.
@@ -357,19 +354,19 @@ class TestTracer:
 class TestExporters:
     def test_split_labels(self):
         assert split_labels("requests_total") == ("requests_total", {})
-        assert split_labels("gather_rows_total{shard=3}") == (
-            "gather_rows_total", {"shard": "3"})
+        assert split_labels("walk_hop_seconds{hop=3}") == (
+            "walk_hop_seconds", {"hop": "3"})
         assert split_labels("x_seconds{hop=1,kind=walk}") == (
             "x_seconds", {"hop": "1", "kind": "walk"})
 
     def _snapshot(self):
         registry = MetricsRegistry()
         block = registry.create_block(
-            "w0", fleet_schema(num_shards=2, hops=1))
+            "w0", fleet_schema(hops=1))
         block.count("requests_total", 10)
         block.count("cache_hits_total", 6)
         block.count("cache_misses_total", 4)
-        block.count(gather_shard_counter(1), 33)
+        block.count("gather_rows_total", 33)
         block.gauge("model_version", 3)
         for v in (0.001, 0.002, 0.004, 0.008):
             block.observe("request_latency_seconds", v)
@@ -383,7 +380,7 @@ class TestExporters:
         assert "# TYPE reks_requests_total counter" in text
         assert "reks_requests_total 10" in text
         # Inline labels round-trip into real Prometheus labels.
-        assert 'reks_gather_rows_total{shard="1"} 33' in text
+        assert "reks_gather_rows_total 33" in text
         assert 'reks_walk_hop_seconds_count{hop="0"} 1' in text
         assert 'reks_model_version{role="w0"} 3' in text
         assert "reks_request_latency_seconds_count 4" in text
@@ -1075,12 +1072,10 @@ class TestTopView:
     def _snapshot_dict(self, requests, latencies, at):
         registry = MetricsRegistry()
         block = registry.create_block(
-            "server", fleet_schema(num_shards=2))
+            "server", fleet_schema())
         block.count("requests_total", requests)
         block.count("cache_hits_total", requests // 2)
         block.count("cache_misses_total", requests - requests // 2)
-        block.count(gather_shard_counter(0), requests * 3)
-        block.count(gather_shard_counter(1), requests)
         block.gauge("model_version", 4)
         for v in latencies:
             block.observe("request_latency_seconds", v)
@@ -1089,19 +1084,6 @@ class TestTopView:
         payload = snap.to_dict()
         registry.close()
         return payload
-
-    def test_heat_bar_scales_to_peak(self):
-        assert heat_bar([]) == ""
-        assert heat_bar([0.0, 0.0]) == "  "
-        bar = heat_bar([1.0, 4.0, 8.0])
-        assert len(bar) == 3
-        assert bar[-1] == "█"
-
-    def test_shard_heat_diffs_labelled_counters(self):
-        prev = self._snapshot_dict(10, [0.001], at=0.0)
-        curr = self._snapshot_dict(30, [0.001, 0.002], at=2.0)
-        heat = shard_heat(curr, prev)
-        assert heat == [(0, 60), (1, 20)]
 
     def test_render_cumulative_and_windowed_frames(self):
         prev = self._snapshot_dict(10, [0.001] * 10, at=0.0)

@@ -14,7 +14,6 @@ import numpy as np
 from repro.autograd.tensor import (  # noqa: F401 (re-export)
     Tensor,
     concat,
-    is_grad_enabled,
     stack,
 )
 
@@ -81,21 +80,6 @@ def segments(row_of: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.cumsum(counts) - counts, counts
 
 
-def segment_log_softmax_data(logits: np.ndarray, starts: np.ndarray,
-                             counts: np.ndarray) -> np.ndarray:
-    """Numerically stable log-softmax within each ``segments`` run, on
-    plain arrays (the forward of :func:`segment_log_softmax`)."""
-    if not len(logits):
-        return logits
-    shifted = logits - np.repeat(np.maximum.reduceat(logits, starts), counts)
-    # float64 accumulation: reduceat adds left to right, and a float32
-    # running sum over a few hundred cells would lose the last digits
-    # a pairwise row sum keeps.
-    log_sum = np.log(np.add.reduceat(np.exp(shifted), starts,
-                                     dtype=np.float64)).astype(logits.dtype)
-    return shifted - np.repeat(log_sum, counts)
-
-
 def segment_log_softmax(x: Tensor, row_of: np.ndarray) -> Tensor:
     """Log-softmax of a flat ``(M,)`` tensor within each row segment.
 
@@ -105,8 +89,17 @@ def segment_log_softmax(x: Tensor, row_of: np.ndarray) -> Tensor:
     ``g - softmax * segment_sum(g)``.
     """
     starts, counts = segments(row_of)
-    out = x._make_child(segment_log_softmax_data(x.data, starts, counts),
-                        (x,), "segment_log_softmax")
+    value = x.data
+    if len(value):
+        shifted = value - np.repeat(np.maximum.reduceat(value, starts),
+                                    counts)
+        # float64 accumulation: reduceat adds left to right, and a
+        # float32 running sum over a few hundred cells would lose the
+        # last digits a pairwise row sum keeps.
+        log_sum = np.log(np.add.reduceat(np.exp(shifted), starts,
+                                         dtype=np.float64))
+        value = shifted - np.repeat(log_sum.astype(value.dtype), counts)
+    out = x._make_child(value, (x,), "segment_log_softmax")
     if out.requires_grad:
 
         def _backward() -> None:
@@ -238,17 +231,6 @@ def tanh(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     return x.relu()
-
-
-def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows from an embedding matrix (scatter-add backward).
-
-    Integer index arrays keep their dtype (int32 stays int32); the
-    copy detaching the indices from the caller's array is only taken
-    when a backward closure will retain them.
-    """
-    return weight[coerce_indices(
-        indices, detach=weight.requires_grad and is_grad_enabled())]
 
 
 def scatter_add(src: Tensor, index, shape) -> Tensor:

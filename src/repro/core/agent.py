@@ -30,7 +30,7 @@ from repro.telemetry.trace import span_kind_id
 
 _SPAN_WALK = span_kind_id("walk")
 _SPAN_TOPK = span_kind_id("topk")
-from repro.autograd.tensor import Tensor, is_grad_enabled
+from repro.autograd.tensor import Tensor
 from repro.core.config import REKSConfig
 from repro.core.environment import (
     KGEnvironment,
@@ -103,13 +103,11 @@ class REKSAgent(Module):
         """Beam-walk the KG; gradient flows when grad mode is enabled.
 
         Every hop is one :meth:`_expand`: the frontier's legal actions
-        as flat cells, one policy forward, one segment top-k.  Which
-        forward runs is decided here, once, from what the caller can
-        observe: with grad mode on, or dropout active, it is
-        ``PolicyNetwork.step`` on the autograd tape; under ``no_grad``
-        with dropout inactive it is ``PolicyNetwork.step_flat`` on
-        plain arrays.  Both keep the same actions, in the same order,
-        up to float32 summation order in the log-probs.
+        as flat cells, one ``PolicyNetwork.step``, one segment top-k.
+        Training and inference run that same forward; under
+        ``no_grad`` it records no graph, so with dropout off a served
+        walk keeps the actions and log-probs a grad-mode walk keeps,
+        bit for bit.
 
         ``workspace`` overrides the agent's own telemetry carrier for
         this walk — serving workers each pin their own workspace so
@@ -126,21 +124,13 @@ class REKSAgent(Module):
         cfg = self.config
         sizes = sizes or cfg.sample_sizes
         workspace = workspace if workspace is not None else self.workspace
-        tape = is_grad_enabled() or (self.policy.drop.training
-                                     and self.policy.drop.p > 0)
-        if tape:
-            forward = self.policy.step
-        else:
-            forward, session_repr = self.policy.step_flat, session_repr.data
         batch_size = batch.batch_size
         sess_idx = np.arange(batch_size, dtype=np.int64)
         entities = self.env.start_entities(batch, cfg.start_from)
         ent_hist = entities[:, None]
         rel_hist = np.zeros((batch_size, 0), dtype=np.int64)
         prev_rel: Optional[np.ndarray] = None
-        # Summed per-hop log-probs: a Tensor from the tape forward, a
-        # plain array (wrapped on return) from the flat one.
-        log_prob = None
+        log_prob: Optional[Tensor] = None  # summed per-hop log-probs
 
         # Per-hop wall time lands in the owner's metric block (if any);
         # the guard keeps the no-telemetry walk free of clock reads.
@@ -155,7 +145,7 @@ class REKSAgent(Module):
             hop_t0 = perf_counter() if metrics is not None else 0.0
             hop_allowed = (None if candidates is None
                            else candidates.hop_mask(hop, len(sizes)))
-            picked = self._expand(forward, session_repr, sess_idx, ent_hist,
+            picked = self._expand(session_repr, sess_idx, ent_hist,
                                   prev_rel, k, stochastic, hop_allowed,
                                   metrics)
             if picked is None:
@@ -188,27 +178,25 @@ class REKSAgent(Module):
                 metrics.observe(walk_hop_hist(hop),
                                 perf_counter() - hop_t0)
 
-        if not tape and log_prob is not None:
-            log_prob = Tensor(log_prob)
         prob = (np.exp(log_prob.data.astype(np.float64))
                 if log_prob is not None else np.zeros(len(sess_idx)))
         return Rollout(session_idx=sess_idx, entities=ent_hist,
                        relations=rel_hist, prob=prob, log_prob=log_prob)
 
-    def _expand(self, forward, session_repr, sess_idx: np.ndarray,
+    def _expand(self, session_repr: Tensor, sess_idx: np.ndarray,
                 ent_hist: np.ndarray, prev_rel: Optional[np.ndarray],
                 k: int, stochastic: bool,
                 hop_allowed: Optional[np.ndarray], metrics):
         """One hop: flat frontier, one policy forward, segment top-k.
 
         The whole frontier's legal actions arrive as flat
-        ``(row_of, rels, tails)`` cells, ``forward`` (``step`` or
-        ``step_flat``, see :meth:`walk`) scores them and one segment
-        top-k keeps each row's best ``k`` — Gumbel-perturbed when
-        ``stochastic``.  Returns ``(rows, rels, tails, log_probs)`` of
-        the kept actions in frontier-row order, by action column
-        within a row (``rows`` indexes the frontier, ``log_probs`` is
-        ``forward``'s type), or None when nothing could be kept.
+        ``(row_of, rels, tails)`` cells, ``PolicyNetwork.step`` scores
+        them and one segment top-k keeps each row's best ``k`` —
+        Gumbel-perturbed when ``stochastic``.  Returns ``(rows, rels,
+        tails, log_probs)`` of the kept actions in frontier-row order,
+        by action column within a row (``rows`` indexes the frontier,
+        ``log_probs`` is a Tensor), or None when nothing could be
+        kept.
         """
         row_of, rels, tails = self.env.flat_actions(
             ent_hist[:, -1], ent_hist, metrics=metrics)
@@ -234,10 +222,11 @@ class REKSAgent(Module):
                 selectable = selectable[cells]
         if len(row_of) == 0:
             return None
-        logp = forward(session_repr[sess_idx[rows_g]], ent_hist[rows_g, -1],
-                       None if prev_rel is None else prev_rel[rows_g],
-                       row_of, rels, tails)
-        scores = logp.data if isinstance(logp, Tensor) else logp
+        logp = self.policy.step(
+            session_repr[sess_idx[rows_g]], ent_hist[rows_g, -1],
+            None if prev_rel is None else prev_rel[rows_g],
+            row_of, rels, tails)
+        scores = logp.data
         if stochastic:
             scores = scores - np.log(-np.log(
                 self._rng.random(len(scores)) + 1e-12) + 1e-12)

@@ -15,8 +15,8 @@ A frontier's action space has one layout, the **flat frontier** of
 :meth:`KGEnvironment.flat_actions`: its legal actions as
 ``(row_of, rels, tails)`` cells in row-major order, sized by the
 number of legal actions — one store gather per hop, no Python loop
-over the frontier.  Both forwards of :meth:`REKSAgent.walk` (the tape
-one for training, the plain-array one for inference) expand it.
+over the frontier.  :meth:`REKSAgent.walk` expands it, in training
+and in inference alike.
 ``actions_of`` is two O(1) slices, and
 ``batched_actions`` is a padded ``(N, A)`` view scattered from the same
 cells, for callers that read a grid.
@@ -52,16 +52,17 @@ class Rollout:
     ``entities`` has one column per visited node (hop 0 = start) and
     ``relations`` one column per hop taken.  ``session_idx`` maps every
     surviving path back to its source session row.  ``log_prob`` is the
-    tensor of summed per-hop log probabilities (tape-free when produced
-    under ``no_grad``; None only for hand-built rollouts); ``prob`` is
-    its exponential as plain numpy.
+    tensor of summed per-hop log probabilities from the one policy
+    forward (on the autograd tape in grad mode, recording no graph
+    under ``no_grad``; None for a dead-end or hand-built rollout);
+    ``prob`` is its exponential as plain numpy.
     """
 
     session_idx: np.ndarray      # (P,)
     entities: np.ndarray         # (P, hops + 1)
     relations: np.ndarray        # (P, hops)
     prob: np.ndarray             # (P,)
-    log_prob: Optional[object] = None  # Tensor (P,) when grad is enabled
+    log_prob: Optional[object] = None  # Tensor (P,)
 
     @property
     def num_paths(self) -> int:

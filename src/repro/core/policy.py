@@ -4,10 +4,10 @@
 wrapped SR model with the current path context ``Sp = x_et + x_rt``;
 actions ``(r, e)`` are embedded as ``x_r + x_e`` and scored by
 ``(x_r + x_e)ᵀ (W1 s_t)``, then softmaxed over each row's legal actions,
-given as flat ``(row_of, rels, tails)`` cells.  Two forwards compute
-that hop on the same cells: :meth:`PolicyNetwork.step` on the autograd
-tape (training) and :meth:`PolicyNetwork.step_flat` on plain arrays
-(inference) — :meth:`REKSAgent.walk` picks, from grad mode and dropout.
+given as flat ``(row_of, rels, tails)`` cells.  One forward,
+:meth:`PolicyNetwork.step`, computes that hop for training and for
+inference alike: under ``no_grad`` its ops record no graph, so the
+walk that serves a request runs the arithmetic training runs.
 
 KG entity/relation embeddings default to the frozen TransE tables
 (PGPR convention); ``finetune=True`` makes them trainable parameters.
@@ -22,7 +22,7 @@ import numpy as np
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.nn.dropout import Dropout
-from repro.nn.embedding import Embedding
+from repro.nn.embedding import Embedding, embedding_sum
 from repro.nn.linear import Linear, MLP
 from repro.nn.module import Module
 
@@ -71,48 +71,26 @@ class PolicyNetwork(Module):
 
     def action_embeddings(self, rels: np.ndarray, tails: np.ndarray) -> Tensor:
         """``x_r + x_e`` for the ``(M,)`` flat action cells."""
-        return self.relation_emb(rels) + self.entity_emb(tails)
+        return embedding_sum(self.relation_emb, rels, self.entity_emb, tails)
 
     def step(self, session_repr: Tensor, entities: np.ndarray,
              relations: Optional[np.ndarray], row_of: np.ndarray,
              rels: np.ndarray, tails: np.ndarray) -> Tensor:
-        """Full hop on the autograd tape: ``(M,)`` log-probs.
+        """One hop: ``(M,)`` log-probs of the frontier's legal cells.
 
-        The tape forward of :meth:`step_flat`, on the same arguments:
-        the ``N`` frontier rows (``session_repr`` / ``entities`` /
+        The ``N`` frontier rows (``session_repr`` / ``entities`` /
         ``relations``) and their ``M`` legal cells ``(rels[j],
-        tails[j])`` of row ``row_of[j]``.  Dropout applies to the state
-        input when the module is training.  Each cell is dotted against
-        its row's projected state (a segment dot) and the softmax is
-        taken per row segment, so gradients reach the session encoder,
-        the state MLP and ``W1`` through the legal actions only.
+        tails[j])`` of row ``row_of[j]`` (non-decreasing —
+        :meth:`KGEnvironment.flat_actions` order).  Dropout applies to
+        the state input when the module is training.  Each cell is
+        dotted against its row's projected state (a segment dot) and
+        the softmax is taken per row segment, so in grad mode gradients
+        reach the session encoder, the state MLP and ``W1`` through the
+        legal actions only; under ``no_grad`` the same ops build no
+        graph.
         """
         sp = self.path_context(entities, relations)
         proj = self.w1(self.state(session_repr, sp))       # (N, kg_dim)
         action_emb = self.action_embeddings(rels, tails)   # (M, kg_dim)
         logits = F.segment_dot(proj, action_emb, row_of)
         return F.segment_log_softmax(logits, row_of)
-
-    def step_flat(self, session_repr: np.ndarray, entities: np.ndarray,
-                  relations: Optional[np.ndarray], row_of: np.ndarray,
-                  rels: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        """Inference-only :meth:`step` on plain arrays: ``(M,)`` log-probs.
-
-        Same arguments and cells as :meth:`step` (``row_of``
-        non-decreasing — :meth:`KGEnvironment.flat_actions` order), no
-        tape and no dropout: the caller checks both are off.  The state
-        MLP runs once over all rows through ``Linear.infer`` /
-        ``Embedding.gather``, so a cell's log-prob is the tape
-        forward's for the same action to float32 summation order.
-        """
-        sp = self.entity_emb.gather(entities)
-        if relations is not None:
-            sp = sp + self.relation_emb.gather(relations)
-        fc0, fc1 = self.state_mlp.fc0, self.state_mlp.fc1
-        hidden = np.maximum(
-            fc0.infer(np.concatenate([session_repr, sp], axis=-1)), 0.0)
-        proj = self.w1.infer(fc1.infer(hidden))        # (N, kg_dim)
-        action_emb = self.relation_emb.gather(rels)
-        action_emb += self.entity_emb.gather(tails)    # (M, kg_dim)
-        logits = np.einsum("md,md->m", action_emb, proj[row_of])
-        return F.segment_log_softmax_data(logits, *F.segments(row_of))

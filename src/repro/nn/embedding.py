@@ -49,11 +49,6 @@ class Embedding(Module):
         return self.weight[self._checked(
             indices, detach=self.weight.requires_grad and is_grad_enabled())]
 
-    def gather(self, indices: np.ndarray) -> np.ndarray:
-        """Tape-free lookup: the rows as a plain array (inference only),
-        with the same range check as :meth:`forward`."""
-        return self.weight.data[self._checked(indices, detach=False)]
-
     def zero_padding(self) -> None:
         if self.padding_idx is not None:
             self.weight.data[self.padding_idx] = 0.0
@@ -110,3 +105,38 @@ class Embedding(Module):
             # Freeze the payload so clones can alias it (COW on write).
             table.weight.data.flags.writeable = False
         return table
+
+
+def embedding_sum(first: Embedding, first_indices: np.ndarray,
+                  second: Embedding, second_indices: np.ndarray) -> Tensor:
+    """``first(first_indices) + second(second_indices)`` as one op.
+
+    The forward gathers ``first``'s rows (a fresh array) and adds
+    ``second``'s into it in place, so ``M`` lookups write one
+    ``(M, dim)`` result rather than summing two gathers into a third
+    (the policy's action embeddings, ``M`` flat action cells a hop).
+    Backward scatter-adds the output gradient into each table that
+    requires grad.  Both lookups keep :meth:`Embedding.forward`'s
+    range check and its rule of detaching indices a backward closure
+    retains.
+    """
+    grad_on = is_grad_enabled()
+    lookups = [(table.weight, table._checked(
+                   indices, detach=table.weight.requires_grad and grad_on))
+               for table, indices in ((first, first_indices),
+                                      (second, second_indices))]
+    (w1, i1), (w2, i2) = lookups
+    data = w1.data[i1]
+    data += w2.data[i2]
+    out = w1._make_child(data, (w1, w2), "embedding_sum")
+    if out.requires_grad:
+        trained = [(w, i) for w, i in lookups if w.requires_grad]
+
+        def _backward() -> None:
+            for weight, indices in trained:
+                grad = np.zeros_like(weight.data)
+                np.add.at(grad, indices, out.grad)
+                weight._accumulate(grad)
+
+        out._backward = _backward
+    return out

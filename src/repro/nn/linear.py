@@ -30,13 +30,6 @@ class Linear(Module):
             out = out + self.bias
         return out
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on a plain array: same arithmetic, no tape."""
-        out = np.matmul(x, self.weight.data.transpose())
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
-
 
 class MLP(Module):
     """Multi-layer perceptron with a configurable activation.

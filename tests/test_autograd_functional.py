@@ -1,10 +1,14 @@
 """Unit tests for fused functional ops (softmax family, losses, dropout)."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro import nn
+from repro.autograd import Tensor, no_grad
 from repro.autograd import functional as F
+from repro.nn.embedding import embedding_sum
 
 from helpers import assert_grad_close, make_tensor
 
@@ -155,15 +159,16 @@ class TestGelu:
 
 class TestEmbeddingLookup:
     def test_gather_and_scatter_grad(self, rng):
-        w = make_tensor(rng, 6, 3)
+        emb = nn.Embedding(6, 3, rng=rng)
+        emb.weight.data = emb.weight.data.astype(np.float64)
         idx = np.array([[0, 2], [2, 5]])
-        out = F.embedding_lookup(w, idx)
+        out = emb(idx)
         assert out.shape == (2, 2, 3)
-        assert_grad_close(lambda: F.embedding_lookup(w, idx).sum(), [w])
+        assert_grad_close(lambda: emb(idx).sum(), [emb.weight])
 
 
 class TestSegmentOps:
-    """The ragged (flat-cell) ops the training walk runs on the tape:
+    """The ragged (flat-cell) ops of the walk's one policy forward:
     ``row_of`` assigns every cell to a row, rows with no cell allowed."""
 
     RAGGED = np.array([0, 0, 0, 2, 3, 3, 5])   # rows 1 and 4 empty
@@ -226,6 +231,68 @@ class TestSegmentOps:
                                    atol=1e-6)
         np.testing.assert_allclose(gx32, gx64, rtol=1e-4, atol=1e-5)
         np.testing.assert_allclose(gy32, gy64, rtol=1e-4, atol=1e-5)
+
+    @staticmethod
+    def tables(rng, trainable=True):
+        """float64 (relation, entity) tables, both trainable or both
+        frozen."""
+        pair = []
+        for rows in (3, 7):
+            emb = nn.Embedding(rows, 4, rng=rng)
+            emb.weight.data = emb.weight.data.astype(np.float64)
+            emb.weight.requires_grad = trainable
+            pair.append(emb)
+        return pair
+
+    def test_embedding_sum_matches_two_lookups_and_gradient(self, rng):
+        """One op, ``x_r + x_e`` over flat cells with repeated indices:
+        the sum of the two lookups bit for bit, and central-difference
+        gradients into both trainable tables."""
+        rel, ent = self.tables(rng)
+        rels = np.array([0, 2, 2, 1, 0, 2], dtype=np.int32)
+        tails = np.array([6, 6, 3, 0, 6, 5])
+        out = embedding_sum(rel, rels, ent, tails)
+        np.testing.assert_array_equal(out.data,
+                                      (rel(rels) + ent(tails)).data)
+        w = Tensor(rng.standard_normal((len(rels), 4)), dtype=np.float64)
+        assert_grad_close(
+            lambda: (embedding_sum(rel, rels, ent, tails) * w).sum(),
+            [rel.weight, ent.weight], rtol=1e-6, atol=1e-8)
+        np.testing.assert_array_equal(ent.weight.grad[[1, 2, 4]], 0.0)
+
+    def test_embedding_sum_frozen_tables_record_no_graph(self, rng):
+        rel, ent = self.tables(rng, trainable=False)
+        out = embedding_sum(rel, np.array([1]), ent, np.array([2]))
+        assert not out.requires_grad and out._prev == ()
+        rel.weight.requires_grad = True   # one trainable table
+        out = embedding_sum(rel, np.array([1, 1]), ent, np.array([2, 3]))
+        out.sum().backward()
+        np.testing.assert_array_equal(rel.weight.grad[1], 2.0)
+        assert ent.weight.grad is None
+
+    def test_embedding_sum_detaches_retained_indices(self, rng):
+        """A backward closure keeps a copy of the indices, so a later
+        write to the caller's array cannot redirect the gradient."""
+        rel, ent = self.tables(rng)
+        rels, tails = np.array([0, 1]), np.array([2, 3])
+        out = embedding_sum(rel, rels, ent, tails)
+        rels[:] = 2
+        tails[:] = 6
+        out.sum().backward()
+        np.testing.assert_array_equal(rel.weight.grad[[0, 1]], 1.0)
+        np.testing.assert_array_equal(rel.weight.grad[2], 0.0)
+        np.testing.assert_array_equal(ent.weight.grad[[2, 3]], 1.0)
+        np.testing.assert_array_equal(ent.weight.grad[6], 0.0)
+
+    @pytest.mark.parametrize("which, bad", [
+        ("rels", 3), ("rels", -1), ("tails", 7), ("tails", -1)])
+    def test_embedding_sum_range_check(self, rng, which, bad):
+        rel, ent = self.tables(rng)
+        cells = dict(rels=np.array([0, 2]), tails=np.array([1, 6]))
+        cells[which][-1] = bad
+        for grad_mode in (nullcontext, no_grad):
+            with grad_mode(), pytest.raises(IndexError):
+                embedding_sum(rel, cells["rels"], ent, cells["tails"])
 
     def test_empty_frontier(self):
         none = np.zeros(0, dtype=np.int64)

@@ -119,8 +119,8 @@ class TestFinetuneKGEmbeddings:
 class TestBucketedFrontiers:
     def test_training_step_with_buckets_backprops(self, beauty_tiny,
                                                   beauty_kg, beauty_transe):
-        """The training walk runs the tape forward over the flat
-        frontier: the loss is finite and gradients reach both the
+        """The training walk runs the policy forward on the tape over
+        the flat frontier: the loss is finite and gradients reach both the
         policy and the wrapped encoder through the segment ops."""
         from repro.data.loader import SessionBatcher
 
@@ -143,8 +143,8 @@ class TestBucketedFrontiers:
     def test_bucketed_inference_matches_flat_candidates(self, beauty_tiny,
                                                         beauty_kg,
                                                         beauty_transe):
-        """Same model, tape forward (grad mode) vs flat forward
-        (``no_grad``): identical (session, terminal) key sets."""
+        """Same model, one forward in grad mode vs under ``no_grad``:
+        identical (session, terminal) key sets."""
         from repro.autograd import no_grad
         from repro.data.loader import SessionBatcher
 

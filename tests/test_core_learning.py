@@ -11,7 +11,7 @@ finite-difference check of the policy gradient ``losses`` builds.
 import numpy as np
 import pytest
 
-from repro.autograd import Adam, no_grad
+from repro.autograd import Adam, Tensor, no_grad
 from repro.core import REKSConfig
 from repro.core.agent import REKSAgent, segment_top_k
 from repro.core.environment import KGEnvironment
@@ -138,12 +138,12 @@ class TestPolicyLearnsRewardedArm:
         assert decoy_item_reward.max() < 1.0
 
 
-def one_hop(agent, k, stochastic=False, hop_allowed=None, forward=None):
+def one_hop(agent, k, stochastic=False, hop_allowed=None):
     """One walk hop from item 1 (both arms' first edge) for one row."""
-    return agent._expand(forward or agent.policy.step_flat,
-                         np.zeros((1, 8), dtype=np.float32),
-                         np.array([0]), np.array([[0]]), None, k,
-                         stochastic, hop_allowed, None)
+    with no_grad():
+        return agent._expand(Tensor(np.zeros((1, 8), dtype=np.float32)),
+                             np.array([0]), np.array([[0]]), None, k,
+                             stochastic, hop_allowed, None)
 
 
 class TestSelectionMechanics:
@@ -163,16 +163,17 @@ class TestSelectionMechanics:
         rows, rels, tails, _ = one_hop(agent, k=4, hop_allowed=allowed)
         assert tails.tolist() == [built.kg.entity_id("category", 0)]
 
-    def test_gumbel_sampling_varies(self, world):
+    def test_gumbel_sampling_varies(self, world, monkeypatch):
         _, agent = world
 
-        def uniform(*args):          # step_flat's signature, flat logits
-            return np.full(len(args[3]), np.log(0.5), dtype=np.float32)
+        def uniform(*args):          # step's signature, flat logits
+            return Tensor(np.full(len(args[3]), np.log(0.5),
+                                  dtype=np.float32))
 
+        monkeypatch.setattr(agent.policy, "step", uniform)
         picks = set()
         for _ in range(20):
-            _, _, tails, _ = one_hop(agent, k=1, stochastic=True,
-                                     forward=uniform)
+            _, _, tails, _ = one_hop(agent, k=1, stochastic=True)
             picks.add(int(tails[0]))
         assert len(picks) > 1  # uniform logits + gumbel -> variety
 

@@ -1,27 +1,23 @@
 """Differential tests for the array-native inference walk.
 
 Every walk hop takes the frontier's legal actions as ``(row_of, rels,
-tails)`` cells from ``KGEnvironment.flat_actions``, scores them in one
-policy forward and keeps each row's best with ``segment_top_k`` — no
-padded grid, no degree buckets.  Under ``no_grad`` (dropout inactive)
-:meth:`REKSAgent.recommend` leaves the autograd wrappers twice: the
-forward is ``PolicyNetwork.step_flat`` on plain arrays, and
-``_best_paths`` returns an array-backed :class:`PathTable` instead of a
-dict of ``SemanticPath`` objects.  Each piece is pinned here against a
-reference — ``batched_actions``' grid, the tape forward
-(``PolicyNetwork.step``) on the same cells, a per-row sort, the same
-``walk`` in grad mode and the dict builder kept frozen in
-``helpers.reference_best_paths`` — on Hypothesis-generated KGs,
-frontiers and rollouts.
+tails)`` cells from ``KGEnvironment.flat_actions``, scores them in the
+one policy forward, ``PolicyNetwork.step``, and keeps each row's best
+with ``segment_top_k`` — no padded grid, no degree buckets.  Under
+``no_grad`` that forward records no graph, and ``_best_paths`` returns
+an array-backed :class:`PathTable` instead of a dict of
+``SemanticPath`` objects.  Each piece is pinned here against a
+reference — ``batched_actions``' grid, the same ``step`` in grad mode
+on the same cells, a per-row sort, the same ``walk`` in grad mode and
+the dict builder kept frozen in ``helpers.reference_best_paths`` — on
+Hypothesis-generated KGs, frontiers and rollouts.
 
-Action sets, selections, path sets and rankings must agree exactly.
-Log-probs and scores agree to the repo's one documented float
-tolerance, rtol 1e-6 (the legal cells' dot products are summed in a
-different order); for log-probs the same figure is also the absolute
-floor, since a relative bound means nothing for a log-prob near zero.
-The generated tables are scaled like trained TransE embeddings (logits
-of order one).  Examples are derandomized so a tolerance or near-tie
-failure is a reproducible one.
+Grad mode only decides whether the ops record a graph, never what
+they compute, so action sets, selections, log-probs, path sets,
+scores and rankings must all agree exactly.  The generated tables are
+scaled like trained TransE embeddings (logits of order one).
+Examples are derandomized so a near-tie failure is a reproducible
+one.
 """
 
 import numpy as np
@@ -82,17 +78,19 @@ def random_policy(rng, built, dim):
 
 
 def both_steps(policy, session_repr, entities, prev, row_of, rels, tails):
-    """(flat, tape) log-probs of one hop's legal cells: ``step_flat``
-    on plain arrays and ``step`` on the tape, same cells."""
-    flat = policy.step_flat(session_repr.data, entities, prev, row_of,
-                            rels, tails)
+    """(no_grad, grad mode) log-probs of one hop's legal cells from the
+    one ``step``, same cells."""
+    with no_grad():
+        flat = policy.step(session_repr, entities, prev, row_of, rels,
+                           tails)
     tape = policy.step(session_repr, entities, prev, row_of, rels, tails)
-    return flat, tape.data
+    assert tape.requires_grad and not flat.requires_grad
+    return flat.data, tape.data
 
 
 def assert_log_probs_agree(flat, tape):
     assert flat.shape == tape.shape and flat.dtype == tape.dtype
-    np.testing.assert_allclose(flat, tape, rtol=1e-6, atol=1e-6)
+    np.testing.assert_array_equal(flat, tape)
 
 
 def picked(expanded):
@@ -160,7 +158,7 @@ def test_flat_actions_of_an_empty_or_dead_end_frontier():
 
 
 # ----------------------------------------------------------------------
-# Flat policy step vs the tape forward
+# The policy step under no_grad vs in grad mode
 # ----------------------------------------------------------------------
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), dim=st.sampled_from([4, 8, 16]),
@@ -181,7 +179,7 @@ def test_flat_step_matches_tape_forward(seed, dim, action_cap,
                             row_of, rels, tails)
     assert_log_probs_agree(flat, tape)
 
-    # One whole hop on either forward keeps the same actions, in the
+    # One whole hop in either grad mode keeps the same actions, in the
     # same order, with the same log-probs, with and without a cascade
     # mask — including rows whose only legal actions the cascade
     # disallows (dropped before the policy pass; every other row still
@@ -194,14 +192,13 @@ def test_flat_step_matches_tape_forward(seed, dim, action_cap,
     widest = int(np.bincount(row_of, minlength=1).max())
     for k in (1, 3, widest + 1):
         for hop_allowed in (None, allowed):
-            args = (sess_idx, visited, prev, k, False, hop_allowed, None)
-            got, got_logp = picked(agent._expand(
-                policy.step_flat, session_repr.data, *args))
-            want, want_logp = picked(agent._expand(
-                policy.step, session_repr, *args))
+            args = (session_repr, sess_idx, visited, prev, k, False,
+                    hop_allowed, None)
+            with no_grad():
+                got, got_logp = picked(agent._expand(*args))
+            want, want_logp = picked(agent._expand(*args))
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_allclose(got_logp, want_logp,
-                                       rtol=1e-6, atol=1e-6)
+            np.testing.assert_array_equal(got_logp, want_logp)
 
 
 @pytest.mark.parametrize("mask", [
@@ -236,12 +233,15 @@ def test_flat_step_keeps_the_index_range_check():
     built, _ = random_world(rng, action_cap=5, staged=False)
     policy = random_policy(rng, built, 8)
     n_ent, n_rel = built.kg.num_entities, built.kg.num_relations
-    session_repr = np.zeros((2, 8), dtype=np.float32)
+    session_repr = Tensor(np.zeros((2, 8), dtype=np.float32))
     good = dict(entities=np.array([0, 1]), relations=np.array([0, 0]),
                 row_of=np.array([0, 0, 1, 1]),
                 rels=np.zeros(4, dtype=np.int32),
                 tails=np.ones(4, dtype=np.int32))
-    policy.step_flat(session_repr, **good)  # the baseline is accepted
+    with no_grad():  # the baseline is accepted in either grad mode
+        flat = policy.step(session_repr, **good)
+    assert_log_probs_agree(flat.data, policy.step(session_repr,
+                                                  **good).data)
     for field, value in (("entities", n_ent), ("entities", -1),
                          ("relations", n_rel), ("relations", -1),
                          ("tails", n_ent), ("tails", -1),
@@ -250,7 +250,9 @@ def test_flat_step_keeps_the_index_range_check():
         broken[field] = good[field].copy()
         broken[field][-1] = value
         with pytest.raises(IndexError):
-            policy.step_flat(session_repr, **broken)
+            policy.step(session_repr, **broken)
+        with no_grad(), pytest.raises(IndexError):
+            policy.step(session_repr, **broken)
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +292,7 @@ def test_segment_top_k_takes_the_lowest_index_on_exact_ties():
 
 
 # ----------------------------------------------------------------------
-# The whole inference walk vs the walk on the tape forward
+# The whole inference walk vs the same walk in grad mode
 # ----------------------------------------------------------------------
 def path_rows(rollout):
     """The rollout's paths sorted by (row, entities, relations), and
@@ -335,28 +337,32 @@ def test_inference_walk_matches_tape_walk(seed, path_length, action_cap,
         fast = agent.walk(session_repr, batch, candidates=constraint)
     tape = agent.walk(session_repr, batch, candidates=constraint)
 
-    # Same paths in the same order: both forwards feed one expander.
+    # Same paths in the same order, with the same probabilities: one
+    # forward, one expander, whatever the grad mode.
     fast_paths, _ = path_rows(fast)
     tape_paths, _ = path_rows(tape)
     np.testing.assert_array_equal(fast_paths, tape_paths)
-    for field in ("session_idx", "entities", "relations"):
+    for field in ("session_idx", "entities", "relations", "prob"):
         np.testing.assert_array_equal(getattr(fast, field),
                                       getattr(tape, field))
-    np.testing.assert_allclose(fast.prob, tape.prob, rtol=1e-6)
     if fast.num_paths:  # a dead-end rollout has no log-probs
+        np.testing.assert_array_equal(fast.log_prob.data,
+                                      tape.log_prob.data)
         np.testing.assert_array_equal(
             fast.prob, np.exp(fast.log_prob.data.astype(float)))
     fast_scores = agent.aggregate_scores_numpy(fast, rows)
     tape_scores = agent.aggregate_scores_numpy(tape, rows)
-    np.testing.assert_allclose(fast_scores, tape_scores, rtol=1e-6)
+    np.testing.assert_array_equal(fast_scores, tape_scores)
     for k in (1, 3, n_items):
         np.testing.assert_array_equal(_top_k(fast_scores, k),
                                       _top_k(tape_scores, k))
 
 
 def test_walk_is_flat_only_without_grad_and_dropout(monkeypatch):
-    """One expander runs every hop; grad mode / active dropout only
-    choose its forward: ``step`` on the tape or ``step_flat``."""
+    """One expander and one forward, ``step``, run every hop in every
+    mode.  Under ``no_grad`` the walk leaves no graph behind, live
+    dropout or not; grad mode records a tape, with dropout live or
+    not."""
     rng = np.random.default_rng(9)
     built, env = random_world(rng, action_cap=8, staged=False)
     policy = random_policy(rng, built, 8)
@@ -376,23 +382,30 @@ def test_walk_is_flat_only_without_grad_and_dropout(monkeypatch):
 
     record(agent, "_expand")
     record(policy, "step")
-    record(policy, "step_flat")
 
-    def walked():
+    def taped():
+        """Whether the walk's summed log-probs carry a graph."""
         used.clear()
-        agent.walk(session_repr, batch)
+        log_prob = agent.walk(session_repr, batch).log_prob
         assert used.count("_expand") >= 1
-        return set(used) - {"_expand"}
+        assert set(used) == {"_expand", "step"}
+        if log_prob._prev == () and log_prob._backward is None:
+            assert not log_prob.requires_grad
+            return False
+        assert log_prob.requires_grad and log_prob._prev
+        return True
 
-    assert walked() == {"step"}                   # grad mode
+    assert taped()                                # grad mode
     with no_grad():
-        assert walked() == {"step_flat"}
+        assert not taped()
         policy.drop.p = 0.5                       # eval mode: inactive
-        assert walked() == {"step_flat"}
-        policy.train()
-        assert walked() == {"step"}               # dropout is live
-        policy.drop.p = 0.0
-        assert walked() == {"step_flat"}
+        assert not taped()
+        policy.train()                            # dropout is live
+        assert not taped()
+    assert taped()                                # grad mode, live dropout
+    policy.drop.p = 0.0
+    policy.eval()
+    assert taped()
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,9 @@ Hypothesis generates small random KGs, session batches, and beam
 shapes; every path :meth:`REKSAgent.walk` returns must (a) start at
 the session's last item, (b) follow real KG edges hop by hop, (c)
 never revisit an entity, and (d) appear in the exhaustive
-:func:`enumerate_paths` oracle for its start entity.  Runs the walk
-with both forwards: plain arrays (``no_grad``) and the autograd tape
-(grad mode).
+:func:`enumerate_paths` oracle for its start entity.  Runs the one
+walk in both grad modes: under ``no_grad`` (no graph recorded) and on
+the autograd tape.
 """
 
 from contextlib import nullcontext
@@ -59,10 +59,10 @@ def oracle_path_set(built, start, length):
     path_length=st.integers(1, 3),
     action_cap=st.integers(2, 30),
     stochastic=st.booleans(),
-    flat=st.booleans(),
+    grad_off=st.booleans(),
 )
 def test_walk_paths_are_simple_kg_walks(kg_seed, path_length, action_cap,
-                                        stochastic, flat):
+                                        stochastic, grad_off):
     rng = np.random.default_rng(kg_seed)
     n_items = int(rng.integers(3, 9))
     built = random_built_kg(rng, n_items=n_items,
@@ -82,7 +82,7 @@ def test_walk_paths_are_simple_kg_walks(kg_seed, path_length, action_cap,
                                      shuffle=False)))
     session_repr = Tensor(rng.standard_normal(
         (batch.batch_size, DIM)).astype(np.float32))
-    with no_grad() if flat else nullcontext():
+    with no_grad() if grad_off else nullcontext():
         rollout = agent.walk(session_repr, batch, stochastic=stochastic)
 
     starts = built.entities_of_items(batch.last_items)
@@ -112,9 +112,10 @@ def test_walk_paths_are_simple_kg_walks(kg_seed, path_length, action_cap,
     path_length=st.integers(1, 4),
     action_cap=st.integers(1, 60),
     stochastic=st.booleans(),
-    flat=st.booleans(),
+    grad_off=st.booleans(),
 )
 def test_walk_paths_are_simple_kg_walks_sweep(kg_seed, path_length,
-                                              action_cap, stochastic, flat):
+                                              action_cap, stochastic,
+                                              grad_off):
     test_walk_paths_are_simple_kg_walks.hypothesis.inner_test(
-        kg_seed, path_length, action_cap, stochastic, flat)
+        kg_seed, path_length, action_cap, stochastic, grad_off)

@@ -223,7 +223,7 @@ def cmd_metrics(args) -> int:
     processes plus a subprocess fine-tune child — drive traffic and an
     online round through it, and emit the merged fleet metrics snapshot
     in Prometheus text and JSON (gather counters, per-hop walk
-    timings, online round phases, transport counters)."""
+    timings, online round phases, ring batch counters)."""
     import json
     import tempfile
     from pathlib import Path
@@ -318,7 +318,7 @@ def cmd_metrics(args) -> int:
 def cmd_top(args) -> int:
     """Live fleet view: render consecutive ``/metrics.json`` snapshots
     as terminal frames — per-role QPS, windowed request p50/p99, cache
-    hit rate, ring/pipe transport mix, and trace pressure.  With
+    hit rate, dedup, live cache entries, and trace pressure.  With
     ``--url`` it polls a running server's metrics endpoint; without one
     it stands up a demo fleet and drives a traffic pass between
     frames."""

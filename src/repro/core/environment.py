@@ -551,5 +551,8 @@ class KGEnvironment:
                 raise ValueError(
                     "start_from='user' requires a KG built with users "
                     "(include_users=True and an Amazon-domain dataset)")
+            if (batch.users < 0).any():
+                raise ValueError("start_from='user' needs every row's "
+                                 "user id")
             return self.built.user_entity[batch.users]
         raise ValueError(f"unknown start_from {start_from!r}")

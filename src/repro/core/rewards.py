@@ -39,7 +39,10 @@ class RewardWeights:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    # exp(-x) overflows to inf for x below about -709 (-88 in float32),
+    # and 1 / (1 + inf) is the exact limit 0: silence the warning only.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 class RewardComputer:

@@ -26,7 +26,7 @@ class SessionBatch:
     lengths: np.ndarray    # (B,) int64
     last_items: np.ndarray  # (B,) int64 — last item of each prefix
     targets: np.ndarray    # (B,) int64 — ground-truth next item
-    users: np.ndarray      # (B,) int64
+    users: np.ndarray      # (B,) int64 — -1 where the example has none
 
     @property
     def batch_size(self) -> int:
@@ -35,7 +35,8 @@ class SessionBatch:
 
 def collate_examples(examples: Sequence[tuple],
                      max_length: int) -> SessionBatch:
-    """Pad a list of ``(prefix_items, target, user_id)`` examples.
+    """Pad a list of ``(prefix_items, target, user_id)`` examples
+    (``user_id`` may be None where the walk does not start from it).
 
     The single collation routine shared by :class:`SessionBatcher` and
     the serving layer's micro-batcher, so a coalesced micro-batch is
@@ -56,7 +57,8 @@ def collate_examples(examples: Sequence[tuple],
         lengths=lengths,
         last_items=np.array([p[-1] for p in prefixes], dtype=np.int64),
         targets=np.array([ex[1] for ex in examples], dtype=np.int64),
-        users=np.array([ex[2] for ex in examples], dtype=np.int64),
+        users=np.array([-1 if ex[2] is None else ex[2]
+                        for ex in examples], dtype=np.int64),
     )
 
 

@@ -7,9 +7,8 @@ read-only state per process:
 * :class:`~repro.runtime.plane.TablePlane` — one generation of the hot
   path's large read-only arrays (the CSR adjacency bundle, republished
   after each compaction, and the frozen TransE embedding tables)
-  exported to OS
-  shared memory (or mmap'd ``.npy`` files) and re-attached as
-  zero-copy NumPy views in children;
+  exported to POSIX
+  shared memory and re-attached as zero-copy NumPy views in children;
 * :class:`~repro.runtime.workers.ProcessWorkerPool` — spec-rebuilt
   inference agents in child processes executing serving micro-batches
   with true parallelism, bit-identical to thread mode, with model-swap
@@ -19,9 +18,9 @@ read-only state per process:
   executes, and the one function that executes it for thread and
   process workers alike;
 * :class:`~repro.runtime.rings.RingPair` — the zero-copy exec
-  dataplane: fixed-slot shared-memory request/response rings
-  (sequence-number publish, flat int/float codecs, no pickling on the
-  hot path) that ``transport="ring"`` pools serve micro-batches over,
+  dataplane: one shared-memory request slot and one response slot per
+  worker (sequence-number publish, flat int/float codecs, no
+  pickling) that every flush rides, grown when a plan outgrows them,
   while control messages stay on the pipe;
 * :class:`~repro.runtime.plane.PlaneArena` — reusable double-buffered
   backing segments so steady-state CSR publishes allocate zero new

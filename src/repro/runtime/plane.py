@@ -12,11 +12,11 @@ A :class:`TablePlane` is one **generation** of those tables exported to
 OS shared memory:
 
 * the exporting (parent) process copies each array once into a single
-  ``multiprocessing.shared_memory`` segment (or one ``.npy`` file per
-  array under a directory, for the mmap backend) and keeps ownership;
-* a picklable :class:`PlaneManifest` — segment name, backend, and a
-  name → (dtype, shape, offset) directory — travels to workers over
-  their bootstrap pipe;
+  ``multiprocessing.shared_memory`` segment and keeps ownership — the
+  process fleet needs POSIX shared memory, which its rings need too;
+* a picklable :class:`PlaneManifest` — segment name and a name →
+  (dtype, shape, offset) directory — travels to workers over their
+  bootstrap pipe;
 * :meth:`TablePlane.attach` maps the segment in the worker and hands
   back **zero-copy, read-only** NumPy views; every worker reads the
   same physical pages.
@@ -31,12 +31,12 @@ this directory for the lifecycle and the spawn-vs-fork caveats.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
+
+from repro.telemetry.block import attach_shm
 
 _ALIGN = 64  # cache-line align every array inside the segment
 
@@ -47,8 +47,7 @@ class _Entry:
 
     dtype: str
     shape: Tuple[int, ...]
-    offset: int          # byte offset into the shm segment (shm backend)
-    filename: str = ""   # per-array file name (mmap backend)
+    offset: int          # byte offset into the shm segment
 
 
 @dataclass(frozen=True)
@@ -56,39 +55,50 @@ class PlaneManifest:
     """Everything a foreign process needs to attach a plane (picklable)."""
 
     key: str                       # generation key (env fingerprint)
-    backend: str                   # "shm" | "mmap"
-    segment: str                   # shm name, or the directory path
+    segment: str                   # shm name
     nbytes: int
     entries: Dict[str, _Entry] = field(default_factory=dict)
 
 
-def _attach_shm(name: str, untrack: bool):
-    """Open an existing shared-memory segment without adopting it.
+def layout_size(arrays: Mapping[str, np.ndarray]) -> int:
+    """Bytes one plane generation of ``arrays`` occupies (with the
+    per-array cache-line alignment :meth:`TablePlane.publish` uses)."""
+    total = 0
+    for arr in arrays.values():
+        total = -(-total // _ALIGN) * _ALIGN
+        total += arr.nbytes
+    return total
 
-    On 3.13+ ``track=False`` keeps the attaching process's resource
-    tracker out of the segment's lifetime (the publishing owner stays
-    responsible for the unlink).  On 3.11/3.12 every attach registers
-    with the process's resource tracker; ``multiprocessing`` children
-    — fork *and* spawn — share the publisher's tracker (its fd rides
-    in the spawn preparation data), so the registration is a set no-op
-    there and the owner's ``unlink`` deregisters cleanly.  Only a
-    **foreign** process (one not started by the publisher's
-    interpreter) has a private tracker that would adopt the segment
-    and unlink it at exit; such attachers pass ``untrack=True``.
-    """
+
+def _write(shm, capacity: int, arrays: Mapping[str, np.ndarray],
+           key: str) -> Tuple[PlaneManifest, Dict[str, np.ndarray]]:
+    """Lay ``arrays`` out in ``shm`` and copy them in: the manifest and
+    the read-only views.  Raises :class:`ArenaOverflow` when they need
+    more than ``capacity`` bytes."""
+    total, entries = 0, {}
+    for name, arr in arrays.items():
+        total = -(-total // _ALIGN) * _ALIGN
+        entries[name] = _Entry(dtype=str(arr.dtype), shape=arr.shape,
+                               offset=total)
+        total += arr.nbytes
+    if total > capacity:
+        raise ArenaOverflow(
+            f"generation needs {total} bytes, arena holds {capacity}")
+    views: Dict[str, np.ndarray] = {}
+    for name, arr in arrays.items():
+        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf,
+                          offset=entries[name].offset)
+        view[...] = arr
+        view.flags.writeable = False
+        views[name] = view
+    return PlaneManifest(key=key, segment=shm.name, nbytes=total,
+                         entries=entries), views
+
+
+def _create_shm(size: int):
     from multiprocessing import shared_memory
 
-    if sys.version_info >= (3, 13):
-        return shared_memory.SharedMemory(name=name, track=False)
-    shm = shared_memory.SharedMemory(name=name)
-    if untrack:
-        try:  # pragma: no cover - spawn-context only
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-    return shm
+    return shared_memory.SharedMemory(create=True, size=max(size, 1))
 
 
 class TablePlane:
@@ -114,76 +124,15 @@ class TablePlane:
     # Publication (owner side)
     # ------------------------------------------------------------------
     @classmethod
-    def publish(cls, arrays: Mapping[str, np.ndarray], *, key: str,
-                backend: str = "auto",
-                directory: Optional[Path] = None) -> "TablePlane":
-        """Export ``arrays`` as a new plane generation.
-
-        ``backend="auto"`` prefers OS shared memory and falls back to
-        mmap'd per-array ``.npy`` files (``directory`` then names where
-        they live; a temp dir is created when omitted).  The returned
-        plane *owns* the storage: :meth:`unlink` retires it.
-        """
-        if backend not in ("auto", "shm", "mmap"):
-            raise ValueError(f"unknown plane backend {backend!r}")
-        if backend in ("auto", "shm"):
-            try:
-                return cls._publish_shm(arrays, key=key)
-            except (ImportError, OSError):
-                if backend == "shm":
-                    raise
-        return cls._publish_mmap(arrays, key=key, directory=directory)
-
-    @classmethod
-    def _publish_shm(cls, arrays: Mapping[str, np.ndarray],
-                     key: str) -> "TablePlane":
-        from multiprocessing import shared_memory
-
-        contiguous = {name: np.ascontiguousarray(arr)
-                      for name, arr in arrays.items()}
-        total, entries = 0, {}
-        for name, arr in contiguous.items():
-            total = -(-total // _ALIGN) * _ALIGN
-            entries[name] = _Entry(dtype=str(arr.dtype), shape=arr.shape,
-                                   offset=total)
-            total += arr.nbytes
-        shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        views: Dict[str, np.ndarray] = {}
-        for name, arr in contiguous.items():
-            entry = entries[name]
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf,
-                              offset=entry.offset)
-            view[...] = arr
-            view.flags.writeable = False
-            views[name] = view
-        manifest = PlaneManifest(key=key, backend="shm", segment=shm.name,
-                                 nbytes=total, entries=entries)
+    def publish(cls, arrays: Mapping[str, np.ndarray], *,
+                key: str) -> "TablePlane":
+        """Export ``arrays`` as a new generation in one fresh shared-
+        memory segment.  The returned plane *owns* the segment:
+        :meth:`unlink` retires it."""
+        size = layout_size(arrays)
+        shm = _create_shm(size)
+        manifest, views = _write(shm, size, arrays, key)
         return cls(manifest, views, shm=shm, owner=True)
-
-    @classmethod
-    def _publish_mmap(cls, arrays: Mapping[str, np.ndarray], key: str,
-                      directory: Optional[Path]) -> "TablePlane":
-        import tempfile
-
-        if directory is None:
-            directory = Path(tempfile.mkdtemp(prefix="reks-plane-"))
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        total, entries, views = 0, {}, {}
-        for index, (name, arr) in enumerate(arrays.items()):
-            arr = np.ascontiguousarray(arr)
-            safe = "".join(c if c.isalnum() or c in "-_." else "_"
-                           for c in name)
-            filename = f"{index:02d}-{safe}.npy"
-            np.save(directory / filename, arr)
-            entries[name] = _Entry(dtype=str(arr.dtype), shape=arr.shape,
-                                   offset=0, filename=filename)
-            total += arr.nbytes
-            views[name] = np.load(directory / filename, mmap_mode="r")
-        manifest = PlaneManifest(key=key, backend="mmap",
-                                 segment=str(directory), nbytes=total,
-                                 entries=entries)
-        return cls(manifest, views, owner=True)
 
     # ------------------------------------------------------------------
     # Attachment (worker side)
@@ -197,26 +146,18 @@ class TablePlane:
         the segment on Python < 3.13 — needed only by **foreign**
         attachers (processes not started by the publisher's
         interpreter), whose private tracker would otherwise unlink the
-        live plane when they exit (see :func:`_attach_shm`);
-        multiprocessing workers share the publisher's tracker and must
-        leave this False.
+        live plane when they exit (see
+        :func:`repro.telemetry.block.attach_shm`); multiprocessing
+        workers share the publisher's tracker and must leave this False.
         """
-        if manifest.backend == "shm":
-            shm = _attach_shm(manifest.segment, untrack)
-            views = {}
-            for name, entry in manifest.entries.items():
-                view = np.ndarray(entry.shape, dtype=np.dtype(entry.dtype),
-                                  buffer=shm.buf, offset=entry.offset)
-                view.flags.writeable = False
-                views[name] = view
-            return cls(manifest, views, shm=shm, owner=False)
-        if manifest.backend == "mmap":
-            directory = Path(manifest.segment)
-            views = {
-                name: np.load(directory / entry.filename, mmap_mode="r")
-                for name, entry in manifest.entries.items()}
-            return cls(manifest, views, owner=False)
-        raise ValueError(f"unknown plane backend {manifest.backend!r}")
+        shm = attach_shm(manifest.segment, untrack)
+        views = {}
+        for name, entry in manifest.entries.items():
+            view = np.ndarray(entry.shape, dtype=np.dtype(entry.dtype),
+                              buffer=shm.buf, offset=entry.offset)
+            view.flags.writeable = False
+            views[name] = view
+        return cls(manifest, views, shm=shm, owner=False)
 
     # ------------------------------------------------------------------
     # Mapping interface
@@ -254,19 +195,13 @@ class TablePlane:
                 pass
 
     def unlink(self) -> None:
-        """Retire the storage (owner only; attachers just close)."""
+        """Retire the segment (owner only; attachers just close)."""
         self.close()
-        if not self._owner:
-            return
-        if self.manifest.backend == "shm" and self._shm is not None:
+        if self._owner and self._shm is not None:
             try:
                 self._shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-        elif self.manifest.backend == "mmap":
-            import shutil
-
-            shutil.rmtree(self.manifest.segment, ignore_errors=True)
 
     def __enter__(self) -> "TablePlane":
         return self
@@ -276,22 +211,12 @@ class TablePlane:
 
     def __repr__(self) -> str:
         return (f"TablePlane(key={self.key!r}, "
-                f"backend={self.manifest.backend!r}, "
+                f"segment={self.manifest.segment!r}, "
                 f"arrays={sorted(self._arrays)}, nbytes={self.nbytes})")
 
 
 class ArenaOverflow(RuntimeError):
     """The arrays do not fit this arena's fixed capacity."""
-
-
-def layout_size(arrays: Mapping[str, np.ndarray]) -> int:
-    """Bytes one plane generation of ``arrays`` occupies (with the
-    per-array cache-line alignment :meth:`TablePlane.publish` uses)."""
-    total = 0
-    for arr in arrays.values():
-        total = -(-total // _ALIGN) * _ALIGN
-        total += arr.nbytes
-    return total
 
 
 class PlaneArena:
@@ -312,48 +237,23 @@ class PlaneArena:
     overwritten is always two generations stale and every worker
     dropped it at the previous broadcast).
 
-    ``backend="shm"`` is a fixed-capacity shared-memory segment
-    (:meth:`write` raises :class:`ArenaOverflow` when a generation has
-    outgrown it — the caller allocates a bigger arena, which is the
-    only time steady state pays a segment allocation again);
-    ``backend="mmap"`` is a reusable directory of ``.npy`` files with
-    effectively unbounded capacity.
+    Capacity is fixed: :meth:`write` raises :class:`ArenaOverflow`
+    when a generation has outgrown it — the caller allocates a bigger
+    arena, which is the only time steady state pays a segment
+    allocation again.
     """
 
-    def __init__(self, backend: str, segment: str, capacity: int,
-                 shm=None) -> None:
-        self.backend = backend
-        self.segment = segment
+    def __init__(self, capacity: int, shm) -> None:
+        self.segment = shm.name
         self.capacity = capacity
         self._shm = shm
         self.writes = 0
 
     @classmethod
-    def create(cls, capacity: int, backend: str = "auto",
-               directory: Optional[Path] = None) -> "PlaneArena":
-        if backend not in ("auto", "shm", "mmap"):
-            raise ValueError(f"unknown plane backend {backend!r}")
-        if backend in ("auto", "shm"):
-            try:
-                from multiprocessing import shared_memory
-
-                shm = shared_memory.SharedMemory(create=True,
-                                                 size=max(capacity, 1))
-                return cls("shm", shm.name, capacity, shm=shm)
-            except (ImportError, OSError):
-                if backend == "shm":
-                    raise
-        import tempfile
-
-        if directory is None:
-            directory = Path(tempfile.mkdtemp(prefix="reks-arena-"))
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        return cls("mmap", str(directory), capacity)
+    def create(cls, capacity: int) -> "PlaneArena":
+        return cls(capacity, _create_shm(capacity))
 
     def fits(self, arrays: Mapping[str, np.ndarray]) -> bool:
-        if self.backend == "mmap":
-            return True
         return layout_size(arrays) <= self.capacity
 
     def write(self, arrays: Mapping[str, np.ndarray], *,
@@ -361,65 +261,19 @@ class PlaneArena:
         """Lay one generation into the arena; returns a non-owning
         plane (the arena keeps the storage — its :meth:`unlink`, not
         the plane's, retires the segment)."""
-        contiguous = {name: np.ascontiguousarray(arr)
-                      for name, arr in arrays.items()}
-        if self.backend == "shm":
-            total, entries = 0, {}
-            for name, arr in contiguous.items():
-                total = -(-total // _ALIGN) * _ALIGN
-                entries[name] = _Entry(dtype=str(arr.dtype),
-                                       shape=arr.shape, offset=total)
-                total += arr.nbytes
-            if total > self.capacity:
-                raise ArenaOverflow(
-                    f"generation needs {total} bytes, arena holds "
-                    f"{self.capacity}")
-            views: Dict[str, np.ndarray] = {}
-            for name, arr in contiguous.items():
-                entry = entries[name]
-                view = np.ndarray(arr.shape, dtype=arr.dtype,
-                                  buffer=self._shm.buf,
-                                  offset=entry.offset)
-                view[...] = arr
-                view.flags.writeable = False
-                views[name] = view
-            manifest = PlaneManifest(key=key, backend="shm",
-                                     segment=self.segment, nbytes=total,
-                                     entries=entries)
-            self.writes += 1
-            return TablePlane(manifest, views, owner=False)
-        # mmap: rewrite the per-array files in the reusable directory.
-        directory = Path(self.segment)
-        total, entries, views = 0, {}, {}
-        for index, (name, arr) in enumerate(contiguous.items()):
-            safe = "".join(c if c.isalnum() or c in "-_." else "_"
-                           for c in name)
-            filename = f"{index:02d}-{safe}.npy"
-            np.save(directory / filename, arr)
-            entries[name] = _Entry(dtype=str(arr.dtype), shape=arr.shape,
-                                   offset=0, filename=filename)
-            total += arr.nbytes
-            views[name] = np.load(directory / filename, mmap_mode="r")
-        manifest = PlaneManifest(key=key, backend="mmap",
-                                 segment=self.segment, nbytes=total,
-                                 entries=entries)
+        manifest, views = _write(self._shm, self.capacity, arrays, key)
         self.writes += 1
         return TablePlane(manifest, views, owner=False)
 
     def unlink(self) -> None:
-        if self.backend == "shm" and self._shm is not None:
+        if self._shm is not None:
             try:
                 self._shm.close()
                 self._shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
             self._shm = None
-        elif self.backend == "mmap":
-            import shutil
-
-            shutil.rmtree(self.segment, ignore_errors=True)
 
     def __repr__(self) -> str:
-        return (f"PlaneArena(backend={self.backend!r}, "
-                f"segment={self.segment!r}, capacity={self.capacity}, "
-                f"writes={self.writes})")
+        return (f"PlaneArena(segment={self.segment!r}, "
+                f"capacity={self.capacity}, writes={self.writes})")

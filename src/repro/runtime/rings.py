@@ -1,42 +1,39 @@
-"""Fixed-slot shared-memory request/response rings (the serving dataplane).
+"""Shared-memory request/response rings (the serving dataplane).
 
-PR 4's process fleet moved the *big* state out of the pipes — the CSR
-adjacency and frozen embedding tables ride shared-memory planes — but
-every ``exec`` round-trip still pickled the micro-batch and its result
-rows through a duplex pipe.  At serving scale that pickle/unpickle pair
-is the per-batch overhead that separates process mode from thread mode.
+The process fleet keeps the *big* state in shared-memory planes — the
+CSR adjacency and the frozen embedding tables — and every flush
+crosses to its worker here, with **no pickling**.  Each worker gets
+one shared-memory **scratch segment** holding a request slot and a
+response slot.  Sessions and rankings are small int32 rows, so a
+flush encodes as flat numeric arrays:
 
-This module removes it.  Each worker gets one shared-memory **scratch
-segment** holding a request ring and a response ring of fixed-size
-slots.  Sessions and rankings are small int32 rows, so a micro-batch
-encodes as flat numeric arrays — no pickling on the hot path:
-
-* a request slot carries one :class:`~repro.runtime.flush.FlushPlan`
+* the request slot carries one :class:`~repro.runtime.flush.FlushPlan`
   as one int32 vector: a counting header, then every section in a
   fixed order (:func:`encode_plan`), all of it checked on decode;
-* a response slot carries ``(status, version, ks, topk_items,
+* the response slot carries ``(status, version, ks, topk_items,
   topk_scores, path_len / path_entities / path_rels, path_probs)``
-  — ``topk_scores`` and ``path_probs`` stay float64 so ring results
-  are bit-identical to the pipe's ``float()``-marshalled rows;
+  — ``topk_scores`` and ``path_probs`` stay float64, so process-mode
+  results are bit-identical to thread mode's;
 * a failed execution posts ``status=1`` with the traceback as UTF-8
   bytes in the same slot.
 
-Publish protocol: slots are claimed round-robin by a monotonically
-increasing ticket.  The producer writes the payload length and bytes
-first, then publishes by storing ``ticket + 1`` into the slot's
-sequence word; the consumer knows which ticket it expects next and
-polls that slot's sequence until it matches.  A short spin is enough
-when the peer is already running; the transport layer in
-``repro.runtime.workers`` pairs each ring with a **doorbell pipe** so
-an idle peer blocks in ``select`` instead of burning a core (the
-host may have a single CPU — busy-polling there would starve the very
-worker being waited on).
+Publish protocol: messages are numbered by a monotonically increasing
+ticket.  The producer writes the payload length and bytes first, then
+publishes by storing ``ticket + 1`` into the slot's sequence word; the
+consumer knows which ticket it expects next and polls the sequence
+until it matches.  A short spin is enough when the peer is already
+running; the worker handle in ``repro.runtime.workers`` pairs each
+ring with a **doorbell pipe** so an idle peer blocks in ``select``
+instead of burning a core (the host may have a single CPU —
+busy-polling there would starve the very worker being waited on).
 
-Capacity is fixed at creation: a payload larger than a slot raises
-:class:`RingUnsuitable` and a full ring raises :class:`RingFull`;
-callers fall back to the pipe for that batch (counted, never silent).
-See ``runtime/README.md`` for the slot layout diagram and the
-pipe-vs-ring decision table.
+Capacity is fixed at creation: a payload larger than its slot raises
+:class:`RingUnsuitable`, and a second request posted before the first
+one's response was consumed raises :class:`RingFull` (the pool holds
+the worker lock for a whole round trip, so neither happens in
+serving: a plan that would overflow a slot moves its worker onto a
+bigger ring first).  See ``runtime/README.md`` for the slot layout and
+the growth rule.
 """
 
 from __future__ import annotations
@@ -49,6 +46,7 @@ import numpy as np
 
 from repro.runtime.flush import FlushPlan
 from repro.runtime.rowblock import RowBlock
+from repro.telemetry.block import attach_shm
 
 _I32 = np.dtype("<i4")
 _I64 = np.dtype("<i8")
@@ -58,21 +56,19 @@ _F64 = np.dtype("<f8")
 _SLOT_HEADER = 16
 _CACHE_LINE = 64
 
-# Defaults sized for serving micro-batches (max_batch <= 256 rows of
-# <= max_session_length items) with headroom; oversize batches fall
-# back to the pipe rather than growing the ring.
-DEFAULT_SLOTS = 8
+# Defaults sized for serving flushes (a 32-row flush of short sessions
+# at k <= 186); a bigger plan grows its worker's ring (see workers.py).
 DEFAULT_REQ_SLOT_BYTES = 1 << 16   # 64 KiB
 DEFAULT_RESP_SLOT_BYTES = 1 << 18  # 256 KiB
 
 
 class RingFull(RuntimeError):
-    """Every slot of the ring holds an unconsumed message."""
+    """The request slot holds a message whose response is unconsumed."""
 
 
 class RingUnsuitable(RuntimeError):
-    """This payload cannot ride the ring (oversize or un-encodable);
-    the caller should use the pipe for it."""
+    """This payload cannot ride the ring: it outgrows its slot, or a
+    value does not fit int32."""
 
 
 class CorruptPayload(RuntimeError):
@@ -84,7 +80,6 @@ class RingManifest:
     """Everything a peer process needs to attach a ring pair."""
 
     segment: str
-    slots: int
     req_slot_bytes: int
     resp_slot_bytes: int
 
@@ -94,7 +89,7 @@ def _align(offset: int, alignment: int = _CACHE_LINE) -> int:
 
 
 class RingPair:
-    """One worker's request ring + response ring in a single segment.
+    """One worker's request slot + response slot in a single segment.
 
     Single-producer / single-consumer per direction: the pool parent
     produces requests and consumes responses, the worker does the
@@ -107,10 +102,8 @@ class RingPair:
         self.manifest = manifest
         self._owner = owner
         self._closed = False
-        slots = manifest.slots
-        req_bytes = slots * (_SLOT_HEADER + manifest.req_slot_bytes)
         self._req_base = 0
-        self._resp_base = _align(req_bytes)
+        self._resp_base = _align(_SLOT_HEADER + manifest.req_slot_bytes)
         # Producer/consumer tickets are process-local: each side only
         # needs its own position (SPSC, strictly in-order).
         self._req_produced = 0
@@ -120,23 +113,18 @@ class RingPair:
 
     # ------------------------------------------------------------------
     @classmethod
-    def create(cls, slots: int = DEFAULT_SLOTS,
-               req_slot_bytes: int = DEFAULT_REQ_SLOT_BYTES,
+    def create(cls, req_slot_bytes: int = DEFAULT_REQ_SLOT_BYTES,
                resp_slot_bytes: int = DEFAULT_RESP_SLOT_BYTES
                ) -> "RingPair":
-        """Allocate the segment (may raise ImportError/OSError when the
-        host has no usable POSIX shared memory — callers fall back to
-        the pipe transport)."""
+        """Allocate the segment (raises ImportError/OSError when the
+        host has no usable POSIX shared memory)."""
         from multiprocessing import shared_memory
 
-        if slots < 1:
-            raise ValueError(f"need >= 1 slot, got {slots}")
-        req_bytes = slots * (_SLOT_HEADER + req_slot_bytes)
-        resp_bytes = slots * (_SLOT_HEADER + resp_slot_bytes)
-        total = _align(req_bytes) + resp_bytes
+        total = (_align(_SLOT_HEADER + req_slot_bytes) + _SLOT_HEADER
+                 + resp_slot_bytes)
         shm = shared_memory.SharedMemory(create=True, size=total)
         shm.buf[:total] = b"\x00" * total
-        manifest = RingManifest(segment=shm.name, slots=slots,
+        manifest = RingManifest(segment=shm.name,
                                 req_slot_bytes=req_slot_bytes,
                                 resp_slot_bytes=resp_slot_bytes)
         return cls(shm, manifest, owner=True)
@@ -144,25 +132,18 @@ class RingPair:
     @classmethod
     def attach(cls, manifest: RingManifest,
                untrack: bool = False) -> "RingPair":
-        from repro.runtime.plane import _attach_shm
-
-        shm = _attach_shm(manifest.segment, untrack)
+        shm = attach_shm(manifest.segment, untrack)
         return cls(shm, manifest, owner=False)
 
     # ------------------------------------------------------------------
     # Slot plumbing
     # ------------------------------------------------------------------
-    def _slot_offset(self, base: int, slot_bytes: int, ticket: int) -> int:
-        slot = ticket % self.manifest.slots
-        return base + slot * (_SLOT_HEADER + slot_bytes)
-
-    def _post(self, base: int, slot_bytes: int, ticket: int,
+    def _post(self, offset: int, slot_bytes: int, ticket: int,
               payload: bytes) -> None:
         if len(payload) > slot_bytes:
             raise RingUnsuitable(
                 f"payload of {len(payload)} bytes exceeds the "
                 f"{slot_bytes}-byte slot")
-        offset = self._slot_offset(base, slot_bytes, ticket)
         buf = self._shm.buf
         head = np.frombuffer(buf, dtype=_I64, count=2, offset=offset)
         # Payload and length first, sequence word last: a consumer that
@@ -172,9 +153,8 @@ class RingPair:
         head[1] = len(payload)
         head[0] = ticket + 1
 
-    def _take(self, base: int, slot_bytes: int, ticket: int,
+    def _take(self, offset: int, ticket: int,
               spin: int) -> Optional[bytes]:
-        offset = self._slot_offset(base, slot_bytes, ticket)
         buf = self._shm.buf
         head = np.frombuffer(buf, dtype=_I64, count=2, offset=offset)
         for _ in range(max(1, spin)):
@@ -188,10 +168,9 @@ class RingPair:
     # Parent side
     # ------------------------------------------------------------------
     def post_request(self, payload: bytes) -> int:
-        """Claim the next request slot; returns the ticket."""
-        if self._req_produced - self._req_consumed >= self.manifest.slots:
-            raise RingFull(
-                f"all {self.manifest.slots} request slots in flight")
+        """Publish the next request; returns its ticket."""
+        if self._req_produced > self._req_consumed:
+            raise RingFull("the request slot is still in flight")
         ticket = self._req_produced
         self._post(self._req_base, self.manifest.req_slot_bytes, ticket,
                    payload)
@@ -200,9 +179,7 @@ class RingPair:
 
     def poll_response(self, spin: int = 1) -> Optional[bytes]:
         """The next in-order response, or None if not yet published."""
-        payload = self._take(self._resp_base,
-                             self.manifest.resp_slot_bytes,
-                             self._resp_consumed, spin)
+        payload = self._take(self._resp_base, self._resp_consumed, spin)
         if payload is not None:
             self._resp_consumed += 1
         return payload
@@ -216,8 +193,7 @@ class RingPair:
     # ------------------------------------------------------------------
     def poll_request(self, spin: int = 1) -> Optional[bytes]:
         """The next in-order request, or None if not yet published."""
-        payload = self._take(self._req_base, self.manifest.req_slot_bytes,
-                             self._req_consumed, spin)
+        payload = self._take(self._req_base, self._req_consumed, spin)
         if payload is not None:
             self._req_consumed += 1
         return payload
@@ -231,7 +207,7 @@ class RingPair:
 
     def note_response_consumed(self) -> None:
         """Parent bookkeeping: one request fully round-tripped (frees
-        its request slot for reuse)."""
+        the request slot for the next one)."""
         self._req_consumed += 1
 
     # ------------------------------------------------------------------
@@ -257,7 +233,8 @@ class RingPair:
 
     def __repr__(self) -> str:
         return (f"RingPair(segment={self.manifest.segment!r}, "
-                f"slots={self.manifest.slots}, "
+                f"req_slot_bytes={self.manifest.req_slot_bytes}, "
+                f"resp_slot_bytes={self.manifest.resp_slot_bytes}, "
                 f"in_flight={self.requests_in_flight})")
 
 
@@ -292,7 +269,7 @@ def encode_plan(plan: FlushPlan, max_length: int) -> bytes:
     Prefixes are pre-truncated to ``max_length`` — bit-identical to
     shipping them whole, because ``collate_examples`` applies the same
     ``[-max_length:]`` truncation worker-side.  A value that does not
-    fit int32 raises :class:`RingUnsuitable` (the flush rides the pipe).
+    fit int32 raises :class:`RingUnsuitable`.
     """
     rows, cands = plan.rows, plan.candidates
     prefixes = [row[0][-max_length:] for row in rows]

@@ -169,7 +169,7 @@ class RowBlock:
         if not isinstance(other, RowBlock):
             return NotImplemented
         # bytes, not values: a score's float64 bits are part of the
-        # transport contract.
+        # wire contract.
         return all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
                    for a, b in zip(self._sections(), other._sections()))
 

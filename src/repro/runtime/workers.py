@@ -18,17 +18,15 @@ read-only state physically shared:
   :meth:`~repro.core.environment.KGEnvironment.attach_tables`) and
   replay the overlay; the retired segment becomes the next spare once
   every worker has moved;
-* :func:`_worker_main` is the child loop: attach planes, build the
-  agent, then serve ``exec`` / ``swap`` / ``stage`` / ``tables``
-  messages until told to stop.  Control messages always ride the
-  duplex pipe; with ``transport="ring"`` (the default) the hot-path
-  ``exec`` traffic instead rides a per-worker shared-memory ring pair
-  (:mod:`repro.runtime.rings`) — micro-batches and result rows cross
-  as flat numeric arrays with **no pickling**, and a doorbell pipe
-  wakes the idle peer so nobody busy-polls a shared core.  A batch the
-  ring cannot carry (oversize, un-encodable, or the ring is full)
-  falls back to the pipe for that batch, counted in
-  ``ProcessWorkerPool.ring_fallbacks`` — never silent, never wrong;
+* :func:`_worker_main` is the child loop: attach planes and its ring,
+  build the agent, then serve flushes from the ring and ``swap`` /
+  ``stage`` / ``tables`` / ``ring`` control messages from the duplex
+  pipe until told to stop.  Every flush rides the worker's
+  shared-memory ring pair (:mod:`repro.runtime.rings`) — plans and
+  result rows cross as flat numeric arrays with **no pickling**, and a
+  doorbell pipe wakes the idle peer so nobody busy-polls a shared
+  core.  A plan too big for the ring's slots moves the worker onto a
+  bigger ring first (:meth:`_Worker.exec_batch`);
 * a :class:`ProcessWorkerPool` owns N such children plus the plane
   generations, hands micro-batches to idle workers, broadcasts model
   swaps and adjacency changes, and **never shrinks**: dead workers are
@@ -76,10 +74,8 @@ from repro.runtime.plane import (
 )
 from repro.runtime.rings import (
     CorruptPayload,
-    RingFull,
     RingManifest,
     RingPair,
-    RingUnsuitable,
     WorkerExecError,
     decode_block,
     decode_plan,
@@ -141,20 +137,18 @@ class AgentSpec:
                    model_version=model_version, staged=staged)
 
 
-def export_csr_plane(tables: CSRTables,
-                     backend: str = "auto") -> TablePlane:
+def export_csr_plane(tables: CSRTables) -> TablePlane:
     """Publish a CSR bundle as a plane generation keyed by its digest."""
     return TablePlane.publish(tables.arrays(),
-                              key=f"csr:{tables.digest()}", backend=backend)
+                              key=f"csr:{tables.digest()}")
 
 
-def export_embedding_plane(agent: REKSAgent,
-                           backend: str = "auto") -> TablePlane:
+def export_embedding_plane(agent: REKSAgent) -> TablePlane:
     """Publish the policy's entity/relation tables (one per pool)."""
     return TablePlane.publish(
         {EMB_ENTITY: agent.policy.entity_emb.weight.data,
          EMB_RELATION: agent.policy.relation_emb.weight.data},
-        key="embeddings", backend=backend)
+        key="embeddings")
 
 
 def csr_from_plane(plane: TablePlane) -> CSRTables:
@@ -203,12 +197,10 @@ def build_worker_agent(spec: AgentSpec, csr_plane: TablePlane,
 # Child process loop
 # ----------------------------------------------------------------------
 def _worker_main(conn, spec: AgentSpec, csr_manifest: PlaneManifest,
-                 emb_manifest: PlaneManifest,
-                 untrack_shm: bool = False,
-                 ring_manifest: Optional[RingManifest] = None,
-                 db_req=None, db_resp=None,
-                 metrics_manifest: Optional[BlockManifest] = None
-                 ) -> None:
+                 emb_manifest: PlaneManifest, ring_manifest: RingManifest,
+                 db_req, db_resp,
+                 metrics_manifest: Optional[BlockManifest] = None,
+                 untrack_shm: bool = False) -> None:
     """Entry point of one worker process.
 
     ``untrack_shm`` stays False for pool-started workers (fork and
@@ -216,18 +208,18 @@ def _worker_main(conn, spec: AgentSpec, csr_manifest: PlaneManifest,
     for embedders that run this loop from a foreign interpreter whose
     private tracker would adopt — and later unlink — the live planes.
 
-    With a ``ring_manifest`` the worker also attaches its request /
-    response ring pair and serves ``exec`` traffic from it: it blocks
-    in ``connection.wait`` on the control pipe *and* the request
-    doorbell, so a message on either wakes it and neither side ever
-    spins on an idle shared core.
+    The worker serves flushes from its request / response ring pair
+    and control messages from ``conn``: it blocks in
+    ``connection.wait`` on the control pipe *and* the request doorbell,
+    so a message on either wakes it and neither side ever spins on an
+    idle shared core.  A ``("ring", manifest)`` message moves it onto a
+    bigger ring: it attaches the new one, closes the old one and acks.
     """
     import traceback
 
     csr_plane = TablePlane.attach(csr_manifest, untrack=untrack_shm)
     emb_plane = TablePlane.attach(emb_manifest, untrack=untrack_shm)
-    ring = (RingPair.attach(ring_manifest, untrack=untrack_shm)
-            if ring_manifest is not None else None)
+    ring = RingPair.attach(ring_manifest, untrack=untrack_shm)
     metrics = (MetricBlock.attach(metrics_manifest, untrack=untrack_shm,
                                   writer=True)
                if metrics_manifest is not None else None)
@@ -243,25 +235,22 @@ def _worker_main(conn, spec: AgentSpec, csr_manifest: PlaneManifest,
     # re-attach (a config-independent signal, unlike the provider knob).
     saw_candidates = False
 
-    def run_exec(plan: FlushPlan) -> Tuple[RowBlock, list, list]:
-        """Execute one plan: ``(block, spans, rowrecs)``."""
-        nonlocal saw_candidates
-        saw_candidates = saw_candidates or plan.candidates is not None
-        if metrics is not None and any(plan.traces):
-            metrics.count("worker_traces_total",
-                          sum(1 for trace in plan.traces if trace))
-        return execute_flush(agent, workspace, plan, metrics)
-
     def serve_ring_request() -> None:
         # The doorbell byte is consumed by the caller; the request is
         # already published (the parent posts payload-then-doorbell),
         # so a short sequence-number poll always finds it.
+        nonlocal saw_candidates
         payload = ring.poll_request(spin=4096)
         if payload is None:  # pragma: no cover - protocol violation
             raise RuntimeError("ring doorbell without a published slot")
         try:
             plan = decode_plan(payload)
-            block, spans, rowrecs = run_exec(plan)
+            saw_candidates = saw_candidates or plan.candidates is not None
+            if metrics is not None and any(plan.traces):
+                metrics.count("worker_traces_total",
+                              sum(1 for trace in plan.traces if trace))
+            block, spans, rowrecs = execute_flush(agent, workspace, plan,
+                                                  metrics)
             ring.post_response(encode_response(
                 version, block, spans=spans,
                 traces=[trace for trace in plan.traces if trace],
@@ -287,23 +276,16 @@ def _worker_main(conn, spec: AgentSpec, csr_manifest: PlaneManifest,
 
     try:
         while True:
-            if ring is not None:
-                ready = _mp_wait([conn, db_req])
-                if db_req in ready:
-                    db_req.recv_bytes()
-                    serve_ring_request()
-                if conn not in ready:
-                    continue
+            ready = _mp_wait([conn, db_req])
+            if db_req in ready:
+                db_req.recv_bytes()
+                serve_ring_request()
+            if conn not in ready:
+                continue
             message = conn.recv()
             op = message[0]
             try:
-                if op == "exec":
-                    block, spans, rowrecs = run_exec(message[1])
-                    # The same unrendered block crosses on both
-                    # transports; the parent renders at cache
-                    # admission (see serving.server).
-                    conn.send(("ok", version, block, spans, rowrecs))
-                elif op == "swap":
+                if op == "swap":
                     _, new_version, state = message
                     # Partial: frozen plane-backed tables are not
                     # shipped (see ProcessWorkerPool.swap).
@@ -326,6 +308,14 @@ def _worker_main(conn, spec: AgentSpec, csr_manifest: PlaneManifest,
                         threading.Thread(target=prewarm_reachability,
                                          daemon=True).start()
                     conn.send(("ok", agent.env.fingerprint()))
+                elif op == "ring":
+                    # No flush is in flight: the parent holds this
+                    # worker's lock across the whole move.
+                    fresh_ring = RingPair.attach(message[1],
+                                                 untrack=untrack_shm)
+                    ring.close()
+                    ring = fresh_ring
+                    conn.send(("ok",))
                 elif op == "ping":
                     conn.send(("ok", version))
                 elif op == "stop":
@@ -339,8 +329,7 @@ def _worker_main(conn, spec: AgentSpec, csr_manifest: PlaneManifest,
     except (EOFError, KeyboardInterrupt):  # parent went away
         pass
     finally:
-        if ring is not None:
-            ring.close()
+        ring.close()
         if metrics is not None:
             metrics.close()
         csr_plane.close()
@@ -351,106 +340,112 @@ def _worker_main(conn, spec: AgentSpec, csr_manifest: PlaneManifest,
 # Parent-side pool
 # ----------------------------------------------------------------------
 class _Worker:
-    """One child process plus its transports; at most one op in flight.
+    """One child process plus its pipes and ring; at most one op in flight.
 
-    Control messages (swap / stage / tables / ping / stop — and any
-    ``exec`` the ring cannot carry) ride the duplex pickle pipe; with
-    ``transport="ring"`` hot-path ``exec`` batches ride the worker's
-    shared-memory ring pair, with a simplex **doorbell pipe** per
-    direction carrying a single raw byte per message so the idle peer
-    blocks in ``select`` instead of polling.  One lock serializes both
-    transports, so a broadcast can never interleave with an in-flight
-    micro-batch on the same worker regardless of which road the batch
-    took.
+    Every flush rides the worker's shared-memory ring pair, with a
+    simplex **doorbell pipe** per direction carrying a single raw byte
+    per message so the idle peer blocks in ``select`` instead of
+    polling; control messages (swap / stage / tables / ring / ping /
+    stop) ride the duplex pickle pipe.  One lock serializes both, so a
+    broadcast can never interleave with an in-flight flush on the same
+    worker.
     """
 
     def __init__(self, context, spec: AgentSpec,
                  csr_manifest: PlaneManifest, emb_manifest: PlaneManifest,
                  name: str, index: int, untrack_shm: bool,
-                 transport: str = "pipe",
                  metrics_manifest: Optional[BlockManifest] = None
                  ) -> None:
         self.index = index
         self._lock = threading.Lock()
         self.conn, child_conn = context.Pipe(duplex=True)
-        self.ring: Optional[RingPair] = None
-        self._db_req = self._db_resp = None
-        ring_manifest = None
-        child_db_req = child_db_resp = None
-        if transport == "ring":
-            self.ring = RingPair.create()
-            ring_manifest = self.ring.manifest
-            # Doorbells: parent -> child for requests, child -> parent
-            # for responses (recv end first from Pipe(duplex=False)).
-            child_db_req, self._db_req = context.Pipe(duplex=False)
-            self._db_resp, child_db_resp = context.Pipe(duplex=False)
+        # A respawn starts at the default size.
+        self.ring = RingPair.create()
+        # Doorbells: parent -> child for requests, child -> parent for
+        # responses (recv end first from Pipe(duplex=False)).
+        child_db_req, self._db_req = context.Pipe(duplex=False)
+        self._db_resp, child_db_resp = context.Pipe(duplex=False)
         self.process = context.Process(
             target=_worker_main,
             args=(child_conn, spec, csr_manifest, emb_manifest,
-                  untrack_shm, ring_manifest,
-                  child_db_req, child_db_resp, metrics_manifest),
+                  self.ring.manifest, child_db_req, child_db_resp,
+                  metrics_manifest, untrack_shm),
             name=name, daemon=True)
         self.process.start()
-        child_conn.close()  # parent keeps only its end
-        if child_db_req is not None:
-            child_db_req.close()
-            child_db_resp.close()
+        for conn in (child_conn, child_db_req, child_db_resp):
+            conn.close()  # parent keeps only its ends
 
-    def request(self, message: tuple):
-        """Round-trip one pipe message; raises WorkerDied/WorkerError."""
-        with self._lock:
-            try:
-                self.conn.send(message)
-                reply = self.conn.recv()
-            except (EOFError, BrokenPipeError, OSError) as exc:
-                raise WorkerDied(
-                    f"worker {self.process.name} (pid "
-                    f"{self.process.pid}) died during {message[0]!r}"
-                ) from exc
+    def _round_trip(self, message: tuple):
+        """One pipe message and its reply (worker lock held); raises
+        WorkerDied/WorkerError."""
+        try:
+            self.conn.send(message)
+            reply = self.conn.recv()
+        except (EOFError, BrokenPipeError, OSError) as exc:
+            raise WorkerDied(
+                f"worker {self.process.name} (pid "
+                f"{self.process.pid}) died during {message[0]!r}"
+            ) from exc
         if reply[0] == "err":
             raise WorkerError(reply[1])
         return reply[1:]
 
-    def exec_batch(self, plan: FlushPlan, max_len: int, resp_bound: int
-                   ) -> Tuple[str, int, RowBlock, list, list]:
-        """Run one flush plan over the best transport available.
+    def request(self, message: tuple):
+        """Round-trip one control message; raises WorkerDied/WorkerError."""
+        with self._lock:
+            return self._round_trip(message)
 
-        Returns ``(used, version, block, spans, rowrecs)`` where
-        ``used`` is ``"ring"``, ``"pipe"`` (this worker has no ring),
-        or ``"fallback"`` (it has one, but this plan could not ride it
-        — oversize payload, un-encodable values, or a full ring).  The
-        answer is the same unrendered
-        :class:`~repro.runtime.rowblock.RowBlock` on every transport;
-        ``spans`` and ``rowrecs`` are
-        :func:`~repro.runtime.flush.execute_flush`'s (empty when no
-        request was sampled).
+    def exec_batch(self, plan: FlushPlan, max_len: int, resp_bound: int
+                   ) -> Tuple[int, RowBlock, list, list]:
+        """Run one flush plan over the ring: ``(version, block, spans,
+        rowrecs)``.
+
+        ``block`` is the unrendered
+        :class:`~repro.runtime.rowblock.RowBlock`; ``spans`` and
+        ``rowrecs`` are :func:`~repro.runtime.flush.execute_flush`'s
+        (empty when no request was sampled).  A value that does not fit
+        int32 raises :class:`~repro.runtime.rings.RingUnsuitable` before
+        anything is posted.  A plan whose request payload or worst-case
+        response (``resp_bound`` bytes) outgrows a slot first moves the
+        worker onto a ring sized to the next power of two that fits.
         """
-        used = "pipe"
-        if self.ring is not None:
-            used = "fallback"
-            manifest = self.ring.manifest
+        payload = encode_plan(plan, max_len)
+        with self._lock:
+            self._fit(len(payload), resp_bound)
+            self.ring.post_request(payload)
             try:
-                payload = encode_plan(plan, max_len)
-            except RingUnsuitable:
-                payload = None
-            if (payload is not None
-                    and len(payload) <= manifest.req_slot_bytes
-                    and resp_bound <= manifest.resp_slot_bytes):
-                with self._lock:
-                    try:
-                        self.ring.post_request(payload)
-                    except RingFull:
-                        pass
-                    else:
-                        self._db_req.send_bytes(b"\x01")
-                        raw = self._await_ring_response()
-                        try:
-                            version, block, spans, _, rowrecs = (
-                                decode_block(raw))
-                        except WorkerExecError as exc:
-                            raise WorkerError(str(exc)) from None
-                        return "ring", version, block, spans, rowrecs
-        return (used,) + self.request(("exec", plan))
+                self._db_req.send_bytes(b"\x01")
+            except OSError as exc:
+                raise WorkerDied(
+                    f"worker {self.process.name} (pid "
+                    f"{self.process.pid}) lost its doorbell") from exc
+            raw = self._await_ring_response()
+        try:
+            version, block, spans, _, rowrecs = decode_block(raw)
+        except WorkerExecError as exc:
+            raise WorkerError(str(exc)) from None
+        return version, block, spans, rowrecs
+
+    def _fit(self, req_bytes: int, resp_bytes: int) -> None:
+        """Grow the ring until both slots hold the plan (worker lock
+        held, nothing in flight): create a ring pair sized to the next
+        power of two that fits, move the child onto it over the
+        control pipe, then unlink the old segment.  Slots never
+        shrink."""
+        manifest = self.ring.manifest
+        if (req_bytes <= manifest.req_slot_bytes
+                and resp_bytes <= manifest.resp_slot_bytes):
+            return
+        ring = RingPair.create(
+            max(manifest.req_slot_bytes, _pow2(req_bytes)),
+            max(manifest.resp_slot_bytes, _pow2(resp_bytes)))
+        try:
+            self._round_trip(("ring", ring.manifest))
+        except BaseException:
+            ring.unlink()
+            raise
+        self.ring.unlink()
+        self.ring = ring
 
     def _await_ring_response(self) -> bytes:
         """Block on the response doorbell (or the child's death).
@@ -483,18 +478,15 @@ class _Worker:
                 return payload
             raise WorkerDied(
                 f"worker {self.process.name} (pid {self.process.pid}) "
-                f"died during 'exec'")
+                f"died during a flush")
 
-    def close_transports(self) -> None:
+    def close_channels(self) -> None:
         for conn in (self.conn, self._db_req, self._db_resp):
-            if conn is None:
-                continue
             try:
                 conn.close()
             except OSError:  # pragma: no cover - defensive
                 pass
-        if self.ring is not None:
-            self.ring.unlink()
+        self.ring.unlink()
 
     def shutdown(self, timeout: float = 5.0) -> None:
         try:
@@ -505,7 +497,12 @@ class _Worker:
         if self.process.is_alive():  # pragma: no cover - stuck child
             self.process.terminate()
             self.process.join(timeout)
-        self.close_transports()
+        self.close_channels()
+
+
+def _pow2(n: int) -> int:
+    """The smallest power of two >= ``n`` (1 for ``n <= 1``)."""
+    return 1 << max(n - 1, 0).bit_length()
 
 
 def resolve_context(name: str = "auto"):
@@ -551,17 +548,12 @@ class ProcessWorkerPool:
     """
 
     def __init__(self, agent: REKSAgent, workers: int,
-                 mp_context: str = "auto", plane_backend: str = "auto",
-                 model_version: int = 0,
+                 mp_context: str = "auto", model_version: int = 0,
                  health_interval_s: Optional[float] = None,
-                 transport: str = "ring",
                  metrics_registry=None,
                  metrics_block=None) -> None:
         if workers < 1:
             raise ValueError(f"need >= 1 worker, got {workers}")
-        if transport not in ("pipe", "ring"):
-            raise ValueError(
-                f"transport must be 'pipe' or 'ring', got {transport!r}")
         if health_interval_s is not None and health_interval_s < 0:
             # Event.wait(negative) returns at once: the sweep would spin.
             raise ValueError(
@@ -571,34 +563,22 @@ class ProcessWorkerPool:
         tables, staged, self._csr_key = agent.env.staged_snapshot()
         self._spec = AgentSpec.from_agent(agent, staged,
                                           model_version=model_version)
-        self._backend = plane_backend
-        if transport == "ring":
-            # Probe once: a host without usable POSIX shared memory
-            # (rings require it even when the planes fell back to
-            # mmap) serves over the pipe instead of failing.
-            try:
-                RingPair.create(slots=1, req_slot_bytes=64,
-                                resp_slot_bytes=64).unlink()
-            except (ImportError, OSError):
-                transport = "pipe"
-        self.transport = transport
         self._max_len = self._spec.config.max_session_length
+        # A row holds at most the catalogue (_top_k clips k to it).
+        self._n_items = agent.n_items
         # Worst-case per-cell response bytes: items + scores + path_len
         # + a full-length path (2L+1 int32 nodes) + its prob.
         self._resp_cell_bytes = (
             4 + 8 + 4 + (2 * self._spec.config.path_length + 1) * 4 + 8)
-        # Transport accounting (tests assert on these).
+        # Flushes executed (tests assert on it).
         self.ring_batches = 0
-        self.pipe_batches = 0
-        self.ring_fallbacks = 0
         self._counter_lock = threading.Lock()
-        self._emb_plane = export_embedding_plane(agent,
-                                                 backend=plane_backend)
-        self._csr_plane = export_csr_plane(tables, backend=plane_backend)
+        self._emb_plane = export_embedding_plane(agent)
+        self._csr_plane = export_csr_plane(tables)
         # Telemetry: one shared-memory metric block per worker role
         # (created by the parent's registry so retire-on-respawn folds
         # counts without double counting), plus an optional
-        # parent-written block for the pool's own transport counters.
+        # parent-written block for the pool's own counters.
         self._metrics_registry = metrics_registry
         self._metrics = metrics_block
         self._metrics_schema = fleet_schema(
@@ -676,7 +656,6 @@ class ProcessWorkerPool:
                        self._emb_plane.manifest,
                        name=f"reks-procworker-{index}", index=index,
                        untrack_shm=self._untrack_shm,
-                       transport=self.transport,
                        metrics_manifest=metrics_manifest)
 
     def _bootstrap(self, worker: _Worker) -> None:
@@ -707,7 +686,7 @@ class ProcessWorkerPool:
                 dead.process.join(0.1)
             except OSError:  # pragma: no cover - defensive
                 pass
-            dead.close_transports()  # also retires the corpse's ring
+            dead.close_channels()  # also retires the corpse's ring
             fresh = self._spawn(dead.index)
             self._bootstrap(fresh)
             self._workers[dead.index] = fresh
@@ -771,7 +750,7 @@ class ProcessWorkerPool:
         can land between submission and execution, never mid-batch),
         ``block`` the unrendered
         :class:`~repro.runtime.rowblock.RowBlock` exactly as it crossed
-        the transport, one row per ``plan.pairs`` entry — rendering and
+        the ring, one row per ``plan.pairs`` entry — rendering and
         the ``plan.fan_out`` back to requests happen in the serving
         layer — and ``spans`` / ``rowrecs`` the worker's batch spans
         and per-row attribution records (empty unless the plan carries
@@ -782,11 +761,13 @@ class ProcessWorkerPool:
         routing, and a batch that races a death mid-flight is
         re-executed once on a fresh respawn (idempotent — pure
         inference).  :class:`WorkerDied` escapes only if the respawned
-        worker dies too.
+        worker dies too.  A plan value that does not fit int32 raises
+        :class:`~repro.runtime.rings.RingUnsuitable` before anything is
+        posted.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
-        resp_ks = [k for _, k in plan.pairs]
+        resp_ks = [min(k, self._n_items) for _, k in plan.pairs]
         n_sampled = sum(1 for trace in plan.traces if trace)
         resp_bound = (64 + 4 * len(resp_ks)
                       + sum(resp_ks) * self._resp_cell_bytes)
@@ -806,13 +787,13 @@ class ProcessWorkerPool:
                 # occupant instead of failing the batch.
                 worker = self._respawn(worker)
             try:
-                used, version, block, spans, rowrecs = worker.exec_batch(
+                version, block, spans, rowrecs = worker.exec_batch(
                     plan, self._max_len, resp_bound)
             except WorkerDied:
                 worker = self._respawn(worker)
                 try:
-                    used, version, block, spans, rowrecs = (
-                        worker.exec_batch(plan, self._max_len, resp_bound))
+                    version, block, spans, rowrecs = worker.exec_batch(
+                        plan, self._max_len, resp_bound)
                 except WorkerDied:
                     worker = self._respawn(worker)
                     raise
@@ -823,18 +804,9 @@ class ProcessWorkerPool:
                 f"asked for {len(resp_ks)} rows, the worker answered "
                 f"{len(block)}")
         with self._counter_lock:
-            if used == "ring":
-                self.ring_batches += 1
-            else:
-                self.pipe_batches += 1
-                if used == "fallback":
-                    self.ring_fallbacks += 1
+            self.ring_batches += 1
         if self._metrics is not None:
-            self._metrics.count("ring_batches_total"
-                                if used == "ring"
-                                else "pipe_batches_total")
-            if used == "fallback":
-                self._metrics.count("ring_fallbacks_total")
+            self._metrics.count("ring_batches_total")
         return int(version), block, spans, rowrecs
 
     # ------------------------------------------------------------------
@@ -950,8 +922,7 @@ class ProcessWorkerPool:
                     # 25% headroom so ordinary delta growth keeps
                     # fitting the same arena across generations.
                     arena = PlaneArena.create(
-                        layout_size(arrays) * 5 // 4 + 64,
-                        backend=self._backend)
+                        layout_size(arrays) * 5 // 4 + 64)
                     segments_allocated += 1
                 fresh = arena.write(arrays, key=f"csr:{tables.digest()}")
                 with self._state_lock:

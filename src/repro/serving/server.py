@@ -130,6 +130,10 @@ class _Request:
     trace: int = 0  # sampled trace id (0 = this request is not traced)
 
 
+# Every id that crosses to a process worker rides the ring as int32.
+_I32_MIN, _I32_MAX = -2 ** 31, 2 ** 31 - 1
+
+
 class ServerClosed(RuntimeError):
     """Raised when submitting to a shut-down server."""
 
@@ -142,7 +146,6 @@ class RecommendationServer:
                  cache_size: int = 2048, default_k: int = 20,
                  registry=None, model_version: int = 0,
                  worker_mode: str = "thread", mp_context: str = "auto",
-                 plane_backend: str = "auto",
                  transport: str = "ring",
                  health_interval_ms: float = 200.0,
                  trace_sample: float = 0.0,
@@ -159,9 +162,10 @@ class RecommendationServer:
             raise ValueError(
                 f"worker_mode must be 'thread' or 'process', "
                 f"got {worker_mode!r}")
-        if transport not in ("pipe", "ring"):
-            raise ValueError(
-                f"transport must be 'pipe' or 'ring', got {transport!r}")
+        # Every flush rides the ring; the keyword is validated and
+        # otherwise unused.
+        if transport != "ring":
+            raise ValueError(f"transport must be 'ring', got {transport!r}")
         if workers < 1:
             raise ValueError(f"need >= 1 worker, got {workers}")
         if default_k < 1:
@@ -220,8 +224,7 @@ class RecommendationServer:
         if metrics:
             self._metrics_registry = (metrics_registry
                                       if metrics_registry is not None
-                                      else MetricsRegistry(
-                                          backend=plane_backend))
+                                      else MetricsRegistry())
             self._owns_registry = metrics_registry is None
             schema = fleet_schema(hops=agent.config.path_length)
             self._metrics = self._metrics_registry.create_block(
@@ -245,16 +248,11 @@ class RecommendationServer:
         if worker_mode == "process":
             self._procpool = ProcessWorkerPool(
                 agent, workers=workers, mp_context=mp_context,
-                plane_backend=plane_backend, model_version=model_version,
-                transport=transport,
+                model_version=model_version,
                 health_interval_s=(health_interval_ms / 1e3
                                    if health_interval_ms else None),
                 metrics_registry=self._metrics_registry,
                 metrics_block=self._metrics)
-            # The pool may downgrade ring -> pipe when the host has no
-            # usable POSIX shared memory; report what actually runs.
-            transport = self._procpool.transport
-        self.transport = transport
         self._workspace = RolloutWorkspace()
         self._workspace.metrics = self._metrics
         self._cache = ExplanationCache(cache_size)
@@ -325,7 +323,10 @@ class RecommendationServer:
         one it was ranked at (:meth:`ExplanationCache.lookup`), by
         slicing.  A miss first raises the server's ``k`` ceiling to
         ``k``, so the flush that answers it ranks at least that deep.
-        ``k`` must be at least 1 (``ValueError``).
+        ``k`` must be at least 1, and the session needs at least two
+        items, whose next-item slot and walked prefix (the last
+        ``max_session_length`` items before it) fit int32
+        (``ValueError`` otherwise, in both worker modes).
         """
         if self._shut_down:
             raise ServerClosed("server has been shut down")
@@ -350,6 +351,10 @@ class RecommendationServer:
             future.set_result(ServedResult(*answer, cached=True,
                                            latency_ms=latency * 1e3))
             return future
+        # The prefix is checked on a miss only: a hit's prefix is an
+        # admitted key, which passed this check at its own miss.
+        if min(base[0]) < _I32_MIN or max(base[0]) > _I32_MAX:
+            raise ValueError("session item ids must fit int32")
         self._stats.record_cache(False, version)
         if k > self._ceiling:
             # Checked again under the lock: two racing raises must not
@@ -650,6 +655,8 @@ class RecommendationServer:
             raise ValueError(
                 "serving requires sessions with >= 2 items (prefix + "
                 f"next-item slot); got {len(items)}")
+        if not _I32_MIN <= items[-1] <= _I32_MAX:
+            raise ValueError("session item ids must fit int32")
         prefix = items[:-1][-self._max_session_length:]
         user = session.user_id if self._start_from == "user" else None
         return (tuple(map(int, prefix)), user)
@@ -730,8 +737,10 @@ class RecommendationServer:
                 tracer.record(trace, "enqueue", "server",
                               request.enqueued_at, wait)
         asked = self._ceiling
+        # The user rides the flush only where it is a walk input
+        # (base_key[1] is None unless the walk starts from the user).
         examples = [(payload.base_key[0], payload.session.items[-1],
-                     payload.session.user_id) for payload in payloads]
+                     payload.base_key[1]) for payload in payloads]
         flush_dur = perf_counter() - pickup
         if metrics is not None:
             metrics.observe("batch_flush_seconds", flush_dur)

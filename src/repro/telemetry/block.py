@@ -26,8 +26,10 @@ the observed extremes, so memory stays flat at any request volume.
 math for purely in-process accounting (``repro.serving.stats``).
 
 Backends: ``shm`` (POSIX shared memory) with an ``mmap`` temp-file
-fallback, same ladder as the table plane.  ``untrack`` on attach has
-the plane's semantics: False for multiprocessing children (they share
+fallback — the block is the only segment thread mode creates, so a
+thread-mode server runs on a host without POSIX shm (the process
+fleet's planes and rings need it).  ``untrack`` on attach
+(:func:`attach_shm`): False for multiprocessing children (they share
 the creator's resource tracker), True only for foreign interpreters.
 """
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 import mmap as _mmap
 import os
+import sys
 import tempfile
 import threading
 import time
@@ -237,23 +240,36 @@ class _MMapSegment:
             pass
 
 
-def _attach_shm(name: str, untrack: bool):
-    """Attach an existing POSIX segment (same semantics as the plane's
-    helper: 3.13+ disables tracking at attach; earlier interpreters
-    unregister after the fact for foreign attachers)."""
+def attach_shm(name: str, untrack: bool):
+    """Open an existing shared-memory segment without adopting it.
+
+    On 3.13+ ``track=False`` keeps the attaching process's resource
+    tracker out of the segment's lifetime (the publishing owner stays
+    responsible for the unlink).  On 3.11/3.12 every attach registers
+    with the process's resource tracker; ``multiprocessing`` children
+    — fork *and* spawn — share the publisher's tracker (its fd rides
+    in the spawn preparation data), so the registration is a set no-op
+    there and the owner's ``unlink`` deregisters cleanly.  Only a
+    **foreign** process (one not started by the publisher's
+    interpreter) has a private tracker that would adopt the segment
+    and unlink it at exit; such attachers pass ``untrack=True``.
+
+    The one attach helper for every segment in the fleet: metric
+    blocks, table planes and rings.
+    """
     from multiprocessing import shared_memory
 
-    try:
-        return shared_memory.SharedMemory(name=name, track=not untrack)
-    except TypeError:  # pragma: no cover - pre-3.13
-        shm = shared_memory.SharedMemory(name=name)
-        if untrack:
-            try:
-                from multiprocessing import resource_tracker
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
-        return shm
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    shm = shared_memory.SharedMemory(name=name)
+    if untrack:
+        try:  # pragma: no cover - spawn-context only
+            from multiprocessing import resource_tracker
+
+            resource_tracker.unregister(shm._name, "shared_memory")
+        except Exception:
+            pass
+    return shm
 
 
 class MetricBlock:
@@ -338,7 +354,7 @@ class MetricBlock:
     def attach(cls, manifest: BlockManifest, untrack: bool = False,
                writer: bool = True) -> "MetricBlock":
         if manifest.kind == "shm":
-            segment = _attach_shm(manifest.name, untrack)
+            segment = attach_shm(manifest.name, untrack)
         else:
             segment = _MMapSegment(manifest.name, manifest.nbytes,
                                    create=False)
@@ -602,8 +618,7 @@ def fleet_schema(hops: int = 0) -> MetricSchema:
         "cache_hits_total", "cache_misses_total",
         # of the hits: sliced from an entry ranked at another k
         "cache_nested_hits_total",
-        "ring_batches_total", "pipe_batches_total",
-        "ring_fallbacks_total",
+        "ring_batches_total",
         "worker_respawns_total",
         "exec_batches_total", "exec_rows_total",
         "render_rows_total", "render_deferred_total",

@@ -267,12 +267,10 @@ def slo_failures(results: Sequence[SLOResult]) -> List[SLOResult]:
 
 def serving_slos(p99_ms: Optional[float] = None,
                  swap_max_ms: Optional[float] = None,
-                 cache_hit_floor: Optional[float] = None,
-                 ring_fallback_ceiling: Optional[float] = None
+                 cache_hit_floor: Optional[float] = None
                  ) -> Tuple[SLO, ...]:
     """The canonical serving gate set: request p99, swap latency
-    ceiling, cache-hit floor, ring-fallback ceiling.  ``None`` skips a
-    gate."""
+    ceiling, cache-hit floor.  ``None`` skips a gate."""
     slos: List[SLO] = []
     if p99_ms is not None:
         slos.append(SLO(name="request_p99", stat="p99",
@@ -288,10 +286,4 @@ def serving_slos(p99_ms: Optional[float] = None,
                         denominator=("cache_hits_total",
                                      "cache_misses_total"),
                         min_value=cache_hit_floor))
-    if ring_fallback_ceiling is not None:
-        slos.append(SLO(name="ring_fallback_rate", stat="ratio",
-                        metric="ring_fallbacks_total",
-                        denominator=("ring_batches_total",
-                                     "pipe_batches_total"),
-                        max_value=ring_fallback_ceiling))
     return tuple(slos)

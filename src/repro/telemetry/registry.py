@@ -114,8 +114,7 @@ class FleetSnapshot:
 class MetricsRegistry:
     """Creates, tracks, retires, and merges the fleet's metric blocks."""
 
-    def __init__(self, backend: str = "auto") -> None:
-        self._backend = backend
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._blocks: Dict[str, MetricBlock] = {}
         self._retired = _RetiredAccum()
@@ -132,8 +131,7 @@ class MetricsRegistry:
             stale = self._blocks.pop(role, None)
             if stale is not None:
                 self._retire_locked(stale)
-            block = MetricBlock.create(schema, role=role,
-                                       backend=self._backend)
+            block = MetricBlock.create(schema, role=role)
             self._blocks[role] = block
             return block
 

@@ -9,8 +9,8 @@ into per-second rates, histograms diff bucket-wise (via
 :func:`~repro.telemetry.window.hist_delta`) into windowed p50/p99.
 
 The frame shows what the serving fleet's operators actually watch:
-per-role QPS, windowed request p50/p99, cache hit rate, ring vs pipe
-batch mix and fallbacks, and trace pressure (sampled vs dropped).
+per-role QPS, windowed request p50/p99, cache hit rate, dedup, live
+cache entries per version, and trace pressure (sampled vs dropped).
 """
 
 from __future__ import annotations
@@ -139,13 +139,6 @@ def render_top(curr: dict, prev: Optional[dict] = None) -> str:
         entries = " ".join(f"v{v}:{cache_bv[v]}"
                            for v in sorted(cache_bv, key=int))
         lines.append(f"  entries    cache [{entries}]")
-
-    ring = _counter_delta(curr, prev, "ring_batches_total")
-    pipe = _counter_delta(curr, prev, "pipe_batches_total")
-    fallbacks = _counter_delta(curr, prev, "ring_fallbacks_total")
-    if ring + pipe + fallbacks:
-        lines.append(f"  transport  {ring} ring / {pipe} pipe batches, "
-                     f"{fallbacks} fallbacks")
 
     sampled = _counter_delta(curr, prev, "traces_sampled_total")
     dropped = _counter_delta(curr, prev, "trace_dropped_total")

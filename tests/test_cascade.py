@@ -5,7 +5,7 @@ The two contracts that matter:
 
 * **cascade off == before**: a server without a cascade takes exactly
   the pre-cascade code path — rankings bit-identical to the trainer
-  oracle on every transport (thread, pipe, ring);
+  oracle in thread mode and over the ring;
 * **cascade on is score-preserving**: pruning only removes
   zero-contribution paths, so with saturating beam widths any row
   whose unconstrained top-k (at strictly positive scores) survives
@@ -324,7 +324,7 @@ class TestConfig:
 
 
 # ----------------------------------------------------------------------
-# Serving differential: every transport, on and off
+# Serving differential: both modes, on and off
 # ----------------------------------------------------------------------
 class TestServingDifferential:
     def test_cascade_off_matches_trainer_oracle_thread(self, trainer,
@@ -339,7 +339,7 @@ class TestServingDifferential:
             assert tuple(int(i) for i in expect[:len(result.items)]) \
                 == result.items
 
-    @pytest.mark.parametrize("transport", ["pipe", "ring"])
+    @pytest.mark.parametrize("transport", ["ring"])
     def test_cascade_off_matches_thread_per_transport(self, trainer,
                                                       sessions,
                                                       transport):
@@ -348,17 +348,15 @@ class TestServingDifferential:
             expected = [r.items for r in
                         server.recommend_many(subset, k=8)]
         with trainer.serve(workers=1, metrics=False,
-                           worker_mode="process",
-                           transport=transport) as server:
+                           worker_mode="process") as server:
             got = [r.items for r in server.recommend_many(subset, k=8)]
         assert got == expected
 
-    @pytest.mark.parametrize("transport", ["pipe", "ring"])
+    @pytest.mark.parametrize("transport", ["ring"])
     def test_cascade_on_identical_across_transports(self, trainer,
                                                     sessions, transport):
-        """The candidate section must be transport-invariant: thread
-        mode, the pickle pipe, and the ring codec all serve the same
-        constrained rankings."""
+        """The candidate section must survive the ring codec: thread
+        mode and process mode serve the same constrained rankings."""
         subset = sessions[:8]
         provider = provider_from_trainer(trainer, "neighbors")
         with trainer.serve(workers=1, metrics=False, cache_size=0,
@@ -367,8 +365,7 @@ class TestServingDifferential:
                         server.recommend_many(subset, k=8)]
         with trainer.serve(workers=1, metrics=False, cache_size=0,
                            cascade=provider, cascade_m=20,
-                           worker_mode="process",
-                           transport=transport) as server:
+                           worker_mode="process") as server:
             got = [r.items for r in server.recommend_many(subset, k=8)]
         assert got == expected
 

@@ -179,3 +179,23 @@ class TestModesAndDiscount:
                                 np.zeros((1, 16)),
                                 dense_scores(built, [(0, 5, 1.0)]))
         assert total[0] == pytest.approx(gamma)
+
+
+class TestSigmoid:
+    def test_extremes_do_not_warn(self):
+        """exp(-x) overflows for very negative x; the sigmoid still
+        returns its exact limits, silently, with unchanged bits."""
+        import warnings
+
+        from repro.core.rewards import _sigmoid
+
+        x = np.array([-1000.0, 0.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(x)
+        assert got.tolist() == [0.0, 0.5, 1.0]
+        for dtype in (np.float32, np.float64):
+            mid = np.linspace(-30, 30, 61, dtype=dtype)
+            with np.errstate(over="raise"):
+                assert _sigmoid(mid).tobytes() == (
+                    1.0 / (1.0 + np.exp(-mid))).tobytes()

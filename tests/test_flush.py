@@ -3,12 +3,15 @@
 Tier-1.  Pins that
 
 1. a plan with **nothing to share** (identity ``row_map``) *is* the
-   direct batch walk, bitwise, in thread mode, over the pipe and over
-   the ring — which is why the server's ``dedup=`` argument chooses
-   plan contents, not code;
+   direct batch walk, bitwise, in thread mode and over the ring —
+   which is why the server's ``dedup=`` argument chooses plan
+   contents, not code;
 2. the request codec round-trips generated plans and **every** damaged
    payload raises ``CorruptPayload`` — never a plausible different
-   batch — and a corrupt request cannot wedge a live ring worker;
+   batch — and neither a corrupt request nor one with a value past
+   int32 can wedge a live ring worker; the server refuses such a
+   session at ``submit`` in both modes, and never ships a user id the
+   walk does not read;
 3. what used to drift between the thread and process mirrors cannot:
    a repeat is keyed on the user *anchor* in both modes, and a traced
    request's spans do not depend on who served it.
@@ -100,15 +103,14 @@ class TestNothingToShareIsTheDirectWalk:
             assert block == _direct(agent, batch, ks, cands)
             assert spans == [] and rowrecs == []
 
-    @pytest.mark.parametrize("transport", ["pipe", "ring"])
+    @pytest.mark.parametrize("transport", ["ring"])
     def test_process(self, trainer, examples, transport):
-        with ProcessWorkerPool(trainer.agent, workers=1,
-                               transport=transport) as pool:
+        with ProcessWorkerPool(trainer.agent, workers=1) as pool:
             for batch, ks, cands in _flushes(trainer, examples):
                 _, block, _, _ = pool.execute_block(
                     FlushPlan.build(batch, ks, cands))
                 assert block == _direct(trainer.agent, batch, ks, cands)
-            assert pool.ring_fallbacks == 0
+            assert pool.ring_batches == len(_flushes(trainer, examples))
 
     def test_dedup_off_memo_off_server_is_the_direct_walk(self, trainer,
                                                            sessions):
@@ -245,18 +247,22 @@ class TestPlanCodec:
 
 
 class TestLiveRingWorker:
-    def test_unencodable_request_rides_the_pipe_counted(self, trainer,
-                                                        examples):
+    def test_unencodable_plan_raises_before_posting(self, trainer,
+                                                    examples):
+        """A value past int32 is the caller's ``RingUnsuitable``:
+        nothing is posted, and the worker serves the next flush."""
         prefix, target, _ = examples[0]
         plan = FlushPlan.build([(prefix, target, 2 ** 40)], [5])
-        with ProcessWorkerPool(trainer.agent, workers=1,
-                               transport="ring") as pool:
-            _, want, _, _ = pool.execute_block(
+        with ProcessWorkerPool(trainer.agent, workers=1) as pool:
+            pid = pool._workers[0].process.pid
+            with pytest.raises(RingUnsuitable):
+                pool.execute_block(plan)
+            assert pool._workers[0].ring.requests_in_flight == 0
+            _, block, _, _ = pool.execute_block(
                 FlushPlan.build(examples[:1], [5]))
-            _, block, _, _ = pool.execute_block(plan)
-            assert (pool.ring_batches, pool.ring_fallbacks) == (1, 1)
-        # the user is no walk input under start_from="last_item"
-        assert block == want
+            assert block == _direct(trainer.agent, examples[:1], [5])
+            assert (pool.ring_batches, pool.respawns) == (1, 0)
+            assert pool._workers[0].process.pid == pid
 
     def test_corrupt_request_is_an_error_not_a_wrong_batch(
             self, trainer, examples, monkeypatch):
@@ -264,8 +270,7 @@ class TestLiveRingWorker:
         refuse it (``WorkerError`` parent-side), and the same worker
         must serve the next flush correctly."""
         plan = FlushPlan.build(examples[:4], [5, 3, 5, 7])
-        with ProcessWorkerPool(trainer.agent, workers=1,
-                               transport="ring") as pool:
+        with ProcessWorkerPool(trainer.agent, workers=1) as pool:
             pid = pool._workers[0].process.pid
             monkeypatch.setattr(
                 workers_mod, "encode_plan",
@@ -277,7 +282,7 @@ class TestLiveRingWorker:
             assert block == _direct(trainer.agent, examples[:4],
                                     [5, 3, 5, 7])
             assert pool._workers[0].process.pid == pid
-            assert (pool.respawns, pool.ring_fallbacks) == (0, 0)
+            assert pool.respawns == 0
             assert pool._workers[0].ring.requests_in_flight == 0
 
 
@@ -315,6 +320,36 @@ class TestMemoKeysOnTheUserAnchor:
         _, _, hits, misses = self._serve_twice(user_trainer, sessions[0],
                                                mode)
         assert (hits, misses) == (0, 2)
+
+
+@pytest.mark.parametrize("mode", _MODES, ids=_MODE_IDS)
+class TestInt32AtTheBoundary:
+    """Only int32 values cross to a worker, so both modes refuse a
+    session whose item ids do not fit, and a user id the walk does not
+    read never crosses at all."""
+
+    def test_submit_rejects_a_slot_past_int32(self, trainer, sessions,
+                                              mode):
+        session = sessions[0]
+        with trainer.serve(**mode) as server:
+            server.recommend_one(session, k=5)  # a warm prefix hits
+            for items in (list(session.items[:-1]) + [2 ** 40],
+                          [2 ** 40] + list(session.items)):
+                with pytest.raises(ValueError, match="int32"):
+                    server.submit(replace(session, items=items), k=5)
+            assert server.pending == 0
+            assert server.stats().requests == 1
+
+    def test_unread_user_past_int32_serves_as_usual(self, trainer,
+                                                     sessions, mode):
+        session = sessions[0]
+        items, scores, _ = _direct(
+            trainer.agent, [(session.items[:-1], session.items[-1],
+                             session.user_id)], [5]).to_rows()[0]
+        with trainer.serve(cache_size=0, **mode) as server:
+            got = server.recommend_one(replace(session, user_id=2 ** 40),
+                                       k=5)
+        assert (list(got.items), list(got.scores)) == (items, scores)
 
 
 def _traced_passes(trainer, subset, **overrides):

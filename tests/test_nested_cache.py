@@ -13,8 +13,8 @@ here:
 * the rule is *exact* — every served answer equals the offline oracle
   (``REKSTrainer.recommend_sessions``; the constrained
   ``agent.recommend`` under the cascade) in items, paths, explanations
-  and score bits, in thread and process mode, over the pipe and the
-  ring, for arbitrary ``k`` sequences, with ``cached`` true exactly
+  and score bits, in thread mode and in process mode over the ring,
+  for arbitrary ``k`` sequences, with ``cached`` true exactly
   when the rule says so — a hit's paths being the entry's
   ``PathColumn`` cut by ``head(k)``, the first ``k`` of the oracle's at
   the ``k`` the entry was ranked at;
@@ -237,17 +237,14 @@ class TestRule:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", params=[
     ("thread", False), ("thread", True), ("process", False),
-    ("process", True), ("pipe", False), ("pipe", True)],
+    ("process", True)],
     ids=lambda p: f"{p[0]}-{'cascade' if p[1] else 'full'}")
 def served(request, trainer):
     mode, cascade = request.param
     provider = (provider_from_trainer(trainer, "neighbors") if cascade
                 else None)
-    transport = dict(transport="pipe") if mode == "pipe" else {}
-    with trainer.serve(worker_mode="thread" if mode == "thread"
-                       else "process", workers=1, max_wait_ms=0.0,
-                       cascade=provider, cascade_m=CASCADE_M,
-                       **transport) as server:
+    with trainer.serve(worker_mode=mode, workers=1, max_wait_ms=0.0,
+                       cascade=provider, cascade_m=CASCADE_M) as server:
         yield server, Oracle(trainer, provider)
 
 

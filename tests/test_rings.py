@@ -1,32 +1,36 @@
-"""Zero-copy serving dataplane: ring codecs, transport differentials.
+"""Zero-copy serving dataplane: ring codecs, ring vs thread differentials.
 
 Tier-1.  Three layers pinned here:
 
-1. **Ring mechanics** — slot claim / sequence-number publish / poll
-   round-trips, ``RingFull`` backpressure at capacity, codec
-   round-trips (mixed-k requests, responses with and without paths,
-   worker-error slots), and the int32 encode guards.
-2. **Pipe vs ring differential** — process pools and servers over
-   ``transport="pipe"`` and ``transport="ring"`` must produce
-   bit-identical rankings, scores, explanations, and cache stats over
-   mixed-k traffic, mid-traffic hot swaps, and worker murder (the
-   one-retry contract holds on both roads).
-3. **Backpressure injection** — with a worker's request ring
-   artificially full, ``execute`` falls back to the control pipe
-   (counted, correct, never an error).
+1. **Ring mechanics** — sequence-number publish / poll round-trips on
+   the one slot per direction, ``RingFull`` when a second request is
+   posted before the first one's response, codec round-trips (mixed-k
+   requests, responses with and without paths, worker-error slots),
+   and the int32 encode guards.
+2. **Ring vs thread differential** — process pools and servers, whose
+   every flush rides the ring, must produce bit-identical rankings,
+   scores, explanations, and cache stats to thread mode (or a direct
+   ``execute_flush``) over mixed-k traffic, traced and untraced,
+   mid-traffic hot swaps, and worker murder (the one-retry contract).
+3. **Ring growth** — a plan too big for a slot moves its worker onto a
+   bigger ring once, under the worker lock, and answers bit for bit;
+   the next flush of that size reuses it, and shutdown leaves no
+   segment behind.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
 import pytest
 
 from repro import REKSConfig, REKSTrainer
+from repro.core.environment import RolloutWorkspace
 from repro.online import CheckpointRegistry
 from repro.runtime import ProcessWorkerPool, RingFull, RingPair
-from repro.runtime.flush import FlushPlan
+from repro.runtime.flush import FlushPlan, execute_flush
 from repro.runtime.rings import (
     RingUnsuitable,
     WorkerExecError,
@@ -66,7 +70,7 @@ class TestRingPair:
     # (tickets are process-local SPSC state), so every mechanics test
     # attaches a second pair for the consumer side.
     def test_request_response_round_trip(self):
-        parent = RingPair.create(slots=2)
+        parent = RingPair.create()
         try:
             worker = RingPair.attach(parent.manifest)
             parent.post_request(b"ping-payload")
@@ -81,10 +85,10 @@ class TestRingPair:
             parent.unlink()
 
     def test_slots_recycle_in_order(self):
-        parent = RingPair.create(slots=2)
+        parent = RingPair.create()
         try:
             worker = RingPair.attach(parent.manifest)
-            for round_id in range(7):  # > slots: tickets wrap the ring
+            for round_id in range(7):  # every ticket reuses the one slot
                 payload = f"msg-{round_id}".encode()
                 parent.post_request(payload)
                 assert bytes(worker.poll_request(spin=64)) == payload
@@ -98,14 +102,13 @@ class TestRingPair:
             parent.unlink()
 
     def test_full_ring_raises_ring_full(self):
-        parent = RingPair.create(slots=2)
+        parent = RingPair.create()
         try:
             worker = RingPair.attach(parent.manifest)
             parent.post_request(b"a")
-            parent.post_request(b"b")
             with pytest.raises(RingFull):
-                parent.post_request(b"c")
-            # One full round-trip frees the oldest slot again.
+                parent.post_request(b"b")
+            # One full round-trip frees the slot again.
             assert bytes(worker.poll_request(spin=64)) == b"a"
             worker.post_response(b"a-done")
             assert bytes(parent.poll_response(spin=64)) == b"a-done"
@@ -116,8 +119,7 @@ class TestRingPair:
             parent.unlink()
 
     def test_oversize_payload_raises_ring_unsuitable(self):
-        parent = RingPair.create(slots=1, req_slot_bytes=64,
-                                 resp_slot_bytes=64)
+        parent = RingPair.create(req_slot_bytes=64, resp_slot_bytes=64)
         try:
             with pytest.raises(RingUnsuitable):
                 parent.post_request(b"\x00" * 65)
@@ -126,7 +128,7 @@ class TestRingPair:
             parent.unlink()
 
     def test_poll_empty_returns_none(self):
-        parent = RingPair.create(slots=1)
+        parent = RingPair.create()
         try:
             assert parent.poll_request(spin=8) is None
             assert parent.poll_response(spin=8) is None
@@ -358,31 +360,25 @@ class TestCodecs:
 
 
 # ----------------------------------------------------------------------
-# Pipe vs ring differential
+# Ring vs thread differential
 # ----------------------------------------------------------------------
 class TestTransportEquivalence:
     def test_pool_transport_knob_validated(self, trainer):
+        """The pickle pipe is gone: the server's one accepted transport
+        is the ring."""
         with pytest.raises(ValueError, match="transport"):
-            ProcessWorkerPool(trainer.agent, workers=1,
-                              transport="carrier-pigeon")
+            trainer.serve(worker_mode="process", workers=1,
+                          transport="pipe")
 
     def test_exec_bit_identical_across_transports(self, trainer,
                                                   sessions):
         subset = _examples(sessions[:8])
-        results = {}
-        for transport in ("pipe", "ring"):
-            with ProcessWorkerPool(trainer.agent, workers=2,
-                                   transport=transport) as pool:
-                assert pool.transport == transport
-                _, rows = pool.execute(subset, 5)
-                results[transport] = rows
-                if transport == "ring":
-                    assert pool.ring_batches >= 1
-                    assert pool.pipe_batches == 0
-                else:
-                    assert pool.pipe_batches >= 1
-                    assert pool.ring_batches == 0
-        assert results["ring"] == results["pipe"]
+        want, _, _ = execute_flush(trainer.agent, RolloutWorkspace(),
+                                   FlushPlan.build(subset, [5] * 8), None)
+        with ProcessWorkerPool(trainer.agent, workers=2) as pool:
+            _, rows = pool.execute(subset, 5)
+            assert pool.ring_batches == 1
+        assert rows == want.to_rows()
 
     def test_mixed_k_bit_identical_across_transports(self, trainer,
                                                      sessions):
@@ -392,16 +388,16 @@ class TestTransportEquivalence:
         ks = [3, 7, 5] * 4
         for trace_sample in (0.0, 1.0):
             outputs = {}
-            for transport in ("pipe", "ring"):
-                with trainer.serve(worker_mode="process", workers=2,
-                                   transport=transport, cache_size=0,
-                                   max_wait_ms=5.0,
+            for mode in ("thread", "process"):
+                with trainer.serve(worker_mode=mode, workers=2,
+                                   cache_size=0, max_wait_ms=5.0,
                                    trace_sample=trace_sample) as server:
                     futures = [server.submit(s, k=k)
                                for s, k in zip(subset, ks)]
-                    outputs[transport] = [f.result() for f in futures]
+                    outputs[mode] = [f.result() for f in futures]
                     assert bool(server.tracer.drain()) == bool(trace_sample)
-            for got, want, k in zip(outputs["ring"], outputs["pipe"], ks):
+            for got, want, k in zip(outputs["process"], outputs["thread"],
+                                    ks):
                 assert len(got.items) == k
                 assert got.items == want.items
                 assert got.scores == want.scores  # bitwise via the codec
@@ -411,16 +407,15 @@ class TestTransportEquivalence:
                                                          sessions):
         subset = sessions[:6]
         stats = {}
-        for transport in ("pipe", "ring"):
-            with trainer.serve(worker_mode="process", workers=1,
-                               transport=transport) as server:
+        for mode in ("thread", "process"):
+            with trainer.serve(worker_mode=mode, workers=1) as server:
                 for _ in range(2):  # second pass hits the cache
                     for session in subset:
                         server.recommend_one(session, k=5)
                 snap = server.stats()
-                stats[transport] = (snap.cache_hits, snap.cache_misses,
-                                    snap.to_dict()["cache_by_version"])
-        assert stats["ring"] == stats["pipe"]
+                stats[mode] = (snap.cache_hits, snap.cache_misses,
+                               snap.to_dict()["cache_by_version"])
+        assert stats["process"] == stats["thread"]
 
     def test_hot_swap_bit_identical_across_transports(self, trainer,
                                                       sessions, tmp_path):
@@ -432,9 +427,8 @@ class TestTransportEquivalence:
                      for k, v in state.items()}
         v1 = registry.publish(perturbed)
         phases = {}
-        for transport in ("pipe", "ring"):
-            with trainer.serve(worker_mode="process", workers=2,
-                               transport=transport, cache_size=0,
+        for mode in ("thread", "process"):
+            with trainer.serve(worker_mode=mode, workers=2, cache_size=0,
                                registry=registry) as server:
                 server.swap_model(v0)
                 before = [r.items for r
@@ -442,21 +436,22 @@ class TestTransportEquivalence:
                 server.swap_model(v1)
                 after = [r.items for r
                          in server.recommend_many(subset, k=5)]
-                phases[transport] = (before, after)
-        assert phases["ring"] == phases["pipe"]
-        assert phases["ring"][0] != phases["ring"][1]  # swap did something
+                phases[mode] = (before, after)
+        assert phases["process"] == phases["thread"]
+        assert phases["process"][0] != phases["process"][1]  # swap did something
 
     def test_worker_murder_one_retry_contract_on_ring(self, trainer,
                                                       sessions):
-        """Killing every worker under ring transport must stay
-        invisible: execute routes around the corpses (one transparent
-        retry), respawned workers get fresh rings, and results stay
-        correct."""
+        """Killing every worker must stay invisible: execute routes
+        around the corpses (one transparent retry), respawned workers
+        get fresh rings, and results stay correct."""
         subset = sessions[:4]
         with trainer.serve(worker_mode="process", workers=2,
-                           transport="ring", cache_size=0) as server:
+                           cache_size=0) as server:
             expected = [r.items for r
                         in server.recommend_many(subset, k=5)]
+            corpses = [w.ring.manifest.segment
+                       for w in server.process_pool._workers]
             for worker in server.process_pool._workers:
                 worker.process.kill()
             time.sleep(0.2)
@@ -465,57 +460,74 @@ class TestTransportEquivalence:
                              in server.recommend_many(subset, k=5)]
                 assert recovered == expected
             assert server.process_pool.respawns >= 1
-            # Replacement workers serve over the ring again (their
+            # Replacement workers serve over fresh rings (their
             # predecessors' rings were retired with the corpses).
-            assert all(w.ring is not None
-                       for w in server.process_pool._workers)
+            assert not {w.ring.manifest.segment
+                        for w in server.process_pool._workers} & set(corpses)
 
 
 # ----------------------------------------------------------------------
-# Backpressure injection
+# Ring growth
 # ----------------------------------------------------------------------
-class TestBackpressure:
-    def test_full_ring_falls_back_to_pipe(self, trainer, sessions):
-        subset = _examples(sessions[:4])
-        with ProcessWorkerPool(trainer.agent, workers=1,
-                               transport="ring") as pool:
-            expected = pool.execute(subset, 5)
-            worker = pool._workers[0]
-            # Jam the request ring: post raw payloads without ringing
-            # the doorbell, so the worker never consumes them and every
-            # slot stays claimed.
-            while True:
-                try:
-                    worker.ring.post_request(b"\x00" * 8)
-                except RingFull:
-                    break
-            before = pool.ring_fallbacks
-            for _ in range(3):
-                assert pool.execute(subset, 5) == expected
-            assert pool.ring_fallbacks == before + 3
-            assert pool.pipe_batches >= 3  # counted as pipe traffic
+def _shm_entries():
+    return set(os.listdir("/dev/shm"))
 
-    def test_oversize_batch_rides_the_pipe(self, trainer, sessions):
-        """A micro-batch whose worst-case response exceeds the response
-        slot must be routed to the pipe up front (no truncation, no
-        error)."""
-        subset = _examples(sessions[:4])
-        with ProcessWorkerPool(trainer.agent, workers=1,
-                               transport="ring") as pool:
-            _, expected_rows = pool.execute(subset, 5)
-            before_pipe = pool.pipe_batches
-            before_ring = pool.ring_batches
-            # k large enough that the worst-case response bound blows
-            # the slot (the worker clips k to the catalogue, so this
-            # still executes — just over the pipe).
-            huge_k = (pool._workers[0].ring.manifest.resp_slot_bytes
-                      // pool._resp_cell_bytes + 1)
-            _, rows = pool.execute(subset, huge_k)
-            assert pool.pipe_batches == before_pipe + 1
-            assert pool.ring_batches == before_ring
-            assert pool.ring_fallbacks >= 1
-            assert len(rows) == len(subset)
-            for (top_items, *_), (all_items, *_) in zip(expected_rows,
-                                                        rows):
-                assert len(all_items) > 5
-                assert set(top_items) <= set(all_items)
+
+class TestRingGrowth:
+    def test_full_flush_at_catalogue_k_grows_once(self, trainer,
+                                                  beauty_tiny):
+        """A full 80-row flush ranked at k = n_items needs more than the
+        default 256 KiB response slot: the worker moves onto a 512 KiB
+        ring once, the answers are thread mode's byte for byte (traced),
+        the next full flush reuses that ring, and shutdown leaves no
+        shared-memory segment behind."""
+        n_items = trainer.agent.n_items
+        pool_sessions = [s for s in beauty_tiny.split.train
+                         if len(s.items) >= 2]
+        flushes = [pool_sessions[:80], pool_sessions[80:160]]
+        assert len(flushes[1]) == 80
+        opts = dict(workers=1, max_batch=80, max_wait_ms=2000.0,
+                    cache_size=0, trace_sample=1.0)
+        want = []
+        with trainer.serve(worker_mode="thread", **opts) as server:
+            for flush in flushes:
+                want.append(server.recommend_many(flush, k=n_items))
+        before = _shm_entries()
+        with trainer.serve(worker_mode="process", **opts) as server:
+            worker = server.process_pool._workers[0]
+            default = worker.ring.manifest
+            segments = []
+            for flush, expected in zip(flushes, want):
+                got = server.recommend_many(flush, k=n_items)
+                segments.append(worker.ring.manifest)
+                assert [r.items for r in got] \
+                    == [r.items for r in expected]
+                assert [r.scores for r in got] \
+                    == [r.scores for r in expected]
+                assert [r.explanations for r in got] \
+                    == [r.explanations for r in expected]
+                assert [tuple(r.paths) for r in got] \
+                    == [tuple(r.paths) for r in expected]
+            assert server.stats().to_dict()["batches"] == 2
+            assert segments[0].segment != default.segment
+            assert segments[0].resp_slot_bytes == 2 * default.resp_slot_bytes
+            assert segments[0].req_slot_bytes == default.req_slot_bytes
+            assert segments[1] == segments[0]     # grown once, not again
+            assert server.process_pool.respawns == 0
+        assert not _shm_entries() - before
+
+    def test_oversize_request_grows_the_request_slot(self, trainer,
+                                                     sessions):
+        """A 2,000-row plan's request payload outgrows the 64 KiB
+        request slot; the response still fits its slot, which stays."""
+        examples = _examples(sessions) * (2000 // len(sessions) + 1)
+        plan = FlushPlan.build(examples[:2000], [1] * 2000)
+        want, _, _ = execute_flush(trainer.agent, RolloutWorkspace(), plan,
+                                   None)
+        with ProcessWorkerPool(trainer.agent, workers=1) as pool:
+            default = pool._workers[0].ring.manifest
+            _, block, _, _ = pool.execute_block(plan)
+            grown = pool._workers[0].ring.manifest
+        assert block == want
+        assert grown.req_slot_bytes > default.req_slot_bytes
+        assert grown.resp_slot_bytes == default.resp_slot_bytes

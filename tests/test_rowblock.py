@@ -18,10 +18,11 @@ from hypothesis import given, settings, strategies as st
 from repro import REKSConfig, REKSTrainer
 from repro.cascade import build_constraint, provider_from_trainer
 from repro.core.agent import Recommendations, _top_k
+from repro.core.environment import RolloutWorkspace
 from repro.data.loader import collate_examples
 from repro.kg.paths import PathTable
 from repro.runtime import ProcessWorkerPool
-from repro.runtime.flush import FlushPlan
+from repro.runtime.flush import FlushPlan, execute_flush
 from repro.runtime.rings import (
     CorruptPayload,
     decode_block,
@@ -276,36 +277,37 @@ class TestSelectRows:
 
 
 # ----------------------------------------------------------------------
-# The pool: same block on both transports, row count checked
+# The pool: the ring carries execute_flush's block, row count checked
 # ----------------------------------------------------------------------
 class TestPoolBlocks:
     def test_ring_and_pipe_carry_the_same_block(self, trainer, examples):
+        """The block a worker answers over the ring is the one a direct
+        ``execute_flush`` (thread mode's executor) builds."""
         rec = _walk(trainer, examples[:6], 7)
         ks = [7, 3, 7, 5, 7, 1]
         want = select_rows(rec, list(enumerate(ks)))
-        for transport in ("ring", "pipe"):
-            with ProcessWorkerPool(trainer.agent, workers=1,
-                                   transport=transport) as pool:
-                plan = FlushPlan.build(examples[:6], ks)
-                version, block, spans, rowrecs = pool.execute_block(plan)
-                assert plan.fan_out == list(range(6)) and block == want
-                assert spans == [] and rowrecs == []
-                assert pool.execute(examples[:6], ks) == (
-                    version, want.to_rows())
-                # dedup: rows 0 and 2 are one request asked twice
-                uniq = [examples[0], examples[1]]
-                plan = FlushPlan.build(
-                    [examples[0], examples[1], examples[0]], [7, 3, 7],
-                    dedup=([0, 1], [0, 1, 0]))
-                _, block, _, _ = pool.execute_block(plan)
-                assert plan.rows == uniq and plan.fan_out == [0, 1, 0]
-                pair = _walk(trainer, uniq, 7)
-                assert block == select_rows(pair, [(0, 7), (1, 3)])
+        with ProcessWorkerPool(trainer.agent, workers=1) as pool:
+            plan = FlushPlan.build(examples[:6], ks)
+            version, block, spans, rowrecs = pool.execute_block(plan)
+            assert plan.fan_out == list(range(6)) and block == want
+            assert block == execute_flush(trainer.agent, RolloutWorkspace(),
+                                          plan, None)[0]
+            assert spans == [] and rowrecs == []
+            assert pool.execute(examples[:6], ks) == (
+                version, want.to_rows())
+            # dedup: rows 0 and 2 are one request asked twice
+            uniq = [examples[0], examples[1]]
+            plan = FlushPlan.build(
+                [examples[0], examples[1], examples[0]], [7, 3, 7],
+                dedup=([0, 1], [0, 1, 0]))
+            _, block, _, _ = pool.execute_block(plan)
+            assert plan.rows == uniq and plan.fan_out == [0, 1, 0]
+            pair = _walk(trainer, uniq, 7)
+            assert block == select_rows(pair, [(0, 7), (1, 3)])
 
     def test_wrong_row_count_is_refused(self, trainer, examples,
                                         monkeypatch):
-        with ProcessWorkerPool(trainer.agent, workers=1,
-                               transport="ring") as pool:
+        with ProcessWorkerPool(trainer.agent, workers=1) as pool:
             worker = pool._workers[0]
             real = worker.exec_batch
 

@@ -2,8 +2,8 @@
 
 Tier-1.  Pins the hard invariant of the shared-computation layer:
 **rankings, scores, and explanations are bit-identical with dedup on
-versus off**, across thread mode, the pickle pipe, and the ring
-transport, through repeat-heavy flushes with mixed ks.  Plus unit
+versus off**, in thread mode and in process mode over the ring,
+through repeat-heavy flushes with mixed ks.  Plus unit
 coverage for :func:`dedup_plan` and the harness-only
 :class:`WalkMemo` LRU, the reachability prewarmer, and the per-version
 entry-count introspection.
@@ -140,7 +140,7 @@ class TestWalkMemo:
 
 
 # ----------------------------------------------------------------------
-# Differential: dedup on == off, bit for bit, on every transport
+# Differential: dedup on == off, bit for bit, in both modes
 # ----------------------------------------------------------------------
 class TestSharedBitIdentity:
     def _mixed_duplicates(self, sessions):
@@ -158,8 +158,7 @@ class TestSharedBitIdentity:
             return [_payload(f.result()) for f in futures]
 
     @pytest.mark.parametrize("mode,transport",
-                             [("thread", None), ("process", "pipe"),
-                              ("process", "ring")])
+                             [("thread", None), ("process", "ring")])
     def test_duplicate_flush_bit_identical(self, trainer, sessions,
                                            mode, transport):
         requests = self._mixed_duplicates(sessions)

@@ -4,7 +4,7 @@ Unit layers (block seqlock, registry retire/merge, tracer, Prometheus
 text, SLO gates, HTTP endpoint) run against synthetic metrics; the
 integration layers drive a real :class:`RecommendationServer` — thread
 and process worker modes — and assert the fleet snapshot, trace-id
-propagation through the ring codec *and* its pipe fallback, and
+propagation through the ring codec, and
 bounded ``ServerStats`` memory under a 1M-request soak.
 """
 
@@ -14,7 +14,6 @@ import json
 import math
 import threading
 import time
-from dataclasses import replace
 from urllib.error import HTTPError
 from urllib.request import urlopen
 
@@ -404,14 +403,12 @@ class TestExporters:
         snap = self._snapshot()
         results = evaluate_slos(snap, serving_slos(
             p99_ms=1000.0, swap_max_ms=100.0,
-            cache_hit_floor=0.5, ring_fallback_ceiling=0.1))
+            cache_hit_floor=0.5))
         by_name = {r.slo.name: r for r in results}
         assert by_name["request_p99"].ok       # 8ms << 1s
         assert by_name["swap_latency"].ok      # empty hist -> 0, passes
         assert by_name["cache_hit_rate"].value == pytest.approx(0.6)
         assert by_name["cache_hit_rate"].ok
-        # 0 ring/pipe batches: ratio defined as 0, passes the ceiling.
-        assert by_name["ring_fallback_rate"].value == 0.0
         failing = evaluate_slos(snap, serving_slos(cache_hit_floor=0.9))
         assert not failing[0].ok
         assert "VIOLATED" in failing[0].describe()
@@ -652,8 +649,7 @@ class TestProcessFleetTelemetry:
         assert {"server", "worker0", "worker1"} <= set(snap.roles)
         assert snap.counter("exec_rows_total") == len(subset)
         assert snap.counter("exec_batches_total") >= 1
-        assert snap.counter("ring_batches_total") \
-            + snap.counter("pipe_batches_total") >= 1
+        assert snap.counter("ring_batches_total") >= 1
         assert snap.hist("exec_seconds").count >= 1
 
     def test_trace_ids_cross_the_ring(self, trainer, sessions):
@@ -671,34 +667,6 @@ class TestProcessFleetTelemetry:
             names = {s.name for s in records}
             assert "exec" in names and "walk" in names
         assert snap.counter("worker_traces_total") == len(subset)
-
-    def test_trace_ids_survive_ring_to_pipe_fallback(self, trainer,
-                                                     sessions):
-        """Satellite (d): shrink the parent's view of the request slot
-        so every batch raises RingUnsuitable and rides the pickle pipe
-        — worker spans and trace echoes must come back regardless."""
-        subset = sessions[:6]
-        # Cache off: a warm replay would be all hits — no walk, no
-        # worker row spans — and this test is about transport fallback.
-        with trainer.serve(worker_mode="process", workers=1,
-                           cache_size=0, trace_sample=1.0) as server:
-            expected = [r.items for r in server.recommend_many(subset,
-                                                               k=5)]
-            server.tracer.drain()
-            pool = server.process_pool
-            for handle in pool._workers:
-                handle.ring.manifest = replace(handle.ring.manifest,
-                                               req_slot_bytes=8)
-            fallen = [r.items for r in server.recommend_many(subset,
-                                                             k=5)]
-            spans = server.tracer.drain()
-            snap = server.fleet_snapshot()
-        assert fallen == expected             # transport is invisible
-        assert snap.counter("ring_fallbacks_total") >= 1
-        grouped = spans_by_trace(spans)
-        assert len(grouped) == len(subset)
-        for records in grouped.values():
-            assert "worker" in {s.role for s in records}
 
     def test_respawn_keeps_counts_without_double_counting(self, trainer,
                                                           sessions):

@@ -3,8 +3,8 @@
 Unlike the table/figure benches (one-shot protocol runs), these use
 pytest-benchmark's repeated measurement to track the hot paths:
 autograd backward, GRU step, transformer layer, KG action-space
-queries, TransE epochs, and one full REKS train step.  Useful when
-optimizing the numpy kernels.
+queries, TransE epochs, the row scatter-add, and one full REKS train
+step.  Useful when optimizing the numpy kernels.
 """
 
 import numpy as np
@@ -80,6 +80,27 @@ def test_micro_transe_epoch(benchmark):
                    TransEConfig(dim=32, epochs=1, seed=0))
 
     benchmark(lambda: model.fit_triples(heads, rels, tails))
+
+
+# (rows, dim, updates): a TransE batch's entity scatter on the harness
+# world (11,640 entities, dim 64, four roles x 2,048 triples), and the
+# entity-table backward of ``embedding_sum`` at hop 1 of a ``small``
+# Beauty REKS step (3,850 entities, dim 32, 27,970 action cells).
+ROW_SCATTER_SHAPES = {"transe_batch": (11_640, 64, 4 * 2048),
+                      "embedding_sum_small": (3_850, 32, 27_970)}
+
+
+@pytest.mark.parametrize("kernel", ["np_add_at", "add_at"])
+@pytest.mark.parametrize("shape", sorted(ROW_SCATTER_SHAPES))
+def test_micro_row_scatter(benchmark, shape, kernel):
+    rows, dim, updates = ROW_SCATTER_SHAPES[shape]
+    rng = np.random.default_rng(0)
+    target = np.zeros((rows, dim), dtype=np.float32)
+    index = rng.integers(0, rows, size=updates)
+    values = rng.standard_normal((updates, dim)).astype(np.float32)
+    scatter = np.add.at if kernel == "np_add_at" else F.add_at
+
+    benchmark(lambda: scatter(target, index, values))
 
 
 def test_micro_reks_train_step(benchmark):

@@ -11,6 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.autograd.scatter import add_at  # noqa: F401 (re-export)
 from repro.autograd.tensor import (  # noqa: F401 (re-export)
     Tensor,
     concat,
@@ -236,13 +237,13 @@ def relu(x: Tensor) -> Tensor:
 def scatter_add(src: Tensor, index, shape) -> Tensor:
     """Dense tensor of ``shape`` with ``src`` summed into ``index`` cells.
 
-    ``index`` is anything ``np.add.at`` accepts (typically a tuple of
+    ``index`` is anything :func:`add_at` accepts (typically a tuple of
     integer arrays, one per target axis).  Backward gathers the output
     gradient back at ``index``.  Used to aggregate per-path
     probabilities into per-(session, item) scores ``ŷ`` (Eq. 14).
     """
     data = np.zeros(shape, dtype=src.dtype)
-    np.add.at(data, index, src.data)
+    add_at(data, index, src.data)
     out = src._make_child(data, (src,), "scatter_add")
     if out.requires_grad:
 

@@ -30,6 +30,8 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.autograd.scatter import add_at
+
 DEFAULT_DTYPE = np.float32
 
 
@@ -480,8 +482,8 @@ class Tensor:
         if out.requires_grad:
 
             def _backward() -> None:
-                grad = np.zeros_like(self.data)
-                np.add.at(grad, index, out.grad)
+                grad = np.zeros(self.shape, dtype=self.data.dtype)
+                add_at(grad, index, out.grad)
                 self._accumulate(grad)
 
             out._backward = _backward

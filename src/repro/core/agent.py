@@ -255,7 +255,7 @@ class REKSAgent(Module):
                                batch_size: int) -> np.ndarray:
         items = self.env.built.items_of_entities(rollout.terminals)
         scores = np.zeros((batch_size, self.n_items + 1), dtype=np.float64)
-        np.add.at(scores, (rollout.session_idx, items), rollout.prob)
+        F.add_at(scores, (rollout.session_idx, items), rollout.prob)
         scores[:, 0] = 0.0
         return scores
 

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.autograd.functional import add_at
 from repro.data.loader import SessionBatch
 from repro.graphstore import CSRTables
 from repro.kg.builder import BuiltKG
@@ -322,7 +323,7 @@ class KGEnvironment:
             for head, rel, tail in zip(heads.tolist(), rels.tolist(),
                                        tails.tolist()):
                 self._staged.setdefault(head, []).append((rel, tail))
-            np.add.at(self._staged_len, heads, 1)
+            add_at(self._staged_len, heads, 1)
             self._staged_keys = np.sort(
                 np.concatenate([self._staged_keys, keys]))
             self._staged_count += int(heads.size)

@@ -3,7 +3,8 @@
 Margin-ranking loss with uniform negative sampling, optimized with
 plain SGD and per-epoch entity renormalization, implemented directly in
 numpy (no autograd needed: the gradients of the L2 energy are closed
-form and the hot loop benefits from ``np.add.at`` scatter updates).
+form).  Each batch applies its sparse updates as two row scatters, one
+per table, through :func:`repro.autograd.functional.add_at`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.autograd.functional import add_at
 from repro.kg.graph import KnowledgeGraph
 
 
@@ -95,11 +97,14 @@ class TransE:
         gn = -2.0 * neg_diff[active]
         scale = cfg.lr
 
-        np.add.at(self.entity, h[active], -scale * gp)
-        np.add.at(self.entity, t[active], scale * gp)
-        np.add.at(self.relation, r[active], -scale * (gp + gn))
-        np.add.at(self.entity, nh[active], -scale * gn)
-        np.add.at(self.entity, nt[active], scale * gn)
+        # One scatter per table.  The entity rows go in the order
+        # h, t, nh, nt, so every element takes its updates in the same
+        # sequence as one scatter per role would give it.
+        add_at(self.entity,
+               np.concatenate([h[active], t[active], nh[active], nt[active]]),
+               np.concatenate([-scale * gp, scale * gp,
+                               -scale * gn, scale * gn]))
+        add_at(self.relation, r[active], -scale * (gp + gn))
         return loss
 
     def _normalize_entities(self) -> None:

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.autograd import init
-from repro.autograd.functional import coerce_indices  # noqa: F401 (re-export)
+from repro.autograd.functional import add_at, coerce_indices
 from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.nn.module import Module, Parameter
 
@@ -134,8 +134,8 @@ def embedding_sum(first: Embedding, first_indices: np.ndarray,
 
         def _backward() -> None:
             for weight, indices in trained:
-                grad = np.zeros_like(weight.data)
-                np.add.at(grad, indices, out.grad)
+                grad = np.zeros(weight.shape, dtype=weight.data.dtype)
+                add_at(grad, indices, out.grad)
                 weight._accumulate(grad)
 
         out._backward = _backward

@@ -1,5 +1,7 @@
 """Unit tests for TransE pre-training."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,30 @@ class TestTraining:
         b = TransE(beauty_kg.kg.num_entities, beauty_kg.kg.num_relations, cfg)
         b.fit(beauty_kg.kg)
         np.testing.assert_allclose(a.entity, b.entity)
+
+    # sha256 of the fitted tables' bytes, recorded from the reference
+    # update, five per-role ``np.add.at`` row scatters (x86-64, NumPy
+    # 2.4).  Keyed by (batch size, epochs): batch 2048 takes the tiny
+    # KG in three batches, batch 256 in seventeen.
+    PINNED = {
+        (2048, 5): (
+            "ec3e9d2b32bba6ecf4b24e54c22e2932a8d0872d57426ebcd7e7e30d388392bb",
+            "b1da89023fa26e53a6eec1f72dc0326df10677330cacf2ff75c86fd4e8a6b048"),
+        (256, 3): (
+            "22921771e5b869745733a68f2ff942c16eb969ffd58edd22adaaf804c18c8f2b",
+            "c4bd7de3b15b33bada73e8e62f50afa780d47ee3fd6b5b26091cb59d438d953e"),
+    }
+
+    @pytest.mark.parametrize("batch_size,epochs", sorted(PINNED))
+    def test_fit_is_bit_identical_to_pinned_digests(self, beauty_kg,
+                                                    batch_size, epochs):
+        model = TransE(beauty_kg.kg.num_entities, beauty_kg.kg.num_relations,
+                       TransEConfig(dim=16, epochs=epochs,
+                                    batch_size=batch_size, seed=5))
+        model.fit(beauty_kg.kg)
+        digests = tuple(hashlib.sha256(table.tobytes()).hexdigest()
+                        for table in (model.entity, model.relation))
+        assert digests == self.PINNED[batch_size, epochs]
 
     def test_empty_triples_noop(self):
         model = TransE(5, 2, TransEConfig(dim=4, epochs=1))
